@@ -10,6 +10,11 @@ correctors are provided:
   oracle-grid level, fitted jointly by least squares: M+M'+2 parameters, with
   residual sums zero over every occupied row and column level.
 
+Both fits read one table, the row count and residual sum Σ(y - f) of every
+cell (``data.bin_sums``): cell offsets are its ratios, and additive offsets
+solve the normal equations built from it. ``choose_grid`` builds the table per
+fold and fits each fold from the total minus that fold.
+
 Both produce f(x) + offset, clamped to [0, 1] at application time; the
 pre-clamp value is exposed separately because the unbiasedness properties are
 statements about the unclamped corrector.
@@ -18,11 +23,12 @@ statements about the unclamped corrector.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+
+from .data import bin_sums, check_scores, fold_index
 
 
 class CalibrationError(ValueError):
@@ -46,7 +52,7 @@ class GridSpec:
 def grid_index(v, res: int):
     """Index of the nearest grid point i/res, ties broken toward the lower point."""
     v = np.asarray(v, dtype=float)
-    if np.any((v < 0) | (v > 1)):
+    if not np.all((v >= 0) & (v <= 1)):
         raise CalibrationError("grid rounding requires values in [0, 1]")
     idx = np.ceil(v * res - 0.5).astype(int)
     idx = np.clip(idx, 0, res)
@@ -56,23 +62,6 @@ def grid_index(v, res: int):
 def grid_round(v: float, res: int) -> float:
     """Round a score in [0, 1] to the nearest point of the grid {i/res}."""
     return grid_index(v, res) / res
-
-
-def _validate_fit_inputs(base_scores, oracle_scores, labels):
-    f = np.asarray(base_scores, dtype=float)
-    z = np.asarray(oracle_scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if not (f.shape == z.shape == y.shape) or f.ndim != 1:
-        raise CalibrationError(
-            f"inputs must be equal-length vectors, got shapes {f.shape}, {z.shape}, {y.shape}"
-        )
-    if f.size == 0:
-        raise CalibrationError("cannot fit a calibrator on empty input")
-    if np.any((f < 0) | (f > 1)) or np.any((z < 0) | (z > 1)):
-        raise CalibrationError("base and oracle scores must lie in [0, 1]")
-    if np.any((y != 0) & (y != 1)):
-        raise CalibrationError("labels must be 0 or 1")
-    return f, z, y
 
 
 @dataclass(frozen=True)
@@ -207,41 +196,57 @@ def load_calibrator(path):
     raise CalibrationError(f"unrecognized calibrator kind {doc.get('kind')!r} in {path}")
 
 
+def _cell_sums(f, z, y, grid: GridSpec, fold=None, k: int = 1):
+    """Cell key i·(M'+1) + j of each row, and the (count, Σ(y - f)) table per fold and cell."""
+    cell = grid_index(f, grid.base_res) * (grid.oracle_res + 1) + grid_index(z, grid.oracle_res)
+    n_cells = (grid.base_res + 1) * (grid.oracle_res + 1)
+    return cell, bin_sums(cell, n_cells, (y - f,), fold, k)
+
+
+def _cell_offsets(count, total) -> np.ndarray:
+    return np.divide(total, count, out=np.zeros(total.shape), where=count > 0)
+
+
+def _additive_offsets(count, total, grid: GridSpec):
+    """Row and column offsets from one flat (count, Σ(y - f)) cell table.
+
+    With N the count table, the normal equations are
+    [[diag(row n), N], [Nᵀ, diag(col n)]] @ offsets = [row Σ(y - f), col Σ(y - f)];
+    pinv(gram) @ rhs is the design's minimum-norm solution, as X⁺ = (XᵀX)⁺Xᵀ.
+    Unoccupied levels stay out of the solve and get exactly 0.
+    """
+    shape = (grid.base_res + 1, grid.oracle_res + 1)
+    n, r = count.reshape(shape), total.reshape(shape)
+    gram = np.block([[np.diag(n.sum(1)), n], [n.T, np.diag(n.sum(0))]])
+    rhs = np.concatenate([r.sum(1), r.sum(0)])
+    used = np.diag(gram) > 0
+    rcond = used.sum() * np.finfo(float).eps  # numpy's matrix_rank cut-off drops the gauge
+    solution = np.zeros(rhs.size)
+    solution[used] = np.linalg.pinv(gram[np.ix_(used, used)], rcond=rcond, hermitian=True) @ rhs[used]
+    return solution[: shape[0]], solution[shape[0]:]
+
+
 def fit_cell_calibrator(base_scores, oracle_scores, labels, grid: GridSpec) -> CellCalibrator:
     """Offsets are the mean of y - f(x) per cell; empty cells stay at 0."""
-    f, z, y = _validate_fit_inputs(base_scores, oracle_scores, labels)
-    rows = grid_index(f, grid.base_res)
-    cols = grid_index(z, grid.oracle_res)
+    f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
+    count, total = _cell_sums(f, z, y, grid)[1][:, 0]
     shape = (grid.base_res + 1, grid.oracle_res + 1)
-    total = np.zeros(shape)
-    counts = np.zeros(shape, dtype=int)
-    np.add.at(total, (rows, cols), y - f)
-    np.add.at(counts, (rows, cols), 1)
-    delta = np.divide(total, counts, out=np.zeros(shape), where=counts > 0)
-    return CellCalibrator(grid=grid, delta=delta, counts=counts)
+    return CellCalibrator(grid, _cell_offsets(count, total).reshape(shape), count.reshape(shape))
 
 
 def fit_additive_calibrator(base_scores, oracle_scores, labels, grid: GridSpec) -> AdditiveCalibrator:
     """Least-squares offsets; the rank-deficient system takes the minimum-norm solution.
 
-    The design regresses the residuals y - f(x) on indicator columns for each
+    The model regresses the residuals y - f(x) on indicator columns for each
     base-grid level and each oracle-grid level. Any constant can shift the row
     offsets and counter-shift the column offsets without changing predictions,
-    so the pseudo-inverse (minimum-norm) solution is used to make the fitted
-    parameters reproducible.
+    so the minimum-norm solution is used to make the fitted parameters
+    reproducible. It is solved from the cell table by the normal equations
+    (``_additive_offsets``), never from a per-row design matrix.
     """
-    f, z, y = _validate_fit_inputs(base_scores, oracle_scores, labels)
-    rows = grid_index(f, grid.base_res)
-    cols = grid_index(z, grid.oracle_res)
-    n = f.size
-    n_row = grid.base_res + 1
-    design = np.zeros((n, n_row + grid.oracle_res + 1))
-    design[np.arange(n), rows] = 1.0
-    design[np.arange(n), n_row + cols] = 1.0
-    solution, *_ = np.linalg.lstsq(design, y - f, rcond=None)
-    return AdditiveCalibrator(
-        grid=grid, row_offsets=solution[:n_row], col_offsets=solution[n_row:]
-    )
+    f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
+    rows, cols = _additive_offsets(*_cell_sums(f, z, y, grid)[1][:, 0], grid)
+    return AdditiveCalibrator(grid=grid, row_offsets=rows, col_offsets=cols)
 
 
 def apply_calibrator(calibrator, base_score, oracle_score, clip: bool = True):
@@ -255,10 +260,14 @@ def apply_calibrator(calibrator, base_score, oracle_score, clip: bool = True):
     return calibrator.calibrate_raw(base_score, oracle_score)
 
 
-def _index_folds(n: int, k: int, seed: int):
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    return [perm[start::k] for start in range(k)]
+def _fold_offsets(f, z, y, grid: GridSpec, kind: str, fold, k: int):
+    """Cell key of each row, and row g = the flat offset table fitted without fold g."""
+    cell, held = _cell_sums(f, z, y, grid, fold, k)
+    count, total = held.sum(1, keepdims=True) - held  # total minus fold
+    if kind == "cell":
+        return cell, _cell_offsets(count, total)
+    fits = [_additive_offsets(c, t, grid) for c, t in zip(count, total)]
+    return cell, np.array([np.add.outer(rows, cols).ravel() for rows, cols in fits])
 
 
 def choose_grid(
@@ -273,10 +282,12 @@ def choose_grid(
 ) -> GridSpec:
     """Pick the base-grid resolution minimizing k-fold squared error.
 
-    Each candidate is scored by fitting the calibrator on k-1 folds and
-    averaging the squared error of its clamped output on the held-out fold.
-    Ties break toward the smaller resolution. A single candidate is returned
-    as-is without cross-validation.
+    Rows are dealt into k folds by ``data.fold_index``. Per candidate, one
+    bincount pass builds every fold's cell table; fold g's calibrator comes
+    from the total minus fold g (the same fit as refitting on the other k-1
+    folds), and one gather scores its clamped output on fold g's rows. Ties
+    break toward the smaller resolution. A single candidate is returned as-is
+    without cross-validation.
     """
     candidates = sorted(set(int(m) for m in candidate_res))
     if not candidates:
@@ -285,24 +296,15 @@ def choose_grid(
         raise CalibrationError(f"unknown calibrator kind {kind!r}")
     if len(candidates) == 1:
         return GridSpec(candidates[0], oracle_res)
-    f, z, y = _validate_fit_inputs(base_scores, oracle_scores, labels)
+    f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
     k = min(k, f.size)
     if k < 2:
         raise CalibrationError("choose_grid needs at least 2 samples for cross-validation")
-    folds = _index_folds(f.size, k, seed)
-    fitter = fit_cell_calibrator if kind == "cell" else fit_additive_calibrator
+    fold = fold_index(f.size, k, seed)
 
-    best_res, best_loss = None, math.inf
-    for res in candidates:
-        grid = GridSpec(res, oracle_res)
-        total = 0.0
-        for held in folds:
-            mask = np.ones(f.size, dtype=bool)
-            mask[held] = False
-            cal = fitter(f[mask], z[mask], y[mask], grid)
-            pred = cal.calibrate(f[held], z[held])
-            total += float(np.sum((pred - y[held]) ** 2))
-        loss = total / f.size
-        if loss < best_loss:
-            best_res, best_loss = res, loss
-    return GridSpec(best_res, oracle_res)
+    def cv_loss(res):
+        cell, offsets = _fold_offsets(f, z, y, GridSpec(res, oracle_res), kind, fold, k)
+        pred = np.clip(f + offsets[fold, cell], 0.0, 1.0)
+        return float(np.sum((pred - y) ** 2)) / f.size
+
+    return GridSpec(min(candidates, key=cv_loss), oracle_res)

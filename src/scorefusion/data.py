@@ -444,7 +444,7 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# splitting and folding
+# splitting, folding and per-bin tables
 # ---------------------------------------------------------------------------
 
 
@@ -467,18 +467,46 @@ def split(ds: LabeledDataset, test_fraction: float, seed: int):
     return LabeledDataset(train_rows, ds.dim), LabeledDataset(test_rows, ds.dim)
 
 
+def fold_index(n: int, k: int, seed: int) -> np.ndarray:
+    """0-based fold of each of n rows: row perm[p] of a seeded permutation gets fold p % k."""
+    fold = np.empty(n, dtype=np.intp)
+    fold[np.random.default_rng(seed).permutation(n)] = np.arange(n) % k
+    return fold
+
+
 def make_folds(ds: LabeledDataset, k: int, seed: int) -> FoldAssignment:
     """Assign every instance to one of k balanced folds (sizes differ by <= 1)."""
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     if k > ds.n:
         raise DatasetError(f"cannot make {k} folds from {ds.n} instances")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n)
-    fold_of = {}
-    for pos, idx in enumerate(perm):
-        fold_of[ds.instances[idx].id] = (pos % k) + 1
+    fold_of = dict(zip(ds.ids(), (fold_index(ds.n, k, seed) + 1).tolist()))
     return FoldAssignment(k=k, fold_of=fold_of, seed=seed)
+
+
+def check_scores(y_hat, z, y, error):
+    """Float (y_hat, z, y); raises ``error`` unless equal-length, non-empty, scores in [0, 1], labels 0/1."""
+    y_hat, z, y = (np.asarray(v, dtype=float) for v in (y_hat, z, y))
+    if y_hat.ndim != 1 or y_hat.size == 0 or not (y_hat.shape == z.shape == y.shape):
+        raise error(f"inputs must be non-empty equal-length vectors, got {y_hat.shape}, {z.shape}, {y.shape}")
+    if not np.all((y_hat >= 0) & (y_hat <= 1) & (z >= 0) & (z <= 1)):
+        raise error("base and oracle scores must lie in [0, 1]")
+    if np.any((y != 0) & (y != 1)):
+        raise error("labels must be 0 or 1")
+    return y_hat, z, y
+
+
+def bin_sums(key, n_bins: int, columns, fold=None, k: int = 1) -> np.ndarray:
+    """Row count and column sums per (fold, bin), shape (1 + len(columns), k, n_bins).
+
+    These are the sufficient statistics every fusion and calibration fit reads,
+    from one ``np.bincount`` pass per column over the bin key, offset by fold
+    (``fold * n_bins + key``) when ``fold`` is given.
+    """
+    key = key if fold is None else fold * n_bins + key
+    tables = [np.bincount(key, minlength=k * n_bins)]
+    tables += [np.bincount(key, weights=c, minlength=k * n_bins) for c in columns]
+    return np.array(tables, dtype=float).reshape(len(tables), k, n_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +514,15 @@ def make_folds(ds: LabeledDataset, k: int, seed: int) -> FoldAssignment:
 # ---------------------------------------------------------------------------
 
 
-def _sigmoid(t):
-    out = np.empty_like(t, dtype=float)
+def sigmoid(t):
+    """Numerically stable logistic function, elementwise."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
     pos = t >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
     e = np.exp(t[~pos])
     out[~pos] = e / (1.0 + e)
-    return out
+    return out if out.ndim else float(out)
 
 
 def synthesize(spec: SyntheticSpec) -> LabeledDataset:
@@ -512,7 +542,7 @@ def synthesize(spec: SyntheticSpec) -> LabeledDataset:
         X = X + shifts[assignment]
     w = np.array(spec.true_weights[:d])
     b = spec.true_weights[d]
-    p = _sigmoid(X @ w + b)
+    p = sigmoid(X @ w + b)
     y = (rng.uniform(size=n) < p).astype(int)
 
     width = max(6, len(str(n - 1)))

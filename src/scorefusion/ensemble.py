@@ -6,7 +6,8 @@ on a uniform partition of [0, 1] into r pieces; r = 1 recovers a single
 constant weight. Weights are fitted on out-of-fold base scores by squared
 error, for which each piece has a closed-form solution: the unconstrained
 scalar regression coefficient, projected onto [0, 1] (exact for a 1-d convex
-quadratic).
+quadratic). Fits, reports and the k-fold choice of r all read per-piece sums
+(``data.bin_sums``) instead of the rows.
 """
 
 from __future__ import annotations
@@ -17,56 +18,30 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import bin_sums, check_scores, fold_index
+
 
 class EnsembleError(ValueError):
     """Raised for mismatched, empty, or out-of-range fitting inputs."""
 
 
-def _validate_inputs(y_cv, z, y):
-    y_cv = np.asarray(y_cv, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not (y_cv.shape == z.shape == y.shape) or y_cv.ndim != 1:
-        raise EnsembleError(
-            f"inputs must be equal-length vectors, got shapes {y_cv.shape}, {z.shape}, {y.shape}"
-        )
-    if y_cv.size == 0:
-        raise EnsembleError("cannot fit a fusion weight on empty input")
-    if np.any((y_cv < 0) | (y_cv > 1)) or np.any((z < 0) | (z > 1)):
-        raise EnsembleError("base and oracle scores must lie in [0, 1]")
-    if np.any((y != 0) & (y != 1)):
-        raise EnsembleError("labels must be 0 or 1")
-    return y_cv, z, y
-
-
-def _check_loss(loss):
-    if loss != "l2":
-        raise EnsembleError(f"only the 'l2' fitting loss is supported, got {loss!r}")
-
-
-def fit_constant_weight(y_cv, z, y, loss: str = "l2") -> float:
-    """Best constant fusion weight in [0, 1] under squared error.
+def fit_constant_weight(y_cv, z, y) -> float:
+    """Best constant fusion weight in [0, 1] under squared error (``fit_adaptive_weights``, r = 1).
 
     Equivalent to regressing (y - z) on (y_cv - z) and projecting the
     coefficient onto [0, 1]. When y_cv and z coincide everywhere the weight is
     immaterial; 1.0 is returned so the base model stays nominal.
     """
-    _check_loss(loss)
-    y_cv, z, y = _validate_inputs(y_cv, z, y)
-    num = float(np.dot(y - z, y_cv - z))
-    den = float(np.dot(y_cv - z, y_cv - z))
-    if den == 0.0:
-        return 1.0
-    return min(1.0, max(0.0, num / den))
+    return fit_adaptive_weights(y_cv, z, y, r=1).weights[0]
 
 
-def piece_index(value: float, r: int) -> int:
-    """0-based index of the partition piece containing ``value``.
+def piece_index(value, r: int):
+    """0-based index of the partition piece containing each value (scalar or array).
 
     Pieces are [(j-1)/r, j/r) for j < r and [(r-1)/r, 1] for the last piece.
     """
-    idx = int(np.floor(value * r))
-    return min(max(idx, 0), r - 1)
+    idx = np.clip(np.floor(np.asarray(value, dtype=float) * r).astype(int), 0, r - 1)
+    return idx if idx.ndim else int(idx)
 
 
 @dataclass(frozen=True)
@@ -98,9 +73,7 @@ class WeightFunction:
 
     def alpha(self, base_score):
         """Weight of the piece containing each base score (scalar or array)."""
-        s = np.asarray(base_score, dtype=float)
-        idx = np.clip(np.floor(s * self.r).astype(int), 0, self.r - 1)
-        out = np.asarray(self.weights)[idx]
+        out = np.asarray(self.weights)[piece_index(base_score, self.r)]
         return out if out.ndim else float(out)
 
     def to_json(self) -> str:
@@ -125,33 +98,65 @@ class WeightFunction:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
-def fit_adaptive_weights(
-    y_cv, z, y, r: int, loss: str = "l2", empty_piece_weight: float = 0.0
-) -> WeightFunction:
+def _piece_sums(y_cv, z, y, r: int, fold=None, k: int = 1) -> np.ndarray:
+    """(count, Σab, Σa², Σb²) per fold and piece, where a = y_cv - z and b = y - z."""
+    a, b = y_cv - z, y - z
+    return bin_sums(piece_index(y_cv, r), r, (a * b, a * a, b * b), fold, k)
+
+
+def _piece_weights(count, sab, saa) -> np.ndarray:
+    """Σab / Σa² clamped to [0, 1]; 1 where Σa² = 0, and 0 in empty pieces."""
+    w = np.clip(np.divide(sab, saa, out=np.ones(saa.shape), where=saa != 0), 0.0, 1.0)
+    return np.where(count > 0, w, 0.0)
+
+
+def _piece_loss(w, sab, saa, sbb) -> np.ndarray:
+    """Per-piece Σ(w·y_cv + (1 - w)·z - y)² at weight w, read off the tables."""
+    return w * w * saa - 2.0 * w * sab + sbb
+
+
+def fit_adaptive_weights(y_cv, z, y, r: int) -> WeightFunction:
     """Fit one constant weight per partition piece of the base-score axis.
 
     Samples are routed to pieces by their out-of-fold base score; each piece
-    solves the same scalar problem as ``fit_constant_weight``. Pieces with no
-    samples get ``empty_piece_weight`` (default 0: defer fully to the oracle,
-    the only estimator with evidence there) and support count 0.
+    solves the constant-weight problem from its own Σab and Σa². Pieces with
+    no samples get weight 0 (defer fully to the oracle, the only estimator
+    with evidence there) and support count 0.
     """
-    _check_loss(loss)
     if r < 1:
         raise EnsembleError(f"piece count must be >= 1, got {r}")
-    if not 0.0 <= empty_piece_weight <= 1.0:
-        raise EnsembleError("empty_piece_weight must lie in [0, 1]")
-    y_cv, z, y = _validate_inputs(y_cv, z, y)
-    idx = np.clip(np.floor(y_cv * r).astype(int), 0, r - 1)
-    weights, counts = [], []
-    for j in range(r):
-        mask = idx == j
-        count = int(mask.sum())
-        if count == 0:
-            weights.append(empty_piece_weight)
-        else:
-            weights.append(fit_constant_weight(y_cv[mask], z[mask], y[mask], loss=loss))
-        counts.append(count)
-    return WeightFunction(r=r, weights=tuple(weights), support_counts=tuple(counts))
+    count, sab, saa, _ = _piece_sums(*check_scores(y_cv, z, y, EnsembleError), r)[:, 0]
+    return WeightFunction(r=r, weights=_piece_weights(count, sab, saa), support_counts=count)
+
+
+def _fold_weights(y_cv, z, y, r: int, fold, k: int):
+    """Every fold's piece table, and row g = the weights fitted without fold g."""
+    held = _piece_sums(y_cv, z, y, r, fold, k)
+    return held, _piece_weights(*(held.sum(1, keepdims=True) - held)[:3])  # total minus fold
+
+
+def choose_pieces(y_cv, z, y, candidates, k: int = 5, seed: int = 0) -> int:
+    """Pick the piece count r minimizing k-fold squared error of the fused score.
+
+    Rows are dealt into k folds by ``data.fold_index``. Per candidate, one
+    bincount pass builds every fold's piece table; fold g's weights come from
+    the total minus fold g (the same fit as refitting on the other k-1 folds)
+    and are scored on fold g's own table. Ties break toward the smaller r.
+    """
+    candidates = sorted(set(int(r) for r in candidates))
+    if not candidates or candidates[0] < 1:
+        raise EnsembleError(f"candidate piece counts must be >= 1, got {candidates}")
+    y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
+    k = min(k, y.size)
+    if k < 2:
+        raise EnsembleError("choosing r needs at least 2 samples for cross-validation")
+    fold = fold_index(y.size, k, seed)
+
+    def cv_loss(r):
+        held, w = _fold_weights(y_cv, z, y, r, fold, k)
+        return float(np.sum(_piece_loss(w, *held[1:]))) / y.size
+
+    return min(candidates, key=cv_loss)
 
 
 def fuse(weight: WeightFunction, y_hat, z):
@@ -169,9 +174,8 @@ def fuse(weight: WeightFunction, y_hat, z):
 
 def fusion_objective(weight: WeightFunction, y_cv, z, y) -> float:
     """Mean squared error of the fused scores against labels."""
-    y_cv, z, y = _validate_inputs(y_cv, z, y)
-    fused = fuse(weight, y_cv, z)
-    return float(np.mean((fused - y) ** 2))
+    y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
+    return float(np.mean((fuse(weight, y_cv, z) - y) ** 2))
 
 
 @dataclass(frozen=True)
@@ -192,25 +196,14 @@ class FusionReport:
 
 def fusion_report(weight: WeightFunction, y_cv, z, y) -> FusionReport:
     """Evaluate a fitted weight function piece by piece on its fitting data."""
-    y_cv, z, y = _validate_inputs(y_cv, z, y)
-    idx = np.clip(np.floor(y_cv * weight.r).astype(int), 0, weight.r - 1)
-    before, after, counts = [], [], []
-    for j in range(weight.r):
-        mask = idx == j
-        count = int(mask.sum())
-        counts.append(count)
-        if count == 0:
-            before.append(float("nan"))
-            after.append(float("nan"))
-            continue
-        w = weight.weights[j]
-        before.append(float(np.mean((y_cv[mask] - y[mask]) ** 2)))
-        fused = w * y_cv[mask] + (1.0 - w) * z[mask]
-        after.append(float(np.mean((fused - y[mask]) ** 2)))
+    y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
+    count, sab, saa, sbb = _piece_sums(y_cv, z, y, weight.r)[:, 0]
+    with np.errstate(invalid="ignore"):  # empty pieces: 0 / 0 = NaN
+        before, after = (_piece_loss(w, sab, saa, sbb) / count for w in (1.0, np.array(weight.weights)))
     return FusionReport(
         piece_weights=weight.weights,
-        piece_counts=tuple(counts),
-        objective_before=tuple(before),
-        objective_after=tuple(after),
+        piece_counts=tuple(int(c) for c in count),
+        objective_before=tuple(before.tolist()),
+        objective_after=tuple(after.tolist()),
         cv_objective=fusion_objective(weight, y_cv, z, y),
     )

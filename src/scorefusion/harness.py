@@ -25,7 +25,7 @@ import numpy as np
 from .calibration import GridSpec, choose_grid, fit_cell_calibrator
 from .config import ExperimentConfig, MethodSpec
 from .data import LabeledDataset, load_dataset, make_folds, split, synthesize
-from .ensemble import WeightFunction, fit_adaptive_weights, fit_constant_weight, fuse, fusion_objective
+from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
 from .logistic import cv_predict, train
 from .metrics import accuracy, brier_score, log_loss
 from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, SyntheticOracle, SyntheticOracleSpec, score_batch
@@ -417,23 +417,6 @@ def tune_hyperparameter(
     y = train_ds.labels()
 
     if parameter == "M":
-        grid = choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,
-                           kind=cfg.calibration_kind, k=cfg.k, seed=child_seed(seed, 3))
-        return grid.base_res
-
-    rng = np.random.default_rng(child_seed(seed, 3))
-    perm = rng.permutation(len(y))
-    k = min(cfg.k, len(y))
-    best_r, best_loss = None, float("inf")
-    for r in candidates:
-        total = 0.0
-        for start in range(k):
-            held = perm[start::k]
-            mask = np.ones(len(y), dtype=bool)
-            mask[held] = False
-            wf = fit_adaptive_weights(y_cv[mask], z[mask], y[mask], r=r)
-            total += fusion_objective(wf, y_cv[held], z[held], y[held]) * held.size
-        loss = total / len(y)
-        if loss < best_loss:
-            best_r, best_loss = r, loss
-    return best_r
+        return choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,
+                           kind=cfg.calibration_kind, k=cfg.k, seed=child_seed(seed, 3)).base_res
+    return choose_pieces(y_cv, z, y, candidates, k=cfg.k, seed=child_seed(seed, 3))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetError, FoldAssignment, LabeledDataset
+from .data import DatasetError, FoldAssignment, LabeledDataset, sigmoid
 
 
 class TrainingError(ValueError):
@@ -28,17 +28,6 @@ class SingleClassFoldWarning(UserWarning):
 
 
 LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
-
-
-def sigmoid(t):
-    """Numerically stable logistic function, elementwise."""
-    t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out if out.ndim else float(out)
 
 
 def regularized_logloss(weights, intercept, X, y, reg_lambda):

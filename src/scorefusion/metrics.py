@@ -18,6 +18,8 @@ def _validate(scores, labels):
         raise MetricError(f"scores and labels must be equal-length vectors, got {s.shape} and {y.shape}")
     if s.size == 0:
         raise MetricError("metrics need at least one (score, label) pair")
+    if not np.all(np.isfinite(s)):
+        raise MetricError("scores must be finite")
     if np.any((y != 0) & (y != 1)):
         raise MetricError("labels must be 0 or 1")
     return s, y

@@ -79,11 +79,8 @@ class RelaxedLoss:
     """Squared loss with a dead band: l0(x, y) = max(|x - y| - slack_a, 0)^2."""
 
     slack_a: float = 0.1
-    base: str = "l2"
 
     def __post_init__(self):
-        if self.base != "l2":
-            raise TransferError(f"unsupported base loss {self.base!r}; only 'l2' is implemented")
         if not self.slack_a >= 0:
             raise TransferError(f"slack_a must be >= 0, got {self.slack_a}")
 

@@ -16,6 +16,8 @@ from scorefusion import (
     grid_round,
     load_calibrator,
 )
+from scorefusion.calibration import _fold_offsets
+from scorefusion.data import fold_index
 
 
 def _sample(n=400, seed=0):
@@ -56,6 +58,10 @@ class TestGridRounding:
             grid_round(1.2, 4)
         with pytest.raises(CalibrationError):
             grid_round(-0.1, 4)
+
+    def test_nan_is_outside_the_domain(self):
+        with pytest.raises(CalibrationError):
+            grid_index(np.array([0.2, np.nan]), 4)
 
     def test_grid_spec_validation(self):
         with pytest.raises(CalibrationError):
@@ -140,6 +146,21 @@ class TestAdditiveCalibrator:
         cal = fit_additive_calibrator(*_sample(100, seed=6), GridSpec(10, 2))
         assert cal.parameter_count == 11 + 3
 
+    def test_matches_the_dense_least_squares_fit(self):
+        # the minimum-norm solution of the indicator design, which the
+        # normal-equations solve must reproduce
+        f, z, y = _sample(300, seed=16)
+        f[f > 0.8] = 0.1  # leaves the top base levels unoccupied
+        grid = GridSpec(8, 3)
+        rows, cols = grid_index(f, 8), grid_index(z, 3)
+        design = np.zeros((f.size, 9 + 4))
+        design[np.arange(f.size), rows] = 1.0
+        design[np.arange(f.size), 9 + cols] = 1.0
+        want, *_ = np.linalg.lstsq(design, y - f, rcond=None)
+        cal = fit_additive_calibrator(f, z, y, grid)
+        np.testing.assert_allclose(cal.row_offsets, want[:9], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(cal.col_offsets, want[9:], rtol=0, atol=1e-12)
+
     def test_fit_is_deterministic(self):
         f, z, y = _sample(150, seed=7)
         a = fit_additive_calibrator(f, z, y, GridSpec(6, 2))
@@ -195,6 +216,13 @@ class TestApplyAndValidation:
         with pytest.raises(CalibrationError):
             fit_additive_calibrator([0.5], [0.5], [3], GridSpec(2, 1))
 
+    def test_fit_rejects_nan_scores(self):
+        # a NaN score must not be rounded into cell (0, 0) as a NaN offset
+        with pytest.raises(CalibrationError):
+            fit_cell_calibrator([np.nan, 0.4], [0.5, 0.1], [1, 0], GridSpec(2, 1))
+        with pytest.raises(CalibrationError):
+            fit_additive_calibrator([0.3, 0.4], [np.nan, 0.1], [1, 0], GridSpec(2, 1))
+
     def test_load_calibrator_rejects_unknown_kind(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"kind": "mystery"}')
@@ -243,3 +271,64 @@ class TestChooseGrid:
             choose_grid([0.5], [0.5], [1], candidate_res=[], oracle_res=1)
         with pytest.raises(CalibrationError):
             choose_grid([0.5], [0.5], [1], candidate_res=[2, 3], oracle_res=1, kind="spline")
+
+
+_FITTERS = {"cell": fit_cell_calibrator, "additive": fit_additive_calibrator}
+
+
+def _reference_choose_grid(f, z, y, candidates, oracle_res, kind, k, seed):
+    """Refit-every-fold search: fit on the other k-1 folds, score the held-out one."""
+    perm = np.random.default_rng(seed).permutation(f.size)
+    best_res, best_loss = None, float("inf")
+    for res in sorted(set(candidates)):
+        grid = GridSpec(res, oracle_res)
+        total = 0.0
+        for start in range(k):
+            held = perm[start::k]
+            mask = np.ones(f.size, dtype=bool)
+            mask[held] = False
+            cal = _FITTERS[kind](f[mask], z[mask], y[mask], grid)
+            total += float(np.sum((cal.calibrate(f[held], z[held]) - y[held]) ** 2))
+        if total / f.size < best_loss:
+            best_res, best_loss = res, total / f.size
+    return best_res
+
+
+def _skewed_sample(n, seed):
+    """Calibration data whose top base-grid cells hold a single row."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n)
+    f = np.clip(np.where(y == 1, 0.6, 0.35) + rng.normal(0, 0.15, n), 0.0, 0.85)
+    f[0] = 1.0
+    z = np.clip(np.where(y == 1, 0.7, 0.3) + rng.normal(0, 0.3, n), 0.0, 1.0)
+    return f, z, y
+
+
+class TestChooseGridMatchesRefitting:
+    @pytest.mark.parametrize("kind", ["cell", "additive"])
+    @pytest.mark.parametrize("n,k,seed", [(203, 5, 0), (150, 4, 1), (97, 3, 2), (61, 7, 3)])
+    def test_same_choice_as_the_refit_every_fold_search(self, kind, n, k, seed):
+        f, z, y = _skewed_sample(n, seed)
+        candidates = [1, 2, 3, 5, 8, 12]
+        got = choose_grid(f, z, y, candidates, oracle_res=2, kind=kind, k=k, seed=seed)
+        assert got.base_res == _reference_choose_grid(f, z, y, candidates, 2, kind, k, seed)
+
+    @pytest.mark.parametrize("kind", ["cell", "additive"])
+    def test_fold_fits_match_direct_fits(self, kind):
+        # n = 103 is not a multiple of k; row 0 is alone in the top base level,
+        # so the fit that holds its fold out has that level empty
+        f, z, y = _skewed_sample(103, seed=4)
+        k, grid = 4, GridSpec(10, 2)
+        fold = fold_index(f.size, k, seed=9)
+        cell, offsets = _fold_offsets(f, z, y, grid, kind, fold, k)
+        np.testing.assert_array_equal(cell, grid_index(f, 10) * 3 + grid_index(z, 2))
+        for g in range(k):
+            mask = fold != g
+            cal = _FITTERS[kind](f[mask], z[mask], y[mask], grid)
+            if kind == "cell":
+                direct = cal.delta
+            else:
+                direct = np.add.outer(cal.row_offsets, cal.col_offsets)
+            np.testing.assert_allclose(offsets[g], direct.ravel(), rtol=0, atol=1e-12)
+        out = fold != fold[0]
+        assert fit_cell_calibrator(f[out], z[out], y[out], grid).counts[10].sum() == 0

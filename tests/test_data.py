@@ -16,6 +16,7 @@ from scorefusion import (
     split,
     synthesize,
 )
+from scorefusion.data import fold_index
 
 
 def _toy(n=6, d=3, seed=0, with_z=True, with_y=True, strata=None):
@@ -181,6 +182,27 @@ class TestFolds:
             make_folds(ds, 1, seed=0)
         with pytest.raises(DatasetError):
             make_folds(ds, 5, seed=0)
+
+
+_FOLD_CASES = [(12, 3, 2), (23, 5, 0), (7, 7, 4), (100, 3, 11), (41, 2, 5)]
+
+
+class TestFoldIndex:
+    @pytest.mark.parametrize("n,k,seed", _FOLD_CASES)
+    def test_reproduces_make_folds(self, n, k, seed):
+        # rows of a seeded permutation dealt round-robin: perm[p] gets fold p % k + 1
+        ds = _toy(n)
+        perm = np.random.default_rng(seed).permutation(n)
+        dealt = {ds.ids()[idx]: pos % k + 1 for pos, idx in enumerate(perm)}
+        assert make_folds(ds, k, seed=seed).fold_of == dealt
+        assert fold_index(n, k, seed).tolist() == [dealt[i] - 1 for i in ds.ids()]
+
+    @pytest.mark.parametrize("n,k,seed", _FOLD_CASES)
+    def test_reproduces_strided_permutation_folds(self, n, k, seed):
+        perm = np.random.default_rng(seed).permutation(n)
+        fold = fold_index(n, k, seed)
+        for start in range(k):
+            assert sorted(np.flatnonzero(fold == start)) == sorted(perm[start::k])
 
 
 class TestSynthesize:

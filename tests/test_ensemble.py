@@ -6,6 +6,7 @@ import pytest
 from scorefusion import (
     EnsembleError,
     WeightFunction,
+    choose_pieces,
     fit_adaptive_weights,
     fit_constant_weight,
     fuse,
@@ -13,6 +14,8 @@ from scorefusion import (
     fusion_report,
     piece_index,
 )
+from scorefusion.data import fold_index
+from scorefusion.ensemble import _fold_weights
 
 
 def _random_case(rng, n=40):
@@ -67,8 +70,6 @@ class TestConstantWeight:
             fit_constant_weight([1.5], [0.5], [1])
         with pytest.raises(EnsembleError):
             fit_constant_weight([0.5], [0.5], [2])
-        with pytest.raises(EnsembleError):
-            fit_constant_weight([0.5], [0.5], [1], loss="l1")
 
 
 class TestPieceIndex:
@@ -129,6 +130,24 @@ class TestAdaptiveWeights:
         assert wf2.weights[1] == wf.weights[0 + 1]
         assert wf2.weights[0] != wf.weights[0]
 
+    def test_matches_a_per_piece_loop(self):
+        rng = np.random.default_rng(47)
+        y_cv, z, y = _random_case(rng, n=90)
+        y_cv[y_cv > 0.8] = 0.5  # leaves the top pieces empty
+        wf = fit_adaptive_weights(y_cv, z, y, r=7)
+        idx = np.minimum((y_cv * 7).astype(int), 6)
+        for j in range(7):
+            m = idx == j
+            a, b = y_cv[m] - z[m], y[m] - z[m]
+            if not m.any():
+                want = 0.0
+            elif a @ a == 0:
+                want = 1.0
+            else:
+                want = min(1.0, max(0.0, (b @ a) / (a @ a)))
+            assert wf.weights[j] == pytest.approx(want, abs=1e-12)
+            assert wf.support_counts[j] == m.sum()
+
     def test_empty_piece_weight_default_and_override(self):
         y_cv = [0.1, 0.2]
         z = [0.5, 0.5]
@@ -136,14 +155,10 @@ class TestAdaptiveWeights:
         wf = fit_adaptive_weights(y_cv, z, y, r=4)
         assert wf.weights[2:] == (0.0, 0.0)
         assert wf.support_counts[2:] == (0, 0)
-        wf_half = fit_adaptive_weights(y_cv, z, y, r=4, empty_piece_weight=0.5)
-        assert wf_half.weights[2:] == (0.5, 0.5)
 
     def test_rejects_bad_configuration(self):
         with pytest.raises(EnsembleError):
             fit_adaptive_weights([0.5], [0.5], [1], r=0)
-        with pytest.raises(EnsembleError):
-            fit_adaptive_weights([0.5], [0.5], [1], r=2, empty_piece_weight=1.5)
 
 
 class TestWeightFunction:
@@ -210,8 +225,94 @@ class TestFusionReport:
         report = fusion_report(wf, y_cv, z, y)
         assert report.cv_objective == pytest.approx(fusion_objective(wf, y_cv, z, y), abs=1e-15)
 
+    def test_piece_objectives_match_direct_means(self):
+        rng = np.random.default_rng(53)
+        y_cv, z, y = _random_case(rng, n=80)
+        wf = fit_adaptive_weights(y_cv, z, y, r=4)
+        report = fusion_report(wf, y_cv, z, y)
+        idx = piece_index(y_cv, 4)
+        for j, w in enumerate(wf.weights):
+            m = idx == j
+            before = np.mean((y_cv[m] - y[m]) ** 2)
+            after = np.mean((w * y_cv[m] + (1 - w) * z[m] - y[m]) ** 2)
+            assert report.objective_before[j] == pytest.approx(before, abs=1e-12)
+            assert report.objective_after[j] == pytest.approx(after, abs=1e-12)
+
     def test_empty_pieces_report_nan(self):
         wf = fit_adaptive_weights([0.1], [0.5], [1], r=2)
         report = fusion_report(wf, [0.1], [0.5], [1])
         assert report.piece_counts == (1, 0)
         assert np.isnan(report.objective_before[1]) and np.isnan(report.objective_after[1])
+
+
+class TestNanInputs:
+    # NaN compares false against both ends of [0, 1], so the range check must
+    # require v >= 0 and v <= 1 rather than reject v < 0 or v > 1
+    def test_constant_weight_rejects_nan_scores(self):
+        with pytest.raises(EnsembleError):
+            fit_constant_weight([np.nan, 0.2], [0.3, 0.4], [1, 0])
+        with pytest.raises(EnsembleError):
+            fit_constant_weight([0.6, 0.2], [0.3, np.nan], [1, 0])
+
+    def test_adaptive_weights_reject_nan_scores(self):
+        with pytest.raises(EnsembleError):
+            fit_adaptive_weights([np.nan, 0.9], [0.3, 0.4], [1, 0], r=2)
+
+
+def _reference_choose_pieces(y_cv, z, y, candidates, k, seed):
+    """Refit-every-fold search: fit on the other k-1 folds, score the held-out one."""
+    perm = np.random.default_rng(seed).permutation(len(y))
+    best_r, best_loss = None, float("inf")
+    for r in sorted(set(candidates)):
+        total = 0.0
+        for start in range(k):
+            held = perm[start::k]
+            mask = np.ones(len(y), dtype=bool)
+            mask[held] = False
+            wf = fit_adaptive_weights(y_cv[mask], z[mask], y[mask], r=r)
+            total += fusion_objective(wf, y_cv[held], z[held], y[held]) * held.size
+        if total / len(y) < best_loss:
+            best_r, best_loss = r, total / len(y)
+    return best_r
+
+
+def _skewed_case(seed, n):
+    """Scores whose top piece holds a single row, so one fold leaves it empty."""
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, size=n)
+    y_cv = np.clip(np.where(y == 1, 0.6, 0.35) + rng.normal(0, 0.15, n), 0.0, 0.89)
+    y_cv[0] = 0.97
+    z = np.clip(np.where(y == 1, 0.7, 0.3) + rng.normal(0, 0.3, n), 0.0, 1.0)
+    return y_cv, z, y
+
+
+class TestChoosePieces:
+    @pytest.mark.parametrize("n,k,seed", [(203, 5, 0), (150, 4, 1), (97, 3, 2), (61, 7, 3)])
+    def test_matches_the_refit_every_fold_search(self, n, k, seed):
+        y_cv, z, y = _skewed_case(seed, n)
+        candidates = [1, 2, 3, 5, 8, 10]
+        got = choose_pieces(y_cv, z, y, candidates, k=k, seed=seed)
+        assert got == _reference_choose_pieces(y_cv, z, y, candidates, k, seed)
+
+    def test_fold_fits_match_direct_fits(self):
+        # n = 103 is not a multiple of k, and the single top-piece row leaves
+        # that piece empty in the fit that holds its fold out
+        y_cv, z, y = _skewed_case(4, 103)
+        k, r = 4, 10
+        fold = fold_index(y.size, k, seed=9)
+        held, weights = _fold_weights(y_cv, z, y, r, fold, k)
+        # row 0 is the only top-piece row: the fit without its fold has none
+        assert held[0].sum(0)[-1] - held[0][fold[0], -1] == 0
+        for g in range(k):
+            mask = fold != g
+            direct = fit_adaptive_weights(y_cv[mask], z[mask], y[mask], r=r)
+            np.testing.assert_allclose(weights[g], direct.weights, rtol=0, atol=1e-12)
+            np.testing.assert_array_equal(held[0].sum(0) - held[0][g], direct.support_counts)
+
+    def test_validation(self):
+        with pytest.raises(EnsembleError):
+            choose_pieces([0.5, 0.2], [0.5, 0.1], [1, 0], [])
+        with pytest.raises(EnsembleError):
+            choose_pieces([0.5, 0.2], [0.5, 0.1], [1, 0], [0, 2])
+        with pytest.raises(EnsembleError):
+            choose_pieces([0.5], [0.5], [1], [1, 2])

@@ -54,3 +54,12 @@ class TestValidation:
             log_loss([0.5], [2])
         with pytest.raises(MetricError):
             accuracy([[0.5]], [[1]])
+
+    def test_non_finite_scores_are_rejected(self):
+        # a NaN score must not count as a prediction of class 0
+        with pytest.raises(MetricError):
+            accuracy([np.nan, 0.9], [0, 1])
+        with pytest.raises(MetricError):
+            brier_score([np.inf], [1])
+        with pytest.raises(MetricError):
+            log_loss([0.2, np.nan], [0, 1])

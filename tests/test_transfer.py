@@ -169,8 +169,6 @@ class TestRelaxedLoss:
     def test_configuration_validated(self):
         with pytest.raises(TransferError):
             RelaxedLoss(slack_a=-0.1)
-        with pytest.raises(TransferError):
-            RelaxedLoss(base="huber")
 
 
 class TestTransferPlan:
