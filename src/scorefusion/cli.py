@@ -82,14 +82,14 @@ def _with_scores(cfg, ds):
     if ds.has_oracle_scores:
         return ds
     provider = build_provider(cfg.oracle)
-    return ds.with_oracle_scores(dict(score_batch(provider, ds.instances)))
+    return ds.with_oracle_scores(dict(score_batch(provider, ds)))
 
 
 def _cv_inputs(cfg, ds, seed):
     folds = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
     cv = cv_predict(ds, folds, reg_lambda=cfg.base.reg_lambda,
                     max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
-    return cv.scores_for(ds.ids()), ds.oracle_scores(), ds.labels()
+    return cv.scores, ds.oracle_scores(), ds.labels()
 
 
 def _print_report(report) -> None:
@@ -118,7 +118,7 @@ def cmd_score(cfg, args) -> int:
     out = _require_out(cfg)
     ds = _load_input_dataset(cfg)
     provider = build_provider(cfg.oracle)
-    pairs = score_batch(provider, ds.instances)
+    pairs = score_batch(provider, ds)
     scored = ds.with_oracle_scores(dict(pairs))
     data_path = out / "scored.csv"
     save_dataset(scored, data_path)

@@ -1,12 +1,17 @@
 """Datasets of feature vectors with optional oracle scores and binary labels.
 
-A dataset row couples a dense feature vector with up to three optional
-annotations: an oracle score ``z`` in [0, 1] (an external judge's estimate of
-the label), a binary label ``y``, and a stratum tag (a discrete category used
-by the transfer-learning utilities). Datasets are immutable after
-construction; every randomized operation takes an explicit seed and uses
-numpy's PCG64 generator, so results are reproducible across runs and
-platforms.
+A dataset is a set of aligned columns with one entry per row: a string id, a
+dense feature vector (a row of the read-only (n, d) matrix ``X``), an oracle
+score ``z`` in [0, 1] (an external judge's estimate of the label), a binary
+label ``y``, and a stratum tag (a discrete category used by the
+transfer-learning utilities). ``z`` and ``y`` are float columns in which NaN
+means "absent"; every loader and constructor rejects NaN as a value, so it
+cannot clash with a real one. Untagged rows have stratum None. Splits,
+subsets, folds and stratum groups are index operations on the columns;
+``Instance`` is a row view, built on demand for prompts, providers and tests.
+Datasets are immutable after construction; every randomized operation takes
+an explicit seed and uses numpy's PCG64 generator, so results are
+reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import csv
 import hashlib
 import json
 import re
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -62,24 +68,94 @@ class Instance:
         return self.features.shape[0]
 
 
-@dataclass(frozen=True)
-class LabeledDataset:
-    """Immutable ordered collection of instances sharing one feature dimension."""
+def _objects(values: list) -> np.ndarray:
+    """1-d object array of ``values``, even when the values are themselves sequences."""
+    return np.fromiter(values, dtype=object, count=len(values))
 
-    instances: tuple[Instance, ...]
-    dim: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "instances", tuple(self.instances))
+def _check_unique(ids) -> None:
+    if len(set(ids)) != len(ids):
         seen = set()
-        for inst in self.instances:
-            if inst.dim != self.dim:
+        for i in ids:
+            if i in seen:
+                raise DatasetError(f"duplicate instance id {i!r}")
+            seen.add(i)
+
+
+def _check_oracle_column(ids, z) -> None:
+    bad = ~((z >= 0) & (z <= 1))
+    if bad.any():
+        k = int(bad.argmax())
+        raise DatasetError(f"instance {ids[k]!r}: oracle score {float(z[k])} outside [0, 1]")
+
+
+class _Columns:
+    """Column buffers rows are appended to; features go to one flat float array."""
+
+    def __init__(self):
+        self.features = array("d")
+        self.ids, self.z, self.y, self.strata = [], array("d"), array("d"), []
+
+    def add_features(self, values, row_num) -> None:
+        try:
+            self.features.extend(map(float, values))
+        except (TypeError, ValueError):
+            raise DatasetError(f"row {row_num}: malformed feature value") from None
+
+    def add(self, instance_id, z, y, stratum) -> None:
+        self.ids.append(instance_id)
+        self.z.append(np.nan if z is None else z)
+        self.y.append(np.nan if y is None else y)
+        self.strata.append(stratum)
+
+    def columns(self, d) -> tuple:
+        """(ids, X, z, y, strata) arrays; raises if an id repeats."""
+        _check_unique(self.ids)
+        return (
+            _objects(self.ids), np.frombuffer(self.features, dtype=float).reshape(len(self.ids), d),
+            np.frombuffer(self.z, dtype=float), np.frombuffer(self.y, dtype=float), _objects(self.strata),
+        )
+
+
+class LabeledDataset:
+    """Immutable ordered rows sharing one feature dimension, stored as aligned columns.
+
+    ``X`` is the read-only (n, d) feature matrix; ``z`` and ``y`` are read-only
+    float columns with NaN where a row has no oracle score or label; ``strata``
+    is an object column with None for untagged rows; ``ids()`` lists the row
+    ids, which are unique. ``instances`` (and iteration) gives ``Instance`` row
+    views, built anew on every access. ``LabeledDataset(instances, dim)``
+    builds a dataset from rows, validating dimensions and id uniqueness.
+    """
+
+    __slots__ = ("dim", "X", "z", "y", "strata", "_ids")
+
+    def __init__(self, instances, dim: int):
+        rows = _Columns()
+        for inst in instances:
+            if inst.dim != dim:
                 raise DatasetError(
-                    f"instance {inst.id!r} has dimension {inst.dim}, expected {self.dim}"
+                    f"instance {inst.id!r} has dimension {inst.dim}, expected {dim}"
                 )
-            if inst.id in seen:
-                raise DatasetError(f"duplicate instance id {inst.id!r}")
-            seen.add(inst.id)
+            rows.features.extend(inst.features)
+            rows.add(inst.id, inst.oracle_score, inst.label, inst.stratum)
+        self._set_columns(*rows.columns(dim))
+
+    def _set_columns(self, ids, X, z, y, strata) -> None:
+        for name, column in (("_ids", ids), ("X", X), ("z", z), ("y", y), ("strata", strata)):
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        object.__setattr__(self, "dim", X.shape[1])
+
+    @classmethod
+    def _of_columns(cls, ids, X, z, y, strata) -> "LabeledDataset":
+        """Dataset over columns that already hold unique ids, scores in [0, 1] and 0/1 labels."""
+        ds = object.__new__(cls)
+        ds._set_columns(ids, X, z, y, strata)
+        return ds
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"LabeledDataset is immutable; cannot set {name!r}")
 
     @classmethod
     def from_instances(cls, instances) -> "LabeledDataset":
@@ -90,112 +166,156 @@ class LabeledDataset:
 
     @classmethod
     def from_arrays(cls, X, y=None, z=None, strata=None, ids=None, prefix="r"):
-        """Build a dataset from parallel arrays; omitted annotations stay absent."""
-        X = np.asarray(X, dtype=float)
+        """Build a dataset from parallel arrays; omitted annotations stay absent.
+
+        ``X`` is copied. Labels are truncated to integers, as ``int`` would.
+        """
+        X = np.array(X, dtype=float)
         if X.ndim != 2:
             raise DatasetError(f"feature matrix must be 2-d, got shape {X.shape}")
         n = X.shape[0]
         if ids is None:
             width = max(6, len(str(max(n - 1, 0))))
             ids = [f"{prefix}{i:0{width}d}" for i in range(n)]
-        rows = []
-        for i in range(n):
-            rows.append(
-                Instance(
-                    id=str(ids[i]),
-                    features=X[i],
-                    oracle_score=None if z is None else float(z[i]),
-                    label=None if y is None else int(y[i]),
-                    stratum=None if strata is None else str(strata[i]),
-                )
-            )
-        return cls(tuple(rows), X.shape[1])
+        ids = [str(i) for i in ids]
+        zs = np.full(n, np.nan) if z is None else np.array(z, dtype=float)
+        ys = np.full(n, np.nan) if y is None else np.trunc(np.asarray(y, dtype=float))
+        strata = [None] * n if strata is None else [str(s) for s in strata]
+        if not len(ids) == zs.shape[0] == ys.shape[0] == len(strata) == n:
+            raise DatasetError(f"ids, z, y and strata must each have one entry per row of X (n={n})")
+        if z is not None:
+            _check_oracle_column(ids, zs)
+        bad = (ys != 0) & (ys != 1) & (y is not None)
+        if bad.any():
+            k = int(bad.argmax())
+            raise DatasetError(f"instance {ids[k]!r}: label {ys[k]:g} not in {{0, 1}}")
+        _check_unique(ids)
+        return cls._of_columns(_objects(ids), X, zs, ys, _objects(strata))
 
     @property
     def n(self) -> int:
-        return len(self.instances)
+        return self.X.shape[0]
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return self.X.shape[0]
 
     def __iter__(self):
         return iter(self.instances)
 
+    def row(self, k: int) -> Instance:
+        """View of row k as an ``Instance``."""
+        z, y = self.z[k], self.y[k]
+        return Instance(
+            self._ids[k], self.X[k], None if z != z else float(z),
+            None if y != y else int(y), self.strata[k],
+        )
+
+    @property
+    def instances(self) -> tuple:
+        """Every row as an ``Instance`` view, in order (built on each access)."""
+        return tuple(self.row(k) for k in range(self.n))
+
     def ids(self) -> list[str]:
-        return [inst.id for inst in self.instances]
+        return self._ids.tolist()
 
     def feature_matrix(self) -> np.ndarray:
-        if not self.instances:
-            return np.zeros((0, self.dim))
-        return np.stack([inst.features for inst in self.instances])
+        """The read-only (n, d) feature matrix."""
+        return self.X
 
     @property
     def has_labels(self) -> bool:
-        return all(inst.label is not None for inst in self.instances)
+        return not np.isnan(self.y).any()
 
     @property
     def has_oracle_scores(self) -> bool:
-        return all(inst.oracle_score is not None for inst in self.instances)
+        return not np.isnan(self.z).any()
+
+    def _present(self, column, what) -> np.ndarray:
+        missing = np.isnan(column)
+        if missing.any():
+            raise DatasetError(
+                f"missing {what} for {int(missing.sum())} instance(s), "
+                f"e.g. {self._ids[missing.argmax()]!r}"
+            )
+        return column
 
     def labels(self) -> np.ndarray:
-        missing = [inst.id for inst in self.instances if inst.label is None]
-        if missing:
-            raise DatasetError(f"missing labels for {len(missing)} instance(s), e.g. {missing[0]!r}")
-        return np.array([inst.label for inst in self.instances], dtype=float)
+        """The read-only label column; raises if any row has no label."""
+        return self._present(self.y, "labels")
 
     def oracle_scores(self) -> np.ndarray:
-        missing = [inst.id for inst in self.instances if inst.oracle_score is None]
-        if missing:
-            raise DatasetError(
-                f"missing oracle scores for {len(missing)} instance(s), e.g. {missing[0]!r}"
-            )
-        return np.array([inst.oracle_score for inst in self.instances], dtype=float)
+        """The read-only oracle-score column; raises if any row has no score."""
+        return self._present(self.z, "oracle scores")
+
+    def take(self, rows) -> "LabeledDataset":
+        """Rows picked by a bool mask or by distinct int indices, in that order.
+
+        Rows are not re-validated: distinct rows of a valid dataset form one.
+        """
+        rows = np.asarray(rows)
+        if rows.dtype != bool:
+            rows = rows.astype(np.intp)
+            if np.unique(rows).size != rows.size:
+                raise DatasetError("take needs distinct row indices")
+        return LabeledDataset._of_columns(
+            self._ids[rows], self.X[rows], self.z[rows], self.y[rows], self.strata[rows]
+        )
 
     def subset(self, ids) -> "LabeledDataset":
         """Dataset restricted to the given ids, keeping this dataset's order."""
         wanted = set(ids)
-        unknown = wanted - set(self.ids())
+        own = self._ids.tolist()
+        unknown = wanted - set(own)
         if unknown:
             raise DatasetError(f"unknown instance id(s): {sorted(unknown)[:3]}")
-        kept = tuple(inst for inst in self.instances if inst.id in wanted)
-        return LabeledDataset(kept, self.dim)
+        return self.take(np.fromiter((i in wanted for i in own), bool, self.n))
 
     def filter(self, predicate) -> "LabeledDataset":
-        return LabeledDataset(tuple(i for i in self.instances if predicate(i)), self.dim)
+        """Rows whose ``Instance`` view satisfies ``predicate``."""
+        return self.take(np.fromiter((bool(predicate(i)) for i in self.instances), bool, self.n))
 
     def with_oracle_scores(self, scores: dict) -> "LabeledDataset":
         """Copy with oracle scores attached from an id -> z mapping."""
-        rows = []
-        for inst in self.instances:
-            if inst.id not in scores:
-                raise DatasetError(f"no oracle score provided for instance {inst.id!r}")
-            rows.append(
-                Instance(inst.id, inst.features, float(scores[inst.id]), inst.label, inst.stratum)
-            )
-        return LabeledDataset(tuple(rows), self.dim)
+        ids = self._ids.tolist()
+        try:
+            z = np.array([scores[i] for i in ids], dtype=float)
+        except KeyError as exc:
+            raise DatasetError(f"no oracle score provided for instance {exc.args[0]!r}") from None
+        _check_oracle_column(ids, z)
+        return LabeledDataset._of_columns(self._ids, self.X, z, self.y, self.strata)
 
     def without_labels(self) -> "LabeledDataset":
-        rows = tuple(
-            Instance(i.id, i.features, i.oracle_score, None, i.stratum) for i in self.instances
+        return LabeledDataset._of_columns(
+            self._ids, self.X, self.z, np.full(self.n, np.nan), self.strata
         )
-        return LabeledDataset(rows, self.dim)
+
+    def stratum_rows(self) -> dict:
+        """Row indices of each stratum tag (None for untagged rows), tags in first-seen order."""
+        groups: dict = {}
+        for k, tag in enumerate(self.strata.tolist()):
+            groups.setdefault(tag, []).append(k)
+        return {tag: np.array(rows, dtype=np.intp) for tag, rows in groups.items()}
+
+    def in_strata(self, tags) -> np.ndarray:
+        """Bool mask of the rows whose stratum is one of ``tags``."""
+        tags = tuple(tags)
+        return np.fromiter((s in tags for s in self.strata.tolist()), bool, self.n)
 
     def by_stratum(self) -> dict:
-        groups: dict[str, list[Instance]] = {}
-        for inst in self.instances:
-            groups.setdefault(inst.stratum, []).append(inst)
-        return groups
+        return {tag: [self.row(k) for k in rows] for tag, rows in self.stratum_rows().items()}
 
     def stratum_frequencies(self) -> dict:
         """Empirical stratum distribution; untagged rows count under None."""
-        groups = self.by_stratum()
-        total = self.n
-        return {tag: len(rows) / total for tag, rows in groups.items()}
+        return {tag: len(rows) / self.n for tag, rows in self.stratum_rows().items()}
 
     def concat(self, other: "LabeledDataset") -> "LabeledDataset":
         if other.dim != self.dim:
             raise DatasetError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        return LabeledDataset(self.instances + other.instances, self.dim)
+        _check_unique(self.ids() + other.ids())
+        return LabeledDataset._of_columns(*(
+            np.concatenate([getattr(self, name), getattr(other, name)])
+            for name in ("_ids", "X", "z", "y", "strata")
+        ))
 
 
 @dataclass(frozen=True)
@@ -343,7 +463,7 @@ def _load_csv(path) -> LabeledDataset:
             )
         col = {name: 1 + d + i for i, name in enumerate(extras)}
 
-        rows = []
+        rows = _Columns()
         for row_num, cells in enumerate(reader, start=1):
             if not cells:
                 continue
@@ -351,10 +471,7 @@ def _load_csv(path) -> LabeledDataset:
                 raise DatasetError(
                     f"row {row_num}: expected {len(header)} cells, got {len(cells)}"
                 )
-            try:
-                feats = [float(c) for c in cells[1 : 1 + d]]
-            except ValueError:
-                raise DatasetError(f"row {row_num}: malformed feature value") from None
+            rows.add_features(cells[1 : 1 + d], row_num)
             z = _check_score(
                 _parse_optional_float(cells[col["z"]] if "z" in col else None, row_num, "z"),
                 row_num,
@@ -364,14 +481,12 @@ def _load_csv(path) -> LabeledDataset:
                 row_num,
             )
             stratum = cells[col["stratum"]] if "stratum" in col else None
-            rows.append(Instance(cells[0], feats, z, y, stratum or None))
-    if not rows:
-        raise DatasetError(f"no data rows in {path}")
-    return LabeledDataset(tuple(rows), d)
+            rows.add(cells[0], z, y, stratum or None)
+    return _loaded(rows, d, path)
 
 
 def _load_jsonl(path) -> LabeledDataset:
-    rows = []
+    rows = _Columns()
     d = None
     with open(path, encoding="utf-8") as fh:
         for row_num, line in enumerate(fh, start=1):
@@ -393,15 +508,19 @@ def _load_jsonl(path) -> LabeledDataset:
                 raise DatasetError(
                     f"row {row_num}: dimension {len(feats)} inconsistent with first row ({d})"
                 )
+            rows.add_features(feats, row_num)
             z = obj.get("z")
             z = _check_score(None if z is None else float(z), row_num)
             y = obj.get("y")
             y = _check_label(None if y is None else float(y), row_num)
-            stratum = obj.get("stratum")
-            rows.append(Instance(str(obj["id"]), feats, z, y, stratum))
-    if not rows:
+            rows.add(str(obj["id"]), z, y, obj.get("stratum"))
+    return _loaded(rows, d, path)
+
+
+def _loaded(rows: _Columns, d, path) -> LabeledDataset:
+    if not rows.ids:
         raise DatasetError(f"no data rows in {path}")
-    return LabeledDataset(tuple(rows), d)
+    return LabeledDataset._of_columns(*rows.columns(d))
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
@@ -412,34 +531,37 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
     """
     fmt = _infer_format(path, format)
     path = Path(path)
-    has_z = any(i.oracle_score is not None for i in ds.instances)
-    has_y = any(i.label is not None for i in ds.instances)
-    has_stratum = any(i.stratum is not None for i in ds.instances)
+    # absent z/y become None; every value written is a Python float, so repr gives the shortest round-trip text
+    zs = [None if v != v else v for v in ds.z.tolist()]
+    ys = [None if v != v else int(v) for v in ds.y.tolist()]
+    strata = ds.strata.tolist()
+    rows = zip(ds.ids(), ds.X, zs, ys, strata)
     if fmt == "csv":
+        has_z, has_y, has_stratum = (any(v is not None for v in col) for col in (zs, ys, strata))
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             header = ["id"] + [f"f{j}" for j in range(ds.dim)]
             header += ["z"] * has_z + ["y"] * has_y + ["stratum"] * has_stratum
             writer.writerow(header)
-            for inst in ds.instances:
-                row = [inst.id] + [repr(float(v)) for v in inst.features]
+            for instance_id, x, z, y, stratum in rows:
+                row = [instance_id] + [repr(v) for v in x.tolist()]
                 if has_z:
-                    row.append("" if inst.oracle_score is None else repr(inst.oracle_score))
+                    row.append("" if z is None else repr(z))
                 if has_y:
-                    row.append("" if inst.label is None else str(inst.label))
+                    row.append("" if y is None else str(y))
                 if has_stratum:
-                    row.append(inst.stratum or "")
+                    row.append(stratum or "")
                 writer.writerow(row)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            for inst in ds.instances:
-                obj = {"id": inst.id, "features": [float(v) for v in inst.features]}
-                if inst.oracle_score is not None:
-                    obj["z"] = inst.oracle_score
-                if inst.label is not None:
-                    obj["y"] = inst.label
-                if inst.stratum is not None:
-                    obj["stratum"] = inst.stratum
+            for instance_id, x, z, y, stratum in rows:
+                obj = {"id": instance_id, "features": x.tolist()}
+                if z is not None:
+                    obj["z"] = z
+                if y is not None:
+                    obj["y"] = y
+                if stratum is not None:
+                    obj["stratum"] = stratum
                 fh.write(json.dumps(obj) + "\n")
 
 
@@ -459,12 +581,9 @@ def split(ds: LabeledDataset, test_fraction: float, seed: int):
         raise DatasetError(
             f"split leaves an empty side: n={ds.n}, test_fraction={test_fraction}"
         )
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(ds.n)
-    test_idx = set(perm[:n_test].tolist())
-    train_rows = tuple(ds.instances[i] for i in range(ds.n) if i not in test_idx)
-    test_rows = tuple(ds.instances[i] for i in range(ds.n) if i in test_idx)
-    return LabeledDataset(train_rows, ds.dim), LabeledDataset(test_rows, ds.dim)
+    test = np.zeros(ds.n, dtype=bool)
+    test[np.random.default_rng(seed).permutation(ds.n)[:n_test]] = True
+    return ds.take(~test), ds.take(test)
 
 
 def fold_index(n: int, k: int, seed: int) -> np.ndarray:
@@ -546,17 +665,9 @@ def synthesize(spec: SyntheticSpec) -> LabeledDataset:
     y = (rng.uniform(size=n) < p).astype(int)
 
     width = max(6, len(str(n - 1)))
-    rows = []
-    for i in range(n):
-        rows.append(
-            Instance(
-                id=f"syn{i:0{width}d}",
-                features=X[i],
-                label=int(y[i]),
-                stratum=None if assignment is None else tags[assignment[i]],
-            )
-        )
-    return LabeledDataset(tuple(rows), d)
+    ids = _objects([f"syn{i:0{width}d}" for i in range(n)])
+    strata = [None] * n if assignment is None else [tags[a] for a in assignment.tolist()]
+    return LabeledDataset._of_columns(ids, X, np.full(n, np.nan), y.astype(float), _objects(strata))
 
 
 # ---------------------------------------------------------------------------

@@ -162,11 +162,13 @@ def choose_pieces(y_cv, z, y, candidates, k: int = 5, seed: int = 0) -> int:
 def fuse(weight: WeightFunction, y_hat, z):
     """Convex combination alpha(y_hat) * y_hat + (1 - alpha(y_hat)) * z.
 
-    Inputs are scores in [0, 1]; the output is automatically in [0, 1].
-    Accepts scalars or equal-shaped arrays.
+    Inputs must be scores in [0, 1] (NaN is rejected), so the output is in
+    [0, 1] too. Accepts scalars or equal-shaped arrays.
     """
     y_hat = np.asarray(y_hat, dtype=float)
     z = np.asarray(z, dtype=float)
+    if not (np.all((y_hat >= 0) & (y_hat <= 1)) and np.all((z >= 0) & (z <= 1))):
+        raise EnsembleError("base and oracle scores must lie in [0, 1]")
     a = weight.alpha(y_hat)
     out = a * y_hat + (1.0 - a) * z
     return out if np.ndim(out) else float(out)

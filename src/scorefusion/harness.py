@@ -148,14 +148,22 @@ def _save_artifacts(out_dir, seed, artifacts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _dataset_for_seed(cfg: ExperimentConfig, dataset, seed: int) -> LabeledDataset:
-    """Fixed dataset if one was given or configured; fresh synthetic draw per seed."""
+def _fixed_dataset(cfg: ExperimentConfig, dataset) -> LabeledDataset | None:
+    """The dataset every seed shares: the one given, else the configured file,
+    loaded once; None when each seed draws its own synthetic dataset."""
     if dataset is not None:
         return dataset
     cfg.require_data_source()
-    if cfg.dataset_path is not None:
-        cfg.validate_paths()
-        return load_dataset(cfg.dataset_path, cfg.dataset_format)
+    if cfg.dataset_path is None:
+        return None
+    cfg.validate_paths()
+    return load_dataset(cfg.dataset_path, cfg.dataset_format)
+
+
+def _dataset_for_seed(cfg: ExperimentConfig, fixed, seed: int) -> LabeledDataset:
+    """The fixed dataset if there is one, else a fresh synthetic draw for this seed."""
+    if fixed is not None:
+        return fixed
     spec = cfg.synth
     return synthesize(
         type(spec)(d=spec.d, n=spec.n, true_weights=spec.true_weights,
@@ -164,7 +172,7 @@ def _dataset_for_seed(cfg: ExperimentConfig, dataset, seed: int) -> LabeledDatas
 
 
 def _attach_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
-    return ds.with_oracle_scores(dict(score_batch(provider, ds.instances)))
+    return ds.with_oracle_scores(dict(score_batch(provider, ds)))
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +218,10 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
     configured, and report.json / report.csv at the top level.
     """
     provider = provider if provider is not None else build_provider(cfg.oracle)
+    fixed = _fixed_dataset(cfg, dataset)
     per_seed = []
     for seed in cfg.seeds:
-        data = _dataset_for_seed(cfg, dataset, seed)
+        data = _dataset_for_seed(cfg, fixed, seed)
         train_ds, test_ds = split(data, cfg.test_fraction, seed)
         train_ds = _attach_oracle(train_ds, provider)
         test_ds = _attach_oracle(test_ds, provider)
@@ -223,7 +232,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
         cv = cv_predict(train_ds, folds, reg_lambda=cfg.base.reg_lambda,
                         max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
 
-        fit_inputs = (cv.scores_for(train_ds.ids()), train_ds.oracle_scores(), train_ds.labels())
+        fit_inputs = (cv.scores, train_ds.oracle_scores(), train_ds.labels())
         test_inputs = (np.atleast_1d(base.score_dataset(test_ds)), test_ds.oracle_scores())
         y_test = test_ds.labels()
 
@@ -257,11 +266,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
 
 
 def _strata_of(ds: LabeledDataset) -> dict:
-    counts: dict[str, int] = {}
-    for inst in ds.instances:
-        if inst.stratum is not None:
-            counts[inst.stratum] = counts.get(inst.stratum, 0) + 1
-    return counts
+    return {tag: len(rows) for tag, rows in ds.stratum_rows().items() if tag is not None}
 
 
 def run_transfer_experiment(
@@ -280,9 +285,10 @@ def run_transfer_experiment(
     provider = provider if provider is not None else build_provider(cfg.oracle)
     m_values = [s.params[0] for s in cfg.methods if s.kind == "transfer"]
     tr = cfg.transfer
+    fixed = _fixed_dataset(cfg, dataset)
     per_seed = []
     for seed in cfg.seeds:
-        data = _dataset_for_seed(cfg, dataset, seed)
+        data = _dataset_for_seed(cfg, fixed, seed)
         train_all, test_ds = split(data, cfg.test_fraction, seed)
 
         source_tags = tuple(tr.source_strata) or tuple(sorted(_strata_of(train_all)))
@@ -292,8 +298,8 @@ def run_transfer_experiment(
         if pool is None and not target_tags:
             raise HarnessError("transfer experiment needs transfer.target_strata or an explicit pool")
 
-        labeled = train_all.filter(lambda i: i.stratum in source_tags)
-        pool_ds = pool if pool is not None else train_all.filter(lambda i: i.stratum in target_tags)
+        labeled = train_all.take(train_all.in_strata(source_tags))
+        pool_ds = pool if pool is not None else train_all.take(train_all.in_strata(target_tags))
         if labeled.n == 0:
             raise HarnessError(f"no training rows in source strata {source_tags}")
         if pool_ds.n == 0 and any(m > 0 for m in m_values):
@@ -321,9 +327,7 @@ def run_transfer_experiment(
         ml_model = l2_trainer(labeled)
         folds = make_folds(labeled, cfg.k, seed=child_seed(seed, 1))
         cv = cv_predict(labeled, folds, trainer=l2_trainer)
-        alpha = fit_constant_weight(
-            cv.scores_for(labeled.ids()), labeled.oracle_scores(), labeled.labels()
-        )
+        alpha = fit_constant_weight(cv.scores, labeled.oracle_scores(), labeled.labels())
         wf = WeightFunction.constant(alpha)
 
         ml_test = np.atleast_1d(ml_model.score_dataset(test_ds))
@@ -349,10 +353,7 @@ def run_transfer_experiment(
                 artifacts[f"transfer_model_{m}.json"] = model_m
             scores[f"transfer({m})"] = np.atleast_1d(model_m.score_dataset(test_ds))
 
-        sides = {
-            "source": np.array([i.stratum in source_tags for i in test_ds.instances]),
-            "target": np.array([i.stratum in target_tags for i in test_ds.instances]),
-        }
+        sides = {"source": test_ds.in_strata(source_tags), "target": test_ds.in_strata(target_tags)}
         for side, mask in sides.items():
             if not mask.any():
                 raise HarnessError(f"test split has no rows in the {side} strata")
@@ -406,13 +407,13 @@ def tune_hyperparameter(
 
     provider = provider if provider is not None else build_provider(cfg.oracle)
     seed = cfg.seeds[0]
-    data = _dataset_for_seed(cfg, dataset, seed)
+    data = _dataset_for_seed(cfg, _fixed_dataset(cfg, dataset), seed)
     train_ds, _ = split(data, cfg.test_fraction, seed)
     train_ds = _attach_oracle(train_ds, provider)
     folds = make_folds(train_ds, cfg.k, seed=child_seed(seed, 1))
     cv = cv_predict(train_ds, folds, reg_lambda=cfg.base.reg_lambda,
                     max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
-    y_cv = cv.scores_for(train_ds.ids())
+    y_cv = cv.scores
     z = train_ds.oracle_scores()
     y = train_ds.labels()
 

@@ -209,13 +209,22 @@ def train(
 
 @dataclass(frozen=True)
 class CvPredictions:
-    """Out-of-fold scores: each instance was scored by the model that never saw it."""
+    """Out-of-fold scores: each instance was scored by the model that never saw it.
 
-    pairs: tuple  # (id, score) ordered by id
+    ``scores`` is aligned with ``ids``, the order of the dataset that was scored.
+    """
+
+    ids: list
+    scores: np.ndarray
     folds: FoldAssignment
 
+    @property
+    def pairs(self) -> tuple:
+        """(id, score) pairs ordered by id."""
+        return tuple(sorted(zip(self.ids, self.scores.tolist())))
+
     def as_dict(self) -> dict:
-        return dict(self.pairs)
+        return dict(zip(self.ids, self.scores.tolist()))
 
     def scores_for(self, ids) -> np.ndarray:
         lookup = self.as_dict()
@@ -237,30 +246,27 @@ def cv_predict(
     LabeledDataset and must return an object with ``score_dataset``. The
     default trains the logistic scorer with the given hyperparameters.
     """
-    missing = set(ds.ids()) - set(folds.fold_of)
-    if missing:
-        raise DatasetError(f"fold assignment missing ids, e.g. {sorted(missing)[0]!r}")
+    ids = ds.ids()
+    try:
+        fold = np.array([folds.fold_of[i] for i in ids], dtype=np.intp)
+    except KeyError:
+        missing = sorted(set(ids) - set(folds.fold_of))
+        raise DatasetError(f"fold assignment missing ids, e.g. {missing[0]!r}") from None
     if trainer is None:
         def trainer(subset):
             return train(subset, reg_lambda=reg_lambda, max_iter=max_iter, tol=tol, seed=seed)
 
-    scores: dict[str, float] = {}
-    for fold in range(1, folds.k + 1):
-        held_out = [inst for inst in ds.instances if folds.fold_of[inst.id] == fold]
-        if not held_out:
+    scores = np.full(ds.n, np.nan)
+    for f in range(1, folds.k + 1):
+        held_out = fold == f
+        if not held_out.any():
             continue
-        train_part = ds.filter(lambda inst: folds.fold_of[inst.id] != fold)
-        classes = {inst.label for inst in train_part.instances}
-        if len(classes) < 2:
+        train_part = ds.take(~held_out)
+        if np.unique(train_part.y).size < 2:
             warnings.warn(
-                f"fold {fold}: training complement contains a single class",
+                f"fold {f}: training complement contains a single class",
                 SingleClassFoldWarning,
                 stacklevel=2,
             )
-        model = trainer(train_part)
-        held_ds = LabeledDataset(tuple(held_out), ds.dim)
-        preds = model.score_dataset(held_ds)
-        for inst, p in zip(held_out, preds):
-            scores[inst.id] = float(p)
-    pairs = tuple(sorted(scores.items()))
-    return CvPredictions(pairs=pairs, folds=folds)
+        scores[held_out] = trainer(train_part).score_dataset(ds.take(held_out))
+    return CvPredictions(ids=ids, scores=scores, folds=folds)

@@ -7,8 +7,9 @@ order), the cached provider replays a CSV file, and the HTTP provider's
 results become deterministic once captured in a cache file.
 
 ``score_batch`` is the single entry point: it consults the provider's cache
-before issuing any remote work, appends fresh results to the cache, collects
-per-instance failures, and returns (id, score) pairs sorted by id.
+before issuing any remote work, appends fresh results to the cache (also when
+other instances of the batch fail), collects per-instance failures, and
+returns (id, score) pairs sorted by id.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from pathlib import Path
 
 import numpy as np
 import requests
+
+from .data import LabeledDataset
 
 
 class OracleError(RuntimeError):
@@ -392,46 +395,51 @@ class HttpOracle:
 # ---------------------------------------------------------------------------
 
 
-def score_batch(provider, instances):
-    """Score instances, returning (id, z) pairs sorted by id.
+def score_batch(provider, batch):
+    """Score a LabeledDataset or a list of instances, returning (id, z) pairs sorted by id.
 
-    The provider's cache (when it has one) is consulted first; only misses go
-    to the provider, and their results are appended to the cache afterwards.
-    If any instance still fails after the provider's retry policy, the whole
-    batch raises OracleError listing every failure, so partial results never
-    leak into downstream artifacts.
+    The provider's cache (when it has one) is looked up by id first; only the
+    misses go to the provider, as ``Instance`` views, and every score it
+    returns in range is appended to the cache before anything can raise, so
+    paid-for results are kept. If any instance still fails after the
+    provider's retry policy, the batch then raises OracleError listing every
+    failure, so partial results never leak into downstream artifacts.
     """
-    instances = list(instances)
-    if not instances:
+    if isinstance(batch, LabeledDataset):
+        ids, row = batch.ids(), batch.row
+    else:
+        instances = list(batch)
+        ids, row = [inst.id for inst in instances], instances.__getitem__
+    if not ids:
         raise OracleError("score_batch needs at least one instance")
-    ordered = sorted(instances, key=lambda inst: inst.id)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
 
     cache = getattr(provider, "cache", None)
     results: dict[str, float] = {}
     misses = []
-    for inst in ordered:
-        hit = cache.get(inst.id) if cache is not None else None
+    for k in order:
+        hit = cache.get(ids[k]) if cache is not None else None
         if hit is not None:
-            results[inst.id] = hit
+            results[ids[k]] = hit
         else:
-            misses.append(inst)
+            misses.append(k)
 
     if misses:
-        fetched, failures = provider.score_uncached(misses)
+        fetched, failures = provider.score_uncached([row(k) for k in misses])
+        bad = {i: z for i, z in fetched.items() if not 0.0 <= z <= 1.0}
+        if cache is not None:
+            cache.update({i: z for i, z in fetched.items() if i not in bad})
         if failures:
             shown = "; ".join(f"{i}: {msg}" for i, msg in failures[:3])
             raise OracleError(
                 f"oracle failed on {len(failures)} instance(s): {shown}", failures=failures
             )
-        bad = {i: z for i, z in fetched.items() if not 0.0 <= z <= 1.0}
         if bad:
             first = next(iter(bad))
             raise OracleError(
                 f"provider returned out-of-range score {bad[first]} for id {first!r}",
                 failures=tuple((i, f"score {z} outside [0, 1]") for i, z in bad.items()),
             )
-        if cache is not None:
-            cache.update(fetched)
         results.update(fetched)
 
-    return [(inst.id, results[inst.id]) for inst in ordered]
+    return [(ids[k], results[ids[k]]) for k in order]

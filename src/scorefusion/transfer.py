@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Instance, LabeledDataset
+from .data import LabeledDataset
 from .logistic import BaseModel, TrainMeta, TrainingError, minimize_gd, sigmoid, standardization
 from .oracle import score_batch
 
@@ -222,7 +222,7 @@ def sample_augmentation(
         raise TransferError(f"augmentation count must be >= 0, got {m}")
     if m == 0:
         return LabeledDataset((), pool.dim)
-    groups = {str(tag): rows for tag, rows in pool.by_stratum().items() if tag is not None}
+    groups = {str(tag): rows for tag, rows in pool.stratum_rows().items() if tag is not None}
     missing = [t for t in p3.support() if t not in groups]
     if missing:
         raise TransferError(f"pool has no instances in stratum {missing[0]!r} (p3 > 0 there)")
@@ -230,7 +230,7 @@ def sample_augmentation(
     probs = p3.as_array(tags)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(m, probs / probs.sum())
-    chosen_ids = []
+    chosen = []
     for tag, count in zip(tags, counts):
         if count == 0:
             continue
@@ -239,21 +239,15 @@ def sample_augmentation(
             raise TransferError(
                 f"stratum {tag!r} exhausted: need {count} instances, pool has {len(rows)}"
             )
-        picked = rng.choice(len(rows), size=count, replace=False)
-        chosen_ids.extend(rows[i].id for i in picked)
-    return pool.subset(chosen_ids)
+        chosen.append(rows[rng.choice(len(rows), size=count, replace=False)])
+    return pool.take(np.sort(np.concatenate(chosen)))
 
 
 def label_with_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
     """Attach oracle scores to every instance and drop any labels."""
     if ds.n == 0:
         return ds
-    scored = dict(score_batch(provider, ds.instances))
-    rows = tuple(
-        Instance(inst.id, inst.features, scored[inst.id], None, inst.stratum)
-        for inst in ds.instances
-    )
-    return LabeledDataset(rows, ds.dim)
+    return ds.without_labels().with_oracle_scores(dict(score_batch(provider, ds)))
 
 
 def augmented_objective_and_grad(

@@ -17,6 +17,7 @@ from scorefusion import (
     synthesize,
 )
 from scorefusion.data import fold_index
+from scorefusion.transfer import StratumDensity, sample_augmentation
 
 
 def _toy(n=6, d=3, seed=0, with_z=True, with_y=True, strata=None):
@@ -86,6 +87,138 @@ class TestLabeledDataset:
         ds = _toy(10, strata=["a"] * 7 + ["b"] * 3)
         freqs = ds.stratum_frequencies()
         assert freqs == {"a": 0.7, "b": 0.3}
+
+
+def _mixed(n=40, d=3, seed=0, prefix="m"):
+    """Rows with some oracle scores, labels and strata absent, built one Instance at a time."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for k in range(n):
+        rows.append(Instance(
+            f"{prefix}{(k * 7) % n:03d}",  # ids not in sorted order
+            rng.standard_normal(d),
+            None if k % 5 == 0 else float(rng.uniform()),
+            None if k % 7 == 3 else int(rng.integers(0, 2)),
+            (None, "a", "b")[k % 3],
+        ))
+    return rows
+
+
+def _columns(rows, dim):
+    """(ids, X, z, y, strata) of a list of Instance rows, with NaN for absent z/y."""
+    nan = float("nan")
+    return (
+        [r.id for r in rows],
+        np.array([r.features for r in rows], dtype=float).reshape(len(rows), dim),
+        np.array([nan if r.oracle_score is None else r.oracle_score for r in rows]),
+        np.array([nan if r.label is None else r.label for r in rows], dtype=float),
+        [r.stratum for r in rows],
+    )
+
+
+def _assert_same(ds, rows):
+    ids, X, z, y, strata = _columns(rows, ds.dim)
+    assert ds.ids() == ids and ds.strata.tolist() == strata
+    assert ds.X.shape == X.shape
+    np.testing.assert_array_equal(ds.X, X)
+    np.testing.assert_array_equal(ds.z, z)
+    np.testing.assert_array_equal(ds.y, y)
+
+
+def _reference_sample(rows, p3, m, seed):
+    """Row-wise sample_augmentation: per-stratum lists, multinomial counts, pool order kept."""
+    groups = {}
+    for r in rows:
+        if r.stratum is not None:
+            groups.setdefault(str(r.stratum), []).append(r)
+    tags = p3.support()
+    probs = p3.as_array(tags)
+    rng = np.random.default_rng(seed)
+    chosen = set()
+    for tag, count in zip(tags, rng.multinomial(m, probs / probs.sum())):
+        if count:
+            chosen |= {groups[tag][i].id for i in rng.choice(len(groups[tag]), size=count, replace=False)}
+    return [r for r in rows if r.id in chosen]
+
+
+class TestColumnarMatchesRowwise:
+    # every row operation is an index operation on the columns; each must
+    # give the rows the old tuple-of-instances code gave, in the same order
+    def setup_method(self):
+        self.rows = _mixed()
+        self.ds = LabeledDataset(self.rows, 3)
+
+    def test_constructor_keeps_every_field(self):
+        _assert_same(self.ds, self.rows)
+
+    @pytest.mark.parametrize("fraction,seed", [(0.25, 0), (0.5, 3), (0.1, 11)])
+    def test_split(self, fraction, seed):
+        n_test = int(round(len(self.rows) * fraction))
+        test_idx = set(np.random.default_rng(seed).permutation(len(self.rows))[:n_test].tolist())
+        train, test = split(self.ds, fraction, seed)
+        _assert_same(train, [r for k, r in enumerate(self.rows) if k not in test_idx])
+        _assert_same(test, [r for k, r in enumerate(self.rows) if k in test_idx])
+
+    def test_subset(self):
+        wanted = [self.rows[k].id for k in (30, 2, 17, 5)]
+        _assert_same(self.ds.subset(wanted), [r for r in self.rows if r.id in wanted])
+
+    def test_take_by_index_and_by_mask(self):
+        _assert_same(self.ds.take([9, 0, 4]), [self.rows[k] for k in (9, 0, 4)])
+        mask = np.arange(len(self.rows)) % 4 == 1
+        _assert_same(self.ds.take(mask), [r for r, keep in zip(self.rows, mask) if keep])
+        _assert_same(self.ds.take([]), [])
+        with pytest.raises(DatasetError, match="distinct"):
+            self.ds.take([1, 1])
+
+    def test_filter(self):
+        kept = self.ds.filter(lambda inst: inst.stratum == "a" and inst.label is not None)
+        _assert_same(kept, [r for r in self.rows if r.stratum == "a" and r.label is not None])
+
+    def test_concat(self):
+        other = _mixed(12, seed=1, prefix="o")
+        _assert_same(self.ds.concat(LabeledDataset(other, 3)), self.rows + other)
+
+    def test_concat_rejects_a_duplicate_id_across_sides(self):
+        clash = LabeledDataset([Instance("o1", [0.0] * 3), self.rows[4]], 3)
+        with pytest.raises(DatasetError, match=f"duplicate instance id {self.rows[4].id!r}"):
+            self.ds.concat(clash)
+
+    def test_with_oracle_scores(self):
+        scores = {r.id: (k % 10) / 10 for k, r in enumerate(self.rows)}
+        expected = [Instance(r.id, r.features, scores[r.id], r.label, r.stratum) for r in self.rows]
+        _assert_same(self.ds.with_oracle_scores(scores), expected)
+        with pytest.raises(DatasetError, match="outside"):
+            self.ds.with_oracle_scores(dict(scores, **{self.rows[3].id: float("nan")}))
+
+    def test_without_labels(self):
+        expected = [Instance(r.id, r.features, r.oracle_score, None, r.stratum) for r in self.rows]
+        _assert_same(self.ds.without_labels(), expected)
+
+    @pytest.mark.parametrize("m,seed", [(5, 0), (12, 4), (16, 9)])
+    def test_sample_augmentation(self, m, seed):
+        p3 = StratumDensity({"a": 0.3, "b": 0.7})
+        _assert_same(sample_augmentation(self.ds, p3, m, seed), _reference_sample(self.rows, p3, m, seed))
+
+    def test_feature_matrix_is_read_only(self):
+        with pytest.raises(ValueError):
+            self.ds.feature_matrix()[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            self.ds.X = np.zeros((1, 3))
+
+    def test_instances_round_trip(self):
+        again = LabeledDataset(self.ds.instances, self.ds.dim)
+        _assert_same(again, self.rows)
+        assert [i.id for i in self.ds] == [r.id for r in self.rows]
+
+    def test_absent_fields_are_none_in_row_views_and_errors_in_columns(self):
+        views = self.ds.instances
+        assert views[0].oracle_score is None and views[3].label is None and views[0].stratum is None
+        assert views[1].oracle_score == self.rows[1].oracle_score and views[1].label == self.rows[1].label
+        with pytest.raises(DatasetError, match=f"missing labels for 6 instance\\(s\\), e.g. {self.rows[3].id!r}"):
+            self.ds.labels()
+        with pytest.raises(DatasetError, match=f"missing oracle scores for 8 instance\\(s\\), e.g. {self.rows[0].id!r}"):
+            self.ds.oracle_scores()
 
 
 class TestFileFormats:

@@ -258,6 +258,21 @@ class TestNanInputs:
         with pytest.raises(EnsembleError):
             fit_adaptive_weights([np.nan, 0.9], [0.3, 0.4], [1, 0], r=2)
 
+    def test_fuse_rejects_nan_scores(self):
+        wf = WeightFunction.constant(0.5)
+        with pytest.raises(EnsembleError, match=r"\[0, 1\]"):
+            fuse(wf, [np.nan, 0.3], [0.2, 0.4])
+        with pytest.raises(EnsembleError):
+            fuse(wf, [0.1, 0.3], [0.2, np.nan])
+
+    def test_fuse_rejects_scores_outside_the_unit_interval(self):
+        wf = WeightFunction.constant(0.5)
+        with pytest.raises(EnsembleError):
+            fuse(wf, 1.5, 1.5)
+        with pytest.raises(EnsembleError):
+            fuse(wf, 0.5, -0.1)
+        assert fuse(wf, 1.0, 0.0) == 0.5  # both ends of [0, 1] are in range
+
 
 def _reference_choose_pieces(y_cv, z, y, candidates, k, seed):
     """Refit-every-fold search: fit on the other k-1 folds, score the held-out one."""

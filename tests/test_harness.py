@@ -1,6 +1,7 @@
 """Experiment orchestration: providers, reports, both protocols, tuning."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +25,10 @@ from scorefusion import (
     sigmoid,
     tune_hyperparameter,
 )
+from scorefusion import harness
 from scorefusion.config import BaseSettings
+
+DATA = Path(__file__).parent / "data"
 
 
 def _dataset(n=200, d=3, seed=0, flip=0.0):
@@ -293,3 +297,56 @@ class TestTuneHyperparameter:
     def test_config_carries_the_tuning_block(self):
         cfg = _cfg(tune_parameter="r", tune_candidates=(3,))
         assert tune_hyperparameter(cfg) == 3
+
+
+def _fixed_file_runs():
+    """The fusion and transfer runs over the dataset files in tests/data, by report name."""
+    fusion = _cfg(
+        methods=(
+            MethodSpec("ml"), MethodSpec("llm"), MethodSpec("linear"),
+            MethodSpec("adalinear", (4,)), MethodSpec("calibration", (10, 2)),
+        ),
+        dataset_path=str(DATA / "fixed.csv"),
+    )
+    transfer = _cfg(
+        methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (60,))),
+        test_fraction=0.3,
+        oracle=OracleSettings(kind="synthetic", accuracy=0.9, seed=7),
+        transfer=TransferSettings(source_strata=("A",), target_strata=("B",)),
+        dataset_path=str(DATA / "fixed.jsonl"),
+    )
+    return {"experiment": (run_experiment, fusion), "transfer": (run_transfer_experiment, transfer)}
+
+
+def _assert_report_close(got, want, path=()):
+    """Equal structure; accuracy and n_test exactly equal, other numbers within 1e-12."""
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for key in want:
+            _assert_report_close(got[key], want[key], path + (key,))
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for k, (g, w) in enumerate(zip(got, want)):
+            _assert_report_close(g, w, path + (k,))
+    elif isinstance(want, float) and not {"accuracy", "n_test"} & set(path):
+        assert abs(got - want) <= 1e-12, (path, got, want)
+    else:
+        assert got == want, (path, got, want)
+
+
+class TestResultsUnchanged:
+    # tests/data/report_*.json were written by the code that stored datasets
+    # as tuples of Instance objects, before the columnar dataset core
+    @pytest.mark.parametrize("name", ["experiment", "transfer"])
+    def test_report_matches_the_reference(self, name):
+        run, cfg = _fixed_file_runs()[name]
+        want = json.loads((DATA / f"report_{name}.json").read_text(encoding="utf-8"))
+        _assert_report_close(json.loads(run(cfg).to_json()), want)
+
+    @pytest.mark.parametrize("name", ["experiment", "transfer"])
+    def test_a_dataset_file_is_loaded_once_per_run(self, name, monkeypatch):
+        original, loads = harness.load_dataset, []
+        monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(args) or original(*args))
+        run, cfg = _fixed_file_runs()[name]
+        assert len(run(cfg).per_seed) == 2
+        assert len(loads) == 1

@@ -8,6 +8,7 @@ from scorefusion import (
     HttpOracle,
     HttpOracleConfig,
     Instance,
+    LabeledDataset,
     OracleCache,
     OracleError,
     PromptError,
@@ -244,6 +245,57 @@ class TestScoreBatch:
         with pytest.raises(OracleError) as err:
             score_batch(Flaky(), [_inst("a"), _inst("b")])
         assert err.value.failures == (("b", "boom"),)
+
+    def test_paid_for_scores_are_cached_before_a_failure_is_raised(self, tmp_path):
+        class HalfFailing:
+            def __init__(self, cache):
+                self.cache = cache
+
+            def score_uncached(self, instances):
+                return {"a": 0.25}, [("b", "boom")]
+
+        path = tmp_path / "c.csv"
+        with pytest.raises(OracleError) as err:
+            score_batch(HalfFailing(OracleCache(path)), [_inst("a"), _inst("b")])
+        assert err.value.failures == (("b", "boom"),)
+        reopened = OracleCache(path)
+        assert reopened.scores() == {"a": 0.25}
+
+    def test_in_range_scores_are_cached_beside_out_of_range_ones(self, tmp_path):
+        class PartlyOutOfRange:
+            def __init__(self, cache):
+                self.cache = cache
+
+            def score_uncached(self, instances):
+                return {"a": 0.75, "b": 1.5}, []
+
+        path = tmp_path / "c.csv"
+        with pytest.raises(OracleError, match="out-of-range") as err:
+            score_batch(PartlyOutOfRange(OracleCache(path)), [_inst("a"), _inst("b")])
+        assert [i for i, _ in err.value.failures] == ["b"]
+        assert OracleCache(path).scores() == {"a": 0.75}
+
+    def test_dataset_batches_send_only_misses_to_the_provider(self, tmp_path):
+        ds = LabeledDataset.from_arrays(
+            np.arange(6.0).reshape(3, 2), y=[1, 0, 1], strata=["s", "t", "s"], ids=["c", "a", "b"]
+        )
+        cache = OracleCache(tmp_path / "c.csv")
+        cache.update({"a": 0.9})
+        seen = []
+
+        class Recording(_CountingProvider):
+            def score_uncached(self, instances):
+                seen.extend(instances)
+                return super().score_uncached(instances)
+
+        provider = Recording(value=0.1, cache=cache)
+        pairs = score_batch(provider, ds)
+        assert pairs == [("a", 0.9), ("b", 0.1), ("c", 0.1)]
+        assert [i.id for i in seen] == ["b", "c"]
+        assert all(isinstance(i, Instance) for i in seen)
+        np.testing.assert_array_equal(seen[1].features, [0.0, 1.0])
+        assert (seen[0].label, seen[0].stratum) == (1, "s")
+        assert score_batch(provider, ds.instances) == pairs
 
     def test_out_of_range_provider_scores_rejected(self):
         provider = _CountingProvider(value=1.5)
