@@ -1,10 +1,13 @@
 """Per-instance oracle scores from cached files, HTTP endpoints, or a seeded simulator.
 
 Every provider maps instances to scores z in [0, 1]. Providers are
-deterministic given their own state: the synthetic provider derives one RNG
-stream per instance id (so scores do not depend on batch composition or
-order), the cached provider replays a CSV file, and the HTTP provider's
-results become deterministic once captured in a cache file.
+deterministic given their own state: the synthetic provider gives each
+instance id its own RNG stream, so scores do not depend on batch composition
+or order; the cached provider replays a CSV file; and the HTTP provider's
+results become deterministic once captured in a cache file. Binary synthetic
+scores come from one vectorized pass over the batch that equals each id's
+first ``default_rng`` draw bit for bit; soft mode still builds the per-id
+streams.
 
 ``score_batch`` is the single entry point: it consults the provider's cache
 before issuing any remote work, appends fresh results to the cache (also when
@@ -15,10 +18,12 @@ returns (id, score) pairs sorted by id.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
@@ -51,7 +56,9 @@ class PromptError(ValueError):
 # ---------------------------------------------------------------------------
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z_][A-Za-z0-9_]*)\}")
-_NUMBER_RE = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)")
+_NUMBER = r"[-+]?(?:\d+\.\d*|\.\d+|\d+)"
+_NUMBER_RE = re.compile(_NUMBER)
+_FRACTION_RE = re.compile(rf"({_NUMBER})\s*/\s*({_NUMBER})")
 
 # Checked in order; first keyword present in the text wins. The defaults fit
 # the relevance task where label 1 means "irrelevant".
@@ -79,9 +86,11 @@ def parse_score(text: str, keywords=DEFAULT_KEYWORDS) -> float:
     """Extract a score in [0, 1] from a raw response.
 
     Ladder: a JSON body with a numeric "score" field wins (out-of-range values
-    are rejected, not clamped); otherwise the first decimal number in [0, 1]
-    anywhere in the text; otherwise the first matching keyword. Anything else
-    raises ScoreParseError.
+    are rejected, not clamped); otherwise the first fraction a/b with b > 0
+    and a/b in [0, 1]; otherwise the first decimal number in [0, 1] outside
+    any fraction; otherwise the first matching keyword, whose value v becomes
+    1 - v when the word directly before it is "not". Anything else raises
+    ScoreParseError.
     """
     stripped = text.strip()
     try:
@@ -95,14 +104,20 @@ def parse_score(text: str, keywords=DEFAULT_KEYWORDS) -> float:
                 raise ScoreParseError(f"JSON score {value} outside [0, 1]")
             return float(value)
 
-    for match in _NUMBER_RE.finditer(text):
+    for match in _FRACTION_RE.finditer(text):
+        numerator, denominator = float(match.group(1)), float(match.group(2))
+        if denominator > 0 and 0.0 <= numerator / denominator <= 1.0:
+            return numerator / denominator
+
+    for match in _NUMBER_RE.finditer(_FRACTION_RE.sub(" ", text)):
         value = float(match.group(0))
         if 0.0 <= value <= 1.0:
             return value
 
     for word, value in keywords:
-        if re.search(rf"\b{re.escape(word)}\b", text, re.IGNORECASE):
-            return float(value)
+        match = re.search(rf"\b(not\s+)?{re.escape(word)}\b", text, re.IGNORECASE)
+        if match:
+            return 1.0 - float(value) if match.group(1) else float(value)
 
     preview = text if len(text) <= 120 else text[:117] + "..."
     raise ScoreParseError(f"could not extract a score in [0, 1] from {preview!r}")
@@ -114,19 +129,40 @@ def parse_score(text: str, keywords=DEFAULT_KEYWORDS) -> float:
 
 
 class OracleCache:
-    """CSV-backed id -> score map; rows round-trip at full float precision."""
+    """CSV-backed id -> score map; rows round-trip at full float precision.
+
+    Only rows that end in a newline count. A partial last row, left by an
+    append that was cut short, is dropped with a warning and cut off the file
+    before the next ``update`` appends, so a torn ``b,0.`` is never read as 0.
+    """
 
     HEADER = ("id", "z")
 
     def __init__(self, path):
         self.path = Path(path)
         self._scores: dict[str, float] = {}
+        self._torn_at = None  # byte offset where a partial last row starts
         if self.path.exists():
             self._read()
 
     def _read(self):
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+        with open(self.path, "rb") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            fh.seek(max(size - 1, 0))
+            torn = fh.read(1) not in (b"", b"\n")
+            fh.seek(0)
+            source = fh
+            if torn:
+                head = fh.read()
+                self._torn_at = head.rfind(b"\n") + 1
+                line = head.count(b"\n", 0, self._torn_at) + 1
+                warnings.warn(
+                    f"cache file {self.path} line {line}: dropping partial last row "
+                    f"{head[self._torn_at:]!r} (no trailing newline)",
+                    stacklevel=3,
+                )
+                source = io.BytesIO(head[: self._torn_at])
+            reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8", newline=""))
             header = next(reader, None)
             if header is None:
                 return
@@ -172,11 +208,13 @@ class OracleCache:
                 raise OracleError(f"refusing to cache out-of-range score {z} for id {i!r}")
         if not fresh:
             return
-        new_file = not self.path.exists()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", newline="", encoding="utf-8") as fh:
+            if self._torn_at is not None:
+                fh.truncate(self._torn_at)
+                self._torn_at = None
             writer = csv.writer(fh)
-            if new_file:
+            if fh.seek(0, os.SEEK_END) == 0:
                 writer.writerow(self.HEADER)
             for i in sorted(fresh):
                 writer.writerow([i, "%.17g" % fresh[i]])
@@ -186,6 +224,116 @@ class OracleCache:
 # ---------------------------------------------------------------------------
 # providers
 # ---------------------------------------------------------------------------
+
+
+# numpy's SeedSequence hash constants (pool of 4 uint32 words) and PCG64's multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
+def _int_words(n: int) -> list[int]:
+    """Little-endian uint32 words of n >= 0 as SeedSequence takes them: no high zero words."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hash of a uint32 column; returns it and the next hash constant."""
+    following = (hash_const * mult) & _MASK32
+    value = (value ^ np.uint32(hash_const)) * np.uint32(following)
+    return value ^ (value >> 16), following
+
+
+def _mix_entropy(entropy: list) -> list:
+    """SeedSequence.mix_entropy over a 4-word pool, one uint32 column per entropy word."""
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value, hash_const = _hashmix(value, hash_const, _MULT_A)
+        return value
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> 16)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return pool
+
+
+def _generate_state(pool: list) -> list:
+    """SeedSequence.generate_state(4, np.uint64): four uint64 columns."""
+    hash_const, out = _INIT_B, []
+    for k in range(8):
+        value, hash_const = _hashmix(pool[k % 4], hash_const, _MULT_B)
+        out.append(value.astype(np.uint64))
+    return [out[2 * k] | (out[2 * k + 1] << 32) for k in range(4)]
+
+
+def _mulhi64(a, b):
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low, cross1, cross2 = a0 * b0, a0 * b1, a1 * b0
+    mid = (low >> 32) + (cross1 & _MASK32) + (cross2 & _MASK32)
+    return a1 * b1 + (cross1 >> 32) + (cross2 >> 32) + (mid >> 32)
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo):
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo), lo
+
+
+def _pcg_step(hi, lo, inc_hi, inc_lo):
+    """One LCG step of PCG64's 128-bit state: state * multiplier + increment."""
+    mult_hi, mult_lo = np.uint64(_PCG_MULT_HI), np.uint64(_PCG_MULT_LO)
+    hi = _mulhi64(lo, mult_lo) + hi * mult_lo + lo * mult_hi
+    return _add128(hi, lo * mult_lo, inc_hi, inc_lo)
+
+
+def _seeded_first_draws(seed: int, words: np.ndarray) -> np.ndarray:
+    """First ``random_raw()`` of ``default_rng([seed, h])`` for each row of hash words.
+
+    ``words`` is an (n, 4) uint32 array holding each h as little-endian words.
+    The seed words come first in the entropy, then the hash words without its
+    high zero words, exactly as numpy assembles them; rows are grouped by how
+    many significant words their hash has, because that sets the entropy length.
+    """
+    nonzero = words != 0
+    counts = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 1)
+    raw = np.empty(words.shape[0], dtype=np.uint64)
+    for count in np.unique(counts):
+        rows = counts == count
+        size = int(rows.sum())
+        entropy = [np.full(size, w, dtype=np.uint32) for w in _int_words(int(seed))]
+        entropy += [words[rows, j] for j in range(count)]
+        state_hi, state_lo, seq_hi, seq_lo = _generate_state(_mix_entropy(entropy))
+        inc_hi, inc_lo = (seq_hi << 1) | (seq_lo >> 63), (seq_lo << 1) | 1
+        hi, lo = _add128(inc_hi, inc_lo, state_hi, state_lo)
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
+        rot = hi >> 58
+        xored = hi ^ lo
+        raw[rows] = (xored >> rot) | (xored << ((64 - rot) & 63))
+    return raw
+
+
+def _first_draws(seed: int, ids) -> np.ndarray:
+    """First ``random_raw()`` of each id's ``default_rng([seed, h(id)])`` stream, h = sha256 prefix."""
+    digests = b"".join(sha256(i.encode("utf-8")).digest()[:16] for i in ids)
+    return _seeded_first_draws(seed, np.frombuffer(digests, dtype="<u4").reshape(-1, 4))
 
 
 @dataclass(frozen=True)
@@ -204,16 +352,24 @@ class SyntheticOracleSpec:
             raise OracleError(f"oracle mode must be 'binary' or 'soft', got {self.mode!r}")
         if not self.noise >= 0:
             raise OracleError(f"oracle noise width must be >= 0, got {self.noise}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise OracleError(f"oracle seed must be a non-negative integer, got {self.seed!r}")
 
 
 class SyntheticOracle:
     """Scores derive from the instance's true label through a noisy channel.
 
-    Each instance gets its own RNG stream seeded by (oracle seed, hash of the
-    instance id), so z is a pure function of (seed, id, label) independent of
-    how instances are batched. Binary mode emits the true label with
-    probability q and its flip otherwise; soft mode emits
-    clamp(y*q + (1-y)*(1-q) + Normal(0, noise), 0, 1).
+    z is a pure function of (seed, id, label), independent of how instances
+    are batched: each id owns the stream ``default_rng([seed, h])``, where h
+    is the first 16 bytes of the id's sha256 read little-endian. Binary mode
+    emits the true label when the stream's first uniform is below q and its
+    flip otherwise; it computes that uniform for the whole batch in one
+    vectorized pass (SeedSequence mixing, PCG64 seeding and one output step
+    over uint32/uint64 columns) that equals the per-id ``default_rng`` draw
+    bit for bit. Soft mode emits clamp(y*q + (1-y)*(1-q) + Normal(0, noise),
+    0, 1) and still builds each id's ``default_rng``, because numpy does not
+    expose the ziggurat tables behind its normal draws. A row without a label
+    falls back to ``truth``.
     """
 
     kind = "synthetic"
@@ -223,37 +379,45 @@ class SyntheticOracle:
         self.spec = spec
         self.truth = dict(truth) if truth else {}
 
-    def _label_of(self, instance):
-        if getattr(instance, "label", None) is not None:
-            return int(instance.label)
-        return self.truth.get(instance.id)
-
     def _rng(self, instance_id: str):
         digest = sha256(instance_id.encode("utf-8")).digest()
         return np.random.default_rng([self.spec.seed, int.from_bytes(digest[:16], "little")])
 
-    def score(self, instance) -> float:
-        y = self._label_of(instance)
-        if y is None:
-            raise OracleError(
-                f"synthetic oracle has no label for instance {instance.id!r}",
-                failures=((instance.id, "no true label available"),),
-            )
-        rng = self._rng(instance.id)
-        if self.spec.mode == "binary":
-            hit = rng.uniform() < self.spec.accuracy
-            return float(y if hit else 1 - y)
-        center = y * self.spec.accuracy + (1 - y) * (1.0 - self.spec.accuracy)
-        return float(np.clip(center + rng.normal(0.0, self.spec.noise), 0.0, 1.0))
+    def _labels(self, instances):
+        """Ids and float labels (NaN where neither the row nor ``truth`` has one)."""
+        if isinstance(instances, LabeledDataset):
+            ids, y = instances.ids(), instances.y.copy()
+        else:
+            instances = list(instances)
+            ids = [inst.id for inst in instances]
+            y = np.array([np.nan if getattr(inst, "label", None) is None else int(inst.label)
+                          for inst in instances], dtype=float)
+        for k in np.flatnonzero(np.isnan(y)).tolist():
+            y[k] = self.truth.get(ids[k], np.nan)
+        return ids, y
 
     def score_uncached(self, instances):
-        results, failures = {}, []
-        for inst in instances:
-            if self._label_of(inst) is None:
-                failures.append((inst.id, "no true label available"))
-            else:
-                results[inst.id] = self.score(inst)
-        return results, failures
+        ids, y = self._labels(instances)
+        known = ~np.isnan(y)
+        failures = [(ids[k], "no true label available") for k in np.flatnonzero(~known).tolist()]
+        ids = [i for i, ok in zip(ids, known.tolist()) if ok]
+        y = y[known]
+        q = self.spec.accuracy
+        if self.spec.mode == "binary":
+            u = (_first_draws(self.spec.seed, ids) >> 11) * 2.0**-53  # Generator.uniform()
+            z = np.where(u < q, y, 1 - y)
+        else:
+            noise = np.array([self._rng(i).normal(0.0, self.spec.noise) for i in ids])
+            z = np.clip(y * q + (1 - y) * (1.0 - q) + noise, 0.0, 1.0)
+        return dict(zip(ids, z.tolist())), failures
+
+    def score(self, instance) -> float:
+        results, failures = self.score_uncached([instance])
+        if failures:
+            raise OracleError(
+                f"synthetic oracle has no label for instance {instance.id!r}", failures=failures
+            )
+        return results[instance.id]
 
 
 class CachedOracle:
@@ -399,17 +563,19 @@ def score_batch(provider, batch):
     """Score a LabeledDataset or a list of instances, returning (id, z) pairs sorted by id.
 
     The provider's cache (when it has one) is looked up by id first; only the
-    misses go to the provider, as ``Instance`` views, and every score it
-    returns in range is appended to the cache before anything can raise, so
-    paid-for results are kept. If any instance still fails after the
-    provider's retry policy, the batch then raises OracleError listing every
-    failure, so partial results never leak into downstream artifacts.
+    misses go to the provider, in id order: a ``LabeledDataset`` of those rows
+    when the batch is one, a list of instances otherwise (iterating either
+    yields ``Instance`` rows). Every score it returns in range is appended to
+    the cache before anything can raise, so paid-for results are kept. If any
+    instance still fails after the provider's retry policy, the batch then
+    raises OracleError listing every failure, so partial results never leak
+    into downstream artifacts.
     """
     if isinstance(batch, LabeledDataset):
-        ids, row = batch.ids(), batch.row
+        ids, pick = batch.ids(), batch.take
     else:
         instances = list(batch)
-        ids, row = [inst.id for inst in instances], instances.__getitem__
+        ids, pick = [inst.id for inst in instances], lambda rows: [instances[k] for k in rows]
     if not ids:
         raise OracleError("score_batch needs at least one instance")
     order = sorted(range(len(ids)), key=ids.__getitem__)
@@ -425,7 +591,7 @@ def score_batch(provider, batch):
             misses.append(k)
 
     if misses:
-        fetched, failures = provider.score_uncached([row(k) for k in misses])
+        fetched, failures = provider.score_uncached(pick(misses))
         bad = {i: z for i, z in fetched.items() if not 0.0 <= z <= 1.0}
         if cache is not None:
             cache.update({i: z for i, z in fetched.items() if i not in bad})

@@ -1,5 +1,10 @@
 """Oracle scoring: prompt rendering, response parsing, caching, providers."""
 
+import csv
+import warnings
+from hashlib import sha256
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +24,9 @@ from scorefusion import (
     render_prompt,
     score_batch,
 )
+from scorefusion import oracle as oracle_mod
+
+DATA = Path(__file__).parent / "data"
 
 
 def _inst(i, label=None, stratum=None):
@@ -82,6 +90,28 @@ class TestParseScore:
     def test_custom_keywords(self):
         assert parse_score("ACCEPT", keywords=(("accept", 1.0),)) == 1.0
 
+    def test_fractions_are_read_before_bare_numbers(self):
+        assert parse_score("Score: 1/2") == 0.5
+        assert parse_score("Score: 7/10") == 0.7
+        assert parse_score("rated 3 / 4") == 0.75
+        assert parse_score("on a 0-1 scale: 9/10") == 0.9
+        assert parse_score("0.5/1") == 0.5
+
+    def test_out_of_range_fractions_are_not_read_as_numbers(self):
+        for text in ("Score: 3/2", "Score: 1/0", "Score: -1/2"):
+            with pytest.raises(ScoreParseError):
+                parse_score(text)
+        assert parse_score("3/2, so 0.6") == 0.6
+
+    def test_negated_keywords_flip_their_value(self):
+        assert parse_score("not relevant") == 1.0
+        assert parse_score("Not  irrelevant.") == 0.0
+        assert parse_score("NOT yes") == 0.0
+        assert parse_score("relevant, not irrelevant") == 0.0
+        assert parse_score("not", keywords=(("not", 1.0),)) == 1.0
+        # only the word "not" itself negates
+        assert parse_score("nothing relevant") == 0.0
+
 
 class TestOracleCache:
     def test_round_trips_full_float_precision(self, tmp_path):
@@ -120,6 +150,43 @@ class TestOracleCache:
             OracleCache(worse)
         with pytest.raises(OracleError):
             OracleCache(tmp_path / "new.csv").update({"a": -0.2})
+
+    def test_torn_trailing_score_is_dropped_and_cut_off(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"id,z\r\na,0.5\r\nb,0.")
+        with pytest.warns(UserWarning, match=r"c\.csv line 3: dropping partial last row b'b,0\.'"):
+            cache = OracleCache(path)
+        assert cache.scores() == {"a": 0.5}
+        cache.update({"c": 0.25})
+        assert path.read_bytes() == b"id,z\r\na,0.5\r\nc,0.25\r\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OracleCache(path).scores() == {"a": 0.5, "c": 0.25}
+
+    def test_bare_trailing_id_or_character_is_dropped(self, tmp_path):
+        path = tmp_path / "c.csv"
+        # a bare id, and an append cut inside a two-byte character
+        for content in (b"id,z\na,0.5\nb", b"id,z\na,0.5\n\xc3"):
+            path.write_bytes(content)
+            with pytest.warns(UserWarning, match="line 3"):
+                assert OracleCache(path).scores() == {"a": 0.5}
+
+    def test_malformed_row_ending_in_a_newline_still_raises(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("id,z\na,0.5\nb\n")
+        with pytest.raises(OracleError, match="line 3: expected 2 cells"):
+            OracleCache(path)
+
+    def test_empty_or_torn_header_file_gets_a_header(self, tmp_path):
+        path = tmp_path / "c.csv"
+        for content, expect_warning in ((b"", False), (b"id,", True)):
+            path.write_bytes(content)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                cache = OracleCache(path)
+            assert bool(caught) == expect_warning
+            cache.update({"c": 0.25})
+            assert path.read_bytes() == b"id,z\r\nc,0.25\r\n"
 
     def test_contains_and_scores_view(self, tmp_path):
         cache = OracleCache(tmp_path / "c.csv")
@@ -173,6 +240,108 @@ class TestSyntheticOracle:
             SyntheticOracleSpec(mode="fuzzy")
         with pytest.raises(OracleError):
             SyntheticOracleSpec(noise=-1.0)
+
+    def test_spec_rejects_a_bad_seed(self):
+        for seed in (-1, 1.5, "3", True, None):
+            with pytest.raises(OracleError, match="seed"):
+                SyntheticOracleSpec(seed=seed)
+        assert SyntheticOracleSpec(seed=np.int64(3)).seed == 3
+        assert SyntheticOracleSpec(seed=2**64 + 3).seed == 2**64 + 3
+
+
+def _reference_stream(seed, instance_id):
+    """The per-id stream the synthetic oracle's scores are defined by."""
+    digest = sha256(instance_id.encode("utf-8")).digest()
+    return np.random.default_rng([seed, int.from_bytes(digest[:16], "little")])
+
+
+def _reference_score(seed, q, instance_id, label):
+    return float(label if _reference_stream(seed, instance_id).uniform() < q else 1 - label)
+
+
+_ODD_IDS = ["", "ünïcødé", "日本語", "x" * 1000, "a,b\n", "\U0001f600"]
+
+
+class TestVectorizedDraws:
+    """The one-pass binary draws equal each id's own ``default_rng`` draw bit for bit."""
+
+    def test_uniforms_equal_default_rng_over_many_ids(self):
+        ids = [f"id{k}" for k in range(10_000)] + _ODD_IDS
+        raw = oracle_mod._first_draws(1, ids)
+        uniforms = (raw >> 11) * 2.0**-53
+        expected = np.array([_reference_stream(1, i).uniform() for i in ids])
+        assert uniforms.dtype == np.float64
+        assert uniforms.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32 + 5, 2**64 + 3])
+    def test_raw_draws_for_every_seed_width(self, seed):
+        ids = [f"r{k:06d}" for k in range(300)] + _ODD_IDS
+        expected = [_reference_stream(seed, i).bit_generator.random_raw() for i in ids]
+        assert oracle_mod._first_draws(seed, ids).tolist() == expected
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
+    def test_hashes_with_one_to_four_significant_words(self, seed):
+        hashes = [0, 1, 2**32, 2**96 + 1, 2**128 - 1]
+        words = np.array([[(h >> 32 * j) & 0xFFFFFFFF for j in range(4)] for h in hashes],
+                         dtype=np.uint32)
+        expected = [np.random.default_rng([seed, h]).bit_generator.random_raw() for h in hashes]
+        assert oracle_mod._seeded_first_draws(seed, words).tolist() == expected
+
+    def test_scores_match_the_reference_and_ignore_batching(self):
+        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.7, seed=11))
+        ids = [f"b{k:04d}" for k in range(400)]
+        labels = [k % 2 for k in range(400)]
+        ds = LabeledDataset.from_arrays(np.zeros((400, 1)), y=labels, ids=ids)
+        full, failures = oracle.score_uncached(ds)
+        assert failures == []
+        assert full == {i: _reference_score(11, 0.7, i, y) for i, y in zip(ids, labels)}
+        rows = np.random.default_rng(0).permutation(400)[:150]
+        part, _ = oracle.score_uncached(ds.take(rows))
+        assert part == {ids[k]: full[ids[k]] for k in rows}
+        listed, _ = oracle.score_uncached([ds.row(k) for k in rows[::-1]])
+        assert listed == part
+        assert dict(score_batch(oracle, ds)) == full
+
+    def test_score_is_score_uncached_of_one_row(self):
+        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.6, seed=3))
+        for k in range(50):
+            inst = _inst(f"one{k}", label=k % 2)
+            assert oracle.score_uncached([inst]) == ({inst.id: oracle.score(inst)}, [])
+
+    def test_soft_mode_matches_the_per_id_streams(self):
+        spec = SyntheticOracleSpec(accuracy=0.8, mode="soft", noise=0.3, seed=5)
+        ids = [f"s{k}" for k in range(100)]
+        results, _ = SyntheticOracle(spec).score_uncached([_inst(i, label=k % 2) for k, i in enumerate(ids)])
+        for k, i in enumerate(ids):
+            y = k % 2
+            center = y * 0.8 + (1 - y) * (1.0 - 0.8)
+            expected = float(np.clip(center + _reference_stream(5, i).normal(0.0, 0.3), 0.0, 1.0))
+            assert results[i] == expected
+
+    def test_missing_labels_are_listed_and_truth_fills_in(self):
+        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.9, seed=2), truth={"b": 1})
+        ds = LabeledDataset.from_arrays(np.zeros((4, 1)), ids=["d", "b", "a", "c"])
+        results, failures = oracle.score_uncached(ds)
+        assert results == {"b": _reference_score(2, 0.9, "b", 1)}
+        assert failures == [("d", "no true label available"), ("a", "no true label available"),
+                            ("c", "no true label available")]
+        with pytest.raises(OracleError) as err:
+            score_batch(oracle, ds)
+        assert [i for i, _ in err.value.failures] == ["a", "c", "d"]
+
+    def test_golden_scores_written_by_the_per_id_implementation(self):
+        # tests/data/synthetic_oracle.csv holds scores at accuracy 0.7 computed
+        # by the implementation that built one default_rng per id.
+        with open(DATA / "synthetic_oracle.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 50
+        for seed in sorted({int(r["seed"]) for r in rows}):
+            oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.7, seed=seed))
+            mine = [r for r in rows if int(r["seed"]) == seed]
+            insts = [_inst(r["id"], label=int(r["label"])) for r in mine]
+            batch, _ = oracle.score_uncached(insts)
+            for r, inst in zip(mine, insts):
+                assert batch[r["id"]] == oracle.score(inst) == float(r["z"])
 
 
 class _CountingProvider:
