@@ -17,9 +17,7 @@ reproducible across runs and platforms.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
-import re
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -634,13 +632,16 @@ def bin_sums(key, n_bins: int, columns, fold=None, k: int = 1) -> np.ndarray:
 
 
 def sigmoid(t):
-    """Numerically stable logistic function, elementwise."""
+    """Numerically stable logistic function, elementwise.
+
+    ``e = exp(-|t|)`` lies in [0, 1], so neither branch can overflow:
+    1 / (1 + e) for t >= 0 and e / (1 + e) otherwise. ``minimum(t, -t)`` is
+    -|t| except that a NaN keeps its own sign bit.
+    """
     t = np.asarray(t, dtype=float)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
+    e = np.exp(np.minimum(t, -t))
+    denom = 1.0 + e
+    out = np.where(t >= 0, 1.0 / denom, e / denom)
     return out if out.ndim else float(out)
 
 
@@ -668,28 +669,3 @@ def synthesize(spec: SyntheticSpec) -> LabeledDataset:
     ids = _objects([f"syn{i:0{width}d}" for i in range(n)])
     strata = [None] * n if assignment is None else [tags[a] for a in assignment.tolist()]
     return LabeledDataset._of_columns(ids, X, np.full(n, np.nan), y.astype(float), _objects(strata))
-
-
-# ---------------------------------------------------------------------------
-# text featurization (plumbing stand-in for precomputed embeddings)
-# ---------------------------------------------------------------------------
-
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
-
-
-def _bucket(token: str, buckets: int) -> int:
-    # md5 rather than hash() so vectors are stable across interpreter runs
-    digest = hashlib.md5(token.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "little") % buckets
-
-
-def featurize_text(query: str, doc: str, dim: int) -> np.ndarray:
-    """Hash token counts of (query, doc) into dim/2 buckets per side, concatenated."""
-    if dim < 2 or dim % 2 != 0:
-        raise DatasetError(f"featurize_text needs an even dim >= 2, got {dim}")
-    half = dim // 2
-    vec = np.zeros(dim)
-    for offset, text in ((0, query), (half, doc)):
-        for token in _TOKEN_RE.findall(text.lower()):
-            vec[offset + _bucket(token, half)] += 1.0
-    return vec

@@ -30,21 +30,30 @@ class SingleClassFoldWarning(UserWarning):
 LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
 
 
+def regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda):
+    """Mean log-loss of sigmoid(X w + b) against y, plus (reg_lambda/2)||w||^2,
+    and its gradient with respect to (weights, intercept), from one pass.
+
+    Returns (value, grad_w, grad_b).
+    """
+    p = sigmoid(X @ weights + intercept)
+    clamped = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    nll = -np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
+    value = float(nll + 0.5 * reg_lambda * np.dot(weights, weights))
+    resid = p - y
+    grad_w = X.T @ resid / len(y) + reg_lambda * weights
+    grad_b = float(np.mean(resid))
+    return value, grad_w, grad_b
+
+
 def regularized_logloss(weights, intercept, X, y, reg_lambda):
     """Mean log-loss of sigmoid(X w + b) against y, plus (reg_lambda/2)||w||^2."""
-    p = sigmoid(X @ weights + intercept)
-    p = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    nll = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-    return float(nll + 0.5 * reg_lambda * np.dot(weights, weights))
+    return regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda)[0]
 
 
 def regularized_logloss_grad(weights, intercept, X, y, reg_lambda):
     """Gradient of ``regularized_logloss`` with respect to (weights, intercept)."""
-    p = sigmoid(X @ weights + intercept)
-    resid = p - y
-    grad_w = X.T @ resid / len(y) + reg_lambda * weights
-    grad_b = float(np.mean(resid))
-    return grad_w, grad_b
+    return regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda)[1:]
 
 
 def minimize_gd(value_and_grad, theta0, max_iter, tol):
@@ -190,8 +199,7 @@ def train(
 
     def value_and_grad(theta):
         w, b = theta[:d], theta[d]
-        value = regularized_logloss(w, b, Xs, y, reg_lambda)
-        gw, gb = regularized_logloss_grad(w, b, Xs, y, reg_lambda)
+        value, gw, gb = regularized_logloss_and_grad(w, b, Xs, y, reg_lambda)
         return value, np.append(gw, gb)
 
     theta, iterations, objective = minimize_gd(

@@ -8,7 +8,6 @@ from scorefusion import (
     Instance,
     LabeledDataset,
     SyntheticSpec,
-    featurize_text,
     load_dataset,
     make_folds,
     save_dataset,
@@ -373,20 +372,3 @@ class TestSynthesize:
         with pytest.raises(DatasetError):
             SyntheticSpec(d=1, n=10, true_weights=(1.0, 0.0),
                           strata=(("a", (0.0,), 0.6), ("b", (0.0,), 0.6)))
-
-
-class TestFeaturizeText:
-    def test_stable_across_calls(self):
-        a = featurize_text("red shoes", "comfortable red running shoes", 16)
-        b = featurize_text("red shoes", "comfortable red running shoes", 16)
-        np.testing.assert_array_equal(a, b)
-
-    def test_query_and_doc_occupy_separate_halves(self):
-        v = featurize_text("apple", "", 8)
-        assert v[:4].sum() > 0 and v[4:].sum() == 0
-        w = featurize_text("", "apple", 8)
-        assert w[:4].sum() == 0 and w[4:].sum() > 0
-
-    def test_requires_even_dimension(self):
-        with pytest.raises(DatasetError):
-            featurize_text("a", "b", 7)

@@ -1,5 +1,7 @@
 """Regularized logistic scorer: loss, optimizer, training, cross-validation."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from scorefusion import (
     BaseModel,
     FoldAssignment,
     LabeledDataset,
+    RelaxedLoss,
     SingleClassFoldWarning,
     TrainingError,
     cv_predict,
@@ -15,8 +18,26 @@ from scorefusion import (
     regularized_logloss,
     regularized_logloss_grad,
     sigmoid,
+    standardization,
     train,
+    train_augmented,
 )
+from scorefusion import logistic
+
+
+def _reference_sigmoid(t):
+    """The two-branch sigmoid that ``sigmoid`` must reproduce bit for bit."""
+    t = np.asarray(t, dtype=float)
+    out = np.empty_like(t)
+    pos = t >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+    e = np.exp(t[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out if out.ndim else float(out)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 def _separable(n=80, d=3, seed=0, margin=2.0):
@@ -40,9 +61,50 @@ class TestSigmoid:
     def test_scalar_in_scalar_out(self):
         out = sigmoid(0.0)
         assert isinstance(out, float) and out == 0.5
+        for t in (-3.0, np.float64(2.5), np.array(-40.0), 7):
+            out = sigmoid(t)
+            assert isinstance(out, float) and out == _reference_sigmoid(t)
+
+    def test_special_values_match_reference_bits(self):
+        nan_bits = np.array([0x7FF8000000000000, -0x0008000000000000,  # +NaN, -NaN
+                             0x7FF8000000000123, 0x7FF0000000000001], dtype=np.int64)
+        t = np.concatenate([
+            [0.0, -0.0, 745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan,
+             5e-324, -5e-324, 709.8, -709.8, 36.8, -36.8],
+            nan_bits.view(float),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(t)
+            scalars = [sigmoid(v) for v in t]
+        np.testing.assert_array_equal(_bits(out), _bits(_reference_sigmoid(t)))
+        np.testing.assert_array_equal(_bits(scalars), _bits(out))
+
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 400.0])
+    def test_normal_draws_match_reference_bits(self, scale):
+        t = np.random.default_rng(int(scale)).standard_normal(1_000_003) * scale
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(t)
+        np.testing.assert_array_equal(_bits(out), _bits(_reference_sigmoid(t)))
 
 
 class TestLoss:
+    def test_value_and_gradient_match_reference_bits(self):
+        rng = np.random.default_rng(13)
+        X = rng.standard_normal((2000, 5)) * 4.0
+        y = rng.integers(0, 2, 2000).astype(float)
+        w, b, lam = rng.standard_normal(5) * 3.0, -0.7, 0.05
+        p = _reference_sigmoid(X @ w + b)
+        clamped = np.clip(p, logistic.LOSS_CLAMP, 1.0 - logistic.LOSS_CLAMP)
+        nll = -np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
+        value = float(nll + 0.5 * lam * np.dot(w, w))
+        resid = p - y
+        gw, gb = regularized_logloss_grad(w, b, X, y, lam)
+        assert _bits(regularized_logloss(w, b, X, y, lam)) == _bits(value)
+        np.testing.assert_array_equal(_bits(gw), _bits(X.T @ resid / len(y) + lam * w))
+        assert _bits(gb) == _bits(float(np.mean(resid)))
+
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((30, 4))
@@ -235,3 +297,83 @@ class TestCvPredict:
         folds = FoldAssignment(k=2, fold_of={ds.ids()[0]: 1})
         with pytest.raises(Exception, match="missing ids"):
             cv_predict(ds, folds)
+
+
+def _noisy(n=300, d=4, seed=11):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * np.arange(1, d + 1) + 3.0
+    y = (rng.uniform(size=n) < _reference_sigmoid(X[:, 0] - 3.0 - 0.5 * X[:, 1] + 1.5)).astype(int)
+    return LabeledDataset.from_arrays(X, y=y)
+
+
+def _same_fit(model, theta, iterations, objective):
+    d = model.dim
+    np.testing.assert_array_equal(_bits(model.weights), _bits(theta[:d]))
+    assert _bits(model.intercept) == _bits(theta[d])
+    assert model.train_meta.iterations == iterations
+    assert _bits(model.train_meta.objective) == _bits(objective)
+
+
+class TestBitwiseTraining:
+    """Training matches a two-pass objective built on the reference sigmoid, bit for bit."""
+
+    CASES = [
+        pytest.param(_noisy, 5000, False, id="converges"),
+        pytest.param(lambda: _separable(120, 3, seed=9), 7, True, id="max-iter"),
+    ]
+
+    @pytest.mark.parametrize("make, max_iter, stops_at_max_iter", CASES)
+    def test_train(self, make, max_iter, stops_at_max_iter, monkeypatch):
+        ds = make()
+        X, y, lam = ds.feature_matrix(), ds.labels(), 1e-3
+        mean, scale = standardization(X)
+        Xs = (X - mean) / scale
+        d = ds.dim
+
+        def reference(theta):
+            w, b = theta[:d], theta[d]
+            value = regularized_logloss(w, b, Xs, y, lam)
+            gw, gb = regularized_logloss_grad(w, b, Xs, y, lam)
+            return value, np.append(gw, gb)
+
+        model = train(ds, reg_lambda=lam, max_iter=max_iter)
+        with monkeypatch.context() as m:
+            m.setattr(logistic, "sigmoid", _reference_sigmoid)
+            fit = minimize_gd(reference, np.zeros(d + 1), max_iter=max_iter, tol=1e-6)
+        _same_fit(model, *fit)
+        assert (model.train_meta.iterations == max_iter) is stops_at_max_iter
+
+    @pytest.mark.parametrize("make, max_iter, stops_at_max_iter", CASES)
+    def test_train_augmented(self, make, max_iter, stops_at_max_iter):
+        ds = make()
+        labeled, augmented = ds.take(np.arange(ds.n) % 3 == 0), ds.take(np.arange(ds.n) % 3 != 0)
+        z = _reference_sigmoid(np.linspace(-4.0, 4.0, augmented.n))
+        augmented = augmented.without_labels().with_oracle_scores(dict(zip(augmented.ids(), z)))
+        slack, lam = 0.1, 1e-3
+        X, y = labeled.feature_matrix(), labeled.labels()
+        mean, scale = standardization(X)
+        Xs, Xa = (X - mean) / scale, (augmented.feature_matrix() - mean) / scale
+        loss0, d, total = RelaxedLoss(slack), ds.dim, labeled.n + augmented.n
+
+        def reference(theta):
+            w, b = theta[:d], theta[d]
+            p = _reference_sigmoid(Xs @ w + b)
+            q = _reference_sigmoid(Xa @ w + b)
+            resid = p - y
+            back_p = 2.0 * resid * p * (1.0 - p)
+            back_q = loss0.grad(q, z) * q * (1.0 - q)
+            value = float(np.sum(resid**2)) + float(np.sum(loss0.value(q, z)))
+            grad = np.zeros(d + 1)
+            grad[:d] += Xs.T @ back_p
+            grad[d] += float(np.sum(back_p))
+            grad[:d] += Xa.T @ back_q
+            grad[d] += float(np.sum(back_q))
+            value = value / total + 0.5 * lam * float(np.dot(w, w))
+            grad = grad / total
+            grad[:d] += lam * w
+            return value, grad
+
+        model = train_augmented(labeled, augmented, slack_a=slack, reg_lambda=lam, max_iter=max_iter)
+        fit = minimize_gd(reference, np.zeros(d + 1), max_iter=max_iter, tol=1e-6)
+        _same_fit(model, *fit)
+        assert (model.train_meta.iterations == max_iter) is stops_at_max_iter
