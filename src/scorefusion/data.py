@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -93,12 +95,6 @@ class _Columns:
     def __init__(self):
         self.features = array("d")
         self.ids, self.z, self.y, self.strata = [], array("d"), array("d"), []
-
-    def add_features(self, values, row_num) -> None:
-        try:
-            self.features.extend(map(float, values))
-        except (TypeError, ValueError):
-            raise DatasetError(f"row {row_num}: malformed feature value") from None
 
     def add(self, instance_id, z, y, stratum) -> None:
         self.ids.append(instance_id)
@@ -393,31 +389,6 @@ def _infer_format(path, fmt):
     raise DatasetError(f"cannot infer format from {path!r}; pass format='csv' or 'jsonl'")
 
 
-def _parse_optional_float(text, row_num, column):
-    if text is None or text == "":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise DatasetError(f"row {row_num}: bad {column} value {text!r}") from None
-
-
-def _check_label(value, row_num):
-    if value is None:
-        return None
-    if value not in (0.0, 1.0):
-        raise DatasetError(f"row {row_num}: y={value} not in {{0, 1}}")
-    return int(value)
-
-
-def _check_score(value, row_num):
-    if value is None:
-        return None
-    if not 0.0 <= value <= 1.0:
-        raise DatasetError(f"row {row_num}: z={value} outside [0, 1]")
-    return value
-
-
 def load_dataset(path, format: str | None = None) -> LabeledDataset:
     """Read a dataset from CSV or JSONL.
 
@@ -425,7 +396,15 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     one object per line with keys ``id`` and ``features`` plus optional ``z``,
     ``y``, ``stratum``. The feature dimension is inferred from the first row;
     every later row must match it. Missing z/y columns or keys yield
-    instances with those fields absent.
+    instances with those fields absent, and so do empty z/y cells.
+
+    CSV dialect: cells are separated by ``,`` and may be quoted with ``"``
+    (a doubled ``""`` inside quotes is one quote), as ``csv.writer`` writes
+    them. ``#`` has no special meaning: there are no comment lines. Blank lines
+    are skipped but still counted in the row numbers of error messages.
+    Whitespace around a number is ignored; id and stratum cells are kept as
+    written. Feature values must be finite in both formats: NaN or infinite
+    features are rejected, and so are z outside [0, 1] and y other than 0 or 1.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
@@ -434,6 +413,83 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     if fmt == "csv":
         return _load_csv(path)
     return _load_jsonl(path)
+
+
+def _row_number(records, k: int) -> int:
+    """1-based number of the record loaded as row k; blank (falsy) records are counted but never loaded."""
+    return next(islice((num for num, record in enumerate(records, start=1) if record), k, None))
+
+
+def _checked_annotations(X, cells: dict, row_number) -> tuple:
+    """Float (z, y) columns from raw cells, after the checks every loader applies at the file boundary.
+
+    ``cells`` maps ``"z"`` and ``"y"`` to object columns in which ``""`` or
+    None marks an absent value (NaN in the result); a name it lacks is a
+    column absent from the file. The first row, numbered ``row_number(k)``,
+    with a non-finite feature, a z or y that ``float`` cannot read, a z
+    outside [0, 1] or a y other than 0 or 1 raises ``DatasetError``.
+    """
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise DatasetError(f"row {row_number(int(bad.argmax()))}: non-finite feature value")
+    columns = []
+    for name, accept, rule in (
+        ("z", lambda v: (v >= 0) & (v <= 1), "outside [0, 1]"),
+        ("y", lambda v: (v == 0) | (v == 1), "not in {0, 1}"),
+    ):
+        if name not in cells:
+            columns.append(np.full(X.shape[0], np.nan))
+            continue
+        absent = (cells[name] == "") | np.equal(cells[name], None)
+        values = np.where(absent, np.nan, cells[name])
+        try:
+            values = values.astype(float)
+        except (TypeError, ValueError, OverflowError):
+            k = next(k for k, value in enumerate(values) if not _reads_as_float(value))
+            raise DatasetError(f"row {row_number(k)}: bad {name} value {values[k]!r}") from None
+        bad = ~absent & ~accept(values)
+        if bad.any():
+            k = int(bad.argmax())
+            raise DatasetError(f"row {row_number(k)}: {name}={values[k]} {rule}")
+        columns.append(values)
+    return tuple(columns)
+
+
+def _reads_as_float(value) -> bool:
+    try:
+        float(value)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _csv_row_number(path, k: int) -> int:
+    with open(path, newline="", encoding="utf-8") as fh:
+        records = csv.reader(fh)
+        next(records)
+        return _row_number(records, k)
+
+
+def _jsonl_row_number(path, k: int) -> int:
+    with open(path, encoding="utf-8") as fh:
+        return _row_number((line.strip() for line in fh), k)
+
+
+# np.loadtxt numbers the rows it loads, skipping blank lines: 1-based in a
+# cell-count error and 0-based in a value error.
+_LOADTXT_CELLS = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
+_LOADTXT_VALUE = re.compile(r"at row (\d+), column \d+\.$")
+
+
+def _csv_error(path, exc: ValueError) -> DatasetError:
+    """``DatasetError`` for an ``np.loadtxt`` error, naming the row as the file numbers it."""
+    message = str(exc)
+    if match := _LOADTXT_CELLS.search(message):
+        want, got, row = map(int, match.groups())
+        return DatasetError(f"row {_csv_row_number(path, row - 1)}: expected {want} cells, got {got}")
+    if match := _LOADTXT_VALUE.search(message):
+        return DatasetError(f"row {_csv_row_number(path, int(match[1]))}: malformed feature value")
+    return DatasetError(f"{path}: {message}")
 
 
 def _load_csv(path) -> LabeledDataset:
@@ -459,32 +515,27 @@ def _load_csv(path) -> LabeledDataset:
             raise DatasetError(
                 f"unexpected trailing CSV columns {extras}; expected subset of [z, y, stratum] in order"
             )
-        col = {name: 1 + d + i for i, name in enumerate(extras)}
-
-        rows = _Columns()
-        for row_num, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            if len(cells) != len(header):
-                raise DatasetError(
-                    f"row {row_num}: expected {len(header)} cells, got {len(cells)}"
-                )
-            rows.add_features(cells[1 : 1 + d], row_num)
-            z = _check_score(
-                _parse_optional_float(cells[col["z"]] if "z" in col else None, row_num, "z"),
-                row_num,
+        if not any(reader):
+            raise DatasetError(f"no data rows in {path}")
+        fh.seek(0)
+        dtype = [("id", object), ("f", float, (d,))] + [(name, object) for name in extras]
+        try:
+            table = np.loadtxt(
+                fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1
             )
-            y = _check_label(
-                _parse_optional_float(cells[col["y"]] if "y" in col else None, row_num, "y"),
-                row_num,
-            )
-            stratum = cells[col["stratum"]] if "stratum" in col else None
-            rows.add(cells[0], z, y, stratum or None)
-    return _loaded(rows, d, path)
+        except ValueError as exc:
+            raise _csv_error(path, exc) from None
+    X = np.ascontiguousarray(table["f"])
+    cells = {name: table[name] for name in ("z", "y") if name in extras}
+    z, y = _checked_annotations(X, cells, lambda k: _csv_row_number(path, k))
+    ids = table["id"].copy()
+    _check_unique(ids.tolist())
+    strata = table["stratum"] if "stratum" in extras else np.full(len(table), None)
+    return LabeledDataset._of_columns(ids, X, z, y, np.where(strata == "", None, strata))
 
 
 def _load_jsonl(path) -> LabeledDataset:
-    rows = _Columns()
+    ids, features, zs, ys, strata = [], array("d"), [], [], []
     d = None
     with open(path, encoding="utf-8") as fh:
         for row_num, line in enumerate(fh, start=1):
@@ -506,19 +557,21 @@ def _load_jsonl(path) -> LabeledDataset:
                 raise DatasetError(
                     f"row {row_num}: dimension {len(feats)} inconsistent with first row ({d})"
                 )
-            rows.add_features(feats, row_num)
-            z = obj.get("z")
-            z = _check_score(None if z is None else float(z), row_num)
-            y = obj.get("y")
-            y = _check_label(None if y is None else float(y), row_num)
-            rows.add(str(obj["id"]), z, y, obj.get("stratum"))
-    return _loaded(rows, d, path)
-
-
-def _loaded(rows: _Columns, d, path) -> LabeledDataset:
-    if not rows.ids:
+            try:
+                features.extend(map(float, feats))
+            except (TypeError, ValueError, OverflowError):
+                raise DatasetError(f"row {row_num}: malformed feature value") from None
+            ids.append(str(obj["id"]))
+            zs.append(obj.get("z"))
+            ys.append(obj.get("y"))
+            strata.append(obj.get("stratum"))
+    if not ids:
         raise DatasetError(f"no data rows in {path}")
-    return LabeledDataset._of_columns(*rows.columns(d))
+    X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
+    cells = {"z": _objects(zs), "y": _objects(ys)}
+    z, y = _checked_annotations(X, cells, lambda k: _jsonl_row_number(path, k))
+    _check_unique(ids)
+    return LabeledDataset._of_columns(_objects(ids), X, z, y, _objects(strata))
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:

@@ -56,17 +56,18 @@ def _random_instances(rng, count=100, n=50):
 def test_c01_constant_weight_matches_grid_search():
     rng = np.random.default_rng(101)
     grid = np.arange(0.0, 1.0 + 1e-4, 1e-4)
-    start = time.perf_counter()
+    elapsed = 0.0  # library time only; the 10,001-point reference grid is not timed
     worst_da, worst_gap = 0.0, -np.inf
     for y_cv, z, y in _random_instances(rng):
+        start = time.perf_counter()
         alpha = fit_constant_weight(y_cv, z, y)
+        obj_alpha = fusion_objective(WeightFunction.constant(alpha), y_cv, z, y)
+        elapsed += time.perf_counter() - start
         fused = grid[:, None] * y_cv[None, :] + (1.0 - grid[:, None]) * z[None, :]
         objectives = ((fused - y[None, :]) ** 2).mean(axis=1)
         alpha_grid = grid[int(np.argmin(objectives))]
-        obj_alpha = fusion_objective(WeightFunction.constant(alpha), y_cv, z, y)
         worst_da = max(worst_da, abs(alpha - alpha_grid))
         worst_gap = max(worst_gap, obj_alpha - float(objectives.min()))
-    elapsed = time.perf_counter() - start
     ok = worst_da <= 1e-3 and worst_gap <= 1e-8 and elapsed < 1.0
     _line(1, "closed-form weight vs 1e-4 grid search", ok,
           f"max |d_alpha| {worst_da:.2e}, max objective gap {worst_gap:.2e}, {elapsed:.2f}s")

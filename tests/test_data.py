@@ -272,6 +272,172 @@ class TestFileFormats:
         assert load_dataset(tmp_path / "x.csv", format="csv").n == 3
 
 
+def _load_text(tmp_path, text, name="data.csv", newline=None):
+    path = tmp_path / name
+    with open(path, "w", encoding="utf-8", newline=newline) as fh:
+        fh.write(text)
+    return load_dataset(path)
+
+
+def _load_error(tmp_path, text, name="data.csv"):
+    with pytest.raises(DatasetError) as info:
+        _load_text(tmp_path, text, name)
+    return str(info.value)
+
+
+class TestCsvDialect:
+    """The CSV dialect ``load_dataset`` reads: quoting, line endings, blank lines, whitespace, errors."""
+
+    def test_ids_with_delimiters_quotes_and_hashes_round_trip(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "a#1", "#lead", 'both,"#"', "plain", "line\nbreak", "cr\rlf\r\n"]
+        ds = LabeledDataset.from_arrays(
+            np.arange(16.0).reshape(8, 2) / 7, y=[0, 1, 0, 1, 1, 0, 1, 1], ids=ids,
+            strata=["s,1", "#", "t", "", "u", "v", "w", "x"],
+        )
+        path = tmp_path / "quoted.csv"
+        save_dataset(ds, path)
+        assert '"say ""hi"""' in path.read_text(encoding="utf-8")
+        back = load_dataset(path)
+        assert back.ids() == ids
+        assert back.strata.tolist() == ["s,1", "#", "t", None, "u", "v", "w", "x"]
+        np.testing.assert_array_equal(back.X, ds.X)
+        np.testing.assert_array_equal(back.y, ds.y)
+
+    def test_a_line_starting_with_hash_is_a_row_not_a_comment(self, tmp_path):
+        ds = _load_text(tmp_path, "id,f0,y\n#r1,0.5,1\nr2#,1.5,0\n")
+        assert ds.ids() == ["#r1", "r2#"]
+        np.testing.assert_array_equal(ds.X[:, 0], [0.5, 1.5])
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_endings(self, tmp_path, end):
+        text = f"id,f0,f1,z,y{end}r1,0.5,-1.5,0.25,1{end}{end}r2,2.0,3.0,,0{end}"
+        ds = _load_text(tmp_path, text, newline="")
+        assert ds.ids() == ["r1", "r2"]
+        np.testing.assert_array_equal(ds.X, [[0.5, -1.5], [2.0, 3.0]])
+        np.testing.assert_array_equal(ds.z, [0.25, np.nan])
+        np.testing.assert_array_equal(ds.y, [1.0, 0.0])
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        ds = _load_text(tmp_path, "id,f0,y\n\nr1,0.5,1\n\n\nr2,1.5,0\n\n")
+        assert ds.ids() == ["r1", "r2"]
+        np.testing.assert_array_equal(ds.y, [1.0, 0.0])
+
+    @pytest.mark.parametrize("row, message", [
+        ("r2,0.5,7", "row 4: y=7.0 not in {0, 1}"),
+        ("r2,0.5", "row 4: expected 3 cells, got 2"),
+        ("r2,abc,1", "row 4: malformed feature value"),
+    ])
+    def test_row_numbers_count_blank_lines(self, tmp_path, row, message):
+        assert _load_error(tmp_path, f"id,f0,y\nr1,0.5,1\n\n\n{row}\nr3,0.5,1\n") == message
+
+    def test_row_numbers_count_blank_lines_for_scores(self, tmp_path):
+        text = "id,f0,z\n\nr1,0.5,0.5\n\nr2,0.5,1.5\n"
+        assert _load_error(tmp_path, text) == "row 4: z=1.5 outside [0, 1]"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body", ["", "\n", "\n\n"])
+    def test_header_only_file_has_no_data_rows(self, tmp_path, body):
+        path = tmp_path / "empty.csv"
+        path.write_text("id,f0,y\n" + body, encoding="utf-8")
+        with pytest.raises(DatasetError) as info:
+            load_dataset(path)
+        assert str(info.value) == f"no data rows in {path}"
+
+    def test_whitespace_around_cells(self, tmp_path):
+        ds = _load_text(tmp_path, "id,f0,f1,z,y,stratum\n r1 , 0.5 ,\t-2\t, 0.25 , 1 , s \n")
+        assert ds.ids() == [" r1 "] and ds.strata.tolist() == [" s "]
+        np.testing.assert_array_equal(ds.X, [[0.5, -2.0]])
+        np.testing.assert_array_equal(ds.z, [0.25])
+        np.testing.assert_array_equal(ds.y, [1.0])
+
+    @pytest.mark.parametrize("header, cell, message", [
+        ("z", "nan", "row 2: z=nan outside [0, 1]"),
+        ("z", "inf", "row 2: z=inf outside [0, 1]"),
+        ("z", "-inf", "row 2: z=-inf outside [0, 1]"),
+        ("y", "nan", "row 2: y=nan not in {0, 1}"),
+        ("y", "inf", "row 2: y=inf not in {0, 1}"),
+        ("z", "abc", "row 2: bad z value 'abc'"),
+        ("y", "0.5", "row 2: y=0.5 not in {0, 1}"),
+    ])
+    def test_non_finite_and_bad_score_or_label_text(self, tmp_path, header, cell, message):
+        text = f"id,f0,{header}\nr1,0.5,1\nr2,0.5,{cell}\n"
+        assert _load_error(tmp_path, text) == message
+
+    def test_empty_score_and_label_cells_are_absent(self, tmp_path):
+        ds = _load_text(tmp_path, "id,f0,z,y,stratum\nr1,0.5,,,\nr2,0.5,0.5,1,a\n")
+        np.testing.assert_array_equal(ds.z, [np.nan, 0.5])
+        np.testing.assert_array_equal(ds.y, [np.nan, 1.0])
+        assert ds.strata.tolist() == [None, "a"]
+
+    @pytest.mark.parametrize("text, message", [
+        ("id,f0,y\nr1,0.5,1\nr2,0.5\n", "row 2: expected 3 cells, got 2"),
+        ("id,f0,y\nr1,0.5,1\nr2,0.5,1,0\n", "row 2: expected 3 cells, got 4"),
+        ("id,f0,y\nr1,0.5,1\n   \n", "row 2: expected 3 cells, got 1"),
+        ("id,f0,f1\nr1,0.5,1\nr2,0.5,\n", "row 2: malformed feature value"),
+        ("id,f0,f1\nr1,0.5,1\nr2,0x10,1\n", "row 2: malformed feature value"),
+        ("id,f0,y\nr1,0.5,1\nr2,0.5,0\nr1,0.5,1\n", "duplicate instance id 'r1'"),
+    ])
+    def test_malformed_rows_and_duplicate_ids(self, tmp_path, text, message):
+        assert _load_error(tmp_path, text) == message
+
+    def test_features_parse_to_the_bits_float_gives(self, tmp_path):
+        rng = np.random.default_rng(7)
+        values = np.concatenate([rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500), [5e-324, -0.0, 1e308]])
+        cells = [repr(v) for v in values.tolist()] + ["1e5", "-.5", "+3.", " 7 "]
+        text = "id,f0\n" + "".join(f"r{k},{c}\n" for k, c in enumerate(cells))
+        ds = _load_text(tmp_path, text)
+        expected = np.array([float(c) for c in cells])
+        assert ds.X[:, 0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("text", ["id,f0,y\nr1,0.5,1\nr2,nan,0\n", "id,f0,y\nr1,0.5,1\nr2,-inf,0\n", "id,f0,y\nr1,0.5,1\nr2,1e400,0\n"])
+    def test_non_finite_features_are_rejected(self, tmp_path, text):
+        assert _load_error(tmp_path, text) == "row 2: non-finite feature value"
+
+    def test_underscore_digit_groups_are_malformed_features(self, tmp_path):
+        # float("1_0") is 10.0, but numpy's parser does not read digit groups
+        assert _load_error(tmp_path, "id,f0\nr1,1_0\n") == "row 1: malformed feature value"
+
+    def test_undecodable_bytes_past_the_header_raise_a_dataset_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"id,f0\n" + b"".join(b"r%d,1\n" % k for k in range(5000)) + b"caf\xe9,1\n")
+        with pytest.raises(DatasetError, match="can't decode byte 0xe9"):
+            load_dataset(path)
+
+    def test_non_finite_feature_row_counts_blank_lines(self, tmp_path):
+        assert _load_error(tmp_path, "id,f0,f1\n\nr1,0.5,1\n\nr2,0.5,NaN\n") == "row 4: non-finite feature value"
+
+
+class TestJsonlBoundary:
+    @pytest.mark.parametrize("feature", ["NaN", "Infinity", "-Infinity", '"nan"'])
+    def test_non_finite_features_are_rejected(self, tmp_path, feature):
+        text = f'{{"id": "a", "features": [1.0]}}\n\n{{"id": "b", "features": [{feature}]}}\n'
+        assert _load_error(tmp_path, text, "data.jsonl") == "row 3: non-finite feature value"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("z", "NaN", "row 2: z=nan outside [0, 1]"),
+        ("z", "1.5", "row 2: z=1.5 outside [0, 1]"),
+        ("y", "2", "row 2: y=2.0 not in {0, 1}"),
+        ("y", "NaN", "row 2: y=nan not in {0, 1}"),
+        ("z", '"abc"', "row 2: bad z value 'abc'"),
+        ("y", "[1]", "row 2: bad y value [1]"),
+        pytest.param("y", "1" + "0" * 400, f"row 2: bad y value 1{'0' * 400}", id="y-huge-int"),
+    ])
+    def test_scores_and_labels_are_checked(self, tmp_path, key, value, message):
+        text = f'{{"id": "a", "features": [1.0], "{key}": 1}}\n{{"id": "b", "features": [1.0], "{key}": {value}}}\n'
+        assert _load_error(tmp_path, text, "data.jsonl") == message
+
+    @pytest.mark.parametrize("feature", ['"abc"', "null", "[1.0]", pytest.param("1" + "0" * 400, id="huge-int")])
+    def test_malformed_features(self, tmp_path, feature):
+        text = f'{{"id": "a", "features": [1.0]}}\n{{"id": "b", "features": [{feature}]}}\n'
+        assert _load_error(tmp_path, text, "data.jsonl") == "row 2: malformed feature value"
+
+    def test_null_and_missing_annotations_are_absent(self, tmp_path):
+        text = '{"id": "a", "features": [1.0], "z": null, "y": 1}\n{"id": "b", "features": [2.0], "z": 0.5}\n'
+        ds = _load_text(tmp_path, text, "data.jsonl")
+        np.testing.assert_array_equal(ds.z, [np.nan, 0.5])
+        np.testing.assert_array_equal(ds.y, [1.0, np.nan])
+
+
 class TestSplit:
     def test_split_is_a_partition(self):
         ds = _toy(20)
