@@ -6,7 +6,8 @@ score ``z`` in [0, 1] (an external judge's estimate of the label), a binary
 label ``y``, and a stratum tag (a discrete category used by the
 transfer-learning utilities). ``z`` and ``y`` are float columns in which NaN
 means "absent"; every loader and constructor rejects NaN as a value, so it
-cannot clash with a real one. Untagged rows have stratum None. Splits,
+cannot clash with a real one. Strata are stored as an int code per row
+indexing a tuple of tags, with -1 for an untagged row (stratum None). Splits,
 subsets, folds and stratum groups are index operations on the columns;
 ``Instance`` is a row view, built on demand for prompts, providers and tests.
 Datasets are immutable after construction; every randomized operation takes
@@ -73,6 +74,14 @@ def _objects(values: list) -> np.ndarray:
     return np.fromiter(values, dtype=object, count=len(values))
 
 
+def _stratum_codes(strata) -> tuple:
+    """(int code per row, -1 where the stratum is None; the distinct tags in first-seen order)."""
+    tags = tuple(tag for tag in dict.fromkeys(strata) if tag is not None)
+    code_of = {tag: k for k, tag in enumerate(tags)}
+    code_of[None] = -1
+    return np.fromiter(map(code_of.__getitem__, strata), np.intp, len(strata)), tags
+
+
 def _check_unique(ids) -> None:
     if len(set(ids)) != len(ids):
         seen = set()
@@ -103,11 +112,12 @@ class _Columns:
         self.strata.append(stratum)
 
     def columns(self, d) -> tuple:
-        """(ids, X, z, y, strata) arrays; raises if an id repeats."""
+        """(ids, X, z, y, stratum codes, tags); raises if an id repeats."""
         _check_unique(self.ids)
         return (
             _objects(self.ids), np.frombuffer(self.features, dtype=float).reshape(len(self.ids), d),
-            np.frombuffer(self.z, dtype=float), np.frombuffer(self.y, dtype=float), _objects(self.strata),
+            np.frombuffer(self.z, dtype=float), np.frombuffer(self.y, dtype=float),
+            *_stratum_codes(self.strata),
         )
 
 
@@ -116,13 +126,14 @@ class LabeledDataset:
 
     ``X`` is the read-only (n, d) feature matrix; ``z`` and ``y`` are read-only
     float columns with NaN where a row has no oracle score or label; ``strata``
-    is an object column with None for untagged rows; ``ids()`` lists the row
-    ids, which are unique. ``instances`` (and iteration) gives ``Instance`` row
-    views, built anew on every access. ``LabeledDataset(instances, dim)``
+    is an object column with None for untagged rows, built from the stored
+    stratum codes on each access; ``ids()`` lists the row ids, which are
+    unique. ``instances`` (and iteration) gives ``Instance`` row views, built
+    anew on every access. ``LabeledDataset(instances, dim)``
     builds a dataset from rows, validating dimensions and id uniqueness.
     """
 
-    __slots__ = ("dim", "X", "z", "y", "strata", "_ids")
+    __slots__ = ("dim", "X", "z", "y", "_codes", "_tags", "_ids")
 
     def __init__(self, instances, dim: int):
         rows = _Columns()
@@ -135,17 +146,19 @@ class LabeledDataset:
             rows.add(inst.id, inst.oracle_score, inst.label, inst.stratum)
         self._set_columns(*rows.columns(dim))
 
-    def _set_columns(self, ids, X, z, y, strata) -> None:
-        for name, column in (("_ids", ids), ("X", X), ("z", z), ("y", y), ("strata", strata)):
+    def _set_columns(self, ids, X, z, y, codes, tags) -> None:
+        for name, column in (("_ids", ids), ("X", X), ("z", z), ("y", y), ("_codes", codes)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
+        object.__setattr__(self, "_tags", tags)
         object.__setattr__(self, "dim", X.shape[1])
 
     @classmethod
-    def _of_columns(cls, ids, X, z, y, strata) -> "LabeledDataset":
-        """Dataset over columns that already hold unique ids, scores in [0, 1] and 0/1 labels."""
+    def _of_columns(cls, ids, X, z, y, codes, tags) -> "LabeledDataset":
+        """Dataset over columns that already hold unique ids, scores in [0, 1], 0/1
+        labels, and stratum codes in [-1, len(tags))."""
         ds = object.__new__(cls)
-        ds._set_columns(ids, X, z, y, strata)
+        ds._set_columns(ids, X, z, y, codes, tags)
         return ds
 
     def __setattr__(self, name, value):
@@ -184,7 +197,7 @@ class LabeledDataset:
             k = int(bad.argmax())
             raise DatasetError(f"instance {ids[k]!r}: label {ys[k]:g} not in {{0, 1}}")
         _check_unique(ids)
-        return cls._of_columns(_objects(ids), X, zs, ys, _objects(strata))
+        return cls._of_columns(_objects(ids), X, zs, ys, *_stratum_codes(strata))
 
     @property
     def n(self) -> int:
@@ -198,10 +211,10 @@ class LabeledDataset:
 
     def row(self, k: int) -> Instance:
         """View of row k as an ``Instance``."""
-        z, y = self.z[k], self.y[k]
+        z, y, code = self.z[k], self.y[k], self._codes[k]
         return Instance(
             self._ids[k], self.X[k], None if z != z else float(z),
-            None if y != y else int(y), self.strata[k],
+            None if y != y else int(y), None if code < 0 else self._tags[code],
         )
 
     @property
@@ -211,6 +224,11 @@ class LabeledDataset:
 
     def ids(self) -> list[str]:
         return self._ids.tolist()
+
+    @property
+    def strata(self) -> np.ndarray:
+        """Object column of stratum tags, None for untagged rows (built on each access)."""
+        return _objects([*self._tags, None])[self._codes]
 
     def feature_matrix(self) -> np.ndarray:
         """The read-only (n, d) feature matrix."""
@@ -242,17 +260,19 @@ class LabeledDataset:
         return self._present(self.z, "oracle scores")
 
     def take(self, rows) -> "LabeledDataset":
-        """Rows picked by a bool mask or by distinct int indices, in that order.
+        """Rows picked by a bool mask or by distinct int indices in [0, n), in that order.
 
         Rows are not re-validated: distinct rows of a valid dataset form one.
         """
         rows = np.asarray(rows)
         if rows.dtype != bool:
             rows = rows.astype(np.intp)
+            if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+                raise DatasetError(f"take needs row indices in [0, {self.n})")
             if np.unique(rows).size != rows.size:
                 raise DatasetError("take needs distinct row indices")
         return LabeledDataset._of_columns(
-            self._ids[rows], self.X[rows], self.z[rows], self.y[rows], self.strata[rows]
+            self._ids[rows], self.X[rows], self.z[rows], self.y[rows], self._codes[rows], self._tags
         )
 
     def subset(self, ids) -> "LabeledDataset":
@@ -272,44 +292,66 @@ class LabeledDataset:
         """Copy with oracle scores attached from an id -> z mapping."""
         ids = self._ids.tolist()
         try:
-            z = np.array([scores[i] for i in ids], dtype=float)
+            z = np.fromiter(map(scores.__getitem__, ids), float, self.n)
         except KeyError as exc:
             raise DatasetError(f"no oracle score provided for instance {exc.args[0]!r}") from None
         _check_oracle_column(ids, z)
-        return LabeledDataset._of_columns(self._ids, self.X, z, self.y, self.strata)
+        return LabeledDataset._of_columns(self._ids, self.X, z, self.y, self._codes, self._tags)
 
     def without_labels(self) -> "LabeledDataset":
         return LabeledDataset._of_columns(
-            self._ids, self.X, self.z, np.full(self.n, np.nan), self.strata
+            self._ids, self.X, self.z, np.full(self.n, np.nan), self._codes, self._tags
         )
+
+    def _strata_present(self) -> tuple:
+        """(shifted codes of the strata with rows, in first-seen order; row count per shifted code).
+
+        A shifted code is the stored code + 1, so 0 is untagged and it indexes ``(None, *tags)``.
+        """
+        shifted = self._codes + 1
+        counts = np.bincount(shifted, minlength=len(self._tags) + 1)
+        first = np.full(counts.size, self.n)
+        np.minimum.at(first, shifted, np.arange(self.n))
+        present = np.flatnonzero(counts)
+        return present[np.argsort(first[present])].tolist(), counts.tolist()
 
     def stratum_rows(self) -> dict:
         """Row indices of each stratum tag (None for untagged rows), tags in first-seen order."""
-        groups: dict = {}
-        for k, tag in enumerate(self.strata.tolist()):
-            groups.setdefault(tag, []).append(k)
-        return {tag: np.array(rows, dtype=np.intp) for tag, rows in groups.items()}
+        present, counts = self._strata_present()
+        order = np.argsort(self._codes, kind="stable")  # grouped by code, row order within
+        ends = np.cumsum(counts).tolist()
+        tags = (None, *self._tags)
+        return {tags[c]: order[ends[c] - counts[c]:ends[c]] for c in present}
+
+    def stratum_counts(self) -> dict:
+        """Row count of each stratum tag (None for untagged rows), tags in first-seen order."""
+        present, counts = self._strata_present()
+        tags = (None, *self._tags)
+        return {tags[c]: counts[c] for c in present}
 
     def in_strata(self, tags) -> np.ndarray:
         """Bool mask of the rows whose stratum is one of ``tags``."""
         tags = tuple(tags)
-        return np.fromiter((s in tags for s in self.strata.tolist()), bool, self.n)
+        return np.array([tag in tags for tag in (*self._tags, None)], dtype=bool)[self._codes]
 
     def by_stratum(self) -> dict:
         return {tag: [self.row(k) for k in rows] for tag, rows in self.stratum_rows().items()}
 
     def stratum_frequencies(self) -> dict:
         """Empirical stratum distribution; untagged rows count under None."""
-        return {tag: len(rows) / self.n for tag, rows in self.stratum_rows().items()}
+        return {tag: count / self.n for tag, count in self.stratum_counts().items()}
 
     def concat(self, other: "LabeledDataset") -> "LabeledDataset":
         if other.dim != self.dim:
             raise DatasetError(f"dimension mismatch: {self.dim} vs {other.dim}")
         _check_unique(self.ids() + other.ids())
-        return LabeledDataset._of_columns(*(
-            np.concatenate([getattr(self, name), getattr(other, name)])
-            for name in ("_ids", "X", "z", "y", "strata")
-        ))
+        tags = self._tags + tuple(tag for tag in other._tags if tag not in self._tags)
+        remap = np.array([tags.index(tag) for tag in other._tags] + [-1], dtype=np.intp)
+        return LabeledDataset._of_columns(
+            *(np.concatenate([getattr(self, name), getattr(other, name)])
+              for name in ("_ids", "X", "z", "y")),
+            np.concatenate([self._codes, remap[other._codes]]), tags,
+        )
 
 
 @dataclass(frozen=True)
@@ -404,15 +446,18 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     are skipped but still counted in the row numbers of error messages.
     Whitespace around a number is ignored; id and stratum cells are kept as
     written. Feature values must be finite in both formats: NaN or infinite
-    features are rejected, and so are z outside [0, 1] and y other than 0 or 1.
+    features are rejected, and so are z outside [0, 1], y other than 0 or 1,
+    a JSONL stratum that is neither a string nor null, and bytes that are not
+    UTF-8.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
     if not path.exists():
         raise DatasetError(f"dataset file not found: {path}")
-    if fmt == "csv":
-        return _load_csv(path)
-    return _load_jsonl(path)
+    try:
+        return _load_csv(path) if fmt == "csv" else _load_jsonl(path)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
 
 
 def _row_number(records, k: int) -> int:
@@ -530,8 +575,11 @@ def _load_csv(path) -> LabeledDataset:
     z, y = _checked_annotations(X, cells, lambda k: _csv_row_number(path, k))
     ids = table["id"].copy()
     _check_unique(ids.tolist())
-    strata = table["stratum"] if "stratum" in extras else np.full(len(table), None)
-    return LabeledDataset._of_columns(ids, X, z, y, np.where(strata == "", None, strata))
+    strata = table["stratum"].tolist() if "stratum" in extras else [None] * len(table)
+    return LabeledDataset._of_columns(ids, X, z, y, *_stratum_codes([s or None for s in strata]))
+
+
+_decode_json = json.JSONDecoder().raw_decode
 
 
 def _load_jsonl(path) -> LabeledDataset:
@@ -543,9 +591,14 @@ def _load_jsonl(path) -> LabeledDataset:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj, end = _decode_json(line)
             except json.JSONDecodeError as exc:
-                raise DatasetError(f"row {row_num}: invalid JSON ({exc.msg})") from None
+                # worded as json.loads words a leading byte-order mark
+                bom = line[0] == "\ufeff"
+                message = "Unexpected UTF-8 BOM (decode using utf-8-sig)" if bom else exc.msg
+                raise DatasetError(f"row {row_num}: invalid JSON ({message})") from None
+            if end != len(line):
+                raise DatasetError(f"row {row_num}: invalid JSON (Extra data)")
             if not isinstance(obj, dict) or "id" not in obj or "features" not in obj:
                 raise DatasetError(f"row {row_num}: each line needs 'id' and 'features'")
             feats = obj["features"]
@@ -570,8 +623,15 @@ def _load_jsonl(path) -> LabeledDataset:
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
     cells = {"z": _objects(zs), "y": _objects(ys)}
     z, y = _checked_annotations(X, cells, lambda k: _jsonl_row_number(path, k))
+    try:  # JSON values other than strings and null are unhashable or not str
+        tagged = all(isinstance(tag, str) for tag in set(strata) - {None})
+    except TypeError:
+        tagged = False
+    if not tagged:
+        k = next(k for k, tag in enumerate(strata) if not (tag is None or isinstance(tag, str)))
+        raise DatasetError(f"row {_jsonl_row_number(path, k)}: 'stratum' must be a string or null")
     _check_unique(ids)
-    return LabeledDataset._of_columns(_objects(ids), X, z, y, _objects(strata))
+    return LabeledDataset._of_columns(_objects(ids), X, z, y, *_stratum_codes(strata))
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
@@ -720,5 +780,9 @@ def synthesize(spec: SyntheticSpec) -> LabeledDataset:
 
     width = max(6, len(str(n - 1)))
     ids = _objects([f"syn{i:0{width}d}" for i in range(n)])
-    strata = [None] * n if assignment is None else [tags[a] for a in assignment.tolist()]
-    return LabeledDataset._of_columns(ids, X, np.full(n, np.nan), y.astype(float), _objects(strata))
+    if assignment is None:
+        codes, distinct = np.full(n, -1, dtype=np.intp), ()
+    else:  # strata that share a tag share its code
+        distinct = tuple(dict.fromkeys(tags))
+        codes = np.array([distinct.index(tag) for tag in tags], dtype=np.intp)[assignment]
+    return LabeledDataset._of_columns(ids, X, np.full(n, np.nan), y.astype(float), codes, distinct)

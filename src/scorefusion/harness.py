@@ -266,7 +266,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
 
 
 def _strata_of(ds: LabeledDataset) -> dict:
-    return {tag: len(rows) for tag, rows in ds.stratum_rows().items() if tag is not None}
+    return {tag: count for tag, count in ds.stratum_counts().items() if tag is not None}
 
 
 def run_transfer_experiment(

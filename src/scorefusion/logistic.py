@@ -30,25 +30,34 @@ class SingleClassFoldWarning(UserWarning):
 LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
 
 
+def _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda):
+    """Value of ``regularized_logloss_and_grad`` and a zero-argument callable that
+    builds its (grad_w, grad_b) from the value's own sigmoid pass."""
+    p = sigmoid(X @ weights + intercept)
+    clamped = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    nll = -np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
+    value = float(nll + 0.5 * reg_lambda * np.dot(weights, weights))
+
+    def grad():
+        resid = p - y
+        return X.T @ resid / len(y) + reg_lambda * weights, float(np.mean(resid))
+
+    return value, grad
+
+
 def regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda):
     """Mean log-loss of sigmoid(X w + b) against y, plus (reg_lambda/2)||w||^2,
     and its gradient with respect to (weights, intercept), from one pass.
 
     Returns (value, grad_w, grad_b).
     """
-    p = sigmoid(X @ weights + intercept)
-    clamped = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    nll = -np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
-    value = float(nll + 0.5 * reg_lambda * np.dot(weights, weights))
-    resid = p - y
-    grad_w = X.T @ resid / len(y) + reg_lambda * weights
-    grad_b = float(np.mean(resid))
-    return value, grad_w, grad_b
+    value, grad = _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda)
+    return (value, *grad())
 
 
 def regularized_logloss(weights, intercept, X, y, reg_lambda):
     """Mean log-loss of sigmoid(X w + b) against y, plus (reg_lambda/2)||w||^2."""
-    return regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda)[0]
+    return _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda)[0]
 
 
 def regularized_logloss_grad(weights, intercept, X, y, reg_lambda):
@@ -59,15 +68,20 @@ def regularized_logloss_grad(weights, intercept, X, y, reg_lambda):
 def minimize_gd(value_and_grad, theta0, max_iter, tol):
     """Full-batch gradient descent with Armijo backtracking.
 
-    ``value_and_grad(theta)`` returns (objective, gradient). Stops when the
-    gradient infinity-norm drops to ``tol`` or after ``max_iter`` accepted
-    steps. Accepted steps never increase the objective. Returns
-    (theta, iterations, final objective).
+    ``value_and_grad(theta)`` returns (objective, gradient), where the
+    gradient is either an array or a zero-argument callable that builds it.
+    A callable is called only for the start point and for accepted steps, so
+    an objective can keep the intermediates of its value and skip the
+    gradient's work for every Armijo candidate the line search rejects.
+    Stops when the gradient infinity-norm drops to ``tol`` or after
+    ``max_iter`` accepted steps. Accepted steps never increase the objective.
+    Returns (theta, iterations, final objective).
     """
     armijo_c = 1e-4
     shrink = 0.5
     theta = np.asarray(theta0, dtype=float).copy()
     value, grad = value_and_grad(theta)
+    grad = grad() if callable(grad) else grad
     step = 1.0
     iterations = 0
     for iterations in range(max_iter + 1):
@@ -81,7 +95,8 @@ def minimize_gd(value_and_grad, theta0, max_iter, tol):
             candidate = theta - step * grad
             cand_value, cand_grad = value_and_grad(candidate)
             if cand_value <= value - armijo_c * step * sq:
-                theta, value, grad = candidate, cand_value, cand_grad
+                grad = cand_grad() if callable(cand_grad) else cand_grad
+                theta, value = candidate, cand_value
                 accepted = True
                 break
             step *= shrink
@@ -166,12 +181,23 @@ class BaseModel:
         return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
+def _standardized(X: np.ndarray):
+    """(X - mean) / scale, mean, scale, with ``X - mean`` computed once.
+
+    The scale is the root mean square of the centered matrix, the same bits
+    as ``X.std(axis=0)``; constant coordinates get scale 1.
+    """
+    mean = X.mean(axis=0)
+    centered = X - mean
+    scale = np.sqrt(np.add.reduce(centered * centered, axis=0) / X.shape[0])
+    scale = np.where(scale > 0.0, scale, 1.0)
+    centered /= scale
+    return centered, mean, scale
+
+
 def standardization(X: np.ndarray):
     """Per-coordinate mean and scale; constant coordinates get scale 1."""
-    mean = X.mean(axis=0)
-    scale = X.std(axis=0)
-    scale = np.where(scale > 0.0, scale, 1.0)
-    return mean, scale
+    return _standardized(X)[1:]
 
 
 def train(
@@ -193,14 +219,12 @@ def train(
         raise TrainingError("training dataset contains non-finite features")
     y = ds.labels()
 
-    mean, scale = standardization(X)
-    Xs = (X - mean) / scale
+    Xs, mean, scale = _standardized(X)
     d = ds.dim
 
     def value_and_grad(theta):
-        w, b = theta[:d], theta[d]
-        value, gw, gb = regularized_logloss_and_grad(w, b, Xs, y, reg_lambda)
-        return value, np.append(gw, gb)
+        value, grad = _regularized_logloss_deferred(theta[:d], theta[d], Xs, y, reg_lambda)
+        return value, lambda: np.append(*grad())
 
     theta, iterations, objective = minimize_gd(
         value_and_grad, np.zeros(d + 1), max_iter=max_iter, tol=tol

@@ -141,6 +141,8 @@ class OracleCache:
     def __init__(self, path):
         self.path = Path(path)
         self._scores: dict[str, float] = {}
+        # get(id) -> score or None: the dict's own lookup, so a map over ids stays in C
+        self.get = self._scores.get
         self._torn_at = None  # byte offset where a partial last row starts
         if self.path.exists():
             self._read()
@@ -193,9 +195,6 @@ class OracleCache:
 
     def __len__(self) -> int:
         return len(self._scores)
-
-    def get(self, instance_id):
-        return self._scores.get(instance_id)
 
     def scores(self) -> dict:
         return dict(self._scores)
@@ -579,16 +578,11 @@ def score_batch(provider, batch):
     if not ids:
         raise OracleError("score_batch needs at least one instance")
     order = sorted(range(len(ids)), key=ids.__getitem__)
+    ordered = list(map(ids.__getitem__, order))
 
     cache = getattr(provider, "cache", None)
-    results: dict[str, float] = {}
-    misses = []
-    for k in order:
-        hit = cache.get(ids[k]) if cache is not None else None
-        if hit is not None:
-            results[ids[k]] = hit
-        else:
-            misses.append(k)
+    scores = list(map(cache.get, ordered)) if cache is not None else [None] * len(ordered)
+    misses = [k for k, z in zip(order, scores) if z is None]
 
     if misses:
         fetched, failures = provider.score_uncached(pick(misses))
@@ -606,6 +600,6 @@ def score_batch(provider, batch):
                 f"provider returned out-of-range score {bad[first]} for id {first!r}",
                 failures=tuple((i, f"score {z} outside [0, 1]") for i, z in bad.items()),
             )
-        results.update(fetched)
+        scores = [fetched[i] if z is None else z for i, z in zip(ordered, scores)]
 
-    return [(ids[k], results[ids[k]]) for k in order]
+    return list(zip(ordered, scores))

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import LabeledDataset
-from .logistic import BaseModel, TrainMeta, TrainingError, minimize_gd, sigmoid, standardization
+from .logistic import BaseModel, TrainMeta, TrainingError, _standardized, minimize_gd, sigmoid
 from .oracle import score_batch
 
 DENSITY_TOL = 1e-9
@@ -84,15 +84,18 @@ class RelaxedLoss:
         if not self.slack_a >= 0:
             raise TransferError(f"slack_a must be >= 0, got {self.slack_a}")
 
+    def excess(self, pred, target):
+        """(pred - target, how far |pred - target| lies outside the band, 0 inside)."""
+        diff = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
+        return diff, np.maximum(np.abs(diff) - self.slack_a, 0.0)
+
     def value(self, pred, target):
-        excess = np.maximum(np.abs(np.asarray(pred, dtype=float) - target) - self.slack_a, 0.0)
-        out = excess**2
+        out = self.excess(pred, target)[1] ** 2
         return out if out.ndim else float(out)
 
     def grad(self, pred, target):
         """Derivative in the prediction: 0 inside the band, shrunk residual outside."""
-        diff = np.asarray(pred, dtype=float) - np.asarray(target, dtype=float)
-        excess = np.maximum(np.abs(diff) - self.slack_a, 0.0)
+        diff, excess = self.excess(pred, target)
         out = 2.0 * excess * np.sign(diff)
         return out if out.ndim else float(out)
 
@@ -250,6 +253,45 @@ def label_with_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
     return ds.without_labels().with_oracle_scores(dict(score_batch(provider, ds)))
 
 
+def _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_lambda):
+    """Value of ``augmented_objective_and_grad`` and a zero-argument callable
+    that builds its gradient from the value's residuals and band excess."""
+    d = X_labeled.shape[1] if X_labeled.size else X_aug.shape[1]
+    w, b = theta[:d], theta[d]
+    loss0 = RelaxedLoss(slack_a)
+    n, m = len(y), len(z)
+    total = n + m
+    if total == 0:
+        raise TransferError("augmented objective needs at least one row")
+
+    value = 0.0
+    if n:
+        p = sigmoid(X_labeled @ w + b)
+        resid = p - y
+        value += float(np.sum(resid**2))
+    if m:
+        q = sigmoid(X_aug @ w + b)
+        diff, excess = loss0.excess(q, z)
+        value += float(np.sum(excess**2))
+    value = value / total + 0.5 * reg_lambda * float(np.dot(w, w))
+
+    def grad():
+        out = np.zeros(d + 1)
+        if n:
+            back = 2.0 * resid * p * (1.0 - p)
+            out[:d] += X_labeled.T @ back
+            out[d] += float(np.sum(back))
+        if m:
+            back = 2.0 * excess * np.sign(diff) * q * (1.0 - q)
+            out[:d] += X_aug.T @ back
+            out[d] += float(np.sum(back))
+        out = out / total
+        out[:d] += reg_lambda * w
+        return out
+
+    return value, grad
+
+
 def augmented_objective_and_grad(
     theta: np.ndarray,
     X_labeled: np.ndarray,
@@ -266,33 +308,8 @@ def augmented_objective_and_grad(
                  + sum over augmented max(|sigmoid - z| - slack_a, 0)^2]
     + (reg_lambda/2)||w||^2, with the intercept (last theta entry) unpenalized.
     """
-    d = X_labeled.shape[1] if X_labeled.size else X_aug.shape[1]
-    w, b = theta[:d], theta[d]
-    loss0 = RelaxedLoss(slack_a)
-    n, m = len(y), len(z)
-    total = n + m
-    if total == 0:
-        raise TransferError("augmented objective needs at least one row")
-
-    value = 0.0
-    grad = np.zeros(d + 1)
-    if n:
-        p = np.atleast_1d(sigmoid(X_labeled @ w + b))
-        resid = p - y
-        value += float(np.sum(resid**2))
-        back = 2.0 * resid * p * (1.0 - p)
-        grad[:d] += X_labeled.T @ back
-        grad[d] += float(np.sum(back))
-    if m:
-        q = np.atleast_1d(sigmoid(X_aug @ w + b))
-        value += float(np.sum(loss0.value(q, z)))
-        back = np.atleast_1d(loss0.grad(q, z)) * q * (1.0 - q)
-        grad[:d] += X_aug.T @ back
-        grad[d] += float(np.sum(back))
-    value = value / total + 0.5 * reg_lambda * float(np.dot(w, w))
-    grad = grad / total
-    grad[:d] += reg_lambda * w
-    return value, grad
+    value, grad = _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_lambda)
+    return value, grad()
 
 
 def train_augmented(
@@ -334,8 +351,7 @@ def train_augmented(
     y = labeled.labels()
     if not np.all(np.isfinite(X)):
         raise TrainingError("labeled dataset contains non-finite features")
-    mean, scale = standardization(X)
-    Xs = (X - mean) / scale
+    Xs, mean, scale = _standardized(X)
     if augmented.n:
         Xa = (augmented.feature_matrix() - mean) / scale
         z = augmented.oracle_scores()
@@ -346,7 +362,7 @@ def train_augmented(
         z = np.zeros(0)
 
     def value_and_grad(theta):
-        return augmented_objective_and_grad(theta, Xs, y, Xa, z, slack_a, reg_lambda)
+        return _augmented_objective_deferred(theta, Xs, y, Xa, z, slack_a, reg_lambda)
 
     theta, iterations, objective = minimize_gd(
         value_and_grad, np.zeros(labeled.dim + 1), max_iter=max_iter, tol=tol

@@ -377,3 +377,106 @@ class TestBitwiseTraining:
         fit = minimize_gd(reference, np.zeros(d + 1), max_iter=max_iter, tol=1e-6)
         _same_fit(model, *fit)
         assert (model.train_meta.iterations == max_iter) is stops_at_max_iter
+
+
+def _split_for_augmentation(ds):
+    """Every third row labeled; the rest unlabeled with oracle scores spread over (0, 1)."""
+    labeled, augmented = ds.take(np.arange(ds.n) % 3 == 0), ds.take(np.arange(ds.n) % 3 != 0)
+    z = _reference_sigmoid(np.linspace(-4.0, 4.0, augmented.n))
+    return labeled, augmented.without_labels().with_oracle_scores(dict(zip(augmented.ids(), z)))
+
+
+def _count_evaluations(monkeypatch):
+    """Count objective evaluations of every ``minimize_gd`` call, by wrapping its first argument."""
+    from scorefusion import transfer
+
+    counts = {"evals": 0}
+    original = logistic.minimize_gd
+
+    def minimize(value_and_grad, *args, **kwargs):
+        def counted(theta):
+            counts["evals"] += 1
+            return value_and_grad(theta)
+        return original(counted, *args, **kwargs)
+
+    for module in (logistic, transfer):
+        monkeypatch.setattr(module, "minimize_gd", minimize)
+    return counts
+
+
+class TestEvaluationCounts:
+    """Iterations and objective evaluations per training call on fixed problems."""
+
+    CASES = [
+        # make, max_iter, (iterations, evaluations) for train, train_augmented, train_augmented alone
+        pytest.param(_noisy, 5000, [(16, 30), (16, 29), (19, 35)], id="converges"),
+        pytest.param(lambda: _separable(120, 3, seed=9), 7, [(7, 8), (7, 11), (7, 8)], id="max-iter"),
+    ]
+
+    @pytest.mark.parametrize("make, max_iter, expected", CASES)
+    def test_counts(self, make, max_iter, expected, monkeypatch):
+        ds = make()
+        labeled, augmented = _split_for_augmentation(ds)
+        counts = _count_evaluations(monkeypatch)
+        runs = [
+            lambda: train(ds, max_iter=max_iter),
+            lambda: train_augmented(labeled, augmented, max_iter=max_iter),
+            lambda: train_augmented(labeled, None, max_iter=max_iter),
+        ]
+        seen = []
+        for run in runs:
+            counts["evals"] = 0
+            model = run()
+            seen.append((model.train_meta.iterations, counts["evals"]))
+        assert seen == expected
+
+
+class TestDeferredGradient:
+    """Training objectives defer the gradient, so only accepted steps pay for it."""
+
+    @pytest.mark.parametrize("make, max_iter", [
+        pytest.param(_noisy, 5000, id="converges"),
+        pytest.param(lambda: _separable(120, 3, seed=9), 7, id="max-iter"),
+    ])
+    def test_gradient_built_once_per_accepted_step(self, make, max_iter, monkeypatch):
+        from scorefusion import transfer
+
+        ds = make()
+        labeled, augmented = _split_for_augmentation(ds)
+        built = {"grads": 0}
+        original = logistic.minimize_gd
+
+        def minimize(value_and_grad, *args, **kwargs):
+            def counted(theta):
+                value, grad = value_and_grad(theta)
+                assert callable(grad)
+
+                def build():
+                    built["grads"] += 1
+                    return grad()
+                return value, build
+            return original(counted, *args, **kwargs)
+
+        for module in (logistic, transfer):
+            monkeypatch.setattr(module, "minimize_gd", minimize)
+        for run in (
+            lambda: train(ds, max_iter=max_iter),
+            lambda: train_augmented(labeled, augmented, max_iter=max_iter),
+            lambda: train_augmented(labeled, None, max_iter=max_iter),
+        ):
+            built["grads"] = 0
+            model = run()
+            assert built["grads"] == model.train_meta.iterations + 1
+
+    def test_eager_and_deferred_gradients_take_the_same_steps(self):
+        def quadratic(theta):
+            return float(np.dot(theta - 3.0, theta - 3.0)), 2.0 * (theta - 3.0)
+
+        def deferred(theta):
+            value, grad = quadratic(theta)
+            return value, lambda: grad
+
+        eager_fit = minimize_gd(quadratic, np.zeros(2), max_iter=100, tol=1e-10)
+        deferred_fit = minimize_gd(deferred, np.zeros(2), max_iter=100, tol=1e-10)
+        np.testing.assert_array_equal(eager_fit[0], deferred_fit[0])
+        assert eager_fit[1:] == deferred_fit[1:]
