@@ -47,7 +47,7 @@ f_train = cv.scores_for(train_ds.ids())
 y_train = train_ds.labels()
 
 oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=5))
-z_train = np.array([z for _, z in score_batch(oracle, train_ds.instances)])
+z_train = score_batch(oracle, train_ds, column=True)
 
 # --- pick the base-score resolution by cross-validation ---
 grid = choose_grid(f_train, z_train, y_train, candidate_res=(2, 5, 10, 20), oracle_res=2, k=5, seed=0)
@@ -64,7 +64,7 @@ for j in range(grid.oracle_res + 1):
 
 # --- held-out comparison by Brier score (lower is better) ---
 f_test = model.score_dataset(test_ds)
-z_test = np.array([z for _, z in score_batch(oracle, test_ds.instances)])
+z_test = score_batch(oracle, test_ds, column=True)
 y_test = test_ds.labels()
 
 print()

@@ -82,7 +82,7 @@ def _with_scores(cfg, ds):
     if ds.has_oracle_scores:
         return ds
     provider = build_provider(cfg.oracle)
-    return ds.with_oracle_scores(dict(score_batch(provider, ds)))
+    return ds.with_oracle_scores(score_batch(provider, ds, column=True))
 
 
 def _cv_inputs(cfg, ds, seed):

@@ -175,9 +175,9 @@ class LabeledDataset:
     def from_arrays(cls, X, y=None, z=None, strata=None, ids=None, prefix="r"):
         """Build a dataset from parallel arrays; omitted annotations stay absent.
 
-        ``X`` is copied. Labels are truncated to integers, as ``int`` would.
+        ``X`` is copied into C order. Labels are truncated to integers, as ``int`` would.
         """
-        X = np.array(X, dtype=float)
+        X = np.array(X, dtype=float, order="C")
         if X.ndim != 2:
             raise DatasetError(f"feature matrix must be 2-d, got shape {X.shape}")
         n = X.shape[0]
@@ -288,14 +288,21 @@ class LabeledDataset:
         """Rows whose ``Instance`` view satisfies ``predicate``."""
         return self.take(np.fromiter((bool(predicate(i)) for i in self.instances), bool, self.n))
 
-    def with_oracle_scores(self, scores: dict) -> "LabeledDataset":
-        """Copy with oracle scores attached from an id -> z mapping."""
-        ids = self._ids.tolist()
-        try:
-            z = np.fromiter(map(scores.__getitem__, ids), float, self.n)
-        except KeyError as exc:
-            raise DatasetError(f"no oracle score provided for instance {exc.args[0]!r}") from None
-        _check_oracle_column(ids, z)
+    def with_oracle_scores(self, scores) -> "LabeledDataset":
+        """Copy with oracle scores attached from an id -> z mapping, or from a
+        float array with one score per row in row order (it is copied)."""
+        if isinstance(scores, np.ndarray):
+            if scores.shape != (self.n,):
+                raise DatasetError(
+                    f"oracle score column has shape {scores.shape}, expected ({self.n},)"
+                )
+            z = scores.astype(float)
+        else:
+            try:
+                z = np.fromiter(map(scores.__getitem__, self._ids.tolist()), float, self.n)
+            except KeyError as exc:
+                raise DatasetError(f"no oracle score provided for instance {exc.args[0]!r}") from None
+        _check_oracle_column(self._ids, z)
         return LabeledDataset._of_columns(self._ids, self.X, z, self.y, self._codes, self._tags)
 
     def without_labels(self) -> "LabeledDataset":
@@ -749,12 +756,14 @@ def sigmoid(t):
 
     ``e = exp(-|t|)`` lies in [0, 1], so neither branch can overflow:
     1 / (1 + e) for t >= 0 and e / (1 + e) otherwise. ``minimum(t, -t)`` is
-    -|t| except that a NaN keeps its own sign bit.
+    -|t| except that a NaN keeps its own sign bit. The numerator is picked
+    without a branch: ``maximum(e, t >= 0)`` is 1.0 where t >= 0 (e <= 1
+    there) and e elsewhere, and a NaN ``t`` keeps ``e``'s own NaN.
     """
     t = np.asarray(t, dtype=float)
     e = np.exp(np.minimum(t, -t))
-    denom = 1.0 + e
-    out = np.where(t >= 0, 1.0 / denom, e / denom)
+    out = np.maximum(e, t >= 0)
+    out /= 1.0 + e
     return out if out.ndim else float(out)
 
 

@@ -172,7 +172,7 @@ def _dataset_for_seed(cfg: ExperimentConfig, fixed, seed: int) -> LabeledDataset
 
 
 def _attach_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
-    return ds.with_oracle_scores(dict(score_batch(provider, ds)))
+    return ds.with_oracle_scores(score_batch(provider, ds, column=True))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,9 @@ LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
 def _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda):
     """Value of ``regularized_logloss_and_grad`` and a zero-argument callable that
     builds its (grad_w, grad_b) from the value's own sigmoid pass."""
-    p = sigmoid(X @ weights + intercept)
+    t = X @ weights
+    t += intercept
+    p = sigmoid(t)
     clamped = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
     nll = -np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
     value = float(nll + 0.5 * reg_lambda * np.dot(weights, weights))
@@ -184,12 +186,17 @@ class BaseModel:
 def _standardized(X: np.ndarray):
     """(X - mean) / scale, mean, scale, with ``X - mean`` computed once.
 
-    The scale is the root mean square of the centered matrix, the same bits
-    as ``X.std(axis=0)``; constant coordinates get scale 1.
+    The scale is the root mean square of the centered matrix; constant
+    coordinates get scale 1. Both column sums run over a C-ordered copy of
+    ``X`` (no copy when it already is one), where ``einsum`` adds each column
+    row by row, the same order and bits as ``X.mean(axis=0)`` and
+    ``X.std(axis=0)`` on C-ordered input, without their per-row inner loops.
     """
-    mean = X.mean(axis=0)
+    X = np.ascontiguousarray(X)
+    n = X.shape[0]
+    mean = np.einsum("ij->j", X) / n
     centered = X - mean
-    scale = np.sqrt(np.add.reduce(centered * centered, axis=0) / X.shape[0])
+    scale = np.sqrt(np.einsum("ij,ij->j", centered, centered) / n)
     scale = np.where(scale > 0.0, scale, 1.0)
     centered /= scale
     return centered, mean, scale

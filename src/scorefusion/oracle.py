@@ -12,7 +12,9 @@ streams.
 ``score_batch`` is the single entry point: it consults the provider's cache
 before issuing any remote work, appends fresh results to the cache (also when
 other instances of the batch fail), collects per-instance failures, and
-returns (id, score) pairs sorted by id.
+returns either (id, score) pairs sorted by id (the default) or, with
+``column=True``, a float array of the scores in the batch's row order, which
+is what attaching scores to a dataset needs.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -558,14 +561,16 @@ class HttpOracle:
 # ---------------------------------------------------------------------------
 
 
-def score_batch(provider, batch):
-    """Score a LabeledDataset or a list of instances, returning (id, z) pairs sorted by id.
+def score_batch(provider, batch, *, column=False):
+    """Score a LabeledDataset or a list of instances.
 
-    The provider's cache (when it has one) is looked up by id first; only the
-    misses go to the provider, in id order: a ``LabeledDataset`` of those rows
-    when the batch is one, a list of instances otherwise (iterating either
-    yields ``Instance`` rows). Every score it returns in range is appended to
-    the cache before anything can raise, so paid-for results are kept. If any
+    Returns (id, z) pairs sorted by id, or with ``column=True`` a float array
+    of the scores aligned with the batch's rows. The provider's cache (when
+    it has one) is looked up by id first; only the misses go to the
+    provider, in id order: a ``LabeledDataset`` of those rows when the batch
+    is one, a list of instances otherwise (iterating either yields
+    ``Instance`` rows). Every score it returns in range is appended to the
+    cache before anything can raise, so paid-for results are kept. If any
     instance still fails after the provider's retry policy, the batch then
     raises OracleError listing every failure, so partial results never leak
     into downstream artifacts.
@@ -577,18 +582,19 @@ def score_batch(provider, batch):
         ids, pick = [inst.id for inst in instances], lambda rows: [instances[k] for k in rows]
     if not ids:
         raise OracleError("score_batch needs at least one instance")
-    order = sorted(range(len(ids)), key=ids.__getitem__)
-    ordered = list(map(ids.__getitem__, order))
 
     cache = getattr(provider, "cache", None)
-    scores = list(map(cache.get, ordered)) if cache is not None else [None] * len(ordered)
-    misses = [k for k, z in zip(order, scores) if z is None]
+    if cache is not None:  # NaN marks a miss: a cached score is always in [0, 1]
+        z = np.fromiter(map(cache.get, ids, repeat(np.nan)), float, len(ids))
+    else:
+        z = np.full(len(ids), np.nan)
+    misses = sorted(np.flatnonzero(np.isnan(z)).tolist(), key=ids.__getitem__)
 
     if misses:
         fetched, failures = provider.score_uncached(pick(misses))
-        bad = {i: z for i, z in fetched.items() if not 0.0 <= z <= 1.0}
+        bad = {i: s for i, s in fetched.items() if not 0.0 <= s <= 1.0}
         if cache is not None:
-            cache.update({i: z for i, z in fetched.items() if i not in bad})
+            cache.update({i: s for i, s in fetched.items() if i not in bad})
         if failures:
             shown = "; ".join(f"{i}: {msg}" for i, msg in failures[:3])
             raise OracleError(
@@ -598,8 +604,11 @@ def score_batch(provider, batch):
             first = next(iter(bad))
             raise OracleError(
                 f"provider returned out-of-range score {bad[first]} for id {first!r}",
-                failures=tuple((i, f"score {z} outside [0, 1]") for i, z in bad.items()),
+                failures=tuple((i, f"score {s} outside [0, 1]") for i, s in bad.items()),
             )
-        scores = [fetched[i] if z is None else z for i, z in zip(ordered, scores)]
+        z[misses] = [fetched[ids[k]] for k in misses]
 
-    return list(zip(ordered, scores))
+    if column:
+        return z
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    return list(zip(map(ids.__getitem__, order), z[order].tolist()))

@@ -250,12 +250,20 @@ def label_with_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
     """Attach oracle scores to every instance and drop any labels."""
     if ds.n == 0:
         return ds
-    return ds.without_labels().with_oracle_scores(dict(score_batch(provider, ds)))
+    return ds.without_labels().with_oracle_scores(score_batch(provider, ds, column=True))
 
 
 def _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_lambda):
     """Value of ``augmented_objective_and_grad`` and a zero-argument callable
-    that builds its gradient from the value's residuals and band excess."""
+    that builds its gradient from the value's residuals and band excess.
+
+    Each side's ``X @ w`` buffer takes the intercept in place and then holds
+    the residual (``p - y`` or ``q - z``), and the band excess is built in
+    place in one array; the gradient's in-place products keep the order of
+    ``2.0 * resid * p * (1.0 - p)`` and ``RelaxedLoss.grad(q, z) * q * (1.0 - q)``.
+    The callable writes only into arrays it allocates, so every call gives
+    the same bits.
+    """
     d = X_labeled.shape[1] if X_labeled.size else X_aug.shape[1]
     w, b = theta[:d], theta[d]
     loss0 = RelaxedLoss(slack_a)
@@ -266,23 +274,35 @@ def _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_la
 
     value = 0.0
     if n:
-        p = sigmoid(X_labeled @ w + b)
-        resid = p - y
-        value += float(np.sum(resid**2))
+        resid = X_labeled @ w
+        resid += b
+        p = sigmoid(resid)
+        np.subtract(p, y, out=resid)
+        value += float(np.sum(np.square(resid)))
     if m:
-        q = sigmoid(X_aug @ w + b)
-        diff, excess = loss0.excess(q, z)
-        value += float(np.sum(excess**2))
+        diff = X_aug @ w
+        diff += b
+        q = sigmoid(diff)
+        np.subtract(q, z, out=diff)
+        excess = np.abs(diff)  # RelaxedLoss.excess, in place
+        excess -= loss0.slack_a
+        np.maximum(excess, 0.0, out=excess)
+        value += float(np.sum(np.square(excess)))
     value = value / total + 0.5 * reg_lambda * float(np.dot(w, w))
 
     def grad():
         out = np.zeros(d + 1)
         if n:
-            back = 2.0 * resid * p * (1.0 - p)
+            back = 2.0 * resid
+            back *= p
+            back *= 1.0 - p
             out[:d] += X_labeled.T @ back
             out[d] += float(np.sum(back))
         if m:
-            back = 2.0 * excess * np.sign(diff) * q * (1.0 - q)
+            back = 2.0 * excess
+            back *= np.sign(diff)
+            back *= q
+            back *= 1.0 - q
             out[:d] += X_aug.T @ back
             out[d] += float(np.sum(back))
         out = out / total
@@ -353,7 +373,10 @@ def train_augmented(
         raise TrainingError("labeled dataset contains non-finite features")
     Xs, mean, scale = _standardized(X)
     if augmented.n:
-        Xa = (augmented.feature_matrix() - mean) / scale
+        Xa = augmented.feature_matrix()
+        if not np.all(np.isfinite(Xa)):
+            raise TrainingError("augmented dataset contains non-finite features")
+        Xa = (Xa - mean) / scale
         z = augmented.oracle_scores()
         if round_oracle_scores:
             z = (z > 0.5).astype(float)

@@ -59,6 +59,12 @@ class TestLabeledDataset:
         assert ds.feature_matrix().shape == (5, 4)
         np.testing.assert_array_equal(ds.feature_matrix()[2], ds.instances[2].features)
 
+    def test_from_arrays_stores_a_fortran_ordered_matrix_in_c_order(self):
+        X = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        ds = LabeledDataset.from_arrays(X)
+        assert ds.X.flags.c_contiguous and not np.shares_memory(ds.X, X)
+        np.testing.assert_array_equal(ds.X, X)
+
     def test_labels_error_names_missing_instance(self):
         ds = _toy(with_y=False)
         with pytest.raises(DatasetError, match="missing labels"):
@@ -189,6 +195,16 @@ class TestColumnarMatchesRowwise:
         _assert_same(self.ds.with_oracle_scores(scores), expected)
         with pytest.raises(DatasetError, match="outside"):
             self.ds.with_oracle_scores(dict(scores, **{self.rows[3].id: float("nan")}))
+
+    def test_with_oracle_scores_from_a_row_aligned_column(self):
+        scores = {r.id: (k % 10) / 10 for k, r in enumerate(self.rows)}
+        column = np.array([scores[r.id] for r in self.rows])
+        _assert_same(self.ds.with_oracle_scores(column), self.ds.with_oracle_scores(scores).instances)
+        assert column.flags.writeable
+        with pytest.raises(DatasetError, match="outside"):
+            self.ds.with_oracle_scores(np.where(np.arange(len(column)) == 3, np.nan, column))
+        with pytest.raises(DatasetError, match="shape"):
+            self.ds.with_oracle_scores(column[:-1])
 
     def test_without_labels(self):
         expected = [Instance(r.id, r.features, r.oracle_score, None, r.stratum) for r in self.rows]

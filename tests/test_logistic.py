@@ -299,6 +299,38 @@ class TestCvPredict:
             cv_predict(ds, folds)
 
 
+def _reference_standardized(X):
+    """Column means and scales as ``X.mean``/``np.add.reduce`` give them, and the scaled matrix."""
+    mean = X.mean(axis=0)
+    centered = X - mean
+    scale = np.sqrt(np.add.reduce(centered * centered, axis=0) / X.shape[0])
+    scale = np.where(scale > 0.0, scale, 1.0)
+    return (X - mean) / scale, mean, scale
+
+
+class TestStandardization:
+    """``_standardized`` sums each column row by row, as the reference formula does on C-ordered input."""
+
+    @pytest.mark.parametrize("shape", [(1, 3), (2, 1), (40_000, 16), (5, 200)])
+    @pytest.mark.parametrize("kind", ["plain", "constant-column", "magnitude-1e9"])
+    def test_matches_reference_bits(self, shape, kind):
+        X = np.random.default_rng(shape[0]).standard_normal(shape) * 3.0 + 1.0
+        if kind == "constant-column":
+            X[:, 0] = 2.5
+        elif kind == "magnitude-1e9":
+            X = X * 1e9 + 1e9
+        want = _reference_standardized(X)
+        for got, ref in zip(logistic._standardized(X), want):
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+        for got, ref in zip(standardization(X), want[1:]):
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+    def test_fortran_ordered_input_standardizes_like_its_c_ordered_copy(self):
+        X = np.random.default_rng(7).standard_normal((1000, 16)) * 5.0 + 2.0
+        for got, ref in zip(logistic._standardized(np.asfortranarray(X)), logistic._standardized(X)):
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+
+
 def _noisy(n=300, d=4, seed=11):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) * np.arange(1, d + 1) + 3.0
@@ -467,6 +499,40 @@ class TestDeferredGradient:
             built["grads"] = 0
             model = run()
             assert built["grads"] == model.train_meta.iterations + 1
+
+    @pytest.mark.parametrize("make, max_iter", [
+        pytest.param(_noisy, 5000, id="converges"),
+        pytest.param(lambda: _separable(120, 3, seed=9), 7, id="max-iter"),
+    ])
+    def test_gradient_callable_gives_the_same_bits_when_called_twice(self, make, max_iter, monkeypatch):
+        from scorefusion import transfer
+
+        ds = make()
+        labeled, augmented = _split_for_augmentation(ds)
+        runs = [
+            lambda: train(ds, max_iter=max_iter),
+            lambda: train_augmented(labeled, augmented, max_iter=max_iter),
+            lambda: train_augmented(labeled, None, max_iter=max_iter),
+        ]
+        plain = [run() for run in runs]
+        original = logistic.minimize_gd
+
+        def minimize(value_and_grad, *args, **kwargs):
+            def twice(theta):
+                value, grad = value_and_grad(theta)
+
+                def build():
+                    first, second = grad(), grad()
+                    np.testing.assert_array_equal(_bits(first), _bits(second))
+                    return second
+                return value, build
+            return original(twice, *args, **kwargs)
+
+        for module in (logistic, transfer):
+            monkeypatch.setattr(module, "minimize_gd", minimize)
+        for run, model in zip(runs, plain):
+            again = run()
+            assert again.to_json() == model.to_json()
 
     def test_eager_and_deferred_gradients_take_the_same_steps(self):
         def quadratic(theta):

@@ -466,6 +466,32 @@ class TestScoreBatch:
         assert (seen[0].label, seen[0].stratum) == (1, "s")
         assert score_batch(provider, ds.instances) == pairs
 
+    def test_row_aligned_column_matches_the_sorted_pairs(self, tmp_path):
+        ids = [f"id{k:03d}" for k in np.random.default_rng(3).permutation(40)]
+        ds = LabeledDataset.from_arrays(np.arange(80.0).reshape(40, 2), y=[k % 2 for k in range(40)], ids=ids)
+        warm = {i: (k % 7) / 7 for k, i in enumerate(ids[::3])}
+
+        class PerId(_CountingProvider):
+            def score_uncached(self, instances):
+                self.calls.append([i.id for i in instances])
+                return {i.id: int(i.id[2:]) / 100 for i in instances}, []
+
+        providers = []
+        for name in ("pairs", "column", "instances"):
+            cache = OracleCache(tmp_path / f"{name}.csv")
+            cache.update(warm)
+            providers.append(PerId(cache=cache))
+        lookup = dict(score_batch(providers[0], ds))
+        column = score_batch(providers[1], ds, column=True)
+        assert isinstance(column, np.ndarray) and column.dtype == float and column.shape == (40,)
+        assert column.tolist() == [lookup[i] for i in ids]
+        assert score_batch(providers[2], ds.instances, column=True).tolist() == column.tolist()
+        misses = sorted(set(ids) - set(warm))
+        assert [p.calls for p in providers] == [[misses]] * 3
+        assert providers[1].cache.scores() == lookup
+        assert score_batch(providers[1], ds, column=True).tolist() == column.tolist()
+        assert providers[1].calls == [misses]
+
     def test_out_of_range_provider_scores_rejected(self):
         provider = _CountingProvider(value=1.5)
         with pytest.raises(OracleError, match="out-of-range"):

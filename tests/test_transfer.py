@@ -368,3 +368,12 @@ class TestTrainAugmented:
         unscored = LabeledDataset.from_arrays(np.zeros((2, 2)))
         with pytest.raises(TrainingError):
             train_augmented(ds, unscored)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_augmented_features(self, bad):
+        ds = self._labeled(30, 2, seed=8)
+        Xa = np.random.default_rng(9).standard_normal((20, 2))
+        Xa[7, 1] = bad
+        aug = LabeledDataset.from_arrays(Xa, z=np.full(20, 0.5), prefix="aug")
+        with pytest.raises(TrainingError, match="augmented dataset contains non-finite features"):
+            train_augmented(ds, aug)
