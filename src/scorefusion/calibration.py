@@ -22,13 +22,11 @@ statements about the unclamped corrector.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import bin_sums, check_scores, fold_index
+from .data import Artifact, bin_sums, check_scores, fold_index, load_artifact
 
 
 class CalibrationError(ValueError):
@@ -65,8 +63,11 @@ def grid_round(v: float, res: int) -> float:
 
 
 @dataclass(frozen=True)
-class CellCalibrator:
+class CellCalibrator(Artifact):
     """Per-cell mean-residual offsets on the (base grid) x (oracle grid) table."""
+
+    KIND = "cell_calibrator"
+    ERROR = CalibrationError
 
     grid: GridSpec
     delta: np.ndarray  # (base_res+1, oracle_res+1)
@@ -100,33 +101,26 @@ class CellCalibrator:
         out = np.clip(self.calibrate_raw(base_score, oracle_score), 0.0, 1.0)
         return out if np.ndim(out) else float(out)
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": "cell_calibrator",
+    def to_doc(self) -> dict:
+        return {
             "base_res": self.grid.base_res,
             "oracle_res": self.grid.oracle_res,
             "delta": [[float(v) for v in row] for row in self.delta],
             "counts": [[int(c) for c in row] for row in self.counts],
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "CellCalibrator":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "CellCalibrator":
         grid = GridSpec(int(doc["base_res"]), int(doc["oracle_res"]))
-        return cls(grid, np.array(doc["delta"], dtype=float), np.array(doc["counts"], dtype=int))
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "CellCalibrator":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls(grid, doc["delta"], doc["counts"])
 
 
 @dataclass(frozen=True)
-class AdditiveCalibrator:
+class AdditiveCalibrator(Artifact):
     """Row-plus-column offsets: cell (i, j) adds row_offsets[i] + col_offsets[j]."""
+
+    KIND = "additive_calibrator"
+    ERROR = CalibrationError
 
     grid: GridSpec
     row_offsets: np.ndarray  # base_res+1
@@ -158,42 +152,23 @@ class AdditiveCalibrator:
         out = np.clip(self.calibrate_raw(base_score, oracle_score), 0.0, 1.0)
         return out if np.ndim(out) else float(out)
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": "additive_calibrator",
+    def to_doc(self) -> dict:
+        return {
             "base_res": self.grid.base_res,
             "oracle_res": self.grid.oracle_res,
             "row_offsets": [float(v) for v in self.row_offsets],
             "col_offsets": [float(v) for v in self.col_offsets],
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "AdditiveCalibrator":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "AdditiveCalibrator":
         grid = GridSpec(int(doc["base_res"]), int(doc["oracle_res"]))
-        return cls(
-            grid,
-            np.array(doc["row_offsets"], dtype=float),
-            np.array(doc["col_offsets"], dtype=float),
-        )
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "AdditiveCalibrator":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+        return cls(grid, doc["row_offsets"], doc["col_offsets"])
 
 
 def load_calibrator(path):
     """Load either calibrator kind from its JSON file."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("kind") == "cell_calibrator":
-        return CellCalibrator.from_json(json.dumps(doc))
-    if doc.get("kind") == "additive_calibrator":
-        return AdditiveCalibrator.from_json(json.dumps(doc))
-    raise CalibrationError(f"unrecognized calibrator kind {doc.get('kind')!r} in {path}")
+    return load_artifact(path, CellCalibrator, AdditiveCalibrator)
 
 
 def _cell_sums(f, z, y, grid: GridSpec, fold=None, k: int = 1):

@@ -8,9 +8,9 @@ for every config key are listed at the bottom of --help.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,8 +28,8 @@ from .harness import (
     tune_hyperparameter,
 )
 from .logistic import BaseModel, TrainingError, cv_predict, train
-from .metrics import MetricError, accuracy, brier_score, log_loss
-from .oracle import OracleError, score_batch
+from .metrics import MetricError, metric_dict
+from .oracle import OracleCache, OracleError, score_batch
 from .transfer import TransferError
 
 _ERRORS = (
@@ -48,16 +48,10 @@ def _u64(text: str) -> int:
 def _prepare(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else config_from_mapping({})
     if args.out is not None:
-        cfg = dataclasses.replace(cfg, out_dir=args.out)
+        cfg = replace(cfg, out_dir=args.out)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
-        if cfg.synth is not None:
-            cfg = dataclasses.replace(
-                cfg, synth=dataclasses.replace(cfg.synth, seed=args.seed)
-            )
-        cfg = dataclasses.replace(
-            cfg, oracle=dataclasses.replace(cfg.oracle, seed=args.seed)
-        )
+        synth = None if cfg.synth is None else replace(cfg.synth, seed=args.seed)
+        cfg = replace(cfg, seeds=(args.seed,), synth=synth, oracle=replace(cfg.oracle, seed=args.seed))
     return cfg
 
 
@@ -85,17 +79,32 @@ def _with_scores(cfg, ds):
     return ds.with_oracle_scores(score_batch(provider, ds, column=True))
 
 
-def _cv_inputs(cfg, ds, seed):
-    folds = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
+def _fit_inputs(cfg):
+    """The output directory, and the input dataset's out-of-fold base scores,
+    oracle scores (fetched if absent) and labels, for the fitting subcommands."""
+    out = _require_out(cfg)
+    ds = _with_scores(cfg, _load_input_dataset(cfg))
+    folds = make_folds(ds, cfg.k, seed=child_seed(cfg.seeds[0], 1))
     cv = cv_predict(ds, folds, reg_lambda=cfg.base.reg_lambda,
-                    max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
-    return cv.scores, ds.oracle_scores(), ds.labels()
+                    max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=cfg.seeds[0])
+    return out, (cv.scores, ds.oracle_scores(), ds.labels())
 
 
-def _print_report(report) -> None:
+def _write_doc(cfg, name: str, text: str) -> None:
+    """Write ``text`` to ``name`` in the output directory, when one is configured."""
+    if cfg.out_dir is not None:
+        path = _require_out(cfg) / name
+        path.write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {path}")
+
+
+def _print_report(cfg, report) -> int:
     for method in sorted(report.aggregate):
         acc = report.aggregate[method]["accuracy"]
         print(f"{method}: accuracy {acc['mean']:.4f} +- {acc['stdev']:.4f}")
+    if cfg.out_dir is not None:
+        print(f"wrote {Path(cfg.out_dir) / 'report.json'} and report.csv")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +127,13 @@ def cmd_score(cfg, args) -> int:
     out = _require_out(cfg)
     ds = _load_input_dataset(cfg)
     provider = build_provider(cfg.oracle)
-    pairs = score_batch(provider, ds)
-    scored = ds.with_oracle_scores(dict(pairs))
+    scores = dict(score_batch(provider, ds))
     data_path = out / "scored.csv"
-    save_dataset(scored, data_path)
-    lines = ["id,z"] + [f"{i},{z:.17g}" for i, z in pairs]
+    save_dataset(ds.with_oracle_scores(scores), data_path)
     cache_path = out / "scores.csv"
-    cache_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"scored {len(pairs)} instances; wrote {data_path} and {cache_path}")
+    cache_path.unlink(missing_ok=True)  # replaced, never appended to
+    OracleCache(cache_path).update(scores)
+    print(f"scored {len(scores)} instances; wrote {data_path} and {cache_path}")
     return 0
 
 
@@ -142,22 +150,17 @@ def cmd_fit_base(cfg, args) -> int:
 
 
 def cmd_fit_linear(cfg, args) -> int:
-    out = _require_out(cfg)
-    ds = _with_scores(cfg, _load_input_dataset(cfg))
-    y_cv, z, y = _cv_inputs(cfg, ds, cfg.seeds[0])
-    alpha = fit_constant_weight(y_cv, z, y)
-    wf = WeightFunction.constant(alpha)
+    out, inputs = _fit_inputs(cfg)
+    alpha = fit_constant_weight(*inputs)
     path = out / "weights_constant.json"
-    wf.save(path)
+    WeightFunction.constant(alpha).save(path)
     print(f"constant weight alpha = {alpha:.6f}; wrote {path}")
     return 0
 
 
 def cmd_fit_adaptive(cfg, args) -> int:
-    out = _require_out(cfg)
-    ds = _with_scores(cfg, _load_input_dataset(cfg))
-    y_cv, z, y = _cv_inputs(cfg, ds, cfg.seeds[0])
-    wf = fit_adaptive_weights(y_cv, z, y, r=cfg.fusion_r)
+    out, inputs = _fit_inputs(cfg)
+    wf = fit_adaptive_weights(*inputs, r=cfg.fusion_r)
     path = out / "weights_adaptive.json"
     wf.save(path)
     pieces = ", ".join(f"{w:.4f}" for w in wf.weights)
@@ -166,33 +169,22 @@ def cmd_fit_adaptive(cfg, args) -> int:
 
 
 def cmd_calibrate(cfg, args) -> int:
-    out = _require_out(cfg)
-    ds = _with_scores(cfg, _load_input_dataset(cfg))
-    y_cv, z, y = _cv_inputs(cfg, ds, cfg.seeds[0])
+    out, inputs = _fit_inputs(cfg)
     grid = GridSpec(cfg.calibration_base_res, cfg.calibration_oracle_res)
     fitter = fit_cell_calibrator if cfg.calibration_kind == "cell" else fit_additive_calibrator
-    cal = fitter(y_cv, z, y, grid)
     path = out / "calibrator.json"
-    cal.save(path)
+    fitter(*inputs, grid).save(path)
     print(f"fitted {cfg.calibration_kind} calibrator on grid "
           f"({grid.base_res}, {grid.oracle_res}); wrote {path}")
     return 0
 
 
 def cmd_experiment(cfg, args) -> int:
-    report = run_experiment(cfg)
-    _print_report(report)
-    if cfg.out_dir is not None:
-        print(f"wrote {Path(cfg.out_dir) / 'report.json'} and report.csv")
-    return 0
+    return _print_report(cfg, run_experiment(cfg))
 
 
 def cmd_transfer(cfg, args) -> int:
-    report = run_transfer_experiment(cfg)
-    _print_report(report)
-    if cfg.out_dir is not None:
-        print(f"wrote {Path(cfg.out_dir) / 'report.json'} and report.csv")
-    return 0
+    return _print_report(cfg, run_transfer_experiment(cfg))
 
 
 def cmd_eval(cfg, args) -> int:
@@ -205,43 +197,28 @@ def cmd_eval(cfg, args) -> int:
     model = BaseModel.load(cfg.eval_model)
     base_scores = np.atleast_1d(model.score_dataset(ds))
     y = ds.labels()
-    results = {"ml": _metric_dict(base_scores, y)}
+    results = {"ml": metric_dict(base_scores, y, n=len(y))}
     if cfg.eval_weights is not None or cfg.eval_calibrator is not None:
         ds = _with_scores(cfg, ds)
         z = ds.oracle_scores()
-        results["llm"] = _metric_dict(z, y)
+        results["llm"] = metric_dict(z, y, n=len(y))
         if cfg.eval_weights is not None:
-            wf = WeightFunction.load(cfg.eval_weights)
-            results["fused"] = _metric_dict(np.atleast_1d(fuse(wf, base_scores, z)), y)
+            fused = fuse(WeightFunction.load(cfg.eval_weights), base_scores, z)
+            results["fused"] = metric_dict(np.atleast_1d(fused), y, n=len(y))
         else:
-            cal = load_calibrator(cfg.eval_calibrator)
-            results["calibrated"] = _metric_dict(np.atleast_1d(cal.calibrate(base_scores, z)), y)
+            calibrated = load_calibrator(cfg.eval_calibrator).calibrate(base_scores, z)
+            results["calibrated"] = metric_dict(np.atleast_1d(calibrated), y, n=len(y))
     text = json.dumps(results, sort_keys=True, indent=2)
     print(text)
-    if cfg.out_dir is not None:
-        out = _require_out(cfg)
-        (out / "eval.json").write_text(text + "\n", encoding="utf-8")
-        print(f"wrote {out / 'eval.json'}")
+    _write_doc(cfg, "eval.json", text)
     return 0
-
-
-def _metric_dict(scores, labels) -> dict:
-    return {
-        "accuracy": accuracy(scores, labels),
-        "brier": brier_score(scores, labels),
-        "log_loss": log_loss(scores, labels),
-        "n": len(labels),
-    }
 
 
 def cmd_tune(cfg, args) -> int:
     selected = tune_hyperparameter(cfg)
     print(f"{cfg.tune_parameter} = {selected}")
-    if cfg.out_dir is not None:
-        out = _require_out(cfg)
-        doc = json.dumps({"parameter": cfg.tune_parameter, "selected": selected}, sort_keys=True)
-        (out / "tuned.json").write_text(doc + "\n", encoding="utf-8")
-        print(f"wrote {out / 'tuned.json'}")
+    doc = {"parameter": cfg.tune_parameter, "selected": selected}
+    _write_doc(cfg, "tuned.json", json.dumps(doc, sort_keys=True))
     return 0
 
 
@@ -272,19 +249,15 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="<dir>", default=None,
                         help="output directory, overriding the config's out key")
 
+    keys_epilog = {"epilog": "config keys and defaults:\n" + DEFAULT_LINES,
+                   "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = argparse.ArgumentParser(
-        prog="scorefusion",
+        prog="scorefusion", **keys_epilog,
         description="Fuse a trained classifier with an auxiliary oracle score stream.",
-        epilog="config keys and defaults:\n" + DEFAULT_LINES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="<subcommand>")
     for name, handler, help_text in _SUBCOMMANDS:
-        p = sub.add_parser(
-            name, parents=[common], help=help_text, description=help_text,
-            epilog="config keys and defaults:\n" + DEFAULT_LINES,
-            formatter_class=argparse.RawDescriptionHelpFormatter,
-        )
+        p = sub.add_parser(name, parents=[common], help=help_text, description=help_text, **keys_epilog)
         p.set_defaults(func=handler)
     return parser
 

@@ -3,14 +3,16 @@
 The config file is plain text: one ``key = value`` pair per line, ``#``
 comments, blank lines ignored, later duplicates override earlier ones. Dotted
 keys group related settings (``oracle.accuracy``); list values are
-comma-separated. Every key and default is listed in ``DEFAULT_LINES`` (which
-the CLI prints under --help) so a config file only needs the keys it changes.
+comma-separated. ``KEYS`` is the one table of keys: each maps to a settings
+group, a field, a parser and its meaning. Defaults live only on the dataclass
+fields, so a config file needs only the keys it changes; ``DEFAULT_LINES``
+(which the CLI prints under --help) is built from the table and the fields.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import SyntheticSpec
@@ -202,147 +204,64 @@ class ExperimentConfig:
 # parsing
 # ---------------------------------------------------------------------------
 
-KNOWN_KEYS = {
-    "dataset.path", "dataset.format", "dataset.test_fraction",
-    "synth.d", "synth.n", "synth.weights", "synth.seed", "synth.strata",
-    "oracle.kind", "oracle.accuracy", "oracle.mode", "oracle.noise", "oracle.seed",
-    "oracle.cache", "oracle.url", "oracle.model", "oracle.auth_env",
-    "oracle.prompt_template", "oracle.timeout", "oracle.retries", "oracle.backoff",
-    "oracle.max_concurrency",
-    "base.reg_lambda", "base.max_iter", "base.tol",
-    "folds.k", "methods", "seeds", "out",
-    "fusion.r",
-    "calibration.base_res", "calibration.oracle_res", "calibration.kind",
-    "transfer.slack_a", "transfer.source_strata", "transfer.target_strata",
-    "transfer.target_density", "transfer.round_oracle",
-    "eval.model", "eval.weights", "eval.calibrator",
-    "tune.parameter", "tune.candidates",
-}
 
-# One line per key: "key = default  -- meaning". Printed by the CLI's --help.
-DEFAULT_LINES = """\
-dataset.path = (unset)          -- CSV/JSONL dataset file
-dataset.format = (inferred)     -- csv or jsonl when the suffix is ambiguous
-dataset.test_fraction = 0.2     -- held-out fraction per seed
-synth.d = (unset)               -- synthetic data: feature dimension
-synth.n = (unset)               -- synthetic data: row count
-synth.weights = (unset)         -- d+1 comma-separated floats, intercept last
-synth.seed = 0                  -- synthetic data base seed
-synth.strata = (none)           -- tag:weight:s0|s1|... entries, comma-separated
-oracle.kind = synthetic         -- synthetic, cached, or http
-oracle.accuracy = 0.85          -- synthetic oracle accuracy q in [0.5, 1]
-oracle.mode = binary            -- binary or soft
-oracle.noise = 0.0              -- soft-mode Gaussian width
-oracle.seed = 0                 -- synthetic oracle seed
-oracle.cache = (none)           -- CSV cache file (id,z); required for kind=cached
-oracle.url = (none)             -- http endpoint; required for kind=http
-oracle.model = (none)           -- model name sent to the endpoint
-oracle.auth_env = (none)        -- env var holding the bearer token
-oracle.prompt_template = Rate the relevance of item {id} with a score between 0 and 1.
-oracle.timeout = 30.0           -- http timeout in seconds
-oracle.retries = 3              -- attempts per instance
-oracle.backoff = 0.5            -- base delay, doubled per retry
-oracle.max_concurrency = 4      -- parallel http requests
-base.reg_lambda = 0.001         -- ridge strength (intercept unpenalized)
-base.max_iter = 5000            -- gradient-descent iteration cap
-base.tol = 1e-06                -- stop when the gradient max-norm reaches this
-folds.k = 5                     -- folds for out-of-fold predictions
-methods = ml, llm, linear       -- subset of ml, llm, linear, adalinear(r), calibration(M,M'), transfer(m)
-seeds = 0                       -- comma-separated experiment seeds
-out = (none)                    -- output directory (--out overrides)
-fusion.r = 4                    -- piece count for the fit-adaptive subcommand
-calibration.base_res = 10       -- base-score grid M for the calibrate subcommand
-calibration.oracle_res = 2      -- oracle-score grid M' for the calibrate subcommand
-calibration.kind = cell         -- cell or additive
-transfer.slack_a = 0.1          -- dead-band half-width of the augmented loss
-transfer.source_strata = (all)  -- tags whose labeled rows form the training set
-transfer.target_strata = (none) -- tags whose rows form the augmentation pool
-transfer.target_density = (pool frequencies)  -- tag:prob entries, comma-separated
-transfer.round_oracle = false   -- snap oracle scores to {0,1} before training
-eval.model = (unset)            -- base-model JSON for the eval subcommand
-eval.weights = (none)           -- weight-function JSON to fuse with oracle scores
-eval.calibrator = (none)        -- calibrator JSON to apply instead of weights
-tune.parameter = (unset)        -- r or M, for the tune subcommand
-tune.candidates = (unset)       -- comma-separated integer candidates
-"""
+def _text(key, text):
+    return text
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``key = value`` lines into a string-to-string mapping."""
-    values: dict[str, str] = {}
-    for line_num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_num}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"line {line_num}: unknown config key {key!r}")
-        values[key] = value.strip()
-    return values
+def _scalar(convert, noun):
+    def parse(key, text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise ConfigError(f"{key} must be {noun}, got {text!r}") from None
+    return parse
 
 
-def _to_int(values, key, default):
-    if key not in values:
-        return default
-    try:
-        return int(values[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from None
-
-
-def _to_float(values, key, default):
-    if key not in values:
-        return default
-    try:
-        return float(values[key])
-    except ValueError:
-        raise ConfigError(f"{key} must be a number, got {values[key]!r}") from None
-
-
-def _to_bool(values, key, default):
-    if key not in values:
-        return default
-    text = values[key].lower()
-    if text in ("true", "yes", "1"):
+def _bool(key, text):
+    if text.lower() in ("true", "yes", "1"):
         return True
-    if text in ("false", "no", "0"):
+    if text.lower() in ("false", "no", "0"):
         return False
-    raise ConfigError(f"{key} must be true or false, got {values[key]!r}")
+    raise ConfigError(f"{key} must be true or false, got {text!r}")
 
 
-def _to_list(values, key):
-    if key not in values or not values[key]:
-        return []
-    return [part.strip() for part in values[key].split(",") if part.strip()]
+def _parts(text: str):
+    """The non-empty comma-separated pieces of ``text``, stripped."""
+    return [p.strip() for p in text.split(",") if p.strip()]
 
 
-def _split_outside_parens(text: str):
-    """Split on commas not nested in parentheses, for entries like calibration(10,2)."""
-    parts, depth, current = [], 0, []
+def _sequence(convert, noun):
+    """Parser of a comma-separated list; an empty list yields None, which keeps the default."""
+    def parse(key, text):
+        try:
+            return tuple(convert(p) for p in _parts(text)) or None
+        except ValueError:
+            raise ConfigError(f"{key} must be comma-separated {noun}") from None
+    return parse
+
+
+_int, _float = _scalar(int, "an integer"), _scalar(float, "a number")
+_ints, _floats = _sequence(int, "integers"), _sequence(float, "numbers")
+_strings = _sequence(str, "strings")
+
+
+def _methods(key, text):
+    parts, depth = [""], 0  # split on commas outside parentheses: calibration(10,2) is one entry
     for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(depth - 1, 0)
+        if ch in "()":
+            depth = depth + 1 if ch == "(" else max(depth - 1, 0)
         if ch == "," and depth == 0:
-            parts.append("".join(current))
-            current = []
+            parts.append("")
         else:
-            current.append(ch)
-    parts.append("".join(current))
-    return [p.strip() for p in parts if p.strip()]
+            parts[-1] += ch
+    return tuple(MethodSpec.parse(m.strip()) for m in parts if m.strip()) or None
 
 
-def _parse_strata(text: str):
+def _strata(key, text):
     """Parse 'tag:weight:s0|s1|...' entries into SyntheticSpec strata triples."""
     strata = []
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in _parts(text):
         parts = entry.split(":")
         if len(parts) != 3:
             raise ConfigError(f"synth.strata entry {entry!r} must be tag:weight:s0|s1|...")
@@ -356,12 +275,9 @@ def _parse_strata(text: str):
     return tuple(strata)
 
 
-def _parse_density(text: str) -> dict:
+def _density(key, text) -> dict:
     density = {}
-    for entry in text.split(","):
-        entry = entry.strip()
-        if not entry:
-            continue
+    for entry in _parts(text):
         tag, sep, prob = entry.partition(":")
         if not sep:
             raise ConfigError(f"transfer.target_density entry {entry!r} must be tag:prob")
@@ -372,101 +288,131 @@ def _parse_density(text: str) -> dict:
     return density
 
 
+# The settings group each key fills: "" is ExperimentConfig itself, the rest are its fields.
+_GROUPS = {"": ExperimentConfig, "synth": SyntheticSpec, "base": BaseSettings,
+           "oracle": OracleSettings, "transfer": TransferSettings}
+
+# key: (group, field, parser, default shown by --help or None for the field's own, meaning).
+# Defaults live on the dataclass fields; a key that is not given keeps its field's default.
+KEYS = {
+    "dataset.path": ("", "dataset_path", _text, "(unset)", "CSV/JSONL dataset file"),
+    "dataset.format": ("", "dataset_format", _text, "(inferred)",
+                       "csv or jsonl when the suffix is ambiguous"),
+    "dataset.test_fraction": ("", "test_fraction", _float, None, "held-out fraction per seed"),
+    "synth.d": ("synth", "d", _int, "(unset)", "synthetic data: feature dimension"),
+    "synth.n": ("synth", "n", _int, "(unset)", "synthetic data: row count"),
+    "synth.weights": ("synth", "true_weights", _floats, "(unset)",
+                      "d+1 comma-separated floats, intercept last"),
+    "synth.seed": ("synth", "seed", _int, None, "synthetic data base seed"),
+    "synth.strata": ("synth", "strata", _strata, "(none)",
+                     "tag:weight:s0|s1|... entries, comma-separated"),
+    "oracle.kind": ("oracle", "kind", _text, None, "synthetic, cached, or http"),
+    "oracle.accuracy": ("oracle", "accuracy", _float, None,
+                        "synthetic oracle accuracy q in [0.5, 1]"),
+    "oracle.mode": ("oracle", "mode", _text, None, "binary or soft"),
+    "oracle.noise": ("oracle", "noise", _float, None, "soft-mode Gaussian width"),
+    "oracle.seed": ("oracle", "seed", _int, None, "synthetic oracle seed"),
+    "oracle.cache": ("oracle", "cache_path", _text, "(none)",
+                     "CSV cache file (id,z); required for kind=cached"),
+    "oracle.url": ("oracle", "url", _text, "(none)", "http endpoint; required for kind=http"),
+    "oracle.model": ("oracle", "model", _text, "(none)", "model name sent to the endpoint"),
+    "oracle.auth_env": ("oracle", "auth_env", _text, "(none)", "env var holding the bearer token"),
+    "oracle.prompt_template": ("oracle", "prompt_template", _text, None, ""),
+    "oracle.timeout": ("oracle", "timeout", _float, None, "http timeout in seconds"),
+    "oracle.retries": ("oracle", "retries", _int, None, "attempts per instance"),
+    "oracle.backoff": ("oracle", "backoff", _float, None, "base delay, doubled per retry"),
+    "oracle.max_concurrency": ("oracle", "max_concurrency", _int, None, "parallel http requests"),
+    "base.reg_lambda": ("base", "reg_lambda", _float, None,
+                        "ridge strength (intercept unpenalized)"),
+    "base.max_iter": ("base", "max_iter", _int, None, "gradient-descent iteration cap"),
+    "base.tol": ("base", "tol", _float, None, "stop when the gradient max-norm reaches this"),
+    "folds.k": ("", "k", _int, None, "folds for out-of-fold predictions"),
+    "methods": ("", "methods", _methods, None,
+                "subset of ml, llm, linear, adalinear(r), calibration(M,M'), transfer(m)"),
+    "seeds": ("", "seeds", _ints, None, "comma-separated experiment seeds"),
+    "out": ("", "out_dir", _text, "(none)", "output directory (--out overrides)"),
+    "fusion.r": ("", "fusion_r", _int, None, "piece count for the fit-adaptive subcommand"),
+    "calibration.base_res": ("", "calibration_base_res", _int, None,
+                             "base-score grid M for the calibrate subcommand"),
+    "calibration.oracle_res": ("", "calibration_oracle_res", _int, None,
+                               "oracle-score grid M' for the calibrate subcommand"),
+    "calibration.kind": ("", "calibration_kind", _text, None, "cell or additive"),
+    "transfer.slack_a": ("transfer", "slack_a", _float, None,
+                         "dead-band half-width of the augmented loss"),
+    "transfer.source_strata": ("transfer", "source_strata", _strings, "(all)",
+                               "tags whose labeled rows form the training set"),
+    "transfer.target_strata": ("transfer", "target_strata", _strings, "(none)",
+                               "tags whose rows form the augmentation pool"),
+    "transfer.target_density": ("transfer", "target_density", _density, "(pool frequencies)",
+                                "tag:prob entries, comma-separated"),
+    "transfer.round_oracle": ("transfer", "round_oracle", _bool, None,
+                              "snap oracle scores to {0,1} before training"),
+    "eval.model": ("", "eval_model", _text, "(unset)", "base-model JSON for the eval subcommand"),
+    "eval.weights": ("", "eval_weights", _text, "(none)",
+                     "weight-function JSON to fuse with oracle scores"),
+    "eval.calibrator": ("", "eval_calibrator", _text, "(none)",
+                        "calibrator JSON to apply instead of weights"),
+    "tune.parameter": ("", "tune_parameter", _text, "(unset)", "r or M, for the tune subcommand"),
+    "tune.candidates": ("", "tune_candidates", _ints, "(unset)",
+                        "comma-separated integer candidates"),
+}
+
+
+def _field_default(group: str, name: str) -> str:
+    """A field's default as a config value: lower-case booleans, comma-joined tuples."""
+    value = next(f.default for f in fields(_GROUPS[group]) if f.name == name)
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(str(getattr(v, "name", v)) for v in value)
+    return str(value)
+
+
+def _default_line(key, group, name, shown, meaning) -> str:
+    line = f"{key} = {shown or _field_default(group, name)}"
+    return f"{line:<31} -- {meaning}\n" if meaning else line + "\n"
+
+
+# One line per key: "key = default  -- meaning". Printed by the CLI's --help.
+DEFAULT_LINES = "".join(
+    _default_line(key, group, name, shown, meaning)
+    for key, (group, name, _, shown, meaning) in KEYS.items()
+)
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse ``key = value`` lines into a string-to-string mapping."""
+    values: dict[str, str] = {}
+    for line_num, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {line_num}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in KEYS:
+            raise ConfigError(f"line {line_num}: unknown config key {key!r}")
+        values[key] = value.strip()
+    return values
+
+
 def config_from_mapping(values: dict) -> ExperimentConfig:
-    unknown = set(values) - KNOWN_KEYS
+    unknown = set(values) - KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-
-    synth = None
-    if any(k.startswith("synth.") for k in values):
-        d = _to_int(values, "synth.d", None)
-        n = _to_int(values, "synth.n", None)
-        if d is None or n is None or "synth.weights" not in values:
+    groups = {group: {} for group in _GROUPS}
+    for key, text in values.items():
+        group, name, parse, _, _ = KEYS[key]
+        value = parse(key, text)
+        if value is not None:
+            groups[group][name] = value
+    top, synth = groups.pop(""), groups.pop("synth")
+    if any(KEYS[key][0] == "synth" for key in values):
+        if not {"d", "n", "true_weights"} <= synth.keys():
             raise ConfigError("synthetic data needs synth.d, synth.n, and synth.weights")
-        try:
-            weights = tuple(float(w) for w in _to_list(values, "synth.weights"))
-        except ValueError:
-            raise ConfigError("synth.weights must be comma-separated numbers") from None
-        strata = _parse_strata(values["synth.strata"]) if "synth.strata" in values else None
-        synth = SyntheticSpec(
-            d=d, n=n, true_weights=weights, strata=strata,
-            seed=_to_int(values, "synth.seed", 0),
-        )
-
-    methods = tuple(
-        MethodSpec.parse(m) for m in _split_outside_parens(values.get("methods", ""))
-    ) or (
-        MethodSpec("ml"), MethodSpec("llm"), MethodSpec("linear"),
-    )
-    try:
-        seeds = tuple(int(s) for s in _to_list(values, "seeds")) or (0,)
-    except ValueError:
-        raise ConfigError("seeds must be comma-separated integers") from None
-
-    oracle = OracleSettings(
-        kind=values.get("oracle.kind", "synthetic"),
-        accuracy=_to_float(values, "oracle.accuracy", 0.85),
-        mode=values.get("oracle.mode", "binary"),
-        noise=_to_float(values, "oracle.noise", 0.0),
-        seed=_to_int(values, "oracle.seed", 0),
-        cache_path=values.get("oracle.cache"),
-        url=values.get("oracle.url"),
-        model=values.get("oracle.model"),
-        auth_env=values.get("oracle.auth_env"),
-        prompt_template=values.get(
-            "oracle.prompt_template",
-            "Rate the relevance of item {id} with a score between 0 and 1.",
-        ),
-        timeout=_to_float(values, "oracle.timeout", 30.0),
-        retries=_to_int(values, "oracle.retries", 3),
-        backoff=_to_float(values, "oracle.backoff", 0.5),
-        max_concurrency=_to_int(values, "oracle.max_concurrency", 4),
-    )
-
-    transfer = TransferSettings(
-        slack_a=_to_float(values, "transfer.slack_a", 0.1),
-        source_strata=tuple(_to_list(values, "transfer.source_strata")),
-        target_strata=tuple(_to_list(values, "transfer.target_strata")),
-        target_density=(
-            _parse_density(values["transfer.target_density"])
-            if "transfer.target_density" in values
-            else None
-        ),
-        round_oracle=_to_bool(values, "transfer.round_oracle", False),
-    )
-
-    candidates = _to_list(values, "tune.candidates")
-    try:
-        candidates = tuple(int(c) for c in candidates)
-    except ValueError:
-        raise ConfigError("tune.candidates must be comma-separated integers") from None
-
-    return ExperimentConfig(
-        dataset_path=values.get("dataset.path"),
-        dataset_format=values.get("dataset.format"),
-        synth=synth,
-        test_fraction=_to_float(values, "dataset.test_fraction", 0.2),
-        k=_to_int(values, "folds.k", 5),
-        methods=methods,
-        seeds=seeds,
-        base=BaseSettings(
-            reg_lambda=_to_float(values, "base.reg_lambda", 1e-3),
-            max_iter=_to_int(values, "base.max_iter", 5000),
-            tol=_to_float(values, "base.tol", 1e-6),
-        ),
-        oracle=oracle,
-        transfer=transfer,
-        out_dir=values.get("out"),
-        fusion_r=_to_int(values, "fusion.r", 4),
-        calibration_base_res=_to_int(values, "calibration.base_res", 10),
-        calibration_oracle_res=_to_int(values, "calibration.oracle_res", 2),
-        calibration_kind=values.get("calibration.kind", "cell"),
-        eval_model=values.get("eval.model"),
-        eval_weights=values.get("eval.weights"),
-        eval_calibrator=values.get("eval.calibrator"),
-        tune_parameter=values.get("tune.parameter"),
-        tune_candidates=candidates,
-    )
+        top["synth"] = SyntheticSpec(**synth)
+    return ExperimentConfig(**top, **{group: _GROUPS[group](**kw) for group, kw in groups.items()})
 
 
 def load_config(path) -> ExperimentConfig:

@@ -683,6 +683,47 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
                 fh.write(json.dumps(obj) + "\n")
 
 
+class Artifact:
+    """A fitted object stored as one JSON document whose ``"kind"`` names its class.
+
+    A subclass sets the class attributes ``KIND`` and ``ERROR`` (its module's
+    error class) and defines ``to_doc`` (every field but the kind) and the
+    classmethod ``from_doc``. The file is the document with sorted keys,
+    indented by two.
+    """
+
+    def to_json(self) -> str:
+        return json.dumps({"kind": self.KIND, **self.to_doc()}, sort_keys=True, indent=2)
+
+    def save(self, path) -> None:
+        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+
+    @classmethod
+    def load(cls, path):
+        return load_artifact(path, cls)
+
+
+def load_artifact(path, *classes):
+    """Read an artifact file and build it with whichever of ``classes`` has its kind.
+
+    A file that is not JSON, holds another kind, or lacks a field raises the
+    first class's ``ERROR``, naming the path and the expected kind.
+    """
+    by_kind = {cls.KIND: cls for cls in classes}
+    expected = " or ".join(repr(kind) for kind in by_kind)
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise classes[0].ERROR(f"{path} is not a JSON artifact of kind {expected}: {exc}") from None
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in by_kind:
+        raise classes[0].ERROR(f"{path} holds an artifact of kind {kind!r}, expected {expected}")
+    try:
+        return by_kind[kind].from_doc(doc)
+    except KeyError as exc:
+        raise classes[0].ERROR(f"{path}: the {kind!r} artifact lacks the field {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # splitting, folding and per-bin tables
 # ---------------------------------------------------------------------------

@@ -12,13 +12,11 @@ quadratic). Fits, reports and the k-fold choice of r all read per-piece sums
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import bin_sums, check_scores, fold_index
+from .data import Artifact, bin_sums, check_scores, fold_index
 
 
 class EnsembleError(ValueError):
@@ -45,8 +43,11 @@ def piece_index(value, r: int):
 
 
 @dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Artifact):
     """Piecewise-constant fusion weight on a uniform partition of [0, 1]."""
+
+    KIND = "piecewise_weight"
+    ERROR = EnsembleError
 
     r: int
     weights: tuple
@@ -76,26 +77,13 @@ class WeightFunction:
         out = np.asarray(self.weights)[piece_index(base_score, self.r)]
         return out if out.ndim else float(out)
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": "piecewise_weight",
-            "r": self.r,
-            "weights": list(self.weights),
-            "support_counts": list(self.support_counts),
-        }
-        return json.dumps(doc, sort_keys=True, indent=2)
+    def to_doc(self) -> dict:
+        return {"r": self.r, "weights": list(self.weights),
+                "support_counts": list(self.support_counts)}
 
     @classmethod
-    def from_json(cls, text: str) -> "WeightFunction":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "WeightFunction":
         return cls(r=int(doc["r"]), weights=doc["weights"], support_counts=doc["support_counts"])
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "WeightFunction":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _piece_sums(y_cv, z, y, r: int, fold=None, k: int = 1) -> np.ndarray:

@@ -27,7 +27,7 @@ from .config import ExperimentConfig, MethodSpec
 from .data import LabeledDataset, load_dataset, make_folds, split, synthesize
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
 from .logistic import cv_predict, train
-from .metrics import accuracy, brier_score, log_loss
+from .metrics import metric_dict
 from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, SyntheticOracle, SyntheticOracleSpec, score_batch
 from .transfer import StratumDensity, label_with_oracle, make_plan, sample_augmentation, train_augmented
 
@@ -72,15 +72,6 @@ def build_provider(settings, truth: dict | None = None):
 # ---------------------------------------------------------------------------
 # reporting
 # ---------------------------------------------------------------------------
-
-
-def _metrics(scores: np.ndarray, labels: np.ndarray) -> dict:
-    return {
-        "accuracy": accuracy(scores, labels),
-        "brier": brier_score(scores, labels),
-        "log_loss": log_loss(scores, labels),
-        "n_test": float(len(labels)),
-    }
 
 
 @dataclass(frozen=True)
@@ -240,7 +231,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
         methods = {}
         for spec in cfg.methods:
             scores = _fit_method_scores(spec, fit_inputs, test_inputs, artifacts)
-            methods[spec.name] = _metrics(scores, y_test)
+            methods[spec.name] = metric_dict(scores, y_test, n_test=float(len(y_test)))
         _save_artifacts(cfg.out_dir, seed, artifacts)
         per_seed.append((seed, methods))
 
@@ -360,7 +351,8 @@ def run_transfer_experiment(
         methods = {}
         for name, s in scores.items():
             for side, mask in sides.items():
-                methods[f"{name}@{side}"] = _metrics(s[mask], y_test[mask])
+                y_side = y_test[mask]
+                methods[f"{name}@{side}"] = metric_dict(s[mask], y_side, n_test=float(len(y_side)))
         _save_artifacts(cfg.out_dir, seed, artifacts)
         per_seed.append((seed, methods))
 

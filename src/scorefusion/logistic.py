@@ -9,14 +9,12 @@ always pass raw features.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import DatasetError, FoldAssignment, LabeledDataset, sigmoid
+from .data import Artifact, DatasetError, FoldAssignment, LabeledDataset, sigmoid
 
 
 class TrainingError(ValueError):
@@ -115,8 +113,11 @@ class TrainMeta:
 
 
 @dataclass(frozen=True)
-class BaseModel:
+class BaseModel(Artifact):
     """Trained logistic scorer: sigmoid(w . standardize(x) + b)."""
+
+    KIND = "logistic"
+    ERROR = TrainingError
 
     weights: np.ndarray
     intercept: float
@@ -145,9 +146,8 @@ class BaseModel:
     def score_dataset(self, ds: LabeledDataset) -> np.ndarray:
         return np.atleast_1d(self.score(ds.feature_matrix()))
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": "logistic",
+    def to_doc(self) -> dict:
+        return {
             "dim": int(self.dim),
             "weights": [float(w) for w in self.weights],
             "intercept": float(self.intercept),
@@ -160,27 +160,16 @@ class BaseModel:
                 "seed": int(self.train_meta.seed),
             },
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "BaseModel":
-        doc = json.loads(text)
+    def from_doc(cls, doc: dict) -> "BaseModel":
         meta = doc["train_meta"]
         return cls(
-            weights=np.array(doc["weights"], dtype=float),
-            intercept=float(doc["intercept"]),
+            weights=doc["weights"], intercept=float(doc["intercept"]),
             reg_lambda=float(doc["reg_lambda"]),
-            feature_mean=np.array(doc["feature_mean"], dtype=float),
-            feature_scale=np.array(doc["feature_scale"], dtype=float),
+            feature_mean=doc["feature_mean"], feature_scale=doc["feature_scale"],
             train_meta=TrainMeta(int(meta["iterations"]), float(meta["objective"]), int(meta["seed"])),
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "BaseModel":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
 
 
 def _standardized(X: np.ndarray):

@@ -45,3 +45,13 @@ def log_loss(scores, labels) -> float:
     s, y = _validate(scores, labels)
     s = np.clip(s, LOGLOSS_CLAMP, 1.0 - LOGLOSS_CLAMP)
     return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+
+
+def metric_dict(scores, labels, **extra) -> dict:
+    """Accuracy, Brier score and log-loss of ``scores``, plus the ``extra`` entries."""
+    return {
+        "accuracy": accuracy(scores, labels),
+        "brier": brier_score(scores, labels),
+        "log_loss": log_loss(scores, labels),
+        **extra,
+    }

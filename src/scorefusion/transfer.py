@@ -15,13 +15,11 @@ score are not penalized at all.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledDataset
+from .data import Artifact, LabeledDataset
 from .logistic import BaseModel, TrainMeta, TrainingError, _standardized, minimize_gd, sigmoid
 from .oracle import score_batch
 
@@ -148,8 +146,11 @@ def feasibility_threshold(p1: StratumDensity, p2: StratumDensity, n: int) -> flo
 
 
 @dataclass(frozen=True)
-class TransferPlan:
+class TransferPlan(Artifact):
     """Everything needed to reproduce one augmentation run."""
+
+    KIND = "transfer_plan"
+    ERROR = TransferError
 
     n: int
     m: int
@@ -173,9 +174,8 @@ class TransferPlan:
                         f"{mixed!r} != {self.target.prob(tag)!r}"
                     )
 
-    def to_json(self) -> str:
-        doc = {
-            "kind": "transfer_plan",
+    def to_doc(self) -> dict:
+        return {
             "n": self.n,
             "m": self.m,
             "slack_a": self.slack_a,
@@ -184,27 +184,12 @@ class TransferPlan:
             "target": self.target.weights,
             "sampling": self.sampling.weights,
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "TransferPlan":
-        doc = json.loads(text)
-        return cls(
-            n=int(doc["n"]),
-            m=int(doc["m"]),
-            source=StratumDensity(doc["source"]),
-            target=StratumDensity(doc["target"]),
-            sampling=StratumDensity(doc["sampling"]),
-            slack_a=float(doc["slack_a"]),
-            clamped=bool(doc["clamped"]),
-        )
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path) -> "TransferPlan":
-        return cls.from_json(Path(path).read_text(encoding="utf-8"))
+    def from_doc(cls, doc: dict) -> "TransferPlan":
+        densities = {side: StratumDensity(doc[side]) for side in ("source", "target", "sampling")}
+        return cls(n=int(doc["n"]), m=int(doc["m"]), slack_a=float(doc["slack_a"]),
+                   clamped=bool(doc["clamped"]), **densities)
 
 
 def make_plan(

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import scorefusion
-from scorefusion import LabeledDataset, data, oracle
+from scorefusion import LabeledDataset, cli, data, harness, oracle
 import test_harness
 from test_harness import _cfg, _dataset, _two_strata
 
@@ -91,3 +91,27 @@ def test_every_oracle_join_goes_through_score_batch(run, joins):
     run()
     assert joins["joined"] > 0
     assert joins["scored"] == joins["joined"]
+
+
+@pytest.mark.parametrize("command, attr", [
+    ("experiment", "run_experiment"),
+    ("transfer", "run_transfer_experiment"),
+])
+def test_cli_calls_the_experiment_runners_as_rebound(command, attr, monkeypatch, capsys):
+    # the tracer's harness.run spans wrap the runners under every package name bound to them
+    calls = []
+    original = getattr(harness, attr)
+
+    def runner(cfg, *args, **kwargs):
+        calls.append(cfg)
+        return harness.MetricReport.build([], meta={})
+
+    namespaces = [scorefusion] + [importlib.import_module(f"scorefusion.{m}")
+                                  for m in _tracing_table("MODULES")]
+    for ns in namespaces:
+        for key, value in list(vars(ns).items()):
+            if value is original:
+                monkeypatch.setattr(ns, key, runner)
+
+    assert cli.main([command, "--seed", "7"]) == 0
+    assert [cfg.seeds for cfg in calls] == [(7,)]

@@ -133,6 +133,21 @@ class TestDataPipeline:
         cal = load_calibrator(out / "calibrator.json")
         assert cal.parameter_count == 6 + 3
 
+    def test_score_writes_a_cache_it_can_read_back(self, tmp_path, capsys):
+        # ids holding a comma or a quote must be quoted in scores.csv
+        data = tmp_path / "quoted.csv"
+        data.write_text('id,f0,y\n"a,b",0.5,1\n"d""q",-0.5,0\nplain,1.0,1\n')
+        cfg = _write_cfg(tmp_path, f"dataset.path = {data}\n")
+        out = tmp_path / "sc"
+        for _ in range(2):  # a second run replaces the file instead of appending to it
+            code, msg, _ = _run(capsys, "score", "--config", cfg, "--out", str(out))
+            assert code == 0 and "scored 3 instances" in msg
+        scored = load_dataset(out / "scored.csv")
+        cache = OracleCache(out / "scores.csv")
+        assert cache.scores() == dict(zip(scored.ids(), scored.oracle_scores().tolist()))
+        assert set(cache.scores()) == {"a,b", 'd"q', "plain"}
+        assert len((out / "scores.csv").read_bytes().splitlines()) == 4
+
 
 class TestExperimentCommands:
     def test_experiment_prints_and_saves_reports(self, tmp_path, capsys):
@@ -233,6 +248,19 @@ class TestEvalCommand:
         )
         code, _, err = _run(capsys, "eval", "--config", cfg)
         assert code == 2 and "mutually exclusive" in err
+
+    def test_eval_with_an_artifact_of_the_wrong_kind_exits_2(self, tmp_path, capsys):
+        arts = self._fitted_artifacts(tmp_path, capsys)
+        cfg = _write_cfg(
+            tmp_path,
+            f"dataset.path = {arts / 'synthetic.csv'}\n"
+            f"eval.model = {arts / 'base_model.json'}\n"
+            f"eval.weights = {arts / 'calibrator.json'}\n",
+            "evalwrong.cfg",
+        )
+        code, _, err = _run(capsys, "eval", "--config", cfg)
+        assert code == 2 and err.startswith("error:")
+        assert "calibrator.json" in err and "piecewise_weight" in err
 
     def test_eval_requires_a_model(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, SYNTH_BLOCK, "nomodel.cfg")

@@ -9,7 +9,7 @@ from scorefusion import (
     load_config,
     parse_config_text,
 )
-from scorefusion.config import config_from_mapping
+from scorefusion.config import DEFAULT_LINES, config_from_mapping
 
 
 class TestParseConfigText:
@@ -134,6 +134,18 @@ class TestConfigFromMapping:
             cfg.require_data_source()
         with_path = config_from_mapping({"dataset.path": "x.csv"})
         with_path.require_data_source()
+
+    def test_literal_help_defaults_parse_to_the_defaults(self):
+        defaults = config_from_mapping({})
+        checked = []
+        for line in DEFAULT_LINES.splitlines():
+            key, _, rest = line.partition(" = ")
+            shown = rest.split(" -- ")[0].strip()
+            if key.startswith("synth.") or shown.startswith("("):
+                continue  # synth.* builds a spec only as a block; (unset)-style placeholders
+            assert config_from_mapping({key: shown}) == defaults, line
+            checked.append(key)
+        assert "base.tol" in checked and "methods" in checked and "transfer.round_oracle" in checked
 
     def test_missing_referenced_files_reported(self, tmp_path):
         cfg = config_from_mapping({"dataset.path": str(tmp_path / "absent.csv")})

@@ -1,13 +1,25 @@
-"""Dataset containers, file formats, splitting, and synthesis."""
+"""Dataset containers, file formats, splitting, synthesis, and artifact files."""
+
+import json
 
 import numpy as np
 import pytest
 
 from scorefusion import (
+    AdditiveCalibrator,
+    BaseModel,
+    CalibrationError,
+    CellCalibrator,
     DatasetError,
+    EnsembleError,
+    GridSpec,
     Instance,
     LabeledDataset,
     SyntheticSpec,
+    TrainingError,
+    TransferError,
+    TransferPlan,
+    WeightFunction,
     load_dataset,
     make_folds,
     save_dataset,
@@ -554,3 +566,46 @@ class TestSynthesize:
         with pytest.raises(DatasetError):
             SyntheticSpec(d=1, n=10, true_weights=(1.0, 0.0),
                           strata=(("a", (0.0,), 0.6), ("b", (0.0,), 0.6)))
+
+
+class TestArtifactFiles:
+    """``X.load`` on a file it cannot read raises X's module error, naming the path and kind."""
+
+    CLASSES = [
+        pytest.param(BaseModel, TrainingError, "logistic", id="BaseModel"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", id="WeightFunction"),
+        pytest.param(CellCalibrator, CalibrationError, "cell_calibrator", id="CellCalibrator"),
+        pytest.param(AdditiveCalibrator, CalibrationError, "additive_calibrator",
+                     id="AdditiveCalibrator"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", id="TransferPlan"),
+    ]
+
+    @staticmethod
+    def _other_kind(cls, tmp_path):
+        path = tmp_path / "other.json"
+        if cls is WeightFunction:
+            CellCalibrator(GridSpec(1, 1), np.zeros((2, 2)), np.zeros((2, 2))).save(path)
+        else:
+            WeightFunction.constant(0.5).save(path)
+        return path
+
+    @pytest.mark.parametrize("cls, error, kind", CLASSES)
+    def test_a_file_of_another_kind(self, cls, error, kind, tmp_path):
+        path = self._other_kind(cls, tmp_path)
+        with pytest.raises(error, match=kind) as exc:
+            cls.load(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("cls, error, kind", CLASSES)
+    def test_a_file_that_is_not_json(self, cls, error, kind, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text('{"kind": ')
+        with pytest.raises(error, match=kind):
+            cls.load(path)
+
+    @pytest.mark.parametrize("cls, error, kind", CLASSES)
+    def test_a_file_of_the_right_kind_without_its_fields(self, cls, error, kind, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({"kind": kind}))
+        with pytest.raises(error, match=kind):
+            cls.load(path)
