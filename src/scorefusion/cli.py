@@ -17,17 +17,17 @@ import numpy as np
 
 from .calibration import CalibrationError, GridSpec, fit_additive_calibrator, fit_cell_calibrator, load_calibrator
 from .config import DEFAULT_LINES, ConfigError, ExperimentConfig, config_from_mapping, load_config
-from .data import DatasetError, load_dataset, make_folds, save_dataset, synthesize
+from .data import DatasetError, load_dataset, save_dataset, synthesize
 from .ensemble import EnsembleError, WeightFunction, fit_adaptive_weights, fit_constant_weight, fuse
 from .harness import (
     HarnessError,
     build_provider,
-    child_seed,
+    fit_inputs,
     run_experiment,
     run_transfer_experiment,
     tune_hyperparameter,
 )
-from .logistic import BaseModel, TrainingError, cv_predict, train
+from .logistic import BaseModel, TrainingError, train
 from .metrics import MetricError, metric_dict
 from .oracle import OracleCache, OracleError, score_batch
 from .transfer import TransferError
@@ -83,11 +83,7 @@ def _fit_inputs(cfg):
     """The output directory, and the input dataset's out-of-fold base scores,
     oracle scores (fetched if absent) and labels, for the fitting subcommands."""
     out = _require_out(cfg)
-    ds = _with_scores(cfg, _load_input_dataset(cfg))
-    folds = make_folds(ds, cfg.k, seed=child_seed(cfg.seeds[0], 1))
-    cv = cv_predict(ds, folds, reg_lambda=cfg.base.reg_lambda,
-                    max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=cfg.seeds[0])
-    return out, (cv.scores, ds.oracle_scores(), ds.labels())
+    return out, fit_inputs(cfg, _with_scores(cfg, _load_input_dataset(cfg)), cfg.seeds[0])
 
 
 def _write_doc(cfg, name: str, text: str) -> None:

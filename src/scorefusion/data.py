@@ -706,13 +706,19 @@ class Artifact:
 def load_artifact(path, *classes):
     """Read an artifact file and build it with whichever of ``classes`` has its kind.
 
-    A file that is not JSON, holds another kind, or lacks a field raises the
-    first class's ``ERROR``, naming the path and the expected kind.
+    A path that cannot be read as UTF-8 text (missing, a directory, undecodable
+    bytes), a file that is not JSON, one that holds another kind, or one that
+    lacks a field raises the first class's ``ERROR``, naming the path and the
+    expected kind.
     """
     by_kind = {cls.KIND: cls for cls in classes}
     expected = " or ".join(repr(kind) for kind in by_kind)
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise classes[0].ERROR(f"cannot read {path} as an artifact of kind {expected}: {exc}") from None
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise classes[0].ERROR(f"{path} is not a JSON artifact of kind {expected}: {exc}") from None
     kind = doc.get("kind") if isinstance(doc, dict) else None

@@ -166,6 +166,19 @@ def _attach_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
     return ds.with_oracle_scores(score_batch(provider, ds, column=True))
 
 
+def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
+    """(out-of-fold base scores, oracle scores, labels) of ``ds``, which every fitter takes.
+
+    The folds are ``make_folds(ds, cfg.k, seed=child_seed(seed, 1))``; each fold
+    model comes from ``trainer``, or by default from ``train`` with the
+    configured ``base.*`` settings and ``seed``.
+    """
+    folds = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
+    cv = cv_predict(ds, folds, reg_lambda=cfg.base.reg_lambda, max_iter=cfg.base.max_iter,
+                    tol=cfg.base.tol, seed=seed, trainer=trainer)
+    return cv.scores, ds.oracle_scores(), ds.labels()
+
+
 # ---------------------------------------------------------------------------
 # the fusion experiment
 # ---------------------------------------------------------------------------
@@ -219,18 +232,14 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
 
         base = train(train_ds, reg_lambda=cfg.base.reg_lambda,
                      max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
-        folds = make_folds(train_ds, cfg.k, seed=child_seed(seed, 1))
-        cv = cv_predict(train_ds, folds, reg_lambda=cfg.base.reg_lambda,
-                        max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
-
-        fit_inputs = (cv.scores, train_ds.oracle_scores(), train_ds.labels())
+        train_inputs = fit_inputs(cfg, train_ds, seed)
         test_inputs = (np.atleast_1d(base.score_dataset(test_ds)), test_ds.oracle_scores())
         y_test = test_ds.labels()
 
         artifacts: dict = {"base_model.json": base}
         methods = {}
         for spec in cfg.methods:
-            scores = _fit_method_scores(spec, fit_inputs, test_inputs, artifacts)
+            scores = _fit_method_scores(spec, train_inputs, test_inputs, artifacts)
             methods[spec.name] = metric_dict(scores, y_test, n_test=float(len(y_test)))
         _save_artifacts(cfg.out_dir, seed, artifacts)
         per_seed.append((seed, methods))
@@ -316,9 +325,7 @@ def run_transfer_experiment(
                                    max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
 
         ml_model = l2_trainer(labeled)
-        folds = make_folds(labeled, cfg.k, seed=child_seed(seed, 1))
-        cv = cv_predict(labeled, folds, trainer=l2_trainer)
-        alpha = fit_constant_weight(cv.scores, labeled.oracle_scores(), labeled.labels())
+        alpha = fit_constant_weight(*fit_inputs(cfg, labeled, seed, trainer=l2_trainer))
         wf = WeightFunction.constant(alpha)
 
         ml_test = np.atleast_1d(ml_model.score_dataset(test_ds))
@@ -401,13 +408,7 @@ def tune_hyperparameter(
     seed = cfg.seeds[0]
     data = _dataset_for_seed(cfg, _fixed_dataset(cfg, dataset), seed)
     train_ds, _ = split(data, cfg.test_fraction, seed)
-    train_ds = _attach_oracle(train_ds, provider)
-    folds = make_folds(train_ds, cfg.k, seed=child_seed(seed, 1))
-    cv = cv_predict(train_ds, folds, reg_lambda=cfg.base.reg_lambda,
-                    max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
-    y_cv = cv.scores
-    z = train_ds.oracle_scores()
-    y = train_ds.labels()
+    y_cv, z, y = fit_inputs(cfg, _attach_oracle(train_ds, provider), seed)
 
     if parameter == "M":
         return choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,

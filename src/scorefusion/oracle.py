@@ -24,16 +24,15 @@ import io
 import json
 import os
 import re
+import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import repeat
 from pathlib import Path
 
 import numpy as np
-import requests
 
 from .data import LabeledDataset
 
@@ -481,18 +480,26 @@ class HttpOracle:
     Requests for one batch run on a bounded thread pool, but results are
     committed in instance-id order so downstream artifacts are deterministic.
     ``session`` only needs a ``post`` method, which keeps the transport
-    injectable for tests.
+    injectable for tests; an injected session is shared by the pool threads,
+    so it must be thread-safe. Without one, each pool thread opens its own
+    ``requests.Session`` and the batch closes them when it ends. ``requests``
+    and the thread pool are imported here rather than at module level, so
+    only a process that builds an HTTP oracle pays for loading them.
     """
 
     kind = "http"
 
     def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None,
                  session=None, metadata=None, keywords=DEFAULT_KEYWORDS):
+        import requests
+
         self.config = config
         self.cache = cache
-        self.session = session if session is not None else requests.Session()
+        self.session = session
         self.metadata = metadata if metadata is not None else self._default_metadata
         self.keywords = keywords
+        self._new_session = requests.Session
+        self._retryable = (OracleError, ScoreParseError, PromptError, requests.RequestException)
 
     @staticmethod
     def _default_metadata(instance) -> dict:
@@ -510,9 +517,9 @@ class HttpOracle:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _score_once(self, instance, headers) -> float:
+    def _score_once(self, session, instance, headers) -> float:
         prompt = render_prompt(self.config.prompt_template, self.metadata(instance))
-        response = self.session.post(
+        response = session.post(
             self.config.url,
             json={"model": self.config.model, "prompt": prompt},
             headers=headers,
@@ -523,22 +530,39 @@ class HttpOracle:
             raise OracleError(f"endpoint returned HTTP {status}")
         return parse_score(response.text, self.keywords)
 
-    def _score_with_retries(self, instance, headers):
+    def _score_with_retries(self, session, instance, headers):
         last = None
         for attempt in range(self.config.retries):
             try:
-                return instance.id, self._score_once(instance, headers), None
-            except (OracleError, ScoreParseError, PromptError, requests.RequestException) as exc:
+                return instance.id, self._score_once(session, instance, headers), None
+            except self._retryable as exc:
                 last = str(exc)
                 if attempt + 1 < self.config.retries:
                     time.sleep(self.config.backoff * 2.0**attempt)
         return instance.id, None, last
 
     def score_uncached(self, instances):
+        from concurrent.futures import ThreadPoolExecutor
+
         headers = self._headers()
+        local, opened = threading.local(), []
+
+        def score_one(instance):
+            session = self.session
+            if session is None:
+                session = getattr(local, "session", None)
+                if session is None:
+                    session = local.session = self._new_session()
+                    opened.append(session)
+            return self._score_with_retries(session, instance, headers)
+
+        try:
+            with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
+                outcomes = list(pool.map(score_one, instances))
+        finally:
+            for session in opened:
+                session.close()
         results, failures = {}, []
-        with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
-            outcomes = list(pool.map(lambda i: self._score_with_retries(i, headers), instances))
         for instance_id, score, error in sorted(outcomes, key=lambda t: t[0]):
             if error is None:
                 results[instance_id] = score
@@ -547,13 +571,14 @@ class HttpOracle:
         return results, failures
 
     def score(self, instance) -> float:
-        instance_id, score, error = self._score_with_retries(instance, self._headers())
-        if error is not None:
+        results, failures = self.score_uncached([instance])
+        if failures:
+            instance_id, error = failures[0]
             raise OracleError(
                 f"oracle request failed for instance {instance_id!r}: {error}",
-                failures=((instance_id, error),),
+                failures=failures,
             )
-        return score
+        return results[instance.id]
 
 
 # ---------------------------------------------------------------------------

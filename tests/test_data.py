@@ -27,6 +27,7 @@ from scorefusion import (
     split,
     synthesize,
 )
+from scorefusion.calibration import load_calibrator
 from scorefusion.data import fold_index
 from scorefusion.transfer import StratumDensity, sample_augmentation
 
@@ -609,3 +610,32 @@ class TestArtifactFiles:
         path.write_text(json.dumps({"kind": kind}))
         with pytest.raises(error, match=kind):
             cls.load(path)
+
+    @pytest.mark.parametrize("cls, error, kind", CLASSES)
+    def test_a_missing_file(self, cls, error, kind, tmp_path):
+        path = tmp_path / "absent" / "m.json"
+        with pytest.raises(error, match=kind) as exc:
+            cls.load(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize("cls, error, kind", CLASSES)
+    def test_a_directory(self, cls, error, kind, tmp_path):
+        with pytest.raises(error, match=kind) as exc:
+            cls.load(tmp_path)
+        assert str(tmp_path) in str(exc.value)
+
+    @pytest.mark.parametrize("cls, error, kind", CLASSES)
+    def test_a_file_that_is_not_utf8(self, cls, error, kind, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"kind": "caf\xe9"}')
+        with pytest.raises(error, match=kind) as exc:
+            cls.load(path)
+        assert str(path) in str(exc.value)
+
+    def test_a_missing_base_model_at_an_absolute_path(self):
+        with pytest.raises(TrainingError, match="/nonexistent/m.json"):
+            BaseModel.load("/nonexistent/m.json")
+
+    def test_load_calibrator_on_a_directory(self, tmp_path):
+        with pytest.raises(CalibrationError, match="cell_calibrator' or 'additive_calibrator"):
+            load_calibrator(tmp_path)

@@ -1,6 +1,8 @@
 """Oracle scoring: prompt rendering, response parsing, caching, providers."""
 
 import csv
+import threading
+import time
 import warnings
 from hashlib import sha256
 from pathlib import Path
@@ -601,6 +603,34 @@ class TestHttpOracle:
         oracle = _http(session)
         results, failures = oracle.score_uncached([_inst("a")])
         assert results == {} and failures[0][0] == "a"
+
+    def test_each_pool_thread_opens_its_own_session(self, monkeypatch):
+        import requests as requests_lib
+
+        opened = []
+
+        class RecordingSession:
+            def __init__(self):
+                self.threads = set()
+                self.closed = False
+                opened.append(self)
+
+            def post(self, url, json=None, headers=None, timeout=None):
+                self.threads.add(threading.get_ident())
+                time.sleep(0.002)
+                return _FakeResponse("0.5")
+
+            def close(self):
+                self.closed = True
+
+        monkeypatch.setattr(requests_lib, "Session", RecordingSession)
+        oracle = _http(None, max_concurrency=2)
+        results, failures = oracle.score_uncached([_inst(f"i{k}") for k in range(8)])
+        assert failures == [] and len(results) == 8
+        assert 1 <= len(opened) <= 2
+        assert all(len(session.threads) == 1 for session in opened)
+        assert all(session.closed for session in opened)
+        assert oracle.score(_inst("one")) == 0.5
 
     def test_config_validation(self):
         with pytest.raises(OracleError):
