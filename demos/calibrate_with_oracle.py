@@ -43,7 +43,7 @@ train_ds, test_ds = split(data, test_fraction=0.5, seed=1)
 
 model = train(train_ds)
 cv = cv_predict(train_ds, make_folds(train_ds, k=5, seed=0))
-f_train = cv.scores_for(train_ds.ids())
+f_train = cv.scores
 y_train = train_ds.labels()
 
 oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=5))

@@ -39,25 +39,19 @@ y = np.where(flip, 1 - y, y)
 
 data = LabeledDataset.from_arrays(X, y=y, prefix="fuse_")
 train_ds, test_ds = split(data, test_fraction=0.5, seed=0)
-print(f"dataset: {len(train_ds.instances)} train rows, {len(test_ds.instances)} test rows, d={d}")
-
-
-def oracle_scores_for(provider, ds):
-    lookup = dict(score_batch(provider, ds.instances))
-    return np.array([lookup[i] for i in ds.ids()])
-
+print(f"dataset: {train_ds.n} train rows, {test_ds.n} test rows, d={d}")
 
 # --- base model plus out-of-fold predictions for honest weight fitting ---
 model = train(train_ds)
 folds = make_folds(train_ds, k=5, seed=0)
 cv = cv_predict(train_ds, folds)
-y_cv = cv.scores_for(train_ds.ids())
+y_cv = cv.scores
 y_train = train_ds.labels()
 
 # --- an oracle that agrees with the true label 75% of the time ---
 oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.75, seed=13))
-z_train = oracle_scores_for(oracle, train_ds)
-z_test = oracle_scores_for(oracle, test_ds)
+z_train = score_batch(oracle, train_ds, column=True)
+z_test = score_batch(oracle, test_ds, column=True)
 
 # --- constant weight: one alpha for every sample ---
 alpha = fit_constant_weight(y_cv, z_train, y_train)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 from scorefusion import (
     CachedOracle,
+    LabeledDataset,
     OracleCache,
     OracleError,
     ScoreParseError,
@@ -45,29 +46,27 @@ except ScoreParseError as err:
 
 # --- a small dataset and a synthetic judge with 80% agreement ---
 data = synthesize(SyntheticSpec(d=4, n=12, true_weights=(1.0, -1.0, 0.5, -0.5, 0.0), seed=3))
-oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=9))
 
 with tempfile.TemporaryDirectory() as tmp:
     cache_path = Path(tmp) / "scores.csv"
     cache = OracleCache(cache_path)
+    # every provider takes its cache the same way: score_batch reads it first
+    oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=9), cache=cache)
 
-    # first batch: every instance goes to the judge, results land in the cache
-    pairs = score_batch(oracle, data.instances)
-    print(f"\nscored {len(pairs)} instances, first three: {pairs[:3]}")
-
-    cache.update(dict(pairs))
+    # first batch: every row goes to the judge, results land in the cache
+    z = score_batch(oracle, data, column=True)
+    first = list(zip(data.ids()[:3], z[:3].tolist()))
+    print(f"\nscored {data.n} instances, first three: {first}")
     print(f"cache now holds {len(cache)} rows at {cache_path.name}")
 
     # replay: a cache-backed provider answers without touching the judge
     replay = CachedOracle(cache)
-    again = score_batch(replay, data.instances)
-    print(f"replayed from cache, identical: {again == pairs}")
+    again = score_batch(replay, data, column=True)
+    print(f"replayed from cache, identical: {again.tolist() == z.tolist()}")
 
-    # an instance outside the cache fails loudly, listing every failure
-    import dataclasses
-
-    stranger = dataclasses.replace(data.instances[0], id="never_scored")
+    # a row outside the cache fails loudly, listing every failure
+    stranger = LabeledDataset.from_arrays(data.X[:1], ids=["never_scored"])
     try:
-        score_batch(replay, [stranger])
+        score_batch(replay, stranger)
     except OracleError as err:
         print(f"unknown id -> {err}")

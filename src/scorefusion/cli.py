@@ -122,14 +122,13 @@ def cmd_synth(cfg, args) -> int:
 def cmd_score(cfg, args) -> int:
     out = _require_out(cfg)
     ds = _load_input_dataset(cfg)
-    provider = build_provider(cfg.oracle)
-    scores = dict(score_batch(provider, ds))
+    z = score_batch(build_provider(cfg.oracle), ds, column=True)
     data_path = out / "scored.csv"
-    save_dataset(ds.with_oracle_scores(scores), data_path)
+    save_dataset(ds.with_oracle_scores(z), data_path)
     cache_path = out / "scores.csv"
     cache_path.unlink(missing_ok=True)  # replaced, never appended to
-    OracleCache(cache_path).update(scores)
-    print(f"scored {len(scores)} instances; wrote {data_path} and {cache_path}")
+    OracleCache(cache_path).update(dict(zip(ds.ids(), z.tolist())))
+    print(f"scored {ds.n} instances; wrote {data_path} and {cache_path}")
     return 0
 
 

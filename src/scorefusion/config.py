@@ -5,8 +5,9 @@ comments, blank lines ignored, later duplicates override earlier ones. Dotted
 keys group related settings (``oracle.accuracy``); list values are
 comma-separated. ``KEYS`` is the one table of keys: each maps to a settings
 group, a field, a parser and its meaning. Defaults live only on the dataclass
-fields, so a config file needs only the keys it changes; ``DEFAULT_LINES``
-(which the CLI prints under --help) is built from the table and the fields.
+fields, and the oracle's on the provider specs, so a config file needs only
+the keys it changes; ``DEFAULT_LINES`` (which the CLI prints under --help) is
+built from the table and the fields.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import SyntheticSpec
+from .oracle import HttpOracleConfig, SyntheticOracleSpec
 
 
 class ConfigError(ValueError):
@@ -102,20 +104,22 @@ class BaseSettings:
 
 @dataclass(frozen=True)
 class OracleSettings:
+    """The ``oracle.*`` keys; the provider defaults come from the provider specs."""
+
     kind: str = "synthetic"
-    accuracy: float = 0.85
-    mode: str = "binary"
-    noise: float = 0.0
-    seed: int = 0
+    accuracy: float = SyntheticOracleSpec.accuracy
+    mode: str = SyntheticOracleSpec.mode
+    noise: float = SyntheticOracleSpec.noise
+    seed: int = SyntheticOracleSpec.seed
     cache_path: str | None = None
     url: str | None = None
     model: str | None = None
     auth_env: str | None = None
-    prompt_template: str = "Rate the relevance of item {id} with a score between 0 and 1."
-    timeout: float = 30.0
-    retries: int = 3
-    backoff: float = 0.5
-    max_concurrency: int = 4
+    prompt_template: str = HttpOracleConfig.prompt_template
+    timeout: float = HttpOracleConfig.timeout
+    retries: int = HttpOracleConfig.retries
+    backoff: float = HttpOracleConfig.backoff
+    max_concurrency: int = HttpOracleConfig.max_concurrency
 
     def __post_init__(self):
         if self.kind not in ("synthetic", "cached", "http"):

@@ -8,11 +8,13 @@ transfer-learning utilities). ``z`` and ``y`` are float columns in which NaN
 means "absent"; every loader and constructor rejects NaN as a value, so it
 cannot clash with a real one. Strata are stored as an int code per row
 indexing a tuple of tags, with -1 for an untagged row (stratum None). Splits,
-subsets, folds and stratum groups are index operations on the columns;
-``Instance`` is a row view, built on demand for prompts, providers and tests.
-Datasets are immutable after construction; every randomized operation takes
-an explicit seed and uses numpy's PCG64 generator, so results are
-reproducible across runs and platforms.
+subsets, folds and stratum groups are index operations on the columns, and a
+fold assignment is itself an int column aligned with the rows. ``Instance`` is
+a row view built on demand, kept for callers that still pass rows; oracle
+providers and cross-validation never build one. Datasets are immutable after
+construction; every randomized operation takes an explicit seed and uses
+numpy's PCG64 generator, so results are reproducible across runs and
+platforms.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import csv
 import json
 import re
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 
@@ -166,6 +168,9 @@ class LabeledDataset:
 
     @classmethod
     def from_instances(cls, instances) -> "LabeledDataset":
+        """Dataset of ``Instance`` rows, dimension taken from the first; a dataset is returned as is."""
+        if isinstance(instances, LabeledDataset):
+            return instances
         instances = tuple(instances)
         if not instances:
             raise DatasetError("cannot infer dimension of an empty dataset")
@@ -269,7 +274,9 @@ class LabeledDataset:
             rows = rows.astype(np.intp)
             if rows.size and (rows.min() < 0 or rows.max() >= self.n):
                 raise DatasetError(f"take needs row indices in [0, {self.n})")
-            if np.unique(rows).size != rows.size:
+            seen = np.zeros(self.n, dtype=bool)
+            seen[rows] = True
+            if np.count_nonzero(seen) != rows.size:
                 raise DatasetError("take needs distinct row indices")
         return LabeledDataset._of_columns(
             self._ids[rows], self.X[rows], self.z[rows], self.y[rows], self._codes[rows], self._tags
@@ -341,9 +348,6 @@ class LabeledDataset:
         tags = tuple(tags)
         return np.array([tag in tags for tag in (*self._tags, None)], dtype=bool)[self._codes]
 
-    def by_stratum(self) -> dict:
-        return {tag: [self.row(k) for k in rows] for tag, rows in self.stratum_rows().items()}
-
     def stratum_frequencies(self) -> dict:
         """Empirical stratum distribution; untagged rows count under None."""
         return {tag: count / self.n for tag, count in self.stratum_counts().items()}
@@ -363,20 +367,11 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class FoldAssignment:
-    """Balanced assignment of instance ids to folds 1..k."""
+    """Balanced assignment of a dataset's rows to k folds: ``fold`` holds each row's fold in [0, k)."""
 
     k: int
-    fold_of: dict = field(default_factory=dict)
+    fold: np.ndarray
     seed: int = 0
-
-    def members(self, fold: int) -> list[str]:
-        return [i for i, f in self.fold_of.items() if f == fold]
-
-    def fold_sizes(self) -> list[int]:
-        sizes = [0] * self.k
-        for f in self.fold_of.values():
-            sizes[f - 1] += 1
-        return sizes
 
 
 @dataclass(frozen=True)
@@ -759,13 +754,14 @@ def fold_index(n: int, k: int, seed: int) -> np.ndarray:
 
 
 def make_folds(ds: LabeledDataset, k: int, seed: int) -> FoldAssignment:
-    """Assign every instance to one of k balanced folds (sizes differ by <= 1)."""
+    """Deal the rows into k balanced folds (sizes differ by <= 1) as ``fold_index`` does."""
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     if k > ds.n:
         raise DatasetError(f"cannot make {k} folds from {ds.n} instances")
-    fold_of = dict(zip(ds.ids(), (fold_index(ds.n, k, seed) + 1).tolist()))
-    return FoldAssignment(k=k, fold_of=fold_of, seed=seed)
+    fold = fold_index(ds.n, k, seed)
+    fold.flags.writeable = False
+    return FoldAssignment(k=k, fold=fold, seed=seed)
 
 
 def check_scores(y_hat, z, y, error):

@@ -41,23 +41,21 @@ def child_seed(*parts) -> int:
     return int(np.random.SeedSequence([int(p) for p in parts]).generate_state(1, np.uint64)[0])
 
 
-def build_provider(settings, truth: dict | None = None):
+def build_provider(settings):
     """Construct the oracle provider described by OracleSettings.
 
-    A synthetic or http provider with ``oracle.cache`` set is wrapped so the
-    cache is consulted first and extended with fresh scores.
+    Every kind gets the ``oracle.cache`` file (when set) as its ``cache``:
+    ``score_batch`` consults it first and extends it with fresh scores.
     """
     cache = OracleCache(settings.cache_path) if settings.cache_path else None
     if settings.kind == "cached":
-        return CachedOracle(cache)
+        return CachedOracle(cache=cache)
     if settings.kind == "synthetic":
         spec = SyntheticOracleSpec(
             accuracy=settings.accuracy, mode=settings.mode,
             noise=settings.noise, seed=settings.seed,
         )
-        inner = SyntheticOracle(spec, truth=truth)
-        # explicit None check: an empty OracleCache is falsy via __len__
-        return CachedOracle(cache, fallback=inner) if cache is not None else inner
+        return SyntheticOracle(spec, cache=cache)
     return HttpOracle(
         HttpOracleConfig(
             url=settings.url, model=settings.model,

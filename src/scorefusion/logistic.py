@@ -237,26 +237,13 @@ def train(
 
 @dataclass(frozen=True)
 class CvPredictions:
-    """Out-of-fold scores: each instance was scored by the model that never saw it.
+    """Out-of-fold scores: each row was scored by the model that never saw it.
 
-    ``scores`` is aligned with ``ids``, the order of the dataset that was scored.
+    ``scores`` is aligned with the rows of the dataset that was scored.
     """
 
-    ids: list
     scores: np.ndarray
     folds: FoldAssignment
-
-    @property
-    def pairs(self) -> tuple:
-        """(id, score) pairs ordered by id."""
-        return tuple(sorted(zip(self.ids, self.scores.tolist())))
-
-    def as_dict(self) -> dict:
-        return dict(zip(self.ids, self.scores.tolist()))
-
-    def scores_for(self, ids) -> np.ndarray:
-        lookup = self.as_dict()
-        return np.array([lookup[i] for i in ids], dtype=float)
 
 
 def cv_predict(
@@ -268,33 +255,31 @@ def cv_predict(
     seed: int = 0,
     trainer=None,
 ) -> CvPredictions:
-    """Score every instance with the fold-model trained on the other folds.
+    """Score every row with the fold-model trained on the other folds.
 
-    ``trainer`` overrides the model-fitting routine; it receives a
-    LabeledDataset and must return an object with ``score_dataset``. The
-    default trains the logistic scorer with the given hyperparameters.
+    ``folds.fold`` must hold one fold per row of ``ds``. ``trainer``
+    overrides the model-fitting routine; it receives a LabeledDataset and
+    must return an object with ``score_dataset``. The default trains the
+    logistic scorer with the given hyperparameters.
     """
-    ids = ds.ids()
-    try:
-        fold = np.array([folds.fold_of[i] for i in ids], dtype=np.intp)
-    except KeyError:
-        missing = sorted(set(ids) - set(folds.fold_of))
-        raise DatasetError(f"fold assignment missing ids, e.g. {missing[0]!r}") from None
+    fold = np.asarray(folds.fold)
+    if fold.shape != (ds.n,):
+        raise DatasetError(f"fold assignment has shape {fold.shape}, expected ({ds.n},)")
     if trainer is None:
         def trainer(subset):
             return train(subset, reg_lambda=reg_lambda, max_iter=max_iter, tol=tol, seed=seed)
 
     scores = np.full(ds.n, np.nan)
-    for f in range(1, folds.k + 1):
+    for f in range(folds.k):
         held_out = fold == f
         if not held_out.any():
             continue
         train_part = ds.take(~held_out)
         if np.unique(train_part.y).size < 2:
             warnings.warn(
-                f"fold {f}: training complement contains a single class",
+                f"fold {f + 1}: training complement contains a single class",
                 SingleClassFoldWarning,
                 stacklevel=2,
             )
         scores[held_out] = trainer(train_part).score_dataset(ds.take(held_out))
-    return CvPredictions(ids=ids, scores=scores, folds=folds)
+    return CvPredictions(scores=scores, folds=folds)

@@ -1,9 +1,12 @@
-"""Per-instance oracle scores from cached files, HTTP endpoints, or a seeded simulator.
+"""Per-row oracle scores from cached files, HTTP endpoints, or a seeded simulator.
 
-Every provider maps instances to scores z in [0, 1]. Providers are
-deterministic given their own state: the synthetic provider gives each
-instance id its own RNG stream, so scores do not depend on batch composition
-or order; the cached provider replays a CSV file; and the HTTP provider's
+Every provider works on columns. It is built with an optional ``cache``
+(an ``OracleCache``), and its ``score_uncached(ds)`` takes a
+``LabeledDataset`` and returns a float column aligned with ``ds``'s rows,
+NaN where a row failed, together with the (id, reason) failures. Providers
+are deterministic given their own state: the synthetic provider gives each
+id its own RNG stream, so scores do not depend on batch composition or
+order; the cached provider replays a CSV file; and the HTTP provider's
 results become deterministic once captured in a cache file. Binary synthetic
 scores come from one vectorized pass over the batch that equals each id's
 first ``default_rng`` draw bit for bit; soft mode still builds the per-id
@@ -11,10 +14,10 @@ streams.
 
 ``score_batch`` is the single entry point: it consults the provider's cache
 before issuing any remote work, appends fresh results to the cache (also when
-other instances of the batch fail), collects per-instance failures, and
-returns either (id, score) pairs sorted by id (the default) or, with
-``column=True``, a float array of the scores in the batch's row order, which
-is what attaching scores to a dataset needs.
+other rows of the batch fail), collects per-row failures, and returns either
+(id, score) pairs sorted by id (the default) or, with ``column=True``, a
+float array of the scores in the batch's row order, which is what attaching
+scores to a dataset needs.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from hashlib import sha256
-from itertools import repeat
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +53,7 @@ class ScoreParseError(ValueError):
 
 
 class PromptError(ValueError):
-    """A template placeholder has no value in the instance metadata."""
+    """A template placeholder has no value among the row's prompt fields."""
 
 
 # ---------------------------------------------------------------------------
@@ -310,14 +313,17 @@ def _seeded_first_draws(seed: int, words: np.ndarray) -> np.ndarray:
     ``words`` is an (n, 4) uint32 array holding each h as little-endian words.
     The seed words come first in the entropy, then the hash words without its
     high zero words, exactly as numpy assembles them; rows are grouped by how
-    many significant words their hash has, because that sets the entropy length.
+    many significant words (1 to 4) their hash has, because that sets the
+    entropy length.
     """
     nonzero = words != 0
     counts = np.where(nonzero.any(axis=1), 4 - np.argmax(nonzero[:, ::-1], axis=1), 1)
     raw = np.empty(words.shape[0], dtype=np.uint64)
-    for count in np.unique(counts):
+    for count in range(1, 5):
         rows = counts == count
-        size = int(rows.sum())
+        size = np.count_nonzero(rows)
+        if not size:
+            continue
         entropy = [np.full(size, w, dtype=np.uint32) for w in _int_words(int(seed))]
         entropy += [words[rows, j] for j in range(count)]
         state_hi, state_lo, seq_hi, seq_lo = _generate_state(_mix_entropy(entropy))
@@ -370,39 +376,22 @@ class SyntheticOracle:
     bit for bit. Soft mode emits clamp(y*q + (1-y)*(1-q) + Normal(0, noise),
     0, 1) and still builds each id's ``default_rng``, because numpy does not
     expose the ziggurat tables behind its normal draws. A row without a label
-    falls back to ``truth``.
+    gets a NaN score and is listed as failed.
     """
 
     kind = "synthetic"
-    cache = None
 
-    def __init__(self, spec: SyntheticOracleSpec, truth: dict | None = None):
+    def __init__(self, spec: SyntheticOracleSpec, cache: OracleCache | None = None):
         self.spec = spec
-        self.truth = dict(truth) if truth else {}
+        self.cache = cache
 
     def _rng(self, instance_id: str):
         digest = sha256(instance_id.encode("utf-8")).digest()
         return np.random.default_rng([self.spec.seed, int.from_bytes(digest[:16], "little")])
 
-    def _labels(self, instances):
-        """Ids and float labels (NaN where neither the row nor ``truth`` has one)."""
-        if isinstance(instances, LabeledDataset):
-            ids, y = instances.ids(), instances.y.copy()
-        else:
-            instances = list(instances)
-            ids = [inst.id for inst in instances]
-            y = np.array([np.nan if getattr(inst, "label", None) is None else int(inst.label)
-                          for inst in instances], dtype=float)
-        for k in np.flatnonzero(np.isnan(y)).tolist():
-            y[k] = self.truth.get(ids[k], np.nan)
-        return ids, y
-
-    def score_uncached(self, instances):
-        ids, y = self._labels(instances)
-        known = ~np.isnan(y)
-        failures = [(ids[k], "no true label available") for k in np.flatnonzero(~known).tolist()]
-        ids = [i for i, ok in zip(ids, known.tolist()) if ok]
-        y = y[known]
+    def score_uncached(self, ds: LabeledDataset):
+        ids, y = ds.ids(), ds.y  # a NaN label flows through to a NaN score
+        failures = [(ids[k], "no true label available") for k in np.flatnonzero(np.isnan(y)).tolist()]
         q = self.spec.accuracy
         if self.spec.mode == "binary":
             u = (_first_draws(self.spec.seed, ids) >> 11) * 2.0**-53  # Generator.uniform()
@@ -410,41 +399,19 @@ class SyntheticOracle:
         else:
             noise = np.array([self._rng(i).normal(0.0, self.spec.noise) for i in ids])
             z = np.clip(y * q + (1 - y) * (1.0 - q) + noise, 0.0, 1.0)
-        return dict(zip(ids, z.tolist())), failures
-
-    def score(self, instance) -> float:
-        results, failures = self.score_uncached([instance])
-        if failures:
-            raise OracleError(
-                f"synthetic oracle has no label for instance {instance.id!r}", failures=failures
-            )
-        return results[instance.id]
+        return z, failures
 
 
 class CachedOracle:
-    """Replays a cache file; optionally falls through to another provider."""
+    """Replays its cache and nothing else: every row the cache lacks fails."""
 
     kind = "cached"
 
-    def __init__(self, cache: OracleCache, fallback=None):
+    def __init__(self, cache: OracleCache | None = None):
         self.cache = cache
-        self.fallback = fallback
 
-    def score(self, instance) -> float:
-        hit = self.cache.get(instance.id)
-        if hit is not None:
-            return hit
-        if self.fallback is not None:
-            return self.fallback.score(instance)
-        raise OracleError(
-            f"no cached score for instance {instance.id!r}",
-            failures=((instance.id, "not in cache"),),
-        )
-
-    def score_uncached(self, instances):
-        if self.fallback is not None:
-            return self.fallback.score_uncached(instances)
-        return {}, [(inst.id, "not in cache") for inst in instances]
+    def score_uncached(self, ds: LabeledDataset):
+        return np.full(ds.n, np.nan), [(i, "not in cache") for i in ds.ids()]
 
 
 @dataclass(frozen=True)
@@ -453,7 +420,9 @@ class HttpOracleConfig:
 
     The bearer token is read from the environment variable named by
     ``auth_env`` at request time (never stored); ``prompt_template`` is
-    rendered per instance with {id} and {stratum} available by default.
+    rendered per row with its {id} and {stratum} ("" for an untagged row).
+    ``timeout`` must be > 0 and ``backoff`` >= 0, so neither the transport
+    nor the sleep between attempts can reject them mid-batch.
     """
 
     url: str
@@ -470,18 +439,22 @@ class HttpOracleConfig:
             raise OracleError(f"retries must be >= 1, got {self.retries}")
         if self.max_concurrency < 1:
             raise OracleError(f"max_concurrency must be >= 1, got {self.max_concurrency}")
+        if not self.timeout > 0:
+            raise OracleError(f"timeout must be > 0, got {self.timeout}")
+        if not self.backoff >= 0:
+            raise OracleError(f"backoff must be >= 0, got {self.backoff}")
 
 
 class HttpOracle:
-    """POSTs {"model", "prompt"} per instance and parses the response body.
+    """POSTs {"model", "prompt"} per row and parses the response body.
 
-    Each instance is attempted up to ``retries`` times with exponential
-    backoff; instances still failing are reported, not silently dropped.
-    Requests for one batch run on a bounded thread pool, but results are
-    committed in instance-id order so downstream artifacts are deterministic.
-    ``session`` only needs a ``post`` method, which keeps the transport
-    injectable for tests; an injected session is shared by the pool threads,
-    so it must be thread-safe. Without one, each pool thread opens its own
+    Each row is attempted up to ``retries`` times with exponential backoff;
+    rows still failing are reported, not silently dropped. Requests for one
+    batch run on a bounded thread pool, and the scores come back in the
+    batch's row order, whatever order the requests finish in. ``session``
+    only needs a ``post`` method, which keeps the transport injectable for
+    tests; an injected session is shared by the pool threads, so it must be
+    thread-safe. Without one, each pool thread opens its own
     ``requests.Session`` and the batch closes them when it ends. ``requests``
     and the thread pool are imported here rather than at module level, so
     only a process that builds an HTTP oracle pays for loading them.
@@ -490,20 +463,15 @@ class HttpOracle:
     kind = "http"
 
     def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None,
-                 session=None, metadata=None, keywords=DEFAULT_KEYWORDS):
+                 session=None, keywords=DEFAULT_KEYWORDS):
         import requests
 
         self.config = config
         self.cache = cache
         self.session = session
-        self.metadata = metadata if metadata is not None else self._default_metadata
         self.keywords = keywords
         self._new_session = requests.Session
         self._retryable = (OracleError, ScoreParseError, PromptError, requests.RequestException)
-
-    @staticmethod
-    def _default_metadata(instance) -> dict:
-        return {"id": instance.id, "stratum": getattr(instance, "stratum", None) or ""}
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -517,8 +485,8 @@ class HttpOracle:
             headers["Authorization"] = f"Bearer {token}"
         return headers
 
-    def _score_once(self, session, instance, headers) -> float:
-        prompt = render_prompt(self.config.prompt_template, self.metadata(instance))
+    def _score_once(self, session, fields, headers) -> float:
+        prompt = render_prompt(self.config.prompt_template, fields)
         response = session.post(
             self.config.url,
             json={"model": self.config.model, "prompt": prompt},
@@ -530,55 +498,43 @@ class HttpOracle:
             raise OracleError(f"endpoint returned HTTP {status}")
         return parse_score(response.text, self.keywords)
 
-    def _score_with_retries(self, session, instance, headers):
+    def _score_with_retries(self, session, fields, headers):
+        """(score, None) on success, (NaN, last error) once every attempt failed."""
         last = None
         for attempt in range(self.config.retries):
             try:
-                return instance.id, self._score_once(session, instance, headers), None
+                return self._score_once(session, fields, headers), None
             except self._retryable as exc:
                 last = str(exc)
                 if attempt + 1 < self.config.retries:
                     time.sleep(self.config.backoff * 2.0**attempt)
-        return instance.id, None, last
+        return np.nan, last
 
-    def score_uncached(self, instances):
+    def score_uncached(self, ds: LabeledDataset):
         from concurrent.futures import ThreadPoolExecutor
 
         headers = self._headers()
+        ids = ds.ids()
         local, opened = threading.local(), []
 
-        def score_one(instance):
+        def score_one(instance_id, stratum):
             session = self.session
             if session is None:
                 session = getattr(local, "session", None)
                 if session is None:
                     session = local.session = self._new_session()
                     opened.append(session)
-            return self._score_with_retries(session, instance, headers)
+            fields = {"id": instance_id, "stratum": stratum or ""}
+            return self._score_with_retries(session, fields, headers)
 
         try:
             with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
-                outcomes = list(pool.map(score_one, instances))
+                outcomes = list(pool.map(score_one, ids, ds.strata.tolist()))  # in row order
         finally:
             for session in opened:
                 session.close()
-        results, failures = {}, []
-        for instance_id, score, error in sorted(outcomes, key=lambda t: t[0]):
-            if error is None:
-                results[instance_id] = score
-            else:
-                failures.append((instance_id, error))
-        return results, failures
-
-    def score(self, instance) -> float:
-        results, failures = self.score_uncached([instance])
-        if failures:
-            instance_id, error = failures[0]
-            raise OracleError(
-                f"oracle request failed for instance {instance_id!r}: {error}",
-                failures=failures,
-            )
-        return results[instance.id]
+        failures = [(i, error) for i, (_, error) in zip(ids, outcomes) if error is not None]
+        return np.array([score for score, _ in outcomes], dtype=float), failures
 
 
 # ---------------------------------------------------------------------------
@@ -587,28 +543,25 @@ class HttpOracle:
 
 
 def score_batch(provider, batch, *, column=False):
-    """Score a LabeledDataset or a list of instances.
+    """Score a LabeledDataset, or a sequence of ``Instance`` rows.
 
-    Returns (id, z) pairs sorted by id, or with ``column=True`` a float array
-    of the scores aligned with the batch's rows. The provider's cache (when
-    it has one) is looked up by id first; only the misses go to the
-    provider, in id order: a ``LabeledDataset`` of those rows when the batch
-    is one, a list of instances otherwise (iterating either yields
-    ``Instance`` rows). Every score it returns in range is appended to the
+    Rows are turned into a dataset once, on entry (``from_instances``); from
+    there on both forms take one path. Returns (id, z) pairs sorted by id, or
+    with ``column=True`` a float array of the scores aligned with the batch's
+    rows. The provider's cache (when it has one) is looked up by id first;
+    only the misses go to ``provider.score_uncached``, as a dataset of those
+    rows in id order. Every in-range score it returns is appended to the
     cache before anything can raise, so paid-for results are kept. If any
-    instance still fails after the provider's retry policy, the batch then
-    raises OracleError listing every failure, so partial results never leak
-    into downstream artifacts.
+    row failed after the provider's retry policy, or came back NaN or out of
+    range without being listed as failed, the batch then raises OracleError
+    listing those rows, so partial results never leak into downstream
+    artifacts.
     """
-    if isinstance(batch, LabeledDataset):
-        ids, pick = batch.ids(), batch.take
-    else:
-        instances = list(batch)
-        ids, pick = [inst.id for inst in instances], lambda rows: [instances[k] for k in rows]
-    if not ids:
+    if not len(batch):
         raise OracleError("score_batch needs at least one instance")
-
-    cache = getattr(provider, "cache", None)
+    ds = LabeledDataset.from_instances(batch)
+    ids = ds.ids()
+    cache = provider.cache
     if cache is not None:  # NaN marks a miss: a cached score is always in [0, 1]
         z = np.fromiter(map(cache.get, ids, repeat(np.nan)), float, len(ids))
     else:
@@ -616,22 +569,26 @@ def score_batch(provider, batch, *, column=False):
     misses = sorted(np.flatnonzero(np.isnan(z)).tolist(), key=ids.__getitem__)
 
     if misses:
-        fetched, failures = provider.score_uncached(pick(misses))
-        bad = {i: s for i, s in fetched.items() if not 0.0 <= s <= 1.0}
+        fetched, failures = provider.score_uncached(ds.take(misses))
+        fetched = np.asarray(fetched, dtype=float)
+        if fetched.shape != (len(misses),):
+            raise OracleError(f"provider returned a score column of shape {fetched.shape}, "
+                              f"expected ({len(misses)},)")
+        ok = (fetched >= 0) & (fetched <= 1)  # False for NaN
         if cache is not None:
-            cache.update({i: s for i, s in fetched.items() if i not in bad})
+            cache.update(dict(zip(map(ids.__getitem__, compress(misses, ok)), fetched[ok].tolist())))
         if failures:
             shown = "; ".join(f"{i}: {msg}" for i, msg in failures[:3])
             raise OracleError(
                 f"oracle failed on {len(failures)} instance(s): {shown}", failures=failures
             )
-        if bad:
-            first = next(iter(bad))
+        if not ok.all():
+            bad = [(ids[misses[k]], float(fetched[k])) for k in np.flatnonzero(~ok).tolist()]
             raise OracleError(
-                f"provider returned out-of-range score {bad[first]} for id {first!r}",
-                failures=tuple((i, f"score {s} outside [0, 1]") for i, s in bad.items()),
+                f"provider returned out-of-range score {bad[0][1]} for id {bad[0][0]!r}",
+                failures=tuple((i, f"score {s} outside [0, 1]") for i, s in bad),
             )
-        z[misses] = [fetched[ids[k]] for k in misses]
+        z[misses] = fetched
 
     if column:
         return z

@@ -493,15 +493,16 @@ class TestFolds:
     def test_fold_sizes_are_balanced(self):
         ds = _toy(23)
         folds = make_folds(ds, 5, seed=0)
-        sizes = folds.fold_sizes()
+        sizes = np.bincount(folds.fold, minlength=5)
         assert sum(sizes) == 23
         assert max(sizes) - min(sizes) <= 1
 
     def test_every_instance_assigned_once(self):
         ds = _toy(12)
         folds = make_folds(ds, 3, seed=2)
-        members = [i for f in range(1, 4) for i in folds.members(f)]
-        assert sorted(members) == sorted(ds.ids())
+        # one fold in [0, k) per row, aligned with the rows
+        assert folds.fold.shape == (ds.n,)
+        assert set(folds.fold.tolist()) == {0, 1, 2}
 
     def test_k_bounds(self):
         ds = _toy(4)
@@ -517,12 +518,12 @@ _FOLD_CASES = [(12, 3, 2), (23, 5, 0), (7, 7, 4), (100, 3, 11), (41, 2, 5)]
 class TestFoldIndex:
     @pytest.mark.parametrize("n,k,seed", _FOLD_CASES)
     def test_reproduces_make_folds(self, n, k, seed):
-        # rows of a seeded permutation dealt round-robin: perm[p] gets fold p % k + 1
+        # rows of a seeded permutation dealt round-robin: perm[p] gets fold p % k
         ds = _toy(n)
         perm = np.random.default_rng(seed).permutation(n)
-        dealt = {ds.ids()[idx]: pos % k + 1 for pos, idx in enumerate(perm)}
-        assert make_folds(ds, k, seed=seed).fold_of == dealt
-        assert fold_index(n, k, seed).tolist() == [dealt[i] - 1 for i in ds.ids()]
+        dealt = {ds.ids()[idx]: pos % k for pos, idx in enumerate(perm)}
+        assert make_folds(ds, k, seed=seed).fold.tolist() == [dealt[i] for i in ds.ids()]
+        assert fold_index(n, k, seed).tolist() == [dealt[i] for i in ds.ids()]
 
     @pytest.mark.parametrize("n,k,seed", _FOLD_CASES)
     def test_reproduces_strided_permutation_folds(self, n, k, seed):
@@ -557,10 +558,9 @@ class TestSynthesize:
             strata=(("lo", (-2.0, 0.0), 0.5), ("hi", (2.0, 0.0), 0.5)), seed=3,
         )
         ds = synthesize(spec)
-        groups = ds.by_stratum()
+        groups = ds.stratum_rows()
         assert set(groups) == {"lo", "hi"}
-        lo = np.stack([i.features for i in groups["lo"]])
-        hi = np.stack([i.features for i in groups["hi"]])
+        lo, hi = ds.X[groups["lo"]], ds.X[groups["hi"]]
         assert lo[:, 0].mean() < -1.5 and hi[:, 0].mean() > 1.5
 
     def test_stratum_weights_must_sum_to_one(self):

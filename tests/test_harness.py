@@ -15,6 +15,7 @@ from scorefusion import (
     MethodSpec,
     MetricReport,
     OracleCache,
+    OracleError,
     OracleSettings,
     SyntheticOracle,
     TransferSettings,
@@ -22,6 +23,7 @@ from scorefusion import (
     child_seed,
     run_experiment,
     run_transfer_experiment,
+    score_batch,
     sigmoid,
     tune_hyperparameter,
 )
@@ -87,15 +89,17 @@ class TestBuildProvider:
             kind="synthetic", accuracy=0.9, cache_path=str(tmp_path / "c.csv")
         )
         provider = build_provider(settings)
-        assert isinstance(provider, CachedOracle)
-        assert isinstance(provider.fallback, SyntheticOracle)
+        assert isinstance(provider, SyntheticOracle) and provider.spec.accuracy == 0.9
+        assert isinstance(provider.cache, OracleCache) and len(provider.cache) == 0
 
     def test_cached_kind_replays_only(self, tmp_path):
         cache = OracleCache(tmp_path / "c.csv")
         cache.update({"a": 0.5})
         settings = OracleSettings(kind="cached", cache_path=str(tmp_path / "c.csv"))
         provider = build_provider(settings)
-        assert isinstance(provider, CachedOracle) and provider.fallback is None
+        assert isinstance(provider, CachedOracle) and provider.cache.scores() == {"a": 0.5}
+        with pytest.raises(OracleError, match="not in cache"):
+            score_batch(provider, LabeledDataset.from_arrays(np.zeros((2, 1)), ids=["a", "b"]))
 
     def test_http_kind_carries_the_config(self):
         settings = OracleSettings(
@@ -105,6 +109,7 @@ class TestBuildProvider:
         assert isinstance(provider, HttpOracle)
         assert provider.config.url == "http://127.0.0.1:9/v1"
         assert provider.config.retries == 2
+        assert provider.cache is None
 
 
 class TestMetricReport:

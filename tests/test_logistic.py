@@ -7,6 +7,7 @@ import pytest
 
 from scorefusion import (
     BaseModel,
+    DatasetError,
     FoldAssignment,
     LabeledDataset,
     RelaxedLoss,
@@ -255,48 +256,59 @@ class TestCvPredict:
         folds = make_folds(ds, 4, seed=0)
         log = []
         cv_predict(ds, folds, trainer=_RecordingStub(log))
-        # one training call per fold, never containing that fold's members
+        # one training call per fold, never containing that fold's rows
         assert len(log) == 4
-        for fold, seen in enumerate(log, start=1):
-            assert not seen & set(folds.members(fold))
+        ids = np.array(ds.ids(), dtype=object)
+        for fold, seen in enumerate(log):
+            assert not seen & set(ids[folds.fold == fold])
 
-    def test_pairs_sorted_by_id_and_complete(self):
+    def test_scores_cover_every_row(self):
         ds = _separable(13, 2, seed=10)
         cv = cv_predict(ds, make_folds(ds, 3, seed=1))
-        ids = [i for i, _ in cv.pairs]
-        assert ids == sorted(ds.ids())
-        assert len(ids) == ds.n
+        assert cv.scores.shape == (ds.n,)
+        assert np.all((cv.scores >= 0) & (cv.scores <= 1))
 
-    def test_scores_for_preserves_requested_order(self):
+    def test_scores_follow_the_dataset_row_order(self):
         ds = _separable(9, 2, seed=11)
-        cv = cv_predict(ds, make_folds(ds, 3, seed=2))
-        want = list(reversed(ds.ids()))
-        got = cv.scores_for(want)
-        lookup = cv.as_dict()
-        np.testing.assert_array_equal(got, [lookup[i] for i in want])
+        folds = make_folds(ds, 3, seed=2)
+        cv = cv_predict(ds, folds)
+        # each row's score comes from the model fitted without that row's fold
+        for fold in range(3):
+            held = folds.fold == fold
+            model = train(ds.take(~held))
+            np.testing.assert_array_equal(cv.scores[held], model.score_dataset(ds.take(held)))
+        flipped = ds.take(np.arange(ds.n)[::-1])
+        again = cv_predict(flipped, FoldAssignment(k=3, fold=folds.fold[::-1]))
+        np.testing.assert_allclose(again.scores, cv.scores[::-1], rtol=1e-12)
 
     def test_separable_data_gives_informative_cv_scores(self):
         ds = _separable(120, 3, seed=12)
         cv = cv_predict(ds, make_folds(ds, 5, seed=3))
-        scores = cv.scores_for(ds.ids())
+        scores = cv.scores
         acc = ((scores > 0.5).astype(int) == ds.labels()).mean()
         assert acc >= 0.9
 
     def test_single_class_complement_warns_but_completes(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1]])
         ds = LabeledDataset.from_arrays(X, y=[0, 0, 1, 1], prefix="q")
-        ids = ds.ids()
-        folds = FoldAssignment(k=2, fold_of={ids[0]: 1, ids[1]: 1, ids[2]: 2, ids[3]: 2})
-        with pytest.warns(SingleClassFoldWarning):
+        folds = FoldAssignment(k=2, fold=np.array([0, 0, 1, 1]))
+        with pytest.warns(SingleClassFoldWarning) as caught:
             cv = cv_predict(ds, folds)
-        assert len(cv.pairs) == 4
-        assert all(0.0 <= s <= 1.0 for _, s in cv.pairs)
+        assert [str(w.message)[:7] for w in caught] == ["fold 1:", "fold 2:"]
+        assert cv.scores.shape == (4,)
+        assert all(0.0 <= s <= 1.0 for s in cv.scores)
 
     def test_missing_fold_assignment_is_an_error(self):
         ds = _separable(6, 2, seed=13)
-        folds = FoldAssignment(k=2, fold_of={ds.ids()[0]: 1})
-        with pytest.raises(Exception, match="missing ids"):
+        folds = FoldAssignment(k=2, fold=np.array([0]))
+        with pytest.raises(DatasetError, match="fold assignment"):
             cv_predict(ds, folds)
+
+    def test_folds_of_a_dataset_of_another_length_are_rejected(self):
+        ds = _separable(12, 2, seed=14)
+        for other in (ds.take(np.arange(11)), _separable(13, 2, seed=14)):
+            with pytest.raises(DatasetError, match=r"expected \(12,\)"):
+                cv_predict(ds, make_folds(other, 3, seed=0))
 
 
 def _reference_standardized(X):

@@ -35,6 +35,15 @@ def _inst(i, label=None, stratum=None):
     return Instance(i, [0.0], label=label, stratum=stratum)
 
 
+def _rows(ids, labels=None):
+    """A one-feature dataset of ``ids``, labelled when ``labels`` is given."""
+    return LabeledDataset.from_arrays(np.zeros((len(ids), 1)), y=labels, ids=ids)
+
+
+def _scores(oracle, ids, labels):
+    return score_batch(oracle, _rows(ids, labels), column=True)
+
+
 class TestRenderPrompt:
     def test_substitutes_named_fields(self):
         out = render_prompt("Rate {item} for query {q}.", {"item": "x7", "q": "shoes"})
@@ -200,40 +209,39 @@ class TestOracleCache:
 class TestSyntheticOracle:
     def test_score_is_a_pure_function_of_seed_and_id(self):
         oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=4))
-        a = oracle.score(_inst("q1", label=1))
-        b = oracle.score(_inst("q1", label=1))
-        assert a == b
+        a = _scores(oracle, ["q1"], [1])
+        b = _scores(oracle, ["q1"], [1])
+        assert a.tolist() == b.tolist()
         other_seed = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=5))
-        scores = [oracle.score(_inst(f"i{k}", label=1)) for k in range(64)]
-        others = [other_seed.score(_inst(f"i{k}", label=1)) for k in range(64)]
-        assert scores != others
+        ids = [f"i{k}" for k in range(64)]
+        assert _scores(oracle, ids, [1] * 64).tolist() != _scores(other_seed, ids, [1] * 64).tolist()
 
     def test_perfect_oracle_reproduces_labels(self):
         oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=1.0, seed=0))
-        for y in (0, 1):
-            assert oracle.score(_inst(f"id{y}", label=y)) == float(y)
+        assert _scores(oracle, ["id0", "id1"], [0, 1]).tolist() == [0.0, 1.0]
 
     def test_binary_accuracy_concentrates_near_q(self):
         q = 0.75
         oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=q, seed=1))
         n = 4000
-        hits = sum(oracle.score(_inst(f"k{k}", label=1)) == 1.0 for k in range(n))
+        hits = np.count_nonzero(_scores(oracle, [f"k{k}" for k in range(n)], [1] * n) == 1.0)
         assert abs(hits / n - q) < 4 * np.sqrt(q * (1 - q) / n)
 
     def test_soft_mode_is_clamped_and_centered(self):
         spec = SyntheticOracleSpec(accuracy=0.9, mode="soft", noise=0.1, seed=2)
         oracle = SyntheticOracle(spec)
-        scores = np.array([oracle.score(_inst(f"s{k}", label=1)) for k in range(500)])
+        scores = _scores(oracle, [f"s{k}" for k in range(500)], [1] * 500)
         assert np.all((scores >= 0) & (scores <= 1))
         # clamping at 1 trims the upper tail, so the mean sits slightly below q
         assert 0.84 < np.mean(scores) <= 0.9
         assert np.std(scores) > 0.03
 
-    def test_truth_table_backs_up_missing_labels(self):
-        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=1.0), truth={"u": 0})
-        assert oracle.score(_inst("u")) == 0.0
-        with pytest.raises(OracleError):
-            oracle.score(_inst("unknown"))
+    def test_row_without_a_label_fails(self):
+        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=1.0))
+        assert _scores(oracle, ["u"], [0]).tolist() == [0.0]
+        with pytest.raises(OracleError) as err:
+            score_batch(oracle, _rows(["unknown"]))
+        assert err.value.failures == (("unknown", "no true label available"),)
 
     def test_spec_validation(self):
         with pytest.raises(OracleError):
@@ -296,40 +304,45 @@ class TestVectorizedDraws:
         ds = LabeledDataset.from_arrays(np.zeros((400, 1)), y=labels, ids=ids)
         full, failures = oracle.score_uncached(ds)
         assert failures == []
-        assert full == {i: _reference_score(11, 0.7, i, y) for i, y in zip(ids, labels)}
+        assert full.tolist() == [_reference_score(11, 0.7, i, y) for i, y in zip(ids, labels)]
         rows = np.random.default_rng(0).permutation(400)[:150]
         part, _ = oracle.score_uncached(ds.take(rows))
-        assert part == {ids[k]: full[ids[k]] for k in rows}
-        listed, _ = oracle.score_uncached([ds.row(k) for k in rows[::-1]])
-        assert listed == part
-        assert dict(score_batch(oracle, ds)) == full
+        assert part.tolist() == full[rows].tolist()
+        listed = score_batch(oracle, [ds.row(k) for k in rows[::-1]], column=True)
+        assert listed.tolist() == part[::-1].tolist()
+        assert score_batch(oracle, ds, column=True).tolist() == full.tolist()
 
     def test_score_is_score_uncached_of_one_row(self):
         oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.6, seed=3))
         for k in range(50):
-            inst = _inst(f"one{k}", label=k % 2)
-            assert oracle.score_uncached([inst]) == ({inst.id: oracle.score(inst)}, [])
+            one = _rows([f"one{k}"], [k % 2])
+            z, failures = oracle.score_uncached(one)
+            assert failures == [] and score_batch(oracle, one, column=True).tolist() == z.tolist()
 
     def test_soft_mode_matches_the_per_id_streams(self):
         spec = SyntheticOracleSpec(accuracy=0.8, mode="soft", noise=0.3, seed=5)
         ids = [f"s{k}" for k in range(100)]
-        results, _ = SyntheticOracle(spec).score_uncached([_inst(i, label=k % 2) for k, i in enumerate(ids)])
+        results, _ = SyntheticOracle(spec).score_uncached(_rows(ids, [k % 2 for k in range(100)]))
         for k, i in enumerate(ids):
             y = k % 2
             center = y * 0.8 + (1 - y) * (1.0 - 0.8)
             expected = float(np.clip(center + _reference_stream(5, i).normal(0.0, 0.3), 0.0, 1.0))
-            assert results[i] == expected
+            assert results[k] == expected
 
-    def test_missing_labels_are_listed_and_truth_fills_in(self):
-        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.9, seed=2), truth={"b": 1})
-        ds = LabeledDataset.from_arrays(np.zeros((4, 1)), ids=["d", "b", "a", "c"])
-        results, failures = oracle.score_uncached(ds)
-        assert results == {"b": _reference_score(2, 0.9, "b", 1)}
-        assert failures == [("d", "no true label available"), ("a", "no true label available"),
-                            ("c", "no true label available")]
-        with pytest.raises(OracleError) as err:
-            score_batch(oracle, ds)
-        assert [i for i, _ in err.value.failures] == ["a", "c", "d"]
+    def test_missing_labels_are_listed(self):
+        ds = LabeledDataset.from_instances([_inst("d"), _inst("b", label=1), _inst("a"), _inst("c")])
+        for mode in ("binary", "soft"):
+            oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.9, mode=mode, noise=0.1, seed=2))
+            z, failures = oracle.score_uncached(ds)
+            assert np.isnan(z).tolist() == [True, False, True, True]
+            assert failures == [("d", "no true label available"), ("a", "no true label available"),
+                                ("c", "no true label available")]
+            with pytest.raises(OracleError) as err:
+                score_batch(oracle, ds)
+            assert [i for i, _ in err.value.failures] == ["a", "c", "d"]
+        assert z[1] == float(np.clip(0.9 + _reference_stream(2, "b").normal(0.0, 0.1), 0.0, 1.0))
+        binary = SyntheticOracle(SyntheticOracleSpec(accuracy=0.9, seed=2)).score_uncached(ds)[0]
+        assert binary[1] == _reference_score(2, 0.9, "b", 1)
 
     def test_golden_scores_written_by_the_per_id_implementation(self):
         # tests/data/synthetic_oracle.csv holds scores at accuracy 0.7 computed
@@ -340,10 +353,10 @@ class TestVectorizedDraws:
         for seed in sorted({int(r["seed"]) for r in rows}):
             oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.7, seed=seed))
             mine = [r for r in rows if int(r["seed"]) == seed]
-            insts = [_inst(r["id"], label=int(r["label"])) for r in mine]
-            batch, _ = oracle.score_uncached(insts)
-            for r, inst in zip(mine, insts):
-                assert batch[r["id"]] == oracle.score(inst) == float(r["z"])
+            ds = _rows([r["id"] for r in mine], [int(r["label"]) for r in mine])
+            batch, _ = oracle.score_uncached(ds)
+            one_by_one = [score_batch(oracle, ds.take([k]), column=True)[0] for k in range(ds.n)]
+            assert batch.tolist() == one_by_one == [float(r["z"]) for r in mine]
 
 
 class _CountingProvider:
@@ -354,12 +367,9 @@ class _CountingProvider:
         self.cache = cache
         self.calls = []
 
-    def score(self, instance):
-        return self.value
-
-    def score_uncached(self, instances):
-        self.calls.append([i.id for i in instances])
-        return {i.id: self.value for i in instances}, []
+    def score_uncached(self, ds):
+        self.calls.append(ds.ids())
+        return np.full(ds.n, self.value), []
 
 
 class TestCachedOracle:
@@ -367,18 +377,18 @@ class TestCachedOracle:
         cache = OracleCache(tmp_path / "c.csv")
         cache.update({"a": 0.9})
         oracle = CachedOracle(cache)
-        assert oracle.score(_inst("a")) == 0.9
+        assert score_batch(oracle, _rows(["a"]), column=True).tolist() == [0.9]
         with pytest.raises(OracleError) as err:
-            oracle.score(_inst("b"))
+            score_batch(oracle, _rows(["a", "b"]))
         assert err.value.failures == (("b", "not in cache"),)
 
     def test_falls_through_to_the_backing_provider(self, tmp_path):
+        # the same cache attached to a synthetic oracle: hits replay, misses are scored
         cache = OracleCache(tmp_path / "c.csv")
         cache.update({"a": 0.9})
-        inner = _CountingProvider(value=0.25)
-        oracle = CachedOracle(cache, fallback=inner)
-        assert oracle.score(_inst("a")) == 0.9
-        assert oracle.score(_inst("b")) == 0.25
+        oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=1.0), cache=cache)
+        assert score_batch(oracle, _rows(["a", "b"], [0, 0]), column=True).tolist() == [0.9, 0.0]
+        assert cache.scores() == {"a": 0.9, "b": 0.0}
 
 
 class TestScoreBatch:
@@ -409,9 +419,8 @@ class TestScoreBatch:
         class Flaky:
             cache = None
 
-            def score_uncached(self, instances):
-                good = {i.id: 0.5 for i in instances[:-1]}
-                return good, [(instances[-1].id, "boom")]
+            def score_uncached(self, ds):
+                return np.r_[np.full(ds.n - 1, 0.5), np.nan], [(ds.ids()[-1], "boom")]
 
         with pytest.raises(OracleError) as err:
             score_batch(Flaky(), [_inst("a"), _inst("b")])
@@ -422,8 +431,8 @@ class TestScoreBatch:
             def __init__(self, cache):
                 self.cache = cache
 
-            def score_uncached(self, instances):
-                return {"a": 0.25}, [("b", "boom")]
+            def score_uncached(self, ds):
+                return np.array([0.25, np.nan]), [("b", "boom")]
 
         path = tmp_path / "c.csv"
         with pytest.raises(OracleError) as err:
@@ -437,8 +446,8 @@ class TestScoreBatch:
             def __init__(self, cache):
                 self.cache = cache
 
-            def score_uncached(self, instances):
-                return {"a": 0.75, "b": 1.5}, []
+            def score_uncached(self, ds):
+                return np.array([0.75, 1.5]), []
 
         path = tmp_path / "c.csv"
         with pytest.raises(OracleError, match="out-of-range") as err:
@@ -455,17 +464,17 @@ class TestScoreBatch:
         seen = []
 
         class Recording(_CountingProvider):
-            def score_uncached(self, instances):
-                seen.extend(instances)
-                return super().score_uncached(instances)
+            def score_uncached(self, ds):
+                seen.append(ds)
+                return super().score_uncached(ds)
 
         provider = Recording(value=0.1, cache=cache)
         pairs = score_batch(provider, ds)
         assert pairs == [("a", 0.9), ("b", 0.1), ("c", 0.1)]
-        assert [i.id for i in seen] == ["b", "c"]
-        assert all(isinstance(i, Instance) for i in seen)
-        np.testing.assert_array_equal(seen[1].features, [0.0, 1.0])
-        assert (seen[0].label, seen[0].stratum) == (1, "s")
+        (sent,) = seen
+        assert isinstance(sent, LabeledDataset) and sent.ids() == ["b", "c"]
+        np.testing.assert_array_equal(sent.X[1], [0.0, 1.0])
+        assert (sent.y[0], sent.strata[0]) == (1, "s")
         assert score_batch(provider, ds.instances) == pairs
 
     def test_row_aligned_column_matches_the_sorted_pairs(self, tmp_path):
@@ -474,9 +483,9 @@ class TestScoreBatch:
         warm = {i: (k % 7) / 7 for k, i in enumerate(ids[::3])}
 
         class PerId(_CountingProvider):
-            def score_uncached(self, instances):
-                self.calls.append([i.id for i in instances])
-                return {i.id: int(i.id[2:]) / 100 for i in instances}, []
+            def score_uncached(self, ds):
+                self.calls.append(ds.ids())
+                return np.array([int(i[2:]) / 100 for i in ds.ids()]), []
 
         providers = []
         for name in ("pairs", "column", "instances"):
@@ -502,6 +511,28 @@ class TestScoreBatch:
     def test_empty_batch_rejected(self):
         with pytest.raises(OracleError):
             score_batch(_CountingProvider(), [])
+
+    def test_unlisted_nan_is_rejected_and_not_cached(self, tmp_path):
+        class SilentNaN:
+            def __init__(self, cache):
+                self.cache = cache
+
+            def score_uncached(self, ds):
+                return np.array([0.5, np.nan]), []
+
+        path = tmp_path / "c.csv"
+        with pytest.raises(OracleError, match="out-of-range score nan for id 'b'") as err:
+            score_batch(SilentNaN(OracleCache(path)), _rows(["b", "a"]))
+        assert [i for i, _ in err.value.failures] == ["b"]
+        assert OracleCache(path).scores() == {"a": 0.5}
+
+    def test_column_of_the_wrong_length_rejected(self):
+        class Short(_CountingProvider):
+            def score_uncached(self, ds):
+                return np.full(ds.n - 1, 0.5), []
+
+        with pytest.raises(OracleError, match="shape"):
+            score_batch(Short(), _rows(["a", "b"]))
 
 
 class _FakeResponse:
@@ -542,7 +573,7 @@ class TestHttpOracle:
     def test_posts_model_and_rendered_prompt(self):
         session = _FakeSession({"a": [_FakeResponse('{"score": 0.6}')]})
         oracle = _http(session)
-        assert oracle.score(_inst("a")) == 0.6
+        assert score_batch(oracle, _rows(["a"]), column=True).tolist() == [0.6]
         req = session.requests[0]
         assert req["url"] == "http://127.0.0.1:9/score"
         assert req["json"] == {"model": "judge-1", "prompt": "score a"}
@@ -553,7 +584,7 @@ class TestHttpOracle:
         monkeypatch.setenv("JUDGE_TOKEN", "sekrit")
         session = _FakeSession({"a": [_FakeResponse("0.5")]})
         oracle = _http(session, auth_env="JUDGE_TOKEN")
-        oracle.score(_inst("a"))
+        score_batch(oracle, _rows(["a"]))
         assert session.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_missing_token_fails_before_any_request(self, monkeypatch):
@@ -561,7 +592,7 @@ class TestHttpOracle:
         session = _FakeSession({})
         oracle = _http(session, auth_env="JUDGE_TOKEN")
         with pytest.raises(OracleError, match="JUDGE_TOKEN"):
-            oracle.score(_inst("a"))
+            score_batch(oracle, _rows(["a"]))
         assert session.requests == []
 
     def test_retries_recover_from_transient_failures(self, monkeypatch):
@@ -575,15 +606,15 @@ class TestHttpOracle:
                    _FakeResponse("0.75")]}
         )
         oracle = _http(session, backoff=0.5)
-        assert oracle.score(_inst("a")) == 0.75
+        assert score_batch(oracle, _rows(["a"]), column=True).tolist() == [0.75]
         assert len(session.requests) == 3
         assert sleeps == [0.5, 1.0]  # backoff * 2^attempt
 
     def test_exhausted_retries_surface_as_failures(self):
         session = _FakeSession({"a": [_FakeResponse("nope", 500)] * 3})
         oracle = _http(session)
-        results, failures = oracle.score_uncached([_inst("a")])
-        assert results == {}
+        results, failures = oracle.score_uncached(_rows(["a"]))
+        assert np.isnan(results).tolist() == [True]
         assert len(failures) == 1 and failures[0][0] == "a"
         assert "500" in failures[0][1]
         assert len(session.requests) == 3
@@ -601,8 +632,8 @@ class TestHttpOracle:
 
         session = _FakeSession({"a": [requests_lib.ConnectionError("down")] * 3})
         oracle = _http(session)
-        results, failures = oracle.score_uncached([_inst("a")])
-        assert results == {} and failures[0][0] == "a"
+        results, failures = oracle.score_uncached(_rows(["a"]))
+        assert np.isnan(results).all() and failures[0][0] == "a"
 
     def test_each_pool_thread_opens_its_own_session(self, monkeypatch):
         import requests as requests_lib
@@ -625,15 +656,42 @@ class TestHttpOracle:
 
         monkeypatch.setattr(requests_lib, "Session", RecordingSession)
         oracle = _http(None, max_concurrency=2)
-        results, failures = oracle.score_uncached([_inst(f"i{k}") for k in range(8)])
-        assert failures == [] and len(results) == 8
+        results, failures = oracle.score_uncached(_rows([f"i{k}" for k in range(8)]))
+        assert failures == [] and results.tolist() == [0.5] * 8
         assert 1 <= len(opened) <= 2
         assert all(len(session.threads) == 1 for session in opened)
         assert all(session.closed for session in opened)
-        assert oracle.score(_inst("one")) == 0.5
+        assert score_batch(oracle, _rows(["one"]), column=True).tolist() == [0.5]
+
+    def test_row_tuple_and_dataset_batches_agree(self, tmp_path):
+        ids = ["c", "a", "e", "b", "d"]
+        ds = LabeledDataset.from_instances(
+            [_inst(i, stratum=None if i == "e" else f"s{k % 2}") for k, i in enumerate(ids)]
+        )
+        seen = []
+        for name, batch in (("rows", ds.instances), ("dataset", ds)):
+            session = _FakeSession({i: [_FakeResponse(f"0.{k + 1}")] for k, i in enumerate(ids)})
+            config = HttpOracleConfig(url="http://127.0.0.1:9/score", model="judge-1",
+                                      prompt_template="score {stratum} {id}", max_concurrency=2)
+            cache = OracleCache(tmp_path / f"{name}.csv")
+            z = score_batch(HttpOracle(config, cache=cache, session=session), batch, column=True)
+            prompts = sorted(r["json"]["prompt"] for r in session.requests)
+            seen.append((z.tolist(), cache.path.read_bytes(), prompts))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == [0.1, 0.2, 0.3, 0.4, 0.5]
+        assert seen[0][2] == ["score  e", "score s0 c", "score s0 d", "score s1 a", "score s1 b"]
 
     def test_config_validation(self):
         with pytest.raises(OracleError):
             HttpOracleConfig(url="http://x", model="m", retries=0)
         with pytest.raises(OracleError):
             HttpOracleConfig(url="http://x", model="m", max_concurrency=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("backoff", -0.5), ("backoff", float("nan")),
+        ("timeout", 0.0), ("timeout", -1.0), ("timeout", float("nan")),
+    ])
+    def test_config_rejects_bad_timing(self, field, value):
+        # a negative sleep or a non-positive timeout would raise mid-batch and lose paid-for scores
+        with pytest.raises(OracleError, match=field):
+            HttpOracleConfig(url="http://x", model="m", **{field: value})

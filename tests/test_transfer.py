@@ -230,21 +230,20 @@ class TestSampleAugmentation:
 
 
 class TestLabelWithOracle:
-    def _oracle(self, truth):
-        return SyntheticOracle(SyntheticOracleSpec(accuracy=1.0, seed=0), truth=truth)
+    def _oracle(self):
+        return SyntheticOracle(SyntheticOracleSpec(accuracy=1.0, seed=0))
 
     def test_fills_scores_and_hides_labels(self):
         pool = _pool(5)
-        truth = {i.id: i.label for i in pool.instances}
-        out = label_with_oracle(pool, self._oracle(truth))
+        out = label_with_oracle(pool, self._oracle())
         assert out.has_oracle_scores and not out.has_labels
         assert out.ids() == pool.ids()
         # a perfect binary oracle reproduces the hidden labels
-        np.testing.assert_array_equal(out.oracle_scores(), [float(t) for t in truth.values()])
+        np.testing.assert_array_equal(out.oracle_scores(), pool.labels())
 
     def test_empty_dataset_passes_through(self):
         empty = LabeledDataset((), 2)
-        assert label_with_oracle(empty, self._oracle({})) is empty
+        assert label_with_oracle(empty, self._oracle()) is empty
 
 
 class TestAugmentedObjective:
