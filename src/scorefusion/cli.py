@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
-
-import numpy as np
 
 from .calibration import CalibrationError, GridSpec, fit_additive_calibrator, fit_cell_calibrator, load_calibrator
 from .config import DEFAULT_LINES, ConfigError, ExperimentConfig, config_from_mapping, load_config
@@ -135,8 +133,7 @@ def cmd_score(cfg, args) -> int:
 def cmd_fit_base(cfg, args) -> int:
     out = _require_out(cfg)
     ds = _load_input_dataset(cfg)
-    model = train(ds, reg_lambda=cfg.base.reg_lambda, max_iter=cfg.base.max_iter,
-                  tol=cfg.base.tol, seed=cfg.seeds[0])
+    model = train(ds, **asdict(cfg.base), seed=cfg.seeds[0])
     path = out / "base_model.json"
     model.save(path)
     print(f"trained on {ds.n} rows ({model.train_meta.iterations} iterations, "
@@ -190,7 +187,7 @@ def cmd_eval(cfg, args) -> int:
     cfg.validate_paths()
     ds = _load_input_dataset(cfg)
     model = BaseModel.load(cfg.eval_model)
-    base_scores = np.atleast_1d(model.score_dataset(ds))
+    base_scores = model.score_dataset(ds)
     y = ds.labels()
     results = {"ml": metric_dict(base_scores, y, n=len(y))}
     if cfg.eval_weights is not None or cfg.eval_calibrator is not None:
@@ -199,10 +196,10 @@ def cmd_eval(cfg, args) -> int:
         results["llm"] = metric_dict(z, y, n=len(y))
         if cfg.eval_weights is not None:
             fused = fuse(WeightFunction.load(cfg.eval_weights), base_scores, z)
-            results["fused"] = metric_dict(np.atleast_1d(fused), y, n=len(y))
+            results["fused"] = metric_dict(fused, y, n=len(y))
         else:
             calibrated = load_calibrator(cfg.eval_calibrator).calibrate(base_scores, z)
-            results["calibrated"] = metric_dict(np.atleast_1d(calibrated), y, n=len(y))
+            results["calibrated"] = metric_dict(calibrated, y, n=len(y))
     text = json.dumps(results, sort_keys=True, indent=2)
     print(text)
     _write_doc(cfg, "eval.json", text)

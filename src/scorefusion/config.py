@@ -263,7 +263,7 @@ def _methods(key, text):
 
 
 def _strata(key, text):
-    """Parse 'tag:weight:s0|s1|...' entries into SyntheticSpec strata triples."""
+    """Parse 'tag:weight:s0|s1|...' entries into SyntheticSpec strata triples; None when empty."""
     strata = []
     for entry in _parts(text):
         parts = entry.split(":")
@@ -276,10 +276,11 @@ def _strata(key, text):
             )
         except ValueError:
             raise ConfigError(f"synth.strata entry {entry!r} has non-numeric fields") from None
-    return tuple(strata)
+    return tuple(strata) or None
 
 
-def _density(key, text) -> dict:
+def _density(key, text) -> dict | None:
+    """Parse 'tag:prob' entries into a density mapping; None when empty."""
     density = {}
     for entry in _parts(text):
         tag, sep, prob = entry.partition(":")
@@ -289,7 +290,7 @@ def _density(key, text) -> dict:
             density[tag.strip()] = float(prob)
         except ValueError:
             raise ConfigError(f"transfer.target_density entry {entry!r} has a bad number") from None
-    return density
+    return density or None
 
 
 # The settings group each key fills: "" is ExperimentConfig itself, the rest are its fields.
@@ -423,4 +424,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return config_from_mapping(parse_config_text(path.read_text(encoding="utf-8")))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path} as UTF-8 text: {exc}") from None
+    return config_from_mapping(parse_config_text(text))

@@ -100,29 +100,6 @@ def _check_oracle_column(ids, z) -> None:
         raise DatasetError(f"instance {ids[k]!r}: oracle score {float(z[k])} outside [0, 1]")
 
 
-class _Columns:
-    """Column buffers rows are appended to; features go to one flat float array."""
-
-    def __init__(self):
-        self.features = array("d")
-        self.ids, self.z, self.y, self.strata = [], array("d"), array("d"), []
-
-    def add(self, instance_id, z, y, stratum) -> None:
-        self.ids.append(instance_id)
-        self.z.append(np.nan if z is None else z)
-        self.y.append(np.nan if y is None else y)
-        self.strata.append(stratum)
-
-    def columns(self, d) -> tuple:
-        """(ids, X, z, y, stratum codes, tags); raises if an id repeats."""
-        _check_unique(self.ids)
-        return (
-            _objects(self.ids), np.frombuffer(self.features, dtype=float).reshape(len(self.ids), d),
-            np.frombuffer(self.z, dtype=float), np.frombuffer(self.y, dtype=float),
-            *_stratum_codes(self.strata),
-        )
-
-
 class LabeledDataset:
     """Immutable ordered rows sharing one feature dimension, stored as aligned columns.
 
@@ -138,15 +115,21 @@ class LabeledDataset:
     __slots__ = ("dim", "X", "z", "y", "_codes", "_tags", "_ids")
 
     def __init__(self, instances, dim: int):
-        rows = _Columns()
+        ids, features, z, y, strata = [], array("d"), array("d"), array("d"), []
         for inst in instances:
             if inst.dim != dim:
                 raise DatasetError(
                     f"instance {inst.id!r} has dimension {inst.dim}, expected {dim}"
                 )
-            rows.features.extend(inst.features)
-            rows.add(inst.id, inst.oracle_score, inst.label, inst.stratum)
-        self._set_columns(*rows.columns(dim))
+            ids.append(inst.id)
+            features.extend(inst.features)
+            z.append(np.nan if inst.oracle_score is None else inst.oracle_score)
+            y.append(np.nan if inst.label is None else inst.label)
+            strata.append(inst.stratum)
+        _check_unique(ids)
+        X = np.frombuffer(features, dtype=float).reshape(len(ids), dim)
+        self._set_columns(_objects(ids), X, np.frombuffer(z, dtype=float),
+                          np.frombuffer(y, dtype=float), *_stratum_codes(strata))
 
     def _set_columns(self, ids, X, z, y, codes, tags) -> None:
         for name, column in (("_ids", ids), ("X", X), ("z", z), ("y", y), ("_codes", codes)):

@@ -17,7 +17,7 @@ timestamped or machine-specific is recorded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -149,15 +149,12 @@ def _fixed_dataset(cfg: ExperimentConfig, dataset) -> LabeledDataset | None:
     return load_dataset(cfg.dataset_path, cfg.dataset_format)
 
 
-def _dataset_for_seed(cfg: ExperimentConfig, fixed, seed: int) -> LabeledDataset:
-    """The fixed dataset if there is one, else a fresh synthetic draw for this seed."""
-    if fixed is not None:
-        return fixed
-    spec = cfg.synth
-    return synthesize(
-        type(spec)(d=spec.d, n=spec.n, true_weights=spec.true_weights,
-                   strata=spec.strata, seed=child_seed(spec.seed, seed))
-    )
+def _split(cfg: ExperimentConfig, fixed, seed: int):
+    """(train, test) of ``seed``: the fixed dataset if there is one, else a
+    fresh synthetic draw for this seed, split with ``seed``."""
+    if fixed is None:
+        fixed = synthesize(replace(cfg.synth, seed=child_seed(cfg.synth.seed, seed)))
+    return split(fixed, cfg.test_fraction, seed)
 
 
 def _attach_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
@@ -171,10 +168,36 @@ def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=Non
     model comes from ``trainer``, or by default from ``train`` with the
     configured ``base.*`` settings and ``seed``.
     """
+    if trainer is None:
+        def trainer(subset):
+            return train(subset, **asdict(cfg.base), seed=seed)
     folds = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
-    cv = cv_predict(ds, folds, reg_lambda=cfg.base.reg_lambda, max_iter=cfg.base.max_iter,
-                    tol=cfg.base.tol, seed=seed, trainer=trainer)
-    return cv.scores, ds.oracle_scores(), ds.labels()
+    return cv_predict(ds, folds, trainer=trainer).scores, ds.oracle_scores(), ds.labels()
+
+
+def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
+    """The seed loop of both protocols.
+
+    Builds the configured provider unless one is given and resolves the
+    fixed dataset once. Per seed it splits, calls
+    ``body(train_ds, test_ds, seed, provider)`` for that seed's
+    ({method: metrics}, {file name: artifact}) and saves the artifacts. The
+    report's meta is ``meta`` plus the keys both protocols share; the report
+    is saved when an output directory is configured.
+    """
+    provider = provider if provider is not None else build_provider(cfg.oracle)
+    fixed = _fixed_dataset(cfg, dataset)
+    per_seed = []
+    for seed in cfg.seeds:
+        methods, artifacts = body(*_split(cfg, fixed, seed), seed, provider)
+        _save_artifacts(cfg.out_dir, seed, artifacts)
+        per_seed.append((seed, methods))
+    shared = {"seeds": list(cfg.seeds), "k": cfg.k, "test_fraction": cfg.test_fraction,
+              "oracle_kind": cfg.oracle.kind}
+    report = MetricReport.build(per_seed, meta={**meta, **shared})
+    if cfg.out_dir is not None:
+        report.save(cfg.out_dir)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +216,16 @@ def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
     if spec.kind == "linear":
         wf = WeightFunction.constant(fit_constant_weight(y_cv, z_tr, y_tr))
         artifacts[f"weights_{spec.name}.json"] = wf
-        return np.atleast_1d(fuse(wf, base_test, z_test))
+        return fuse(wf, base_test, z_test)
     if spec.kind == "adalinear":
         wf = fit_adaptive_weights(y_cv, z_tr, y_tr, r=spec.params[0])
         artifacts[f"weights_{spec.name}.json"] = wf
-        return np.atleast_1d(fuse(wf, base_test, z_test))
+        return fuse(wf, base_test, z_test)
     if spec.kind == "calibration":
         grid = GridSpec(spec.params[0], spec.params[1])
         cal = fit_cell_calibrator(y_cv, z_tr, y_tr, grid)
         artifacts[f"calibrator_{spec.params[0]}_{spec.params[1]}.json"] = cal
-        return np.atleast_1d(cal.calibrate(base_test, z_test))
+        return cal.calibrate(base_test, z_test)
     raise HarnessError(
         f"method {spec.name!r} needs the transfer protocol; "
         "use run_transfer_experiment (CLI subcommand: transfer)"
@@ -219,43 +242,22 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
     are written under ``out_dir/seed_<seed>/`` when an output directory is
     configured, and report.json / report.csv at the top level.
     """
-    provider = provider if provider is not None else build_provider(cfg.oracle)
-    fixed = _fixed_dataset(cfg, dataset)
-    per_seed = []
-    for seed in cfg.seeds:
-        data = _dataset_for_seed(cfg, fixed, seed)
-        train_ds, test_ds = split(data, cfg.test_fraction, seed)
+    def body(train_ds, test_ds, seed, provider):
         train_ds = _attach_oracle(train_ds, provider)
         test_ds = _attach_oracle(test_ds, provider)
-
-        base = train(train_ds, reg_lambda=cfg.base.reg_lambda,
-                     max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
+        base = train(train_ds, **asdict(cfg.base), seed=seed)
         train_inputs = fit_inputs(cfg, train_ds, seed)
-        test_inputs = (np.atleast_1d(base.score_dataset(test_ds)), test_ds.oracle_scores())
+        test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
         y_test = test_ds.labels()
-
         artifacts: dict = {"base_model.json": base}
         methods = {}
         for spec in cfg.methods:
             scores = _fit_method_scores(spec, train_inputs, test_inputs, artifacts)
             methods[spec.name] = metric_dict(scores, y_test, n_test=float(len(y_test)))
-        _save_artifacts(cfg.out_dir, seed, artifacts)
-        per_seed.append((seed, methods))
+        return methods, artifacts
 
-    report = MetricReport.build(
-        per_seed,
-        meta={
-            "experiment": "fusion",
-            "methods": [s.name for s in cfg.methods],
-            "seeds": list(cfg.seeds),
-            "k": cfg.k,
-            "test_fraction": cfg.test_fraction,
-            "oracle_kind": cfg.oracle.kind,
-        },
-    )
-    if cfg.out_dir is not None:
-        report.save(cfg.out_dir)
-    return report
+    meta = {"experiment": "fusion", "methods": [s.name for s in cfg.methods]}
+    return _run_seeds(cfg, dataset, provider, body, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -280,15 +282,10 @@ def run_transfer_experiment(
     in the method list; each is reported on the source and target test rows
     separately as ``name@source`` / ``name@target``.
     """
-    provider = provider if provider is not None else build_provider(cfg.oracle)
     m_values = [s.params[0] for s in cfg.methods if s.kind == "transfer"]
     tr = cfg.transfer
-    fixed = _fixed_dataset(cfg, dataset)
-    per_seed = []
-    for seed in cfg.seeds:
-        data = _dataset_for_seed(cfg, fixed, seed)
-        train_all, test_ds = split(data, cfg.test_fraction, seed)
 
+    def body(train_all, test_ds, seed, provider):
         source_tags = tuple(tr.source_strata) or tuple(sorted(_strata_of(train_all)))
         target_tags = tuple(tr.target_strata)
         if not source_tags:
@@ -317,21 +314,16 @@ def run_transfer_experiment(
         y_test = test_ds.labels()
         z_test = test_ds.oracle_scores()
 
-        def l2_trainer(ds):
-            return train_augmented(ds, None, slack_a=tr.slack_a,
-                                   reg_lambda=cfg.base.reg_lambda,
-                                   max_iter=cfg.base.max_iter, tol=cfg.base.tol, seed=seed)
+        def l2_trainer(ds, augmented=None):
+            return train_augmented(ds, augmented, slack_a=tr.slack_a, **asdict(cfg.base),
+                                   seed=seed, round_oracle_scores=tr.round_oracle)
 
         ml_model = l2_trainer(labeled)
         alpha = fit_constant_weight(*fit_inputs(cfg, labeled, seed, trainer=l2_trainer))
         wf = WeightFunction.constant(alpha)
 
-        ml_test = np.atleast_1d(ml_model.score_dataset(test_ds))
-        scores = {
-            "llm": z_test,
-            "ml": ml_test,
-            "linear": np.atleast_1d(fuse(wf, ml_test, z_test)),
-        }
+        ml_test = ml_model.score_dataset(test_ds)
+        scores = {"llm": z_test, "ml": ml_test, "linear": fuse(wf, ml_test, z_test)}
         artifacts: dict = {"base_model.json": ml_model, "weights_linear.json": wf}
         for m in m_values:
             if m == 0:
@@ -339,15 +331,10 @@ def run_transfer_experiment(
             else:
                 plan = make_plan(p1, p2, labeled.n, m, slack_a=tr.slack_a)
                 sampled = sample_augmentation(pool_ds, plan.sampling, m, child_seed(seed, 2, m))
-                augmented = label_with_oracle(sampled, provider)
-                model_m = train_augmented(
-                    labeled, augmented, slack_a=tr.slack_a,
-                    reg_lambda=cfg.base.reg_lambda, max_iter=cfg.base.max_iter,
-                    tol=cfg.base.tol, seed=seed, round_oracle_scores=tr.round_oracle,
-                )
+                model_m = l2_trainer(labeled, label_with_oracle(sampled, provider))
                 artifacts[f"transfer_plan_{m}.json"] = plan
                 artifacts[f"transfer_model_{m}.json"] = model_m
-            scores[f"transfer({m})"] = np.atleast_1d(model_m.score_dataset(test_ds))
+            scores[f"transfer({m})"] = model_m.score_dataset(test_ds)
 
         sides = {"source": test_ds.in_strata(source_tags), "target": test_ds.in_strata(target_tags)}
         for side, mask in sides.items():
@@ -358,24 +345,11 @@ def run_transfer_experiment(
             for side, mask in sides.items():
                 y_side = y_test[mask]
                 methods[f"{name}@{side}"] = metric_dict(s[mask], y_side, n_test=float(len(y_side)))
-        _save_artifacts(cfg.out_dir, seed, artifacts)
-        per_seed.append((seed, methods))
+        return methods, artifacts
 
-    report = MetricReport.build(
-        per_seed,
-        meta={
-            "experiment": "transfer",
-            "methods": ["llm", "ml", "linear"] + [f"transfer({m})" for m in m_values],
-            "seeds": list(cfg.seeds),
-            "k": cfg.k,
-            "test_fraction": cfg.test_fraction,
-            "oracle_kind": cfg.oracle.kind,
-            "slack_a": tr.slack_a,
-        },
-    )
-    if cfg.out_dir is not None:
-        report.save(cfg.out_dir)
-    return report
+    meta = {"experiment": "transfer", "slack_a": tr.slack_a,
+            "methods": ["llm", "ml", "linear"] + [f"transfer({m})" for m in m_values]}
+    return _run_seeds(cfg, dataset, provider, body, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +378,7 @@ def tune_hyperparameter(
 
     provider = provider if provider is not None else build_provider(cfg.oracle)
     seed = cfg.seeds[0]
-    data = _dataset_for_seed(cfg, _fixed_dataset(cfg, dataset), seed)
-    train_ds, _ = split(data, cfg.test_fraction, seed)
+    train_ds, _ = _split(cfg, _fixed_dataset(cfg, dataset), seed)
     y_cv, z, y = fit_inputs(cfg, _attach_oracle(train_ds, provider), seed)
 
     if parameter == "M":

@@ -196,6 +196,33 @@ def standardization(X: np.ndarray):
     return _standardized(X)[1:]
 
 
+def _training_inputs(ds: LabeledDataset, reg_lambda: float, role: str = "training"):
+    """(standardized X, y, mean, scale) of a fully labeled set with finite features.
+
+    ``role`` names ``ds`` in the error texts, which both trainers share.
+    """
+    if ds.n < 1:
+        noun = "dataset" if role == "training" else f"{role} dataset"
+        raise TrainingError(f"cannot train on an empty {noun}")
+    if reg_lambda < 0:
+        raise TrainingError(f"reg_lambda must be >= 0, got {reg_lambda}")
+    if not ds.has_labels:
+        raise TrainingError(f"{role} dataset has instances with missing labels")
+    X = ds.feature_matrix()
+    if not np.all(np.isfinite(X)):
+        raise TrainingError(f"{role} dataset contains non-finite features")
+    Xs, mean, scale = _standardized(X)
+    return Xs, ds.labels(), mean, scale
+
+
+def _fitted_model(fit, reg_lambda: float, mean, scale, seed: int) -> BaseModel:
+    """The model of a ``minimize_gd`` result (theta = weights then intercept, iterations, objective)."""
+    theta, iterations, objective = fit
+    return BaseModel(weights=theta[:-1], intercept=float(theta[-1]), reg_lambda=reg_lambda,
+                     feature_mean=mean, feature_scale=scale,
+                     train_meta=TrainMeta(iterations=iterations, objective=objective, seed=seed))
+
+
 def train(
     ds: LabeledDataset,
     reg_lambda: float = 1e-3,
@@ -204,35 +231,15 @@ def train(
     seed: int = 0,
 ) -> BaseModel:
     """Fit the logistic scorer on a fully labeled dataset."""
-    if ds.n < 1:
-        raise TrainingError("cannot train on an empty dataset")
-    if reg_lambda < 0:
-        raise TrainingError(f"reg_lambda must be >= 0, got {reg_lambda}")
-    if not ds.has_labels:
-        raise TrainingError("training dataset has instances with missing labels")
-    X = ds.feature_matrix()
-    if not np.all(np.isfinite(X)):
-        raise TrainingError("training dataset contains non-finite features")
-    y = ds.labels()
-
-    Xs, mean, scale = _standardized(X)
+    Xs, y, mean, scale = _training_inputs(ds, reg_lambda)
     d = ds.dim
 
     def value_and_grad(theta):
         value, grad = _regularized_logloss_deferred(theta[:d], theta[d], Xs, y, reg_lambda)
         return value, lambda: np.append(*grad())
 
-    theta, iterations, objective = minimize_gd(
-        value_and_grad, np.zeros(d + 1), max_iter=max_iter, tol=tol
-    )
-    return BaseModel(
-        weights=theta[:d],
-        intercept=float(theta[d]),
-        reg_lambda=reg_lambda,
-        feature_mean=mean,
-        feature_scale=scale,
-        train_meta=TrainMeta(iterations=iterations, objective=objective, seed=seed),
-    )
+    fit = minimize_gd(value_and_grad, np.zeros(d + 1), max_iter=max_iter, tol=tol)
+    return _fitted_model(fit, reg_lambda, mean, scale, seed)
 
 
 @dataclass(frozen=True)
@@ -246,29 +253,18 @@ class CvPredictions:
     folds: FoldAssignment
 
 
-def cv_predict(
-    ds: LabeledDataset,
-    folds: FoldAssignment,
-    reg_lambda: float = 1e-3,
-    max_iter: int = 5000,
-    tol: float = 1e-6,
-    seed: int = 0,
-    trainer=None,
-) -> CvPredictions:
+def cv_predict(ds: LabeledDataset, folds: FoldAssignment, trainer=None) -> CvPredictions:
     """Score every row with the fold-model trained on the other folds.
 
     ``folds.fold`` must hold one fold per row of ``ds``. ``trainer``
     overrides the model-fitting routine; it receives a LabeledDataset and
-    must return an object with ``score_dataset``. The default trains the
-    logistic scorer with the given hyperparameters.
+    must return an object with ``score_dataset``. The default is ``train``
+    with its default hyperparameters.
     """
     fold = np.asarray(folds.fold)
     if fold.shape != (ds.n,):
         raise DatasetError(f"fold assignment has shape {fold.shape}, expected ({ds.n},)")
-    if trainer is None:
-        def trainer(subset):
-            return train(subset, reg_lambda=reg_lambda, max_iter=max_iter, tol=tol, seed=seed)
-
+    trainer = train if trainer is None else trainer
     scores = np.full(ds.n, np.nan)
     for f in range(folds.k):
         held_out = fold == f

@@ -150,7 +150,10 @@ class OracleCache:
         self.get = self._scores.get
         self._torn_at = None  # byte offset where a partial last row starts
         if self.path.exists():
-            self._read()
+            try:
+                self._read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise OracleError(f"cannot read cache file {self.path} as UTF-8 text: {exc}") from None
 
     def _read(self):
         with open(self.path, "rb") as fh:
@@ -449,13 +452,14 @@ class HttpOracle:
     """POSTs {"model", "prompt"} per row and parses the response body.
 
     Each row is attempted up to ``retries`` times with exponential backoff;
-    rows still failing are reported, not silently dropped. Requests for one
-    batch run on a bounded thread pool, and the scores come back in the
-    batch's row order, whatever order the requests finish in. ``session``
-    only needs a ``post`` method, which keeps the transport injectable for
-    tests; an injected session is shared by the pool threads, so it must be
-    thread-safe. Without one, each pool thread opens its own
-    ``requests.Session`` and the batch closes them when it ends. ``requests``
+    rows still failing are reported, not silently dropped. A batch runs as
+    at most ``max_concurrency`` pool tasks, each pulling row indices from one
+    shared iterator, and the scores come back in the batch's row order,
+    whatever order the requests finish in. ``session`` only needs a ``post``
+    method, which keeps the transport injectable for tests; an injected
+    session is shared by the tasks, so it must be thread-safe. Without one,
+    each task opens its own ``requests.Session`` and closes it when it ends.
+    ``requests``
     and the thread pool are imported here rather than at module level, so
     only a process that builds an HTTP oracle pays for loading them.
     """
@@ -514,27 +518,29 @@ class HttpOracle:
         from concurrent.futures import ThreadPoolExecutor
 
         headers = self._headers()
-        ids = ds.ids()
-        local, opened = threading.local(), []
+        ids, strata = ds.ids(), ds.strata.tolist()
+        scores, errors = np.full(ds.n, np.nan), [None] * ds.n
+        rows, lock = iter(range(ds.n)), threading.Lock()
 
-        def score_one(instance_id, stratum):
-            session = self.session
-            if session is None:
-                session = getattr(local, "session", None)
-                if session is None:
-                    session = local.session = self._new_session()
-                    opened.append(session)
-            fields = {"id": instance_id, "stratum": stratum or ""}
-            return self._score_with_retries(session, fields, headers)
+        def next_row():
+            with lock:
+                return next(rows, None)
 
-        try:
-            with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
-                outcomes = list(pool.map(score_one, ids, ds.strata.tolist()))  # in row order
-        finally:
-            for session in opened:
-                session.close()
-        failures = [(i, error) for i, (_, error) in zip(ids, outcomes) if error is not None]
-        return np.array([score for score, _ in outcomes], dtype=float), failures
+        def task():
+            session = self.session if self.session is not None else self._new_session()
+            try:
+                while (k := next_row()) is not None:
+                    fields = {"id": ids[k], "stratum": strata[k] or ""}
+                    scores[k], errors[k] = self._score_with_retries(session, fields, headers)
+            finally:
+                if session is not self.session:
+                    session.close()
+
+        with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
+            tasks = [pool.submit(task) for _ in range(min(self.config.max_concurrency, ds.n))]
+        for done in tasks:
+            done.result()  # re-raise what a task did not catch
+        return scores, [(i, error) for i, error in zip(ids, errors) if error is not None]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Artifact, LabeledDataset
-from .logistic import BaseModel, TrainMeta, TrainingError, _standardized, minimize_gd, sigmoid
+from .logistic import BaseModel, TrainingError, _fitted_model, _training_inputs, minimize_gd, sigmoid
 from .oracle import score_batch
 
 DENSITY_TOL = 1e-9
@@ -337,27 +337,17 @@ def train_augmented(
     training, for oracles whose confidence should not be trusted as a soft
     target.
     """
-    if labeled.n < 1:
-        raise TrainingError("cannot train on an empty labeled dataset")
-    if not labeled.has_labels:
-        raise TrainingError("labeled dataset has instances with missing labels")
-    if reg_lambda < 0:
-        raise TrainingError(f"reg_lambda must be >= 0, got {reg_lambda}")
+    Xs, y, mean, scale = _training_inputs(labeled, reg_lambda, role="labeled")
     if augmented is None:
         augmented = LabeledDataset((), labeled.dim)
     if augmented.dim != labeled.dim:
         raise TrainingError(
             f"dimension mismatch: labeled d={labeled.dim}, augmented d={augmented.dim}"
         )
-    if augmented.n and not augmented.has_oracle_scores:
-        raise TrainingError("augmented dataset has instances with missing oracle scores")
-
-    X = labeled.feature_matrix()
-    y = labeled.labels()
-    if not np.all(np.isfinite(X)):
-        raise TrainingError("labeled dataset contains non-finite features")
-    Xs, mean, scale = _standardized(X)
+    Xa, z = np.zeros((0, labeled.dim)), np.zeros(0)
     if augmented.n:
+        if not augmented.has_oracle_scores:
+            raise TrainingError("augmented dataset has instances with missing oracle scores")
         Xa = augmented.feature_matrix()
         if not np.all(np.isfinite(Xa)):
             raise TrainingError("augmented dataset contains non-finite features")
@@ -365,21 +355,9 @@ def train_augmented(
         z = augmented.oracle_scores()
         if round_oracle_scores:
             z = (z > 0.5).astype(float)
-    else:
-        Xa = np.zeros((0, labeled.dim))
-        z = np.zeros(0)
 
     def value_and_grad(theta):
         return _augmented_objective_deferred(theta, Xs, y, Xa, z, slack_a, reg_lambda)
 
-    theta, iterations, objective = minimize_gd(
-        value_and_grad, np.zeros(labeled.dim + 1), max_iter=max_iter, tol=tol
-    )
-    return BaseModel(
-        weights=theta[: labeled.dim],
-        intercept=float(theta[labeled.dim]),
-        reg_lambda=reg_lambda,
-        feature_mean=mean,
-        feature_scale=scale,
-        train_meta=TrainMeta(iterations=iterations, objective=objective, seed=seed),
-    )
+    fit = minimize_gd(value_and_grad, np.zeros(labeled.dim + 1), max_iter=max_iter, tol=tol)
+    return _fitted_model(fit, reg_lambda, mean, scale, seed)

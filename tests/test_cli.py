@@ -65,6 +65,17 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in err and "not found" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "undecodable"])
+    def test_unreadable_config_file_exits_2_with_one_error_line(self, tmp_path, capsys, kind):
+        path = tmp_path / "exp.cfg"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(b"folds.k = 4 \xff\n")
+        code, _, err = _run(capsys, "experiment", "--config", str(path))
+        assert code == 2
+        assert err.splitlines() == [err.strip()] and err.startswith(f"error: cannot read config file {path}")
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "bogus.key = 1\n")
         code, _, err = _run(capsys, "experiment", "--config", cfg)

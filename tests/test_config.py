@@ -1,5 +1,7 @@
 """Flat key = value configuration files and method specifications."""
 
+import re
+
 import pytest
 
 from scorefusion import (
@@ -112,6 +114,14 @@ class TestConfigFromMapping:
         assert cfg.transfer.round_oracle is True
         assert cfg.transfer.slack_a == 0.2
 
+    @pytest.mark.parametrize("key", [
+        "methods", "seeds", "tune.candidates", "synth.strata",
+        "transfer.source_strata", "transfer.target_strata", "transfer.target_density",
+    ])
+    def test_an_empty_list_value_keeps_the_default(self, key):
+        synth = {"synth.d": "2", "synth.n": "10", "synth.weights": "1, -1, 0"}
+        assert config_from_mapping({**synth, key: " "}) == config_from_mapping(synth)
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(ConfigError, match="folds.k"):
             config_from_mapping({"folds.k": "five"})
@@ -164,3 +174,13 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             load_config(tmp_path / "nope.cfg")
+
+    def test_a_directory_is_a_config_error_naming_it(self, tmp_path):
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {tmp_path}")):
+            load_config(tmp_path)
+
+    def test_undecodable_bytes_are_a_config_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# caf\xe9\nfolds.k = 4\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=re.escape(f"cannot read config file {path} as UTF-8")):
+            load_config(path)

@@ -1,6 +1,7 @@
 """Experiment orchestration: providers, reports, both protocols, tuning."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -347,6 +348,17 @@ class TestResultsUnchanged:
         run, cfg = _fixed_file_runs()[name]
         want = json.loads((DATA / f"report_{name}.json").read_text(encoding="utf-8"))
         _assert_report_close(json.loads(run(cfg).to_json()), want)
+
+    # tests/data/artifacts_*.json were written by the code that still wrote
+    # out each protocol's seed loop and each trainer's checks on its own
+    @pytest.mark.parametrize("name", ["experiment", "transfer"])
+    def test_per_seed_artifacts_match_the_reference(self, name, tmp_path):
+        run, cfg = _fixed_file_runs()[name]
+        run(replace(cfg, out_dir=str(tmp_path)))
+        got = {path.relative_to(tmp_path).as_posix(): json.loads(path.read_text(encoding="utf-8"))
+               for path in tmp_path.glob("seed_*/*")}
+        want = json.loads((DATA / f"artifacts_{name}.json").read_text(encoding="utf-8"))
+        _assert_report_close(got, want)
 
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
     def test_a_dataset_file_is_loaded_once_per_run(self, name, monkeypatch):

@@ -1,6 +1,8 @@
 """Oracle scoring: prompt rendering, response parsing, caching, providers."""
 
 import csv
+import re
+import sys
 import threading
 import time
 import warnings
@@ -198,6 +200,16 @@ class TestOracleCache:
             assert bool(caught) == expect_warning
             cache.update({"c": 0.25})
             assert path.read_bytes() == b"id,z\r\nc,0.25\r\n"
+
+    def test_a_directory_is_an_oracle_error_naming_it(self, tmp_path):
+        with pytest.raises(OracleError, match=re.escape(f"cannot read cache file {tmp_path}")):
+            OracleCache(tmp_path)
+
+    def test_undecodable_bytes_are_an_oracle_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"id,z\na\xff,0.5\nb,0.25\n")
+        with pytest.raises(OracleError, match=re.escape(f"cannot read cache file {path} as UTF-8")):
+            OracleCache(path)
 
     def test_contains_and_scores_view(self, tmp_path):
         cache = OracleCache(tmp_path / "c.csv")
@@ -662,6 +674,31 @@ class TestHttpOracle:
         assert all(len(session.threads) == 1 for session in opened)
         assert all(session.closed for session in opened)
         assert score_batch(oracle, _rows(["one"]), column=True).tolist() == [0.5]
+
+    def test_a_batch_submits_at_most_max_concurrency_tasks(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        submitted, submit = [], ThreadPoolExecutor.submit
+        monkeypatch.setattr(ThreadPoolExecutor, "submit",
+                            lambda pool, *a, **kw: submitted.append(a) or submit(pool, *a, **kw))
+        ids = [f"i{k:02d}" for k in range(40)]
+        session = _FakeSession({i: [_FakeResponse(f"0.{k:02d}")] for k, i in enumerate(ids)})
+        z = score_batch(_http(session, max_concurrency=3), _rows(ids), column=True)
+        assert z.tolist() == [k / 100 for k in range(40)]
+        assert 1 <= len(submitted) <= 3
+        assert len(session.requests) == 40
+
+    def test_every_row_is_posted_once_under_frequent_thread_switches(self):
+        ids = [f"i{k:03d}" for k in range(400)]
+        session = _FakeSession({i: [_FakeResponse(f"0.{k:03d}")] for k, i in enumerate(ids)})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            z, failures = _http(session, max_concurrency=8).score_uncached(_rows(ids))
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and z.tolist() == [k / 1000 for k in range(400)]
+        assert sorted(r["json"]["prompt"] for r in session.requests) == [f"score {i}" for i in ids]
 
     def test_row_tuple_and_dataset_batches_agree(self, tmp_path):
         ids = ["c", "a", "e", "b", "d"]
