@@ -15,7 +15,6 @@ from scorefusion import (
     GridSpec,
     SyntheticOracle,
     SyntheticOracleSpec,
-    apply_calibrator,
     brier_score,
     choose_grid,
     cv_predict,
@@ -42,8 +41,7 @@ data = LabeledDataset.from_arrays(X, y=y, prefix="cal_")
 train_ds, test_ds = split(data, test_fraction=0.5, seed=1)
 
 model = train(train_ds)
-cv = cv_predict(train_ds, make_folds(train_ds, k=5, seed=0))
-f_train = cv.scores
+f_train = cv_predict(train_ds, make_folds(train_ds, k=5, seed=0))  # out-of-fold base scores
 y_train = train_ds.labels()
 
 oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=5))
@@ -69,5 +67,5 @@ y_test = test_ds.labels()
 
 print()
 print(f"raw base scores      brier = {brier_score(f_test, y_test):.4f}")
-print(f"cell calibrated      brier = {brier_score(apply_calibrator(cell, f_test, z_test), y_test):.4f}")
-print(f"additive calibrated  brier = {brier_score(apply_calibrator(additive, f_test, z_test), y_test):.4f}")
+print(f"cell calibrated      brier = {brier_score(cell.calibrate(f_test, z_test), y_test):.4f}")
+print(f"additive calibrated  brier = {brier_score(additive.calibrate(f_test, z_test), y_test):.4f}")

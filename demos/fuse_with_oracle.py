@@ -43,9 +43,7 @@ print(f"dataset: {train_ds.n} train rows, {test_ds.n} test rows, d={d}")
 
 # --- base model plus out-of-fold predictions for honest weight fitting ---
 model = train(train_ds)
-folds = make_folds(train_ds, k=5, seed=0)
-cv = cv_predict(train_ds, folds)
-y_cv = cv.scores
+y_cv = cv_predict(train_ds, make_folds(train_ds, k=5, seed=0))
 y_train = train_ds.labels()
 
 # --- an oracle that agrees with the true label 75% of the time ---

@@ -15,7 +15,8 @@ cell (``data.bin_sums``): cell offsets are its ratios, and additive offsets
 solve the normal equations built from it. ``choose_grid`` builds the table per
 fold and fits each fold from the total minus that fold.
 
-Both produce f(x) + offset, clamped to [0, 1] at application time; the
+Both apply as f(x) + table[i, j], one offset table over the cells (for the
+additive kind, the outer sum of its two vectors), clamped to [0, 1]; the
 pre-clamp value is exposed separately because the unbiasedness properties are
 statements about the unclamped corrector.
 """
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, bin_sums, check_scores, fold_index, load_artifact
+from .data import Artifact, bin_sums, check_scores, cv_select, load_artifact
 
 
 class CalibrationError(ValueError):
@@ -62,34 +63,17 @@ def grid_round(v: float, res: int) -> float:
     return grid_index(v, res) / res
 
 
-@dataclass(frozen=True)
-class CellCalibrator(Artifact):
-    """Per-cell mean-residual offsets on the (base grid) x (oracle grid) table."""
+class _GridCalibrator(Artifact):
+    """Application shared by both calibrators: f + table[grid_index(f), grid_index(z)].
 
-    KIND = "cell_calibrator"
-    ERROR = CalibrationError
-
-    grid: GridSpec
-    delta: np.ndarray  # (base_res+1, oracle_res+1)
-    counts: np.ndarray
-
-    def __post_init__(self):
-        delta = np.asarray(self.delta, dtype=float)
-        counts = np.asarray(self.counts, dtype=int)
-        shape = (self.grid.base_res + 1, self.grid.oracle_res + 1)
-        if delta.shape != shape or counts.shape != shape:
-            raise CalibrationError(f"delta/counts must have shape {shape}")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "counts", counts)
-
-    @property
-    def parameter_count(self) -> int:
-        return (self.grid.base_res + 1) * (self.grid.oracle_res + 1)
+    A subclass sets ``grid``, and ``table`` (its offset per cell, shape
+    (base_res+1, oracle_res+1)) when it is built.
+    """
 
     def offset(self, base_score, oracle_score):
         i = grid_index(base_score, self.grid.base_res)
         j = grid_index(oracle_score, self.grid.oracle_res)
-        out = self.delta[i, j]
+        out = self.table[i, j]
         return out if np.ndim(out) else float(out)
 
     def calibrate_raw(self, base_score, oracle_score):
@@ -100,6 +84,35 @@ class CellCalibrator(Artifact):
     def calibrate(self, base_score, oracle_score):
         out = np.clip(self.calibrate_raw(base_score, oracle_score), 0.0, 1.0)
         return out if np.ndim(out) else float(out)
+
+
+@dataclass(frozen=True)
+class CellCalibrator(_GridCalibrator):
+    """Per-cell mean-residual offsets on the (base grid) x (oracle grid) table."""
+
+    KIND = "cell_calibrator"
+    ERROR = CalibrationError
+
+    grid: GridSpec
+    delta: np.ndarray  # (base_res+1, oracle_res+1)
+    counts: np.ndarray
+
+    # bound here too, for code that wraps methods by looking them up in a class's own __dict__
+    calibrate = _GridCalibrator.calibrate
+
+    def __post_init__(self):
+        delta = np.asarray(self.delta, dtype=float)
+        counts = np.asarray(self.counts, dtype=int)
+        shape = (self.grid.base_res + 1, self.grid.oracle_res + 1)
+        if delta.shape != shape or counts.shape != shape:
+            raise CalibrationError(f"delta/counts must have shape {shape}")
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "table", delta)
+
+    @property
+    def parameter_count(self) -> int:
+        return (self.grid.base_res + 1) * (self.grid.oracle_res + 1)
 
     def to_doc(self) -> dict:
         return {
@@ -116,7 +129,7 @@ class CellCalibrator(Artifact):
 
 
 @dataclass(frozen=True)
-class AdditiveCalibrator(Artifact):
+class AdditiveCalibrator(_GridCalibrator):
     """Row-plus-column offsets: cell (i, j) adds row_offsets[i] + col_offsets[j]."""
 
     KIND = "additive_calibrator"
@@ -126,6 +139,8 @@ class AdditiveCalibrator(Artifact):
     row_offsets: np.ndarray  # base_res+1
     col_offsets: np.ndarray  # oracle_res+1
 
+    calibrate = _GridCalibrator.calibrate  # as in CellCalibrator
+
     def __post_init__(self):
         rows = np.asarray(self.row_offsets, dtype=float)
         cols = np.asarray(self.col_offsets, dtype=float)
@@ -133,24 +148,11 @@ class AdditiveCalibrator(Artifact):
             raise CalibrationError("offset vectors do not match the grid resolutions")
         object.__setattr__(self, "row_offsets", rows)
         object.__setattr__(self, "col_offsets", cols)
+        object.__setattr__(self, "table", np.add.outer(rows, cols))
 
     @property
     def parameter_count(self) -> int:
         return (self.grid.base_res + 1) + (self.grid.oracle_res + 1)
-
-    def offset(self, base_score, oracle_score):
-        i = grid_index(base_score, self.grid.base_res)
-        j = grid_index(oracle_score, self.grid.oracle_res)
-        out = self.row_offsets[i] + self.col_offsets[j]
-        return out if np.ndim(out) else float(out)
-
-    def calibrate_raw(self, base_score, oracle_score):
-        out = np.asarray(base_score, dtype=float) + self.offset(base_score, oracle_score)
-        return out if out.ndim else float(out)
-
-    def calibrate(self, base_score, oracle_score):
-        out = np.clip(self.calibrate_raw(base_score, oracle_score), 0.0, 1.0)
-        return out if np.ndim(out) else float(out)
 
     def to_doc(self) -> dict:
         return {
@@ -224,17 +226,6 @@ def fit_additive_calibrator(base_scores, oracle_scores, labels, grid: GridSpec) 
     return AdditiveCalibrator(grid=grid, row_offsets=rows, col_offsets=cols)
 
 
-def apply_calibrator(calibrator, base_score, oracle_score, clip: bool = True):
-    """Corrected score for a (base score, oracle score) pair.
-
-    With ``clip=False`` the pre-clamp value is returned; this is the quantity
-    the per-cell and per-level zero-bias properties refer to.
-    """
-    if clip:
-        return calibrator.calibrate(base_score, oracle_score)
-    return calibrator.calibrate_raw(base_score, oracle_score)
-
-
 def _fold_offsets(f, z, y, grid: GridSpec, kind: str, fold, k: int):
     """Cell key of each row, and row g = the flat offset table fitted without fold g."""
     cell, held = _cell_sums(f, z, y, grid, fold, k)
@@ -257,7 +248,7 @@ def choose_grid(
 ) -> GridSpec:
     """Pick the base-grid resolution minimizing k-fold squared error.
 
-    Rows are dealt into k folds by ``data.fold_index``. Per candidate, one
+    ``data.cv_select`` deals the rows into k folds. Per candidate, one
     bincount pass builds every fold's cell table; fold g's calibrator comes
     from the total minus fold g (the same fit as refitting on the other k-1
     folds), and one gather scores its clamped output on fold g's rows. Ties
@@ -272,14 +263,11 @@ def choose_grid(
     if len(candidates) == 1:
         return GridSpec(candidates[0], oracle_res)
     f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
-    k = min(k, f.size)
-    if k < 2:
-        raise CalibrationError("choose_grid needs at least 2 samples for cross-validation")
-    fold = fold_index(f.size, k, seed)
 
-    def cv_loss(res):
+    def cv_loss(res, fold, k):
         cell, offsets = _fold_offsets(f, z, y, GridSpec(res, oracle_res), kind, fold, k)
         pred = np.clip(f + offsets[fold, cell], 0.0, 1.0)
         return float(np.sum((pred - y) ** 2)) / f.size
 
-    return GridSpec(min(candidates, key=cv_loss), oracle_res)
+    res = cv_select(candidates, cv_loss, f.size, k, seed, CalibrationError, "choose_grid")
+    return GridSpec(res, oracle_res)

@@ -15,19 +15,20 @@ from pathlib import Path
 
 from .calibration import CalibrationError, GridSpec, fit_additive_calibrator, fit_cell_calibrator, load_calibrator
 from .config import DEFAULT_LINES, ConfigError, ExperimentConfig, config_from_mapping, load_config
-from .data import DatasetError, load_dataset, save_dataset, synthesize
+from .data import DatasetError, save_dataset, synthesize
 from .ensemble import EnsembleError, WeightFunction, fit_adaptive_weights, fit_constant_weight, fuse
 from .harness import (
     HarnessError,
     build_provider,
     fit_inputs,
+    fixed_dataset,
     run_experiment,
     run_transfer_experiment,
     tune_hyperparameter,
 )
 from .logistic import BaseModel, TrainingError, train
 from .metrics import MetricError, metric_dict
-from .oracle import OracleCache, OracleError, score_batch
+from .oracle import OracleCache, OracleError, attach_scores, score_batch
 from .transfer import TransferError
 
 _ERRORS = (
@@ -62,19 +63,14 @@ def _require_out(cfg: ExperimentConfig) -> Path:
 
 
 def _load_input_dataset(cfg: ExperimentConfig):
-    cfg.require_data_source()
-    if cfg.dataset_path is not None:
-        cfg.validate_paths()
-        return load_dataset(cfg.dataset_path, cfg.dataset_format)
-    return synthesize(cfg.synth)
+    """The configured dataset file, or one synthetic draw with ``synth.seed``."""
+    ds = fixed_dataset(cfg)
+    return synthesize(cfg.synth) if ds is None else ds
 
 
 def _with_scores(cfg, ds):
     """Return the dataset with oracle scores, fetching them if absent."""
-    if ds.has_oracle_scores:
-        return ds
-    provider = build_provider(cfg.oracle)
-    return ds.with_oracle_scores(score_batch(provider, ds, column=True))
+    return ds if ds.has_oracle_scores else attach_scores(ds, build_provider(cfg.oracle))
 
 
 def _fit_inputs(cfg):

@@ -143,6 +143,11 @@ class TransferSettings:
         object.__setattr__(self, "target_strata", tuple(str(t) for t in self.target_strata))
         if self.slack_a < 0:
             raise ConfigError(f"transfer.slack_a must be >= 0, got {self.slack_a}")
+        density = self.target_density
+        if density is not None and (any(p < 0 for p in density.values()) or not sum(density.values()) > 0):
+            raise ConfigError(
+                f"transfer.target_density weights must be >= 0 and sum to more than 0, got {density}"
+            )
 
 
 @dataclass(frozen=True)

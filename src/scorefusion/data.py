@@ -349,15 +349,6 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class FoldAssignment:
-    """Balanced assignment of a dataset's rows to k folds: ``fold`` holds each row's fold in [0, k)."""
-
-    k: int
-    fold: np.ndarray
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
     """Recipe for a synthetic logistic-model dataset.
 
@@ -736,15 +727,29 @@ def fold_index(n: int, k: int, seed: int) -> np.ndarray:
     return fold
 
 
-def make_folds(ds: LabeledDataset, k: int, seed: int) -> FoldAssignment:
-    """Deal the rows into k balanced folds (sizes differ by <= 1) as ``fold_index`` does."""
+def make_folds(ds: LabeledDataset, k: int, seed: int) -> np.ndarray:
+    """The read-only fold column of ``ds``: its rows dealt into k balanced folds
+    (sizes differ by <= 1) as ``fold_index`` does."""
     if k < 2:
         raise DatasetError(f"fold count must be >= 2, got {k}")
     if k > ds.n:
         raise DatasetError(f"cannot make {k} folds from {ds.n} instances")
     fold = fold_index(ds.n, k, seed)
     fold.flags.writeable = False
-    return FoldAssignment(k=k, fold=fold, seed=seed)
+    return fold
+
+
+def cv_select(candidates, cv_loss, n: int, k: int, seed: int, error, what: str):
+    """The candidate with the least ``cv_loss(candidate, fold, k)``, ties to the earliest.
+
+    The n rows are dealt into k = min(k, n) folds by ``fold_index``; ``error``
+    is raised, naming ``what``, when that leaves fewer than 2 folds.
+    """
+    k = min(k, n)
+    if k < 2:
+        raise error(f"{what} needs at least 2 samples for cross-validation")
+    fold = fold_index(n, k, seed)
+    return min(candidates, key=lambda candidate: cv_loss(candidate, fold, k))
 
 
 def check_scores(y_hat, z, y, error):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, bin_sums, check_scores, fold_index
+from .data import Artifact, bin_sums, check_scores, cv_select
 
 
 class EnsembleError(ValueError):
@@ -126,7 +126,7 @@ def _fold_weights(y_cv, z, y, r: int, fold, k: int):
 def choose_pieces(y_cv, z, y, candidates, k: int = 5, seed: int = 0) -> int:
     """Pick the piece count r minimizing k-fold squared error of the fused score.
 
-    Rows are dealt into k folds by ``data.fold_index``. Per candidate, one
+    ``data.cv_select`` deals the rows into k folds. Per candidate, one
     bincount pass builds every fold's piece table; fold g's weights come from
     the total minus fold g (the same fit as refitting on the other k-1 folds)
     and are scored on fold g's own table. Ties break toward the smaller r.
@@ -135,16 +135,12 @@ def choose_pieces(y_cv, z, y, candidates, k: int = 5, seed: int = 0) -> int:
     if not candidates or candidates[0] < 1:
         raise EnsembleError(f"candidate piece counts must be >= 1, got {candidates}")
     y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
-    k = min(k, y.size)
-    if k < 2:
-        raise EnsembleError("choosing r needs at least 2 samples for cross-validation")
-    fold = fold_index(y.size, k, seed)
 
-    def cv_loss(r):
+    def cv_loss(r, fold, k):
         held, w = _fold_weights(y_cv, z, y, r, fold, k)
         return float(np.sum(_piece_loss(w, *held[1:]))) / y.size
 
-    return min(candidates, key=cv_loss)
+    return cv_select(candidates, cv_loss, y.size, k, seed, EnsembleError, "choosing r")
 
 
 def fuse(weight: WeightFunction, y_hat, z):

@@ -17,7 +17,7 @@ timestamped or machine-specific is recorded.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .data import LabeledDataset, load_dataset, make_folds, split, synthesize
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
 from .logistic import cv_predict, train
 from .metrics import metric_dict
-from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, SyntheticOracle, SyntheticOracleSpec, score_batch
+from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, SyntheticOracle, SyntheticOracleSpec, attach_scores
 from .transfer import StratumDensity, label_with_oracle, make_plan, sample_augmentation, train_augmented
 
 
@@ -45,26 +45,16 @@ def build_provider(settings):
     """Construct the oracle provider described by OracleSettings.
 
     Every kind gets the ``oracle.cache`` file (when set) as its ``cache``:
-    ``score_batch`` consults it first and extends it with fresh scores.
+    ``score_batch`` consults it first and extends it with fresh scores. The
+    synthetic spec and the HTTP config take every field from the same-named
+    setting.
     """
     cache = OracleCache(settings.cache_path) if settings.cache_path else None
     if settings.kind == "cached":
         return CachedOracle(cache=cache)
-    if settings.kind == "synthetic":
-        spec = SyntheticOracleSpec(
-            accuracy=settings.accuracy, mode=settings.mode,
-            noise=settings.noise, seed=settings.seed,
-        )
-        return SyntheticOracle(spec, cache=cache)
-    return HttpOracle(
-        HttpOracleConfig(
-            url=settings.url, model=settings.model,
-            prompt_template=settings.prompt_template, auth_env=settings.auth_env,
-            timeout=settings.timeout, retries=settings.retries,
-            backoff=settings.backoff, max_concurrency=settings.max_concurrency,
-        ),
-        cache=cache,
-    )
+    provider, spec = {"synthetic": (SyntheticOracle, SyntheticOracleSpec),
+                      "http": (HttpOracle, HttpOracleConfig)}[settings.kind]
+    return provider(spec(**{f.name: getattr(settings, f.name) for f in fields(spec)}), cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +127,7 @@ def _save_artifacts(out_dir, seed, artifacts: dict) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _fixed_dataset(cfg: ExperimentConfig, dataset) -> LabeledDataset | None:
+def fixed_dataset(cfg: ExperimentConfig, dataset=None) -> LabeledDataset | None:
     """The dataset every seed shares: the one given, else the configured file,
     loaded once; None when each seed draws its own synthetic dataset."""
     if dataset is not None:
@@ -157,10 +147,6 @@ def _split(cfg: ExperimentConfig, fixed, seed: int):
     return split(fixed, cfg.test_fraction, seed)
 
 
-def _attach_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
-    return ds.with_oracle_scores(score_batch(provider, ds, column=True))
-
-
 def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
     """(out-of-fold base scores, oracle scores, labels) of ``ds``, which every fitter takes.
 
@@ -171,8 +157,8 @@ def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=Non
     if trainer is None:
         def trainer(subset):
             return train(subset, **asdict(cfg.base), seed=seed)
-    folds = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
-    return cv_predict(ds, folds, trainer=trainer).scores, ds.oracle_scores(), ds.labels()
+    fold = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
+    return cv_predict(ds, fold, trainer=trainer), ds.oracle_scores(), ds.labels()
 
 
 def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
@@ -186,7 +172,7 @@ def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> Me
     is saved when an output directory is configured.
     """
     provider = provider if provider is not None else build_provider(cfg.oracle)
-    fixed = _fixed_dataset(cfg, dataset)
+    fixed = fixed_dataset(cfg, dataset)
     per_seed = []
     for seed in cfg.seeds:
         methods, artifacts = body(*_split(cfg, fixed, seed), seed, provider)
@@ -243,8 +229,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
     configured, and report.json / report.csv at the top level.
     """
     def body(train_ds, test_ds, seed, provider):
-        train_ds = _attach_oracle(train_ds, provider)
-        test_ds = _attach_oracle(test_ds, provider)
+        train_ds = attach_scores(train_ds, provider)
+        test_ds = attach_scores(test_ds, provider)
         base = train(train_ds, **asdict(cfg.base), seed=seed)
         train_inputs = fit_inputs(cfg, train_ds, seed)
         test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
@@ -269,9 +255,7 @@ def _strata_of(ds: LabeledDataset) -> dict:
     return {tag: count for tag, count in ds.stratum_counts().items() if tag is not None}
 
 
-def run_transfer_experiment(
-    cfg: ExperimentConfig, dataset=None, pool=None, provider=None
-) -> MetricReport:
+def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> MetricReport:
     """Covariate-shift protocol: labels only in the source strata.
 
     Per seed the data splits as usual, but training labels come solely from
@@ -290,11 +274,11 @@ def run_transfer_experiment(
         target_tags = tuple(tr.target_strata)
         if not source_tags:
             raise HarnessError("transfer experiment needs stratum tags on the dataset")
-        if pool is None and not target_tags:
-            raise HarnessError("transfer experiment needs transfer.target_strata or an explicit pool")
+        if not target_tags:
+            raise HarnessError("transfer experiment needs transfer.target_strata")
 
         labeled = train_all.take(train_all.in_strata(source_tags))
-        pool_ds = pool if pool is not None else train_all.take(train_all.in_strata(target_tags))
+        pool_ds = train_all.take(train_all.in_strata(target_tags))
         if labeled.n == 0:
             raise HarnessError(f"no training rows in source strata {source_tags}")
         if pool_ds.n == 0 and any(m > 0 for m in m_values):
@@ -309,8 +293,8 @@ def run_transfer_experiment(
         else:
             p2 = StratumDensity.from_counts(_strata_of(pool_ds), tags=universe)
 
-        labeled = _attach_oracle(labeled, provider)
-        test_ds = _attach_oracle(test_ds, provider)
+        labeled = attach_scores(labeled, provider)
+        test_ds = attach_scores(test_ds, provider)
         y_test = test_ds.labels()
         z_test = test_ds.oracle_scores()
 
@@ -378,8 +362,8 @@ def tune_hyperparameter(
 
     provider = provider if provider is not None else build_provider(cfg.oracle)
     seed = cfg.seeds[0]
-    train_ds, _ = _split(cfg, _fixed_dataset(cfg, dataset), seed)
-    y_cv, z, y = fit_inputs(cfg, _attach_oracle(train_ds, provider), seed)
+    train_ds, _ = _split(cfg, fixed_dataset(cfg, dataset), seed)
+    y_cv, z, y = fit_inputs(cfg, attach_scores(train_ds, provider), seed)
 
     if parameter == "M":
         return choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,

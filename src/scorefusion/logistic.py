@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, DatasetError, FoldAssignment, LabeledDataset, sigmoid
+from .data import Artifact, DatasetError, LabeledDataset, sigmoid
+from .metrics import LOSS_CLAMP, mean_log_loss  # LOSS_CLAMP stays importable from here
 
 
 class TrainingError(ValueError):
@@ -25,34 +26,19 @@ class SingleClassFoldWarning(UserWarning):
     """A cross-validation fold-model saw only one class; regularization keeps it well-posed."""
 
 
-LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
-
-
 def _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda):
-    """Value of ``regularized_logloss_and_grad`` and a zero-argument callable that
+    """Value of ``regularized_logloss`` and a zero-argument callable that
     builds its (grad_w, grad_b) from the value's own sigmoid pass."""
     t = X @ weights
     t += intercept
     p = sigmoid(t)
-    clamped = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    nll = -np.mean(y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped))
-    value = float(nll + 0.5 * reg_lambda * np.dot(weights, weights))
+    value = float(mean_log_loss(p, y) + 0.5 * reg_lambda * np.dot(weights, weights))
 
     def grad():
         resid = p - y
         return X.T @ resid / len(y) + reg_lambda * weights, float(np.mean(resid))
 
     return value, grad
-
-
-def regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda):
-    """Mean log-loss of sigmoid(X w + b) against y, plus (reg_lambda/2)||w||^2,
-    and its gradient with respect to (weights, intercept), from one pass.
-
-    Returns (value, grad_w, grad_b).
-    """
-    value, grad = _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda)
-    return (value, *grad())
 
 
 def regularized_logloss(weights, intercept, X, y, reg_lambda):
@@ -62,7 +48,7 @@ def regularized_logloss(weights, intercept, X, y, reg_lambda):
 
 def regularized_logloss_grad(weights, intercept, X, y, reg_lambda):
     """Gradient of ``regularized_logloss`` with respect to (weights, intercept)."""
-    return regularized_logloss_and_grad(weights, intercept, X, y, reg_lambda)[1:]
+    return _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda)[1]()
 
 
 def minimize_gd(value_and_grad, theta0, max_iter, tol):
@@ -242,31 +228,22 @@ def train(
     return _fitted_model(fit, reg_lambda, mean, scale, seed)
 
 
-@dataclass(frozen=True)
-class CvPredictions:
-    """Out-of-fold scores: each row was scored by the model that never saw it.
+def cv_predict(ds: LabeledDataset, fold, trainer=None) -> np.ndarray:
+    """Out-of-fold scores: each row scored by the fold-model trained on the other folds.
 
-    ``scores`` is aligned with the rows of the dataset that was scored.
+    ``fold`` is the fold column of ``ds`` (``make_folds``), one fold in
+    [0, k) per row; the result is aligned with the rows of ``ds``, and folds
+    with no rows are skipped. ``trainer`` overrides the model-fitting routine;
+    it receives a LabeledDataset and must return an object with
+    ``score_dataset``. The default is ``train`` with its default
+    hyperparameters.
     """
-
-    scores: np.ndarray
-    folds: FoldAssignment
-
-
-def cv_predict(ds: LabeledDataset, folds: FoldAssignment, trainer=None) -> CvPredictions:
-    """Score every row with the fold-model trained on the other folds.
-
-    ``folds.fold`` must hold one fold per row of ``ds``. ``trainer``
-    overrides the model-fitting routine; it receives a LabeledDataset and
-    must return an object with ``score_dataset``. The default is ``train``
-    with its default hyperparameters.
-    """
-    fold = np.asarray(folds.fold)
+    fold = np.asarray(fold)
     if fold.shape != (ds.n,):
         raise DatasetError(f"fold assignment has shape {fold.shape}, expected ({ds.n},)")
     trainer = train if trainer is None else trainer
     scores = np.full(ds.n, np.nan)
-    for f in range(folds.k):
+    for f in range(int(fold.max(initial=-1)) + 1):
         held_out = fold == f
         if not held_out.any():
             continue
@@ -278,4 +255,4 @@ def cv_predict(ds: LabeledDataset, folds: FoldAssignment, trainer=None) -> CvPre
                 stacklevel=2,
             )
         scores[held_out] = trainer(train_part).score_dataset(ds.take(held_out))
-    return CvPredictions(scores=scores, folds=folds)
+    return scores

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-LOGLOSS_CLAMP = 1e-12
+LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
 
 
 class MetricError(ValueError):
@@ -40,11 +40,16 @@ def brier_score(scores, labels) -> float:
     return float(np.mean((s - y) ** 2))
 
 
+def mean_log_loss(p, y):
+    """Mean negative log-likelihood of labels y under probabilities p clamped
+    ``LOSS_CLAMP`` away from {0, 1}, as a numpy float; no validation."""
+    p = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
 def log_loss(scores, labels) -> float:
     """Mean negative log-likelihood; scores are clamped 1e-12 away from {0, 1}."""
-    s, y = _validate(scores, labels)
-    s = np.clip(s, LOGLOSS_CLAMP, 1.0 - LOGLOSS_CLAMP)
-    return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
+    return float(mean_log_loss(*_validate(scores, labels)))
 
 
 def metric_dict(scores, labels, **extra) -> dict:

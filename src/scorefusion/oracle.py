@@ -600,3 +600,8 @@ def score_batch(provider, batch, *, column=False):
         return z
     order = sorted(range(len(ids)), key=ids.__getitem__)
     return list(zip(map(ids.__getitem__, order), z[order].tolist()))
+
+
+def attach_scores(ds: LabeledDataset, provider) -> LabeledDataset:
+    """``ds`` with every row's oracle score from ``score_batch``."""
+    return ds.with_oracle_scores(score_batch(provider, ds, column=True))

@@ -21,7 +21,7 @@ import numpy as np
 
 from .data import Artifact, LabeledDataset
 from .logistic import BaseModel, TrainingError, _fitted_model, _training_inputs, minimize_gd, sigmoid
-from .oracle import score_batch
+from .oracle import attach_scores
 
 DENSITY_TOL = 1e-9
 
@@ -209,7 +209,7 @@ def sample_augmentation(
     if m < 0:
         raise TransferError(f"augmentation count must be >= 0, got {m}")
     if m == 0:
-        return LabeledDataset((), pool.dim)
+        return pool.take([])
     groups = {str(tag): rows for tag, rows in pool.stratum_rows().items() if tag is not None}
     missing = [t for t in p3.support() if t not in groups]
     if missing:
@@ -235,7 +235,7 @@ def label_with_oracle(ds: LabeledDataset, provider) -> LabeledDataset:
     """Attach oracle scores to every instance and drop any labels."""
     if ds.n == 0:
         return ds
-    return ds.without_labels().with_oracle_scores(score_batch(provider, ds, column=True))
+    return attach_scores(ds, provider).without_labels()
 
 
 def _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_lambda):
@@ -339,7 +339,7 @@ def train_augmented(
     """
     Xs, y, mean, scale = _training_inputs(labeled, reg_lambda, role="labeled")
     if augmented is None:
-        augmented = LabeledDataset((), labeled.dim)
+        augmented = labeled.take([])
     if augmented.dim != labeled.dim:
         raise TrainingError(
             f"dimension mismatch: labeled d={labeled.dim}, augmented d={augmented.dim}"

@@ -9,6 +9,9 @@ changing anything under ``bench/``.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,16 @@ def test_every_span_target_resolves_to_a_callable():
         for part in attr.split("."):
             target = getattr(target, part)
         assert callable(target), f"scorefusion.{module}.{attr}"
+
+
+def test_the_tracer_installs_on_the_package():
+    # getattr above also finds a method inherited from a base class; the tracer reads
+    # each class's own __dict__, so run its install in a fresh interpreter
+    root = TRACING.parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")]))
+    done = subprocess.run([sys.executable, "-c", "import tracing; tracing.Tracer.install()"],
+                          env=env, cwd=root, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_score_batch_takes_the_batch_as_its_second_positional_argument():

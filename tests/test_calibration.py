@@ -8,7 +8,6 @@ from scorefusion import (
     CalibrationError,
     CellCalibrator,
     GridSpec,
-    apply_calibrator,
     choose_grid,
     fit_additive_calibrator,
     fit_cell_calibrator,
@@ -201,9 +200,9 @@ class TestApplyAndValidation:
     def test_apply_with_and_without_clipping(self):
         f, z, y = _sample(100, seed=10)
         cal = fit_cell_calibrator(f, z, y, GridSpec(5, 1))
-        raw = apply_calibrator(cal, f, z, clip=False)
-        clipped = apply_calibrator(cal, f, z)
-        np.testing.assert_array_equal(raw, cal.calibrate_raw(f, z))
+        raw = cal.calibrate_raw(f, z)
+        clipped = cal.calibrate(f, z)
+        np.testing.assert_array_equal(raw, f + cal.offset(f, z))
         np.testing.assert_array_equal(clipped, np.clip(raw, 0.0, 1.0))
 
     def test_fit_rejects_bad_inputs(self):

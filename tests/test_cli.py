@@ -76,6 +76,18 @@ class TestErrorHandling:
         assert code == 2
         assert err.splitlines() == [err.strip()] and err.startswith(f"error: cannot read config file {path}")
 
+    @pytest.mark.parametrize("density", ["A:0, B:0", "A:-1, B:2"])
+    def test_transfer_with_an_unusable_target_density_exits_2_before_running(self, tmp_path, capsys, density):
+        cfg = _write_cfg(
+            tmp_path,
+            STRATA_BLOCK + "methods = transfer(0)\ntransfer.source_strata = A\n"
+            + f"transfer.target_strata = B\ntransfer.target_density = {density}\nseeds = 0\n",
+        )
+        code, out, err = _run(capsys, "transfer", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("error: transfer.target_density")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "bogus.key = 1\n")
         code, _, err = _run(capsys, "experiment", "--config", cfg)

@@ -114,6 +114,15 @@ class TestConfigFromMapping:
         assert cfg.transfer.round_oracle is True
         assert cfg.transfer.slack_a == 0.2
 
+    @pytest.mark.parametrize("density", ["A:0, B:0", "A:-1, B:2", "A:0.5, B:-0.1"])
+    def test_a_target_density_without_positive_mass_is_rejected_at_load(self, density):
+        with pytest.raises(ConfigError, match="transfer.target_density"):
+            config_from_mapping({"transfer.target_density": density})
+
+    def test_a_target_density_with_zero_weights_beside_positive_ones_loads(self):
+        cfg = config_from_mapping({"transfer.target_density": "A:0, B:2"})
+        assert cfg.transfer.target_density == {"A": 0.0, "B": 2.0}
+
     @pytest.mark.parametrize("key", [
         "methods", "seeds", "tune.candidates", "synth.strata",
         "transfer.source_strata", "transfer.target_strata", "transfer.target_density",

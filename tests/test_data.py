@@ -492,17 +492,17 @@ class TestSplit:
 class TestFolds:
     def test_fold_sizes_are_balanced(self):
         ds = _toy(23)
-        folds = make_folds(ds, 5, seed=0)
-        sizes = np.bincount(folds.fold, minlength=5)
+        fold = make_folds(ds, 5, seed=0)
+        sizes = np.bincount(fold, minlength=5)
         assert sum(sizes) == 23
         assert max(sizes) - min(sizes) <= 1
 
     def test_every_instance_assigned_once(self):
         ds = _toy(12)
-        folds = make_folds(ds, 3, seed=2)
+        fold = make_folds(ds, 3, seed=2)
         # one fold in [0, k) per row, aligned with the rows
-        assert folds.fold.shape == (ds.n,)
-        assert set(folds.fold.tolist()) == {0, 1, 2}
+        assert fold.shape == (ds.n,)
+        assert set(fold.tolist()) == {0, 1, 2}
 
     def test_k_bounds(self):
         ds = _toy(4)
@@ -522,7 +522,7 @@ class TestFoldIndex:
         ds = _toy(n)
         perm = np.random.default_rng(seed).permutation(n)
         dealt = {ds.ids()[idx]: pos % k for pos, idx in enumerate(perm)}
-        assert make_folds(ds, k, seed=seed).fold.tolist() == [dealt[i] for i in ds.ids()]
+        assert make_folds(ds, k, seed=seed).tolist() == [dealt[i] for i in ds.ids()]
         assert fold_index(n, k, seed).tolist() == [dealt[i] for i in ds.ids()]
 
     @pytest.mark.parametrize("n,k,seed", _FOLD_CASES)

@@ -2,7 +2,7 @@
 
 Every demo runs in a fresh interpreter, from an empty working directory, with
 the package's sources first on its path; the demos are seeded, so their
-output is fixed byte for byte.
+output is fixed byte for byte. README's Python quick start runs too.
 """
 
 import os
@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scorefusion
@@ -30,3 +31,13 @@ def test_demo_output_is_unchanged(demo, tmp_path):
     done = subprocess.run([sys.executable, str(demo)], env=env, cwd=tmp_path,
                           capture_output=True, check=True, timeout=300)
     assert done.stdout == (ROOT / "tests" / "data" / f"demo_{demo.stem}.txt").read_bytes()
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((200, 3))
+    y = (X @ np.array([1.5, -1.0, 0.5]) + 0.3 * rng.standard_normal(200) > 0).astype(int)
+    exec(compile(block, "README.md quick start", "exec"), {"X": X, "y": y})
+    assert 0.5 < float(capsys.readouterr().out) <= 1.0

@@ -8,7 +8,6 @@ import pytest
 from scorefusion import (
     BaseModel,
     DatasetError,
-    FoldAssignment,
     LabeledDataset,
     RelaxedLoss,
     SingleClassFoldWarning,
@@ -253,56 +252,53 @@ class _RecordingStub:
 class TestCvPredict:
     def test_predictions_are_out_of_fold(self):
         ds = _separable(20, 2, seed=9)
-        folds = make_folds(ds, 4, seed=0)
+        fold = make_folds(ds, 4, seed=0)
         log = []
-        cv_predict(ds, folds, trainer=_RecordingStub(log))
+        cv_predict(ds, fold, trainer=_RecordingStub(log))
         # one training call per fold, never containing that fold's rows
         assert len(log) == 4
         ids = np.array(ds.ids(), dtype=object)
-        for fold, seen in enumerate(log):
-            assert not seen & set(ids[folds.fold == fold])
+        for f, seen in enumerate(log):
+            assert not seen & set(ids[fold == f])
 
     def test_scores_cover_every_row(self):
         ds = _separable(13, 2, seed=10)
-        cv = cv_predict(ds, make_folds(ds, 3, seed=1))
-        assert cv.scores.shape == (ds.n,)
-        assert np.all((cv.scores >= 0) & (cv.scores <= 1))
+        scores = cv_predict(ds, make_folds(ds, 3, seed=1))
+        assert scores.shape == (ds.n,)
+        assert np.all((scores >= 0) & (scores <= 1))
 
     def test_scores_follow_the_dataset_row_order(self):
         ds = _separable(9, 2, seed=11)
-        folds = make_folds(ds, 3, seed=2)
-        cv = cv_predict(ds, folds)
+        fold = make_folds(ds, 3, seed=2)
+        scores = cv_predict(ds, fold)
         # each row's score comes from the model fitted without that row's fold
-        for fold in range(3):
-            held = folds.fold == fold
+        for f in range(3):
+            held = fold == f
             model = train(ds.take(~held))
-            np.testing.assert_array_equal(cv.scores[held], model.score_dataset(ds.take(held)))
+            np.testing.assert_array_equal(scores[held], model.score_dataset(ds.take(held)))
         flipped = ds.take(np.arange(ds.n)[::-1])
-        again = cv_predict(flipped, FoldAssignment(k=3, fold=folds.fold[::-1]))
-        np.testing.assert_allclose(again.scores, cv.scores[::-1], rtol=1e-12)
+        again = cv_predict(flipped, fold[::-1])
+        np.testing.assert_allclose(again, scores[::-1], rtol=1e-12)
 
     def test_separable_data_gives_informative_cv_scores(self):
         ds = _separable(120, 3, seed=12)
-        cv = cv_predict(ds, make_folds(ds, 5, seed=3))
-        scores = cv.scores
+        scores = cv_predict(ds, make_folds(ds, 5, seed=3))
         acc = ((scores > 0.5).astype(int) == ds.labels()).mean()
         assert acc >= 0.9
 
     def test_single_class_complement_warns_but_completes(self):
         X = np.array([[0.0], [0.1], [1.0], [1.1]])
         ds = LabeledDataset.from_arrays(X, y=[0, 0, 1, 1], prefix="q")
-        folds = FoldAssignment(k=2, fold=np.array([0, 0, 1, 1]))
         with pytest.warns(SingleClassFoldWarning) as caught:
-            cv = cv_predict(ds, folds)
+            scores = cv_predict(ds, np.array([0, 0, 1, 1]))
         assert [str(w.message)[:7] for w in caught] == ["fold 1:", "fold 2:"]
-        assert cv.scores.shape == (4,)
-        assert all(0.0 <= s <= 1.0 for s in cv.scores)
+        assert scores.shape == (4,)
+        assert all(0.0 <= s <= 1.0 for s in scores)
 
     def test_missing_fold_assignment_is_an_error(self):
         ds = _separable(6, 2, seed=13)
-        folds = FoldAssignment(k=2, fold=np.array([0]))
         with pytest.raises(DatasetError, match="fold assignment"):
-            cv_predict(ds, folds)
+            cv_predict(ds, np.array([0]))
 
     def test_folds_of_a_dataset_of_another_length_are_rejected(self):
         ds = _separable(12, 2, seed=14)
