@@ -42,9 +42,17 @@ def brier_score(scores, labels) -> float:
 
 def mean_log_loss(p, y):
     """Mean negative log-likelihood of labels y under probabilities p clamped
-    ``LOSS_CLAMP`` away from {0, 1}, as a numpy float; no validation."""
-    p = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
-    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+    ``LOSS_CLAMP`` away from {0, 1}, as a numpy float; no validation. The
+    terms are built in place in a clipped copy of p and one log array, with
+    the bits of ``y * log(c) + (1 - y) * log(1 - c)``."""
+    c = np.empty(np.shape(p))
+    np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP, out=c)
+    loss = np.log(c)
+    loss *= y
+    np.log(np.subtract(1.0, c, out=c), out=c)
+    c *= 1.0 - y
+    loss += c
+    return -np.mean(loss)
 
 
 def log_loss(scores, labels) -> float:

@@ -27,6 +27,7 @@ import io
 import json
 import os
 import re
+import sys
 import threading
 import time
 import warnings
@@ -448,34 +449,49 @@ class HttpOracleConfig:
             raise OracleError(f"backoff must be >= 0, got {self.backoff}")
 
 
+def _retryable(exc) -> bool:
+    """Whether an HTTP attempt that raised ``exc`` is tried again.
+
+    True for oracle, parse and prompt errors and for a ``requests`` error.
+    ``requests`` is looked up among the loaded modules, never imported: if it
+    is not loaded, none of its exceptions can exist.
+    """
+    requests_error = getattr(sys.modules.get("requests"), "RequestException", ())
+    return isinstance(exc, (OracleError, ScoreParseError, PromptError, requests_error))
+
+
 class HttpOracle:
     """POSTs {"model", "prompt"} per row and parses the response body.
 
-    Each row is attempted up to ``retries`` times with exponential backoff;
-    rows still failing are reported, not silently dropped. A batch runs as
-    at most ``max_concurrency`` pool tasks, each pulling row indices from one
-    shared iterator, and the scores come back in the batch's row order,
-    whatever order the requests finish in. ``session`` only needs a ``post``
-    method, which keeps the transport injectable for tests; an injected
-    session is shared by the tasks, so it must be thread-safe. Without one,
-    each task opens its own ``requests.Session`` and closes it when it ends.
-    ``requests``
-    and the thread pool are imported here rather than at module level, so
-    only a process that builds an HTTP oracle pays for loading them.
+    Each row is attempted up to ``retries`` times with exponential backoff
+    while its attempts fail in a way ``_retryable`` accepts; rows still
+    failing are reported, not silently dropped. Any other exception fails
+    its own row as ``"<Type>: <message>"`` and halts the batch: no further
+    row is handed out and the rest fail as "not attempted", so the scores
+    already paid for still reach the cache. A batch runs as at most
+    ``max_concurrency`` pool tasks, each pulling row indices from one shared
+    iterator, and the scores come back in the batch's row order, whatever
+    order the requests finish in. ``session`` only needs a ``post`` method,
+    which keeps the transport injectable; an injected session is shared by
+    the tasks, so it must be thread-safe. Without one, each task opens its
+    own ``requests.Session`` and closes it when it ends. Only an oracle
+    without an injected session imports ``requests`` (when it is built);
+    the thread pool is imported when a batch is scored.
     """
 
     kind = "http"
 
     def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None,
                  session=None, keywords=DEFAULT_KEYWORDS):
-        import requests
-
         self.config = config
         self.cache = cache
         self.session = session
         self.keywords = keywords
-        self._new_session = requests.Session
-        self._retryable = (OracleError, ScoreParseError, PromptError, requests.RequestException)
+        self._new_session = None
+        if session is None:
+            import requests
+
+            self._new_session = requests.Session
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -508,7 +524,9 @@ class HttpOracle:
         for attempt in range(self.config.retries):
             try:
                 return self._score_once(session, fields, headers), None
-            except self._retryable as exc:
+            except Exception as exc:
+                if not _retryable(exc):
+                    raise
                 last = str(exc)
                 if attempt + 1 < self.config.retries:
                     time.sleep(self.config.backoff * 2.0**attempt)
@@ -520,18 +538,22 @@ class HttpOracle:
         headers = self._headers()
         ids, strata = ds.ids(), ds.strata.tolist()
         scores, errors = np.full(ds.n, np.nan), [None] * ds.n
-        rows, lock = iter(range(ds.n)), threading.Lock()
+        rows, lock, halt = iter(range(ds.n)), threading.Lock(), threading.Event()
 
         def next_row():
             with lock:
-                return next(rows, None)
+                return None if halt.is_set() else next(rows, None)
 
         def task():
             session = self.session if self.session is not None else self._new_session()
             try:
                 while (k := next_row()) is not None:
                     fields = {"id": ids[k], "stratum": strata[k] or ""}
-                    scores[k], errors[k] = self._score_with_retries(session, fields, headers)
+                    try:
+                        scores[k], errors[k] = self._score_with_retries(session, fields, headers)
+                    except Exception as exc:  # not retryable: fail this row, hand out no more
+                        errors[k] = f"{type(exc).__name__}: {exc}"
+                        halt.set()
             finally:
                 if session is not self.session:
                     session.close()
@@ -540,6 +562,8 @@ class HttpOracle:
             tasks = [pool.submit(task) for _ in range(min(self.config.max_concurrency, ds.n))]
         for done in tasks:
             done.result()  # re-raise what a task did not catch
+        for k in rows:  # left in the iterator only when the batch was halted
+            errors[k] = "not attempted"
         return scores, [(i, error) for i, error in zip(ids, errors) if error is not None]
 
 

@@ -1,4 +1,4 @@
-"""Which modules a process loads: the HTTP client stack only once an HTTP oracle is built.
+"""Which modules a process loads: the HTTP client stack only once an HTTP oracle opens its own sessions.
 
 Each check runs in a fresh interpreter, so modules imported by this test
 process (or by other tests) cannot leak into the result.
@@ -48,3 +48,18 @@ def test_building_an_http_oracle_loads_requests():
     )
     assert before == []
     assert "requests" in after
+
+
+def test_an_http_oracle_with_an_injected_session_loads_no_requests_stack():
+    (after,) = _loaded_after(
+        "import numpy as np\n"
+        "from scorefusion import HttpOracle, HttpOracleConfig, LabeledDataset, score_batch\n"
+        "class Response:\n    status_code, text = 200, '0.25'\n"
+        "class Session:\n    def post(self, url, **kwargs):\n        return Response()\n"
+        "config = HttpOracleConfig(url='http://127.0.0.1:9/score', model='judge-1')\n"
+        "ds = LabeledDataset.from_arrays(np.zeros((3, 1)), ids=['a', 'b', 'c'])\n"
+        "z = score_batch(HttpOracle(config, session=Session()), ds, column=True)\n"
+        "assert z.tolist() == [0.25] * 3"
+    )
+    assert not {"requests", "urllib3", "ssl", "http.client"} & set(after)
+    assert after == ["concurrent.futures"]  # the batch did run through the thread pool

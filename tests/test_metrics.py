@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from scorefusion import MetricError, accuracy, brier_score, log_loss
+from scorefusion.metrics import LOSS_CLAMP, mean_log_loss
 
 
 class TestAccuracy:
@@ -42,6 +43,21 @@ class TestLogLoss:
 
     def test_clamp_leaves_interior_scores_alone(self):
         assert log_loss([0.5], [1]) == pytest.approx(np.log(2.0))
+
+    def test_in_place_form_has_the_bits_of_the_plain_formula(self):
+        def plain(p, y):
+            c = np.clip(p, LOSS_CLAMP, 1.0 - LOSS_CLAMP)
+            return -np.mean(y * np.log(c) + (1.0 - y) * np.log(1.0 - c))
+
+        rng = np.random.default_rng(7)
+        for n in (1, 2, 17, 4096, 24000):
+            p, y = rng.random(n), (rng.random(n) < 0.5).astype(float)
+            p[rng.random(n) < 0.05], p[rng.random(n) < 0.05] = 0.0, 1.0
+            kept = p.copy()
+            assert mean_log_loss(p, y).tobytes() == plain(p, y).tobytes()
+            assert p.tobytes() == kept.tobytes()  # the scores are not overwritten
+        for p, y in ((0.3, 1.0), (0.0, 0.0), (np.float64(1.0), 1.0), (np.array(0.2), np.array(0.0))):
+            assert np.asarray(mean_log_loss(p, y)).tobytes() == np.asarray(plain(p, y)).tobytes()
 
 
 class TestValidation:

@@ -647,6 +647,45 @@ class TestHttpOracle:
         results, failures = oracle.score_uncached(_rows(["a"]))
         assert np.isnan(results).all() and failures[0][0] == "a"
 
+    def test_requests_errors_from_an_injected_session_are_retried(self):
+        import requests as requests_lib
+
+        session = _FakeSession({"a": [requests_lib.ConnectionError("down")] * 3})
+        results, failures = _http(session).score_uncached(_rows(["a"]))
+        assert failures == [("a", "down")] and len(session.requests) == 3
+
+    def test_an_unexpected_transport_exception_is_posted_once(self):
+        session = _FakeSession({"a": [KeyError("frame")] * 3})
+        results, failures = _http(session).score_uncached(_rows(["a"]))
+        assert np.isnan(results).all()
+        assert failures == [("a", "KeyError: 'frame'")]
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize("concurrency", [1, 2, 8])
+    def test_a_transport_exception_keeps_the_paid_scores(self, tmp_path, concurrency):
+        ids = [f"i{k:02d}" for k in range(20)]
+        script = {i: [_FakeResponse(f"0.{k:02d}")] for k, i in enumerate(ids)}
+        script["i05"] = [RuntimeError("socket closed")]
+        session = _FakeSession(script)
+        oracle = _http(session, max_concurrency=concurrency)
+        oracle.cache = OracleCache(tmp_path / "cache.csv")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with pytest.raises(OracleError, match="RuntimeError: socket closed") as info:
+                score_batch(oracle, _rows(ids))
+        finally:
+            sys.setswitchinterval(interval)
+        posted = [r["json"]["prompt"].split()[-1] for r in session.requests]
+        failures = dict(info.value.failures)
+        assert posted.count("i05") == 1 and len(posted) == len(set(posted))
+        scored = set(posted) - {"i05"}
+        assert OracleCache(tmp_path / "cache.csv").scores() == {i: int(i[1:]) / 100 for i in scored}
+        assert failures == {"i05": "RuntimeError: socket closed",
+                            **{i: "not attempted" for i in ids if i not in posted}}
+        if concurrency == 1:  # rows go out in id order, and none after the failure
+            assert posted == ids[:6]
+
     def test_each_pool_thread_opens_its_own_session(self, monkeypatch):
         import requests as requests_lib
 
