@@ -205,7 +205,7 @@ def _additive_offsets(count, total, grid: GridSpec):
 
 def fit_cell_calibrator(base_scores, oracle_scores, labels, grid: GridSpec) -> CellCalibrator:
     """Offsets are the mean of y - f(x) per cell; empty cells stay at 0."""
-    f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
+    f, z, y = check_scores(base_scores, oracle_scores, labels, error=CalibrationError)
     count, total = _cell_sums(f, z, y, grid)[1][:, 0]
     shape = (grid.base_res + 1, grid.oracle_res + 1)
     return CellCalibrator(grid, _cell_offsets(count, total).reshape(shape), count.reshape(shape))
@@ -221,7 +221,7 @@ def fit_additive_calibrator(base_scores, oracle_scores, labels, grid: GridSpec) 
     reproducible. It is solved from the cell table by the normal equations
     (``_additive_offsets``), never from a per-row design matrix.
     """
-    f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
+    f, z, y = check_scores(base_scores, oracle_scores, labels, error=CalibrationError)
     rows, cols = _additive_offsets(*_cell_sums(f, z, y, grid)[1][:, 0], grid)
     return AdditiveCalibrator(grid=grid, row_offsets=rows, col_offsets=cols)
 
@@ -262,7 +262,7 @@ def choose_grid(
         raise CalibrationError(f"unknown calibrator kind {kind!r}")
     if len(candidates) == 1:
         return GridSpec(candidates[0], oracle_res)
-    f, z, y = check_scores(base_scores, oracle_scores, labels, CalibrationError)
+    f, z, y = check_scores(base_scores, oracle_scores, labels, error=CalibrationError)
 
     def cv_loss(res, fold, k):
         cell, offsets = _fold_offsets(f, z, y, GridSpec(res, oracle_res), kind, fold, k)

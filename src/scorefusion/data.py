@@ -5,16 +5,15 @@ dense feature vector (a row of the read-only (n, d) matrix ``X``), an oracle
 score ``z`` in [0, 1] (an external judge's estimate of the label), a binary
 label ``y``, and a stratum tag (a discrete category used by the
 transfer-learning utilities). ``z`` and ``y`` are float columns in which NaN
-means "absent"; every loader and constructor rejects NaN as a value, so it
+means "absent"; the loaders and ``from_arrays`` reject NaN as a value, so it
 cannot clash with a real one. Strata are stored as an int code per row
 indexing a tuple of tags, with -1 for an untagged row (stratum None). Splits,
 subsets, folds and stratum groups are index operations on the columns, and a
-fold assignment is itself an int column aligned with the rows. ``Instance`` is
-a row view built on demand, kept for callers that still pass rows; oracle
-providers and cross-validation never build one. Datasets are immutable after
-construction; every randomized operation takes an explicit seed and uses
-numpy's PCG64 generator, so results are reproducible across runs and
-platforms.
+fold assignment is itself an int column aligned with the rows. Columns are
+the only way in: ``Instance`` is a read-only row view that iteration builds,
+and nothing takes one as input. Datasets are immutable after construction;
+every randomized operation takes an explicit seed and uses numpy's PCG64
+generator, so results are reproducible across runs and platforms.
 """
 
 from __future__ import annotations
@@ -34,41 +33,18 @@ class DatasetError(ValueError):
     """Raised for schema violations, malformed rows, or invalid parameters."""
 
 
-def _as_feature_array(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise DatasetError(f"features must be a flat vector, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True)
 class Instance:
-    """One row: feature vector plus optional oracle score, label, stratum."""
+    """Read-only view of one dataset row, as ``LabeledDataset.row`` and iteration give it.
+
+    ``oracle_score``, ``label`` and ``stratum`` are None where the row has none.
+    """
 
     id: str
     features: np.ndarray
-    oracle_score: float | None = None
-    label: int | None = None
-    stratum: str | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "features", _as_feature_array(self.features))
-        if self.oracle_score is not None:
-            z = float(self.oracle_score)
-            if not 0.0 <= z <= 1.0:
-                raise DatasetError(
-                    f"instance {self.id!r}: oracle score {z} outside [0, 1]"
-                )
-            object.__setattr__(self, "oracle_score", z)
-        if self.label is not None:
-            y = self.label
-            if y not in (0, 1):
-                raise DatasetError(f"instance {self.id!r}: label {y!r} not in {{0, 1}}")
-            object.__setattr__(self, "label", int(y))
-
-    @property
-    def dim(self) -> int:
-        return self.features.shape[0]
+    oracle_score: float | None
+    label: int | None
+    stratum: str | None
 
 
 def _objects(values: list) -> np.ndarray:
@@ -93,13 +69,6 @@ def _check_unique(ids) -> None:
             seen.add(i)
 
 
-def _check_oracle_column(ids, z) -> None:
-    bad = ~((z >= 0) & (z <= 1))
-    if bad.any():
-        k = int(bad.argmax())
-        raise DatasetError(f"instance {ids[k]!r}: oracle score {float(z[k])} outside [0, 1]")
-
-
 class LabeledDataset:
     """Immutable ordered rows sharing one feature dimension, stored as aligned columns.
 
@@ -107,63 +76,36 @@ class LabeledDataset:
     float columns with NaN where a row has no oracle score or label; ``strata``
     is an object column with None for untagged rows, built from the stored
     stratum codes on each access; ``ids()`` lists the row ids, which are
-    unique. ``instances`` (and iteration) gives ``Instance`` row views, built
-    anew on every access. ``LabeledDataset(instances, dim)``
-    builds a dataset from rows, validating dimensions and id uniqueness.
+    unique. Iteration gives ``Instance`` row views, built as they are reached.
+
+    The constructor takes the columns as they are stored and checks nothing:
+    an object column of unique ids, X, z in [0, 1] or NaN, y in {0, 1} or
+    NaN, and an int stratum code per row in [-1, len(tags)) indexing the
+    tuple of tags. Outside input goes through ``from_arrays``,
+    ``load_dataset`` or ``synthesize``.
     """
 
     __slots__ = ("dim", "X", "z", "y", "_codes", "_tags", "_ids")
 
-    def __init__(self, instances, dim: int):
-        ids, features, z, y, strata = [], array("d"), array("d"), array("d"), []
-        for inst in instances:
-            if inst.dim != dim:
-                raise DatasetError(
-                    f"instance {inst.id!r} has dimension {inst.dim}, expected {dim}"
-                )
-            ids.append(inst.id)
-            features.extend(inst.features)
-            z.append(np.nan if inst.oracle_score is None else inst.oracle_score)
-            y.append(np.nan if inst.label is None else inst.label)
-            strata.append(inst.stratum)
-        _check_unique(ids)
-        X = np.frombuffer(features, dtype=float).reshape(len(ids), dim)
-        self._set_columns(_objects(ids), X, np.frombuffer(z, dtype=float),
-                          np.frombuffer(y, dtype=float), *_stratum_codes(strata))
-
-    def _set_columns(self, ids, X, z, y, codes, tags) -> None:
+    def __init__(self, ids, X, z, y, codes, tags):
         for name, column in (("_ids", ids), ("X", X), ("z", z), ("y", y), ("_codes", codes)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_tags", tags)
         object.__setattr__(self, "dim", X.shape[1])
 
-    @classmethod
-    def _of_columns(cls, ids, X, z, y, codes, tags) -> "LabeledDataset":
-        """Dataset over columns that already hold unique ids, scores in [0, 1], 0/1
-        labels, and stratum codes in [-1, len(tags))."""
-        ds = object.__new__(cls)
-        ds._set_columns(ids, X, z, y, codes, tags)
-        return ds
-
     def __setattr__(self, name, value):
         raise AttributeError(f"LabeledDataset is immutable; cannot set {name!r}")
-
-    @classmethod
-    def from_instances(cls, instances) -> "LabeledDataset":
-        """Dataset of ``Instance`` rows, dimension taken from the first; a dataset is returned as is."""
-        if isinstance(instances, LabeledDataset):
-            return instances
-        instances = tuple(instances)
-        if not instances:
-            raise DatasetError("cannot infer dimension of an empty dataset")
-        return cls(instances, instances[0].dim)
 
     @classmethod
     def from_arrays(cls, X, y=None, z=None, strata=None, ids=None, prefix="r"):
         """Build a dataset from parallel arrays; omitted annotations stay absent.
 
-        ``X`` is copied into C order. Labels are truncated to integers, as ``int`` would.
+        ``X`` is copied into C order. A None (or ``""``) entry of ``y`` or
+        ``z`` leaves that row's label or score absent, and a None stratum
+        leaves the row untagged. A score outside [0, 1], a label other than
+        0 or 1, a column whose length is not X's row count, or a repeated id
+        raises ``DatasetError``.
         """
         X = np.array(X, dtype=float, order="C")
         if X.ndim != 2:
@@ -173,19 +115,13 @@ class LabeledDataset:
             width = max(6, len(str(max(n - 1, 0))))
             ids = [f"{prefix}{i:0{width}d}" for i in range(n)]
         ids = [str(i) for i in ids]
-        zs = np.full(n, np.nan) if z is None else np.array(z, dtype=float)
-        ys = np.full(n, np.nan) if y is None else np.trunc(np.asarray(y, dtype=float))
-        strata = [None] * n if strata is None else [str(s) for s in strata]
-        if not len(ids) == zs.shape[0] == ys.shape[0] == len(strata) == n:
+        strata = [None] * n if strata is None else [None if s is None else str(s) for s in strata]
+        cells = {name: _objects(list(v)) for name, v in (("z", z), ("y", y)) if v is not None}
+        if not len(ids) == len(strata) == n or any(len(v) != n for v in cells.values()):
             raise DatasetError(f"ids, z, y and strata must each have one entry per row of X (n={n})")
-        if z is not None:
-            _check_oracle_column(ids, zs)
-        bad = (ys != 0) & (ys != 1) & (y is not None)
-        if bad.any():
-            k = int(bad.argmax())
-            raise DatasetError(f"instance {ids[k]!r}: label {ys[k]:g} not in {{0, 1}}")
+        zs, ys = _annotations(n, cells, lambda k: f"instance {ids[k]!r}")
         _check_unique(ids)
-        return cls._of_columns(_objects(ids), X, zs, ys, *_stratum_codes(strata))
+        return cls(_objects(ids), X, zs, ys, *_stratum_codes(strata))
 
     @property
     def n(self) -> int:
@@ -195,7 +131,7 @@ class LabeledDataset:
         return self.X.shape[0]
 
     def __iter__(self):
-        return iter(self.instances)
+        return map(self.row, range(self.n))
 
     def row(self, k: int) -> Instance:
         """View of row k as an ``Instance``."""
@@ -206,9 +142,9 @@ class LabeledDataset:
         )
 
     @property
-    def instances(self) -> tuple:
-        """Every row as an ``Instance`` view, in order (built on each access)."""
-        return tuple(self.row(k) for k in range(self.n))
+    def instances(self) -> "LabeledDataset":
+        """The dataset itself: the sequence of its rows, with ``len`` and ``Instance`` views on iteration."""
+        return self
 
     def ids(self) -> list[str]:
         return self._ids.tolist()
@@ -261,7 +197,7 @@ class LabeledDataset:
             seen[rows] = True
             if np.count_nonzero(seen) != rows.size:
                 raise DatasetError("take needs distinct row indices")
-        return LabeledDataset._of_columns(
+        return LabeledDataset(
             self._ids[rows], self.X[rows], self.z[rows], self.y[rows], self._codes[rows], self._tags
         )
 
@@ -276,7 +212,7 @@ class LabeledDataset:
 
     def filter(self, predicate) -> "LabeledDataset":
         """Rows whose ``Instance`` view satisfies ``predicate``."""
-        return self.take(np.fromiter((bool(predicate(i)) for i in self.instances), bool, self.n))
+        return self.take(np.fromiter((bool(predicate(row)) for row in self), bool, self.n))
 
     def with_oracle_scores(self, scores) -> "LabeledDataset":
         """Copy with oracle scores attached from an id -> z mapping, or from a
@@ -292,11 +228,14 @@ class LabeledDataset:
                 z = np.fromiter(map(scores.__getitem__, self._ids.tolist()), float, self.n)
             except KeyError as exc:
                 raise DatasetError(f"no oracle score provided for instance {exc.args[0]!r}") from None
-        _check_oracle_column(self._ids, z)
-        return LabeledDataset._of_columns(self._ids, self.X, z, self.y, self._codes, self._tags)
+        bad = ~((z >= 0) & (z <= 1))
+        if bad.any():
+            k = int(bad.argmax())
+            raise DatasetError(f"instance {self._ids[k]!r}: oracle score {float(z[k])} outside [0, 1]")
+        return LabeledDataset(self._ids, self.X, z, self.y, self._codes, self._tags)
 
     def without_labels(self) -> "LabeledDataset":
-        return LabeledDataset._of_columns(
+        return LabeledDataset(
             self._ids, self.X, self.z, np.full(self.n, np.nan), self._codes, self._tags
         )
 
@@ -331,17 +270,13 @@ class LabeledDataset:
         tags = tuple(tags)
         return np.array([tag in tags for tag in (*self._tags, None)], dtype=bool)[self._codes]
 
-    def stratum_frequencies(self) -> dict:
-        """Empirical stratum distribution; untagged rows count under None."""
-        return {tag: count / self.n for tag, count in self.stratum_counts().items()}
-
     def concat(self, other: "LabeledDataset") -> "LabeledDataset":
         if other.dim != self.dim:
             raise DatasetError(f"dimension mismatch: {self.dim} vs {other.dim}")
         _check_unique(self.ids() + other.ids())
         tags = self._tags + tuple(tag for tag in other._tags if tag not in self._tags)
         remap = np.array([tags.index(tag) for tag in other._tags] + [-1], dtype=np.intp)
-        return LabeledDataset._of_columns(
+        return LabeledDataset(
             *(np.concatenate([getattr(self, name), getattr(other, name)])
               for name in ("_ids", "X", "z", "y")),
             np.concatenate([self._codes, remap[other._codes]]), tags,
@@ -442,24 +377,30 @@ def _row_number(records, k: int) -> int:
 
 
 def _checked_annotations(X, cells: dict, row_number) -> tuple:
-    """Float (z, y) columns from raw cells, after the checks every loader applies at the file boundary.
-
-    ``cells`` maps ``"z"`` and ``"y"`` to object columns in which ``""`` or
-    None marks an absent value (NaN in the result); a name it lacks is a
-    column absent from the file. The first row, numbered ``row_number(k)``,
-    with a non-finite feature, a z or y that ``float`` cannot read, a z
-    outside [0, 1] or a y other than 0 or 1 raises ``DatasetError``.
-    """
+    """``_annotations`` of a loaded file, after every feature is found finite;
+    an error names the file's row ``row_number(k)``."""
     bad = ~np.isfinite(X).all(axis=1)
     if bad.any():
         raise DatasetError(f"row {row_number(int(bad.argmax()))}: non-finite feature value")
+    return _annotations(X.shape[0], cells, lambda k: f"row {row_number(k)}")
+
+
+def _annotations(n: int, cells: dict, where) -> tuple:
+    """Float (z, y) columns of n rows from raw cells, after the checks every dataset builder applies.
+
+    ``cells`` maps ``"z"`` and ``"y"`` to object columns in which ``""`` or
+    None marks an absent value (NaN in the result); a name it lacks is a
+    column absent from the input. The first row k with a z or y that
+    ``float`` cannot read, a z outside [0, 1] or a y other than 0 or 1
+    raises ``DatasetError`` naming ``where(k)``.
+    """
     columns = []
     for name, accept, rule in (
         ("z", lambda v: (v >= 0) & (v <= 1), "outside [0, 1]"),
         ("y", lambda v: (v == 0) | (v == 1), "not in {0, 1}"),
     ):
         if name not in cells:
-            columns.append(np.full(X.shape[0], np.nan))
+            columns.append(np.full(n, np.nan))
             continue
         absent = (cells[name] == "") | np.equal(cells[name], None)
         values = np.where(absent, np.nan, cells[name])
@@ -467,11 +408,11 @@ def _checked_annotations(X, cells: dict, row_number) -> tuple:
             values = values.astype(float)
         except (TypeError, ValueError, OverflowError):
             k = next(k for k, value in enumerate(values) if not _reads_as_float(value))
-            raise DatasetError(f"row {row_number(k)}: bad {name} value {values[k]!r}") from None
+            raise DatasetError(f"{where(k)}: bad {name} value {values[k]!r}") from None
         bad = ~absent & ~accept(values)
         if bad.any():
             k = int(bad.argmax())
-            raise DatasetError(f"row {row_number(k)}: {name}={values[k]} {rule}")
+            raise DatasetError(f"{where(k)}: {name}={values[k]} {rule}")
         columns.append(values)
     return tuple(columns)
 
@@ -552,7 +493,7 @@ def _load_csv(path) -> LabeledDataset:
     ids = table["id"].copy()
     _check_unique(ids.tolist())
     strata = table["stratum"].tolist() if "stratum" in extras else [None] * len(table)
-    return LabeledDataset._of_columns(ids, X, z, y, *_stratum_codes([s or None for s in strata]))
+    return LabeledDataset(ids, X, z, y, *_stratum_codes([s or None for s in strata]))
 
 
 _decode_json = json.JSONDecoder().raw_decode
@@ -607,7 +548,7 @@ def _load_jsonl(path) -> LabeledDataset:
         k = next(k for k, tag in enumerate(strata) if not (tag is None or isinstance(tag, str)))
         raise DatasetError(f"row {_jsonl_row_number(path, k)}: 'stratum' must be a string or null")
     _check_unique(ids)
-    return LabeledDataset._of_columns(_objects(ids), X, z, y, *_stratum_codes(strata))
+    return LabeledDataset(_objects(ids), X, z, y, *_stratum_codes(strata))
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
@@ -752,16 +693,22 @@ def cv_select(candidates, cv_loss, n: int, k: int, seed: int, error, what: str):
     return min(candidates, key=lambda candidate: cv_loss(candidate, fold, k))
 
 
-def check_scores(y_hat, z, y, error):
-    """Float (y_hat, z, y); raises ``error`` unless equal-length, non-empty, scores in [0, 1], labels 0/1."""
-    y_hat, z, y = (np.asarray(v, dtype=float) for v in (y_hat, z, y))
-    if y_hat.ndim != 1 or y_hat.size == 0 or not (y_hat.shape == z.shape == y.shape):
-        raise error(f"inputs must be non-empty equal-length vectors, got {y_hat.shape}, {z.shape}, {y.shape}")
-    if not np.all((y_hat >= 0) & (y_hat <= 1) & (z >= 0) & (z <= 1)):
-        raise error("base and oracle scores must lie in [0, 1]")
-    if np.any((y != 0) & (y != 1)):
+def check_scores(*columns, error):
+    """The columns as float arrays: score columns, then labels last.
+
+    Raises ``error`` unless they are non-empty equal-length vectors, every
+    score lies in [0, 1] (so none is NaN or infinite) and every label is 0 or 1.
+    """
+    *scores, labels = (np.asarray(v, dtype=float) for v in columns)
+    shape = labels.shape
+    if len(shape) != 1 or not shape[0] or any(s.shape != shape for s in scores):
+        got = ", ".join(str(c.shape) for c in (*scores, labels))
+        raise error(f"inputs must be non-empty equal-length vectors, got {got}")
+    if not all(np.all((s >= 0) & (s <= 1)) for s in scores):
+        raise error("scores must lie in [0, 1]")
+    if np.any((labels != 0) & (labels != 1)):
         raise error("labels must be 0 or 1")
-    return y_hat, z, y
+    return (*scores, labels)
 
 
 def bin_sums(key, n_bins: int, columns, fold=None, k: int = 1) -> np.ndarray:
@@ -825,4 +772,4 @@ def synthesize(spec: SyntheticSpec) -> LabeledDataset:
     else:  # strata that share a tag share its code
         distinct = tuple(dict.fromkeys(tags))
         codes = np.array([distinct.index(tag) for tag in tags], dtype=np.intp)[assignment]
-    return LabeledDataset._of_columns(ids, X, np.full(n, np.nan), y.astype(float), codes, distinct)
+    return LabeledDataset(ids, X, np.full(n, np.nan), y.astype(float), codes, distinct)

@@ -113,7 +113,7 @@ def fit_adaptive_weights(y_cv, z, y, r: int) -> WeightFunction:
     """
     if r < 1:
         raise EnsembleError(f"piece count must be >= 1, got {r}")
-    count, sab, saa, _ = _piece_sums(*check_scores(y_cv, z, y, EnsembleError), r)[:, 0]
+    count, sab, saa, _ = _piece_sums(*check_scores(y_cv, z, y, error=EnsembleError), r)[:, 0]
     return WeightFunction(r=r, weights=_piece_weights(count, sab, saa), support_counts=count)
 
 
@@ -134,7 +134,7 @@ def choose_pieces(y_cv, z, y, candidates, k: int = 5, seed: int = 0) -> int:
     candidates = sorted(set(int(r) for r in candidates))
     if not candidates or candidates[0] < 1:
         raise EnsembleError(f"candidate piece counts must be >= 1, got {candidates}")
-    y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
+    y_cv, z, y = check_scores(y_cv, z, y, error=EnsembleError)
 
     def cv_loss(r, fold, k):
         held, w = _fold_weights(y_cv, z, y, r, fold, k)
@@ -160,7 +160,7 @@ def fuse(weight: WeightFunction, y_hat, z):
 
 def fusion_objective(weight: WeightFunction, y_cv, z, y) -> float:
     """Mean squared error of the fused scores against labels."""
-    y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
+    y_cv, z, y = check_scores(y_cv, z, y, error=EnsembleError)
     return float(np.mean((fuse(weight, y_cv, z) - y) ** 2))
 
 
@@ -182,7 +182,7 @@ class FusionReport:
 
 def fusion_report(weight: WeightFunction, y_cv, z, y) -> FusionReport:
     """Evaluate a fitted weight function piece by piece on its fitting data."""
-    y_cv, z, y = check_scores(y_cv, z, y, EnsembleError)
+    y_cv, z, y = check_scores(y_cv, z, y, error=EnsembleError)
     count, sab, saa, sbb = _piece_sums(y_cv, z, y, weight.r)[:, 0]
     with np.errstate(invalid="ignore"):  # empty pieces: 0 / 0 = NaN
         before, after = (_piece_loss(w, sab, saa, sbb) / count for w in (1.0, np.array(weight.weights)))

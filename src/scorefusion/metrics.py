@@ -4,25 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import check_scores
+
 LOSS_CLAMP = 1e-12  # scores are clamped this far from {0, 1} inside log-loss
 
 
 class MetricError(ValueError):
-    """Raised for mismatched or empty score/label vectors."""
-
-
-def _validate(scores, labels):
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if s.ndim != 1 or s.shape != y.shape:
-        raise MetricError(f"scores and labels must be equal-length vectors, got {s.shape} and {y.shape}")
-    if s.size == 0:
-        raise MetricError("metrics need at least one (score, label) pair")
-    if not np.all(np.isfinite(s)):
-        raise MetricError("scores must be finite")
-    if np.any((y != 0) & (y != 1)):
-        raise MetricError("labels must be 0 or 1")
-    return s, y
+    """Raised for mismatched or empty vectors, scores outside [0, 1] or labels other than 0/1."""
 
 
 def accuracy(scores, labels) -> float:
@@ -30,13 +18,13 @@ def accuracy(scores, labels) -> float:
 
     A score above 0.5 predicts 1; a score of exactly 0.5 predicts 0.
     """
-    s, y = _validate(scores, labels)
+    s, y = check_scores(scores, labels, error=MetricError)
     return float(np.mean((s > 0.5).astype(float) == y))
 
 
 def brier_score(scores, labels) -> float:
     """Mean squared error between scores and binary labels."""
-    s, y = _validate(scores, labels)
+    s, y = check_scores(scores, labels, error=MetricError)
     return float(np.mean((s - y) ** 2))
 
 
@@ -57,7 +45,7 @@ def mean_log_loss(p, y):
 
 def log_loss(scores, labels) -> float:
     """Mean negative log-likelihood; scores are clamped 1e-12 away from {0, 1}."""
-    return float(mean_log_loss(*_validate(scores, labels)))
+    return float(mean_log_loss(*check_scores(scores, labels, error=MetricError)))
 
 
 def metric_dict(scores, labels, **extra) -> dict:

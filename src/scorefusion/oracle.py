@@ -12,12 +12,13 @@ scores come from one vectorized pass over the batch that equals each id's
 first ``default_rng`` draw bit for bit; soft mode still builds the per-id
 streams.
 
-``score_batch`` is the single entry point: it consults the provider's cache
-before issuing any remote work, appends fresh results to the cache (also when
-other rows of the batch fail), collects per-row failures, and returns either
-(id, score) pairs sorted by id (the default) or, with ``column=True``, a
-float array of the scores in the batch's row order, which is what attaching
-scores to a dataset needs.
+``score_batch`` is the single entry point, and a ``LabeledDataset`` is the
+only batch it takes: it consults the provider's cache before issuing any
+remote work, appends fresh results to the cache (also when other rows of the
+batch fail), collects per-row failures, and returns either (id, score) pairs
+sorted by id (the default) or, with ``column=True``, a float array of the
+scores in the batch's row order, which is what attaching scores to a dataset
+needs.
 """
 
 from __future__ import annotations
@@ -474,7 +475,8 @@ class HttpOracle:
     order the requests finish in. ``session`` only needs a ``post`` method,
     which keeps the transport injectable; an injected session is shared by
     the tasks, so it must be thread-safe. Without one, each task opens its
-    own ``requests.Session`` and closes it when it ends. Only an oracle
+    own ``requests.Session`` and closes it when it ends; an ``OSError`` from
+    that close is a warning, and it fails no row. Only an oracle
     without an injected session imports ``requests`` (when it is built);
     the thread pool is imported when a batch is scored.
     """
@@ -556,7 +558,10 @@ class HttpOracle:
                         halt.set()
             finally:
                 if session is not self.session:
-                    session.close()
+                    try:
+                        session.close()
+                    except OSError as exc:  # every row is already scored or failed on its own
+                        warnings.warn(f"closing an HTTP session failed: {exc}")
 
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
             tasks = [pool.submit(task) for _ in range(min(self.config.max_concurrency, ds.n))]
@@ -573,24 +578,23 @@ class HttpOracle:
 
 
 def score_batch(provider, batch, *, column=False):
-    """Score a LabeledDataset, or a sequence of ``Instance`` rows.
+    """Score the rows of a LabeledDataset; any other batch raises OracleError.
 
-    Rows are turned into a dataset once, on entry (``from_instances``); from
-    there on both forms take one path. Returns (id, z) pairs sorted by id, or
-    with ``column=True`` a float array of the scores aligned with the batch's
-    rows. The provider's cache (when it has one) is looked up by id first;
-    only the misses go to ``provider.score_uncached``, as a dataset of those
-    rows in id order. Every in-range score it returns is appended to the
-    cache before anything can raise, so paid-for results are kept. If any
-    row failed after the provider's retry policy, or came back NaN or out of
-    range without being listed as failed, the batch then raises OracleError
-    listing those rows, so partial results never leak into downstream
-    artifacts.
+    Returns (id, z) pairs sorted by id, or with ``column=True`` a float array
+    of the scores aligned with the dataset's rows. The provider's cache (when
+    it has one) is looked up by id first; only the misses go to
+    ``provider.score_uncached``, as a dataset of those rows in id order.
+    Every in-range score it returns is appended to the cache before anything
+    can raise, so paid-for results are kept. If any row failed after the
+    provider's retry policy, or came back NaN or out of range without being
+    listed as failed, the batch then raises OracleError listing those rows,
+    so partial results never leak into downstream artifacts.
     """
-    if not len(batch):
+    if not isinstance(batch, LabeledDataset):
+        raise OracleError(f"score_batch takes a LabeledDataset, got {type(batch).__name__}")
+    if not batch.n:
         raise OracleError("score_batch needs at least one instance")
-    ds = LabeledDataset.from_instances(batch)
-    ids = ds.ids()
+    ids = batch.ids()
     cache = provider.cache
     if cache is not None:  # NaN marks a miss: a cached score is always in [0, 1]
         z = np.fromiter(map(cache.get, ids, repeat(np.nan)), float, len(ids))
@@ -599,7 +603,7 @@ def score_batch(provider, batch, *, column=False):
     misses = sorted(np.flatnonzero(np.isnan(z)).tolist(), key=ids.__getitem__)
 
     if misses:
-        fetched, failures = provider.score_uncached(ds.take(misses))
+        fetched, failures = provider.score_uncached(batch.take(misses))
         fetched = np.asarray(fetched, dtype=float)
         if fetched.shape != (len(misses),):
             raise OracleError(f"provider returned a score column of shape {fetched.shape}, "

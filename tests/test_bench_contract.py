@@ -1,4 +1,5 @@
-"""The names ``bench/tracing.py`` wraps exist, and every oracle join goes through them.
+"""The names ``bench/tracing.py`` wraps exist, every oracle join goes through them,
+and the calls ``bench/workloads.py`` makes still run.
 
 The benchmark's tracer wraps package functions by name from outside the
 package and derives ``oracle.rows`` and ``oracle.cache_hits`` from the calls
@@ -13,7 +14,9 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import scorefusion
@@ -128,3 +131,52 @@ def test_cli_calls_the_experiment_runners_as_rebound(command, attr, monkeypatch,
 
     assert cli.main([command, "--seed", "7"]) == 0
     assert [cfg.seeds for cfg in calls] == [(7,)]
+
+
+class _Judge:
+    """Thread-safe fake endpoint: row ``i<k>`` scores k/100, and ``poison`` answers no score."""
+
+    def __init__(self, poison):
+        self.poison = poison
+        self.posted = []
+
+    def post(self, url, json=None, headers=None, timeout=None):
+        row_id = json["prompt"].split()[5]  # "Rate the relevance of item <id> with ..."
+        self.posted.append(row_id)
+        text = "???" if row_id == self.poison else str(int(row_id[1:]) / 100)
+        return SimpleNamespace(status_code=200, text=text)
+
+
+def test_the_score_http_call_sequence_runs_on_the_package(tmp_path):
+    # bench/workloads.py ScoreHttp.session makes exactly these calls, and it is frozen with
+    # the benchmark: a dataset change that breaks one of them must fail here first
+    passes = {}
+    for name, ids in (("pass1", [3, 11, 0, 7]), ("pass2", [7, 2, 11, 5]), ("pass3", [4, 9, 2])):
+        passes[name] = tmp_path / f"{name}.csv"
+        data.save_dataset(LabeledDataset.from_arrays(
+            np.arange(2.0 * len(ids)).reshape(-1, 2), y=[k % 2 for k in ids], ids=[f"i{k}" for k in ids],
+        ), passes[name])
+    config = oracle.HttpOracleConfig(url="http://judge.invalid/v1/score", model="fake-judge",
+                                     timeout=5.0, retries=2, backoff=0.0, max_concurrency=2)
+    judge, cache_path = _Judge(poison="i9"), tmp_path / "scores.csv"
+
+    def provider():
+        return oracle.HttpOracle(config, cache=oracle.OracleCache(cache_path), session=judge)
+
+    for name in ("pass1", "pass2"):
+        ds = data.load_dataset(passes[name])
+        pairs = oracle.score_batch(provider(), ds.instances)
+        data.save_dataset(ds.with_oracle_scores(dict(pairs)), tmp_path / f"out_{name}.csv")
+        submitted = [inst.id for inst in ds.instances]
+        assert pairs == sorted(pairs) and sorted(submitted) == [i for i, _ in pairs]
+        assert submitted == ds.ids() and len(ds.instances) == ds.n
+        saved = data.load_dataset(tmp_path / f"out_{name}.csv")
+        assert saved.z.tolist() == [int(i[1:]) / 100 for i in submitted]
+    ds = data.load_dataset(passes["pass3"])
+    assert [inst.id for inst in ds.instances] == ["i4", "i9", "i2"]
+    with pytest.raises(oracle.OracleError) as info:
+        oracle.score_batch(provider(), ds.instances)
+    assert [i for i, _ in info.value.failures] == ["i9"]
+    cached = oracle.OracleCache(cache_path).scores()
+    assert cached == {f"i{k}": k / 100 for k in (0, 2, 3, 4, 5, 7, 11)}
+    assert sorted(judge.posted) == ["i0", "i11", "i2", "i3", "i4", "i5", "i7", "i9", "i9"]

@@ -42,35 +42,37 @@ def _toy(n=6, d=3, seed=0, with_z=True, with_y=True, strata=None):
     )
 
 
-class TestInstance:
-    def test_validates_oracle_score_range(self):
-        with pytest.raises(DatasetError):
-            Instance("a", [1.0, 2.0], oracle_score=1.5)
-
-    def test_validates_label_values(self):
-        with pytest.raises(DatasetError):
-            Instance("a", [1.0], label=2)
-
-    def test_features_must_be_flat(self):
-        with pytest.raises(DatasetError):
-            Instance("a", [[1.0, 2.0]])
-
-
 class TestLabeledDataset:
     def test_rejects_duplicate_ids(self):
-        rows = [Instance("a", [1.0]), Instance("a", [2.0])]
-        with pytest.raises(DatasetError):
-            LabeledDataset(tuple(rows), 1)
+        with pytest.raises(DatasetError, match="duplicate instance id 'a'"):
+            LabeledDataset.from_arrays([[1.0], [2.0]], ids=["a", "a"])
 
-    def test_rejects_mixed_dimensions(self):
-        rows = [Instance("a", [1.0]), Instance("b", [1.0, 2.0])]
-        with pytest.raises(DatasetError):
-            LabeledDataset(tuple(rows), 1)
+    def test_from_arrays_reads_none_as_absent(self):
+        ds = LabeledDataset.from_arrays(np.zeros((3, 1)), y=[None, 1, 0], z=[0.5, None, 1.0],
+                                        strata=["a", None, "a"])
+        np.testing.assert_array_equal(ds.y, [np.nan, 1.0, 0.0])
+        np.testing.assert_array_equal(ds.z, [0.5, np.nan, 1.0])
+        assert ds.strata.tolist() == ["a", None, "a"]
+        assert ds.stratum_counts() == {"a": 2, None: 1}
+        assert (ds.row(0).label, ds.row(1).oracle_score, ds.row(1).stratum) == (None, None, None)
+
+    @pytest.mark.parametrize("column,values,message", [
+        ("y", [1.7, 0.0], "instance 'r000000': y=1.7 not in {0, 1}"),
+        ("y", [0, -1], "instance 'r000001': y=-1.0 not in {0, 1}"),
+        ("y", [0, float("nan")], "instance 'r000001': y=nan not in {0, 1}"),
+        ("z", [0.5, float("nan")], "instance 'r000001': z=nan outside [0, 1]"),
+        ("z", [1.5, 0.5], "instance 'r000000': z=1.5 outside [0, 1]"),
+        ("z", ["high", 0.5], "instance 'r000000': bad z value 'high'"),
+    ])
+    def test_from_arrays_rejects_scores_and_labels_outside_the_schema(self, column, values, message):
+        with pytest.raises(DatasetError) as info:
+            LabeledDataset.from_arrays(np.zeros((2, 1)), **{column: values})
+        assert str(info.value) == message
 
     def test_feature_matrix_round_trip(self):
         ds = _toy(5, 4)
         assert ds.feature_matrix().shape == (5, 4)
-        np.testing.assert_array_equal(ds.feature_matrix()[2], ds.instances[2].features)
+        np.testing.assert_array_equal(ds.feature_matrix()[2], ds.row(2).features)
 
     def test_from_arrays_stores_a_fortran_ordered_matrix_in_c_order(self):
         X = np.asfortranarray(np.arange(12.0).reshape(4, 3))
@@ -97,18 +99,13 @@ class TestLabeledDataset:
     def test_without_labels_keeps_everything_else(self):
         ds = _toy(4, strata=["s"] * 4)
         stripped = ds.without_labels()
-        assert not any(i.label is not None for i in stripped.instances)
-        assert [i.stratum for i in stripped.instances] == ["s"] * 4
+        assert not any(i.label is not None for i in stripped)
+        assert [i.stratum for i in stripped] == ["s"] * 4
         np.testing.assert_array_equal(stripped.oracle_scores(), ds.oracle_scores())
-
-    def test_stratum_frequencies_sum_to_one(self):
-        ds = _toy(10, strata=["a"] * 7 + ["b"] * 3)
-        freqs = ds.stratum_frequencies()
-        assert freqs == {"a": 0.7, "b": 0.3}
 
 
 def _mixed(n=40, d=3, seed=0, prefix="m"):
-    """Rows with some oracle scores, labels and strata absent, built one Instance at a time."""
+    """Reference rows with some oracle scores, labels and strata absent, drawn one row at a time."""
     rng = np.random.default_rng(seed)
     rows = []
     for k in range(n):
@@ -120,6 +117,14 @@ def _mixed(n=40, d=3, seed=0, prefix="m"):
             (None, "a", "b")[k % 3],
         ))
     return rows
+
+
+def _dataset(rows):
+    """The dataset of reference rows, built by ``from_arrays`` with None for each absent field."""
+    return LabeledDataset.from_arrays(
+        [r.features for r in rows], ids=[r.id for r in rows], z=[r.oracle_score for r in rows],
+        y=[r.label for r in rows], strata=[r.stratum for r in rows],
+    )
 
 
 def _columns(rows, dim):
@@ -164,9 +169,9 @@ class TestColumnarMatchesRowwise:
     # give the rows the old tuple-of-instances code gave, in the same order
     def setup_method(self):
         self.rows = _mixed()
-        self.ds = LabeledDataset(self.rows, 3)
+        self.ds = _dataset(self.rows)
 
-    def test_constructor_keeps_every_field(self):
+    def test_from_arrays_keeps_every_field(self):
         _assert_same(self.ds, self.rows)
 
     @pytest.mark.parametrize("fraction,seed", [(0.25, 0), (0.5, 3), (0.1, 11)])
@@ -195,10 +200,10 @@ class TestColumnarMatchesRowwise:
 
     def test_concat(self):
         other = _mixed(12, seed=1, prefix="o")
-        _assert_same(self.ds.concat(LabeledDataset(other, 3)), self.rows + other)
+        _assert_same(self.ds.concat(_dataset(other)), self.rows + other)
 
     def test_concat_rejects_a_duplicate_id_across_sides(self):
-        clash = LabeledDataset([Instance("o1", [0.0] * 3), self.rows[4]], 3)
+        clash = _dataset([Instance("o1", np.zeros(3), None, None, None), self.rows[4]])
         with pytest.raises(DatasetError, match=f"duplicate instance id {self.rows[4].id!r}"):
             self.ds.concat(clash)
 
@@ -212,7 +217,7 @@ class TestColumnarMatchesRowwise:
     def test_with_oracle_scores_from_a_row_aligned_column(self):
         scores = {r.id: (k % 10) / 10 for k, r in enumerate(self.rows)}
         column = np.array([scores[r.id] for r in self.rows])
-        _assert_same(self.ds.with_oracle_scores(column), self.ds.with_oracle_scores(scores).instances)
+        _assert_same(self.ds.with_oracle_scores(column), list(self.ds.with_oracle_scores(scores)))
         assert column.flags.writeable
         with pytest.raises(DatasetError, match="outside"):
             self.ds.with_oracle_scores(np.where(np.arange(len(column)) == 3, np.nan, column))
@@ -234,13 +239,13 @@ class TestColumnarMatchesRowwise:
         with pytest.raises(AttributeError):
             self.ds.X = np.zeros((1, 3))
 
-    def test_instances_round_trip(self):
-        again = LabeledDataset(self.ds.instances, self.ds.dim)
-        _assert_same(again, self.rows)
+    def test_row_views_round_trip(self):
+        _assert_same(_dataset(list(self.ds)), self.rows)
         assert [i.id for i in self.ds] == [r.id for r in self.rows]
+        assert self.ds.instances is self.ds and len(self.ds.instances) == len(self.rows)
 
     def test_absent_fields_are_none_in_row_views_and_errors_in_columns(self):
-        views = self.ds.instances
+        views = list(self.ds)
         assert views[0].oracle_score is None and views[3].label is None and views[0].stratum is None
         assert views[1].oracle_score == self.rows[1].oracle_score and views[1].label == self.rows[1].label
         with pytest.raises(DatasetError, match=f"missing labels for 6 instance\\(s\\), e.g. {self.rows[3].id!r}"):

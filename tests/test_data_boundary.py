@@ -4,18 +4,15 @@ concatenation, byte round trips, and the inputs loaders must reject."""
 import numpy as np
 import pytest
 
-from scorefusion import DatasetError, Instance, LabeledDataset, load_dataset, save_dataset
+from scorefusion import DatasetError, LabeledDataset, load_dataset, save_dataset
 
 
 def _tagged(strata, prefix="r", seed=0):
     """Dataset with one row per entry of ``strata`` (None leaves the row untagged)."""
     rng = np.random.default_rng(seed)
-    rows = [
-        Instance(f"{prefix}{k}", rng.standard_normal(2), oracle_score=rng.uniform(),
-                 label=int(rng.integers(0, 2)), stratum=tag)
-        for k, tag in enumerate(strata)
-    ]
-    return LabeledDataset(rows, 2)
+    X, z, y = zip(*((rng.standard_normal(2), rng.uniform(), int(rng.integers(0, 2))) for _ in strata))
+    ids = [f"{prefix}{k}" for k in range(len(strata))]
+    return LabeledDataset.from_arrays(X, y=y, z=z, strata=strata, ids=ids)
 
 
 def _groups(ds):
@@ -28,7 +25,7 @@ class TestStratumColumns:
         subset = ds.take(np.array([1, 2, 4, 5]))
         assert list(subset.stratum_rows()) == ["B", "C", "A"]
         assert _groups(subset) == {"B": [0], "C": [1, 3], "A": [2]}
-        assert list(subset.stratum_frequencies()) == ["B", "C", "A"]
+        assert list(subset.stratum_counts()) == ["B", "C", "A"]
 
     def test_untagged_rows_group_under_none(self):
         ds = _tagged([None, "A", None, "B"])
@@ -36,7 +33,7 @@ class TestStratumColumns:
         assert ds.strata.tolist() == [None, "A", None, "B"]
         assert ds.in_strata(["A"]).tolist() == [False, True, False, False]
         assert ds.in_strata([None]).tolist() == [True, False, True, False]
-        assert ds.stratum_frequencies() == {None: 0.5, "A": 0.25, "B": 0.25}
+        assert ds.stratum_counts() == {None: 2, "A": 1, "B": 1}
         assert [ds.row(k).stratum for k in range(ds.n)] == [None, "A", None, "B"]
 
     def test_concat_of_disjoint_tag_sets(self):

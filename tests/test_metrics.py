@@ -70,6 +70,8 @@ class TestValidation:
             log_loss([0.5], [2])
         with pytest.raises(MetricError):
             accuracy([[0.5]], [[1]])
+        with pytest.raises(MetricError, match=r"\[0, 1\]"):
+            accuracy([1.5], [1])
 
     def test_non_finite_scores_are_rejected(self):
         # a NaN score must not count as a prediction of class 0

@@ -16,7 +16,6 @@ from scorefusion import (
     CachedOracle,
     HttpOracle,
     HttpOracleConfig,
-    Instance,
     LabeledDataset,
     OracleCache,
     OracleError,
@@ -31,10 +30,6 @@ from scorefusion import (
 from scorefusion import oracle as oracle_mod
 
 DATA = Path(__file__).parent / "data"
-
-
-def _inst(i, label=None, stratum=None):
-    return Instance(i, [0.0], label=label, stratum=stratum)
 
 
 def _rows(ids, labels=None):
@@ -320,7 +315,7 @@ class TestVectorizedDraws:
         rows = np.random.default_rng(0).permutation(400)[:150]
         part, _ = oracle.score_uncached(ds.take(rows))
         assert part.tolist() == full[rows].tolist()
-        listed = score_batch(oracle, [ds.row(k) for k in rows[::-1]], column=True)
+        listed = score_batch(oracle, ds.take(rows[::-1]), column=True)
         assert listed.tolist() == part[::-1].tolist()
         assert score_batch(oracle, ds, column=True).tolist() == full.tolist()
 
@@ -342,7 +337,7 @@ class TestVectorizedDraws:
             assert results[k] == expected
 
     def test_missing_labels_are_listed(self):
-        ds = LabeledDataset.from_instances([_inst("d"), _inst("b", label=1), _inst("a"), _inst("c")])
+        ds = _rows(["d", "b", "a", "c"], [None, 1, None, None])
         for mode in ("binary", "soft"):
             oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.9, mode=mode, noise=0.1, seed=2))
             z, failures = oracle.score_uncached(ds)
@@ -406,25 +401,25 @@ class TestCachedOracle:
 class TestScoreBatch:
     def test_results_sorted_by_id(self):
         provider = _CountingProvider()
-        pairs = score_batch(provider, [_inst("b"), _inst("a"), _inst("c")])
+        pairs = score_batch(provider, _rows(["b", "a", "c"]))
         assert [i for i, _ in pairs] == ["a", "b", "c"]
 
     def test_cache_consulted_before_the_provider(self, tmp_path):
         cache = OracleCache(tmp_path / "c.csv")
         cache.update({"a": 0.9, "b": 0.8})
         provider = _CountingProvider(value=0.1, cache=cache)
-        pairs = score_batch(provider, [_inst("a"), _inst("b"), _inst("c")])
+        pairs = score_batch(provider, _rows(["a", "b", "c"]))
         assert dict(pairs) == {"a": 0.9, "b": 0.8, "c": 0.1}
         assert provider.calls == [["c"]]
 
     def test_fresh_scores_are_written_back(self, tmp_path):
         cache = OracleCache(tmp_path / "c.csv")
         provider = _CountingProvider(value=0.4, cache=cache)
-        score_batch(provider, [_inst("x")])
+        score_batch(provider, _rows(["x"]))
         assert cache.get("x") == 0.4
         # second batch is served fully from cache
         provider.calls.clear()
-        score_batch(provider, [_inst("x")])
+        score_batch(provider, _rows(["x"]))
         assert provider.calls == []
 
     def test_failures_abort_the_whole_batch(self):
@@ -435,7 +430,7 @@ class TestScoreBatch:
                 return np.r_[np.full(ds.n - 1, 0.5), np.nan], [(ds.ids()[-1], "boom")]
 
         with pytest.raises(OracleError) as err:
-            score_batch(Flaky(), [_inst("a"), _inst("b")])
+            score_batch(Flaky(), _rows(["a", "b"]))
         assert err.value.failures == (("b", "boom"),)
 
     def test_paid_for_scores_are_cached_before_a_failure_is_raised(self, tmp_path):
@@ -448,7 +443,7 @@ class TestScoreBatch:
 
         path = tmp_path / "c.csv"
         with pytest.raises(OracleError) as err:
-            score_batch(HalfFailing(OracleCache(path)), [_inst("a"), _inst("b")])
+            score_batch(HalfFailing(OracleCache(path)), _rows(["a", "b"]))
         assert err.value.failures == (("b", "boom"),)
         reopened = OracleCache(path)
         assert reopened.scores() == {"a": 0.25}
@@ -463,7 +458,7 @@ class TestScoreBatch:
 
         path = tmp_path / "c.csv"
         with pytest.raises(OracleError, match="out-of-range") as err:
-            score_batch(PartlyOutOfRange(OracleCache(path)), [_inst("a"), _inst("b")])
+            score_batch(PartlyOutOfRange(OracleCache(path)), _rows(["a", "b"]))
         assert [i for i, _ in err.value.failures] == ["b"]
         assert OracleCache(path).scores() == {"a": 0.75}
 
@@ -518,11 +513,18 @@ class TestScoreBatch:
     def test_out_of_range_provider_scores_rejected(self):
         provider = _CountingProvider(value=1.5)
         with pytest.raises(OracleError, match="out-of-range"):
-            score_batch(provider, [_inst("a")])
+            score_batch(provider, _rows(["a"]))
 
     def test_empty_batch_rejected(self):
-        with pytest.raises(OracleError):
-            score_batch(_CountingProvider(), [])
+        with pytest.raises(OracleError, match="at least one"):
+            score_batch(_CountingProvider(), _rows([]))
+
+    @pytest.mark.parametrize("batch", [[], tuple(_rows(["a"])), "ab"], ids=["list", "row-views", "str"])
+    def test_a_batch_that_is_not_a_dataset_is_rejected(self, batch):
+        provider = _CountingProvider()
+        with pytest.raises(OracleError, match=f"takes a LabeledDataset, got {type(batch).__name__}$"):
+            score_batch(provider, batch)
+        assert provider.calls == []
 
     def test_unlisted_nan_is_rejected_and_not_cached(self, tmp_path):
         class SilentNaN:
@@ -636,7 +638,7 @@ class TestHttpOracle:
         session = _FakeSession({i: [_FakeResponse(f"0.{k:02d}" if k else "0.0")]
                                 for k, i in enumerate(ids)})
         oracle = _http(session, max_concurrency=4)
-        pairs = score_batch(oracle, [_inst(i) for i in reversed(ids)])
+        pairs = score_batch(oracle, _rows(ids[::-1]))
         assert [i for i, _ in pairs] == ids
 
     def test_network_exceptions_are_caught_per_instance(self):
@@ -714,6 +716,26 @@ class TestHttpOracle:
         assert all(session.closed for session in opened)
         assert score_batch(oracle, _rows(["one"]), column=True).tolist() == [0.5]
 
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_a_failing_session_close_keeps_every_score(self, tmp_path, monkeypatch, concurrency):
+        import requests as requests_lib
+
+        class ClosesBadly:
+            def post(self, url, json=None, headers=None, timeout=None):
+                return _FakeResponse(f"0.{json['prompt'][-1]}")
+
+            def close(self):
+                raise OSError("connection reset")
+
+        monkeypatch.setattr(requests_lib, "Session", ClosesBadly)
+        oracle = _http(None, max_concurrency=concurrency)
+        oracle.cache = OracleCache(tmp_path / "cache.csv")
+        ids = [f"i{k}" for k in range(10)]
+        with pytest.warns(UserWarning, match="closing an HTTP session failed: connection reset"):
+            pairs = score_batch(oracle, _rows(ids))
+        assert pairs == [(i, int(i[1:]) / 10) for i in ids]
+        assert OracleCache(tmp_path / "cache.csv").scores() == dict(pairs)
+
     def test_a_batch_submits_at_most_max_concurrency_tasks(self, monkeypatch):
         from concurrent.futures import ThreadPoolExecutor
 
@@ -739,13 +761,12 @@ class TestHttpOracle:
         assert failures == [] and z.tolist() == [k / 1000 for k in range(400)]
         assert sorted(r["json"]["prompt"] for r in session.requests) == [f"score {i}" for i in ids]
 
-    def test_row_tuple_and_dataset_batches_agree(self, tmp_path):
+    def test_instances_and_dataset_batches_agree(self, tmp_path):
         ids = ["c", "a", "e", "b", "d"]
-        ds = LabeledDataset.from_instances(
-            [_inst(i, stratum=None if i == "e" else f"s{k % 2}") for k, i in enumerate(ids)]
-        )
+        strata = [None if i == "e" else f"s{k % 2}" for k, i in enumerate(ids)]
+        ds = LabeledDataset.from_arrays(np.zeros((5, 1)), strata=strata, ids=ids)
         seen = []
-        for name, batch in (("rows", ds.instances), ("dataset", ds)):
+        for name, batch in (("instances", ds.instances), ("dataset", ds)):
             session = _FakeSession({i: [_FakeResponse(f"0.{k + 1}")] for k, i in enumerate(ids)})
             config = HttpOracleConfig(url="http://127.0.0.1:9/score", model="judge-1",
                                       prompt_template="score {stratum} {id}", max_concurrency=2)
