@@ -114,9 +114,9 @@ def cmd_synth(cfg, args) -> int:
 
 
 def cmd_score(cfg, args) -> int:
-    out = _require_out(cfg)
+    out, provider = _require_out(cfg), build_provider(cfg.oracle)
     ds = _load_input_dataset(cfg)
-    z = score_batch(build_provider(cfg.oracle), ds, column=True)
+    z = score_batch(provider, ds, column=True)
     data_path = out / "scored.csv"
     save_dataset(ds.with_oracle_scores(z), data_path)
     cache_path = out / "scores.csv"

@@ -331,7 +331,7 @@ KEYS = {
     "oracle.timeout": ("oracle", "timeout", _float, None, "http timeout in seconds"),
     "oracle.retries": ("oracle", "retries", _int, None, "attempts per instance"),
     "oracle.backoff": ("oracle", "backoff", _float, None, "base delay, doubled per retry"),
-    "oracle.max_concurrency": ("oracle", "max_concurrency", _int, None, "parallel http requests"),
+    "oracle.max_concurrency": ("oracle", "max_concurrency", _int, None, "parallel HTTP calls"),
     "base.reg_lambda": ("base", "reg_lambda", _float, None,
                         "ridge strength (intercept unpenalized)"),
     "base.max_iter": ("base", "max_iter", _int, None, "gradient-descent iteration cap"),

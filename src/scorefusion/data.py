@@ -33,11 +33,12 @@ class DatasetError(ValueError):
     """Raised for schema violations, malformed rows, or invalid parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """Read-only view of one dataset row, as ``LabeledDataset.row`` and iteration give it.
 
     ``oracle_score``, ``label`` and ``stratum`` are None where the row has none.
+    Views compare and hash by identity, as ``features`` is an array.
     """
 
     id: str
@@ -104,8 +105,8 @@ class LabeledDataset:
         ``X`` is copied into C order. A None (or ``""``) entry of ``y`` or
         ``z`` leaves that row's label or score absent, and a None stratum
         leaves the row untagged. A score outside [0, 1], a label other than
-        0 or 1, a column whose length is not X's row count, or a repeated id
-        raises ``DatasetError``.
+        0 or 1, a non-finite feature, a column whose length is not X's row
+        count, or a repeated id raises ``DatasetError``.
         """
         X = np.array(X, dtype=float, order="C")
         if X.ndim != 2:
@@ -119,7 +120,7 @@ class LabeledDataset:
         cells = {name: _objects(list(v)) for name, v in (("z", z), ("y", y)) if v is not None}
         if not len(ids) == len(strata) == n or any(len(v) != n for v in cells.values()):
             raise DatasetError(f"ids, z, y and strata must each have one entry per row of X (n={n})")
-        zs, ys = _annotations(n, cells, lambda k: f"instance {ids[k]!r}")
+        zs, ys = _annotations(X, cells, lambda k: f"instance {ids[k]!r}")
         _check_unique(ids)
         return cls(_objects(ids), X, zs, ys, *_stratum_codes(strata))
 
@@ -376,24 +377,19 @@ def _row_number(records, k: int) -> int:
     return next(islice((num for num, record in enumerate(records, start=1) if record), k, None))
 
 
-def _checked_annotations(X, cells: dict, row_number) -> tuple:
-    """``_annotations`` of a loaded file, after every feature is found finite;
-    an error names the file's row ``row_number(k)``."""
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise DatasetError(f"row {row_number(int(bad.argmax()))}: non-finite feature value")
-    return _annotations(X.shape[0], cells, lambda k: f"row {row_number(k)}")
-
-
-def _annotations(n: int, cells: dict, where) -> tuple:
-    """Float (z, y) columns of n rows from raw cells, after the checks every dataset builder applies.
+def _annotations(X, cells: dict, where) -> tuple:
+    """Float (z, y) columns for the rows of X from raw cells, after the checks every dataset builder applies.
 
     ``cells`` maps ``"z"`` and ``"y"`` to object columns in which ``""`` or
     None marks an absent value (NaN in the result); a name it lacks is a
-    column absent from the input. The first row k with a z or y that
-    ``float`` cannot read, a z outside [0, 1] or a y other than 0 or 1
-    raises ``DatasetError`` naming ``where(k)``.
+    column absent from the input. The first row k with a non-finite feature,
+    a z or y that ``float`` cannot read, a z outside [0, 1] or a y other than
+    0 or 1 raises ``DatasetError`` naming ``where(k)``.
     """
+    bad = ~np.isfinite(X).all(axis=1)
+    if bad.any():
+        raise DatasetError(f"{where(int(bad.argmax()))}: non-finite feature value")
+    n = X.shape[0]
     columns = []
     for name, accept, rule in (
         ("z", lambda v: (v >= 0) & (v <= 1), "outside [0, 1]"),
@@ -489,7 +485,7 @@ def _load_csv(path) -> LabeledDataset:
             raise _csv_error(path, exc) from None
     X = np.ascontiguousarray(table["f"])
     cells = {name: table[name] for name in ("z", "y") if name in extras}
-    z, y = _checked_annotations(X, cells, lambda k: _csv_row_number(path, k))
+    z, y = _annotations(X, cells, lambda k: f"row {_csv_row_number(path, k)}")
     ids = table["id"].copy()
     _check_unique(ids.tolist())
     strata = table["stratum"].tolist() if "stratum" in extras else [None] * len(table)
@@ -539,7 +535,7 @@ def _load_jsonl(path) -> LabeledDataset:
         raise DatasetError(f"no data rows in {path}")
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
     cells = {"z": _objects(zs), "y": _objects(ys)}
-    z, y = _checked_annotations(X, cells, lambda k: _jsonl_row_number(path, k))
+    z, y = _annotations(X, cells, lambda k: f"row {_jsonl_row_number(path, k)}")
     try:  # JSON values other than strings and null are unhashable or not str
         tagged = all(isinstance(tag, str) for tag in set(strata) - {None})
     except TypeError:

@@ -25,17 +25,19 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import re
-import sys
+import selectors
 import threading
 import time
 import warnings
 from dataclasses import dataclass
 from hashlib import sha256
 from itertools import compress, repeat
+from json import JSONDecodeError, dumps, loads
 from pathlib import Path
+from types import SimpleNamespace
+from urllib.parse import urlsplit
 
 import numpy as np
 
@@ -101,8 +103,8 @@ def parse_score(text: str, keywords=DEFAULT_KEYWORDS) -> float:
     """
     stripped = text.strip()
     try:
-        doc = json.loads(stripped)
-    except (json.JSONDecodeError, RecursionError):
+        doc = loads(stripped)
+    except (JSONDecodeError, RecursionError):
         doc = None
     if isinstance(doc, dict) and "score" in doc:
         value = doc["score"]
@@ -425,7 +427,8 @@ class HttpOracleConfig:
 
     The bearer token is read from the environment variable named by
     ``auth_env`` at request time (never stored); ``prompt_template`` is
-    rendered per row with its {id} and {stratum} ("" for an untagged row).
+    rendered per row with its {id} and {stratum} ("" for an untagged row),
+    and any other placeholder is rejected here, before a row is scored.
     ``timeout`` must be > 0 and ``backoff`` >= 0, so neither the transport
     nor the sleep between attempts can reject them mid-batch.
     """
@@ -440,6 +443,8 @@ class HttpOracleConfig:
     max_concurrency: int = 4
 
     def __post_init__(self):
+        if urlsplit(self.url).scheme not in ("http", "https"):  # else a token could go out in clear text
+            raise OracleError(f"url must start with http:// or https://, got {self.url!r}")
         if self.retries < 1:
             raise OracleError(f"retries must be >= 1, got {self.retries}")
         if self.max_concurrency < 1:
@@ -448,37 +453,92 @@ class HttpOracleConfig:
             raise OracleError(f"timeout must be > 0, got {self.timeout}")
         if not self.backoff >= 0:
             raise OracleError(f"backoff must be >= 0, got {self.backoff}")
+        unknown = sorted(set(_PLACEHOLDER_RE.findall(self.prompt_template)) - {"id", "stratum"})
+        if unknown:
+            raise OracleError("prompt_template may use only {id} and {stratum}, not "
+                              + ", ".join(f"{{{key}}}" for key in unknown))
 
 
-def _retryable(exc) -> bool:
-    """Whether an HTTP attempt that raised ``exc`` is tried again.
+class _KeepAliveSession:
+    """The default transport: one keep-alive ``http.client`` connection, for one pool task.
 
-    True for oracle, parse and prompt errors and for a ``requests`` error.
-    ``requests`` is looked up among the loaded modules, never imported: if it
-    is not loaded, none of its exceptions can exist.
+    Its ``post`` and ``close`` are an injected session's. An idle connection
+    that the server dropped (seen by a zero-timeout selector) is reopened
+    before the request, so no POST is ever sent twice. The proxy comes from
+    the environment, as ``urllib.request`` reads it. Redirects are not
+    followed. The body is asked for unencoded (``http.client`` sends
+    ``Accept-Encoding: identity``) and decoded by its charset, UTF-8 by
+    default. A protocol error (``http.client.HTTPException``) is raised as a
+    ``ConnectionError``, so it is retried like any ``OSError``.
     """
-    requests_error = getattr(sys.modules.get("requests"), "RequestException", ())
-    return isinstance(exc, (OracleError, ScoreParseError, PromptError, requests_error))
+
+    _route = _conn = None
+
+    def _connect(self, url, timeout):
+        """A connection to ``url``'s host or proxy, and the request target (the whole URL via an http proxy)."""
+        import http.client
+        from urllib.request import getproxies, proxy_bypass
+
+        parts = urlsplit(url)
+        parts = parts._replace(path=parts.path or "/", fragment="")
+        proxy = None if proxy_bypass(parts.hostname) else getproxies().get(parts.scheme)
+        via = urlsplit(proxy if "://" in proxy else "http://" + proxy) if proxy else parts
+        tls = parts.scheme == "https"  # with http.client's default context, ssl.create_default_context()
+        connection = http.client.HTTPSConnection if tls else http.client.HTTPConnection
+        conn = connection(via.hostname, via.port, timeout=timeout)
+        if proxy and tls:
+            conn.set_tunnel(parts.hostname, parts.port)  # CONNECT, then TLS to the endpoint itself
+        return conn, parts.geturl() if proxy and not tls else parts._replace(scheme="", netloc="").geturl()
+
+    def post(self, url, json, headers, timeout):
+        if (url, timeout) != self._route:
+            self.close()
+            (self._conn, self._target), self._route = self._connect(url, timeout), (url, timeout)
+        conn = self._conn
+        if conn.sock is not None:  # a selector, as select(2) refuses a descriptor above 1023
+            with selectors.DefaultSelector() as idle:
+                idle.register(conn.sock, selectors.EVENT_READ)
+                if idle.select(0):  # dropped (or sent unasked bytes) while idle: the request reconnects
+                    conn.close()
+        try:
+            conn.request("POST", self._target, dumps(json).encode("utf-8"), headers)
+            response = conn.getresponse()
+            body = response.read()
+        except BaseException as exc:  # the connection's state is unknown: the next request reconnects
+            conn.close()
+            from http.client import HTTPException
+
+            if isinstance(exc, HTTPException):
+                raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+            raise
+        text = body.decode(response.headers.get_content_charset("utf-8"), "replace")
+        return SimpleNamespace(status_code=response.status, text=text)
+
+    def close(self):
+        if self._conn is not None:
+            self._conn.close()
+
+
+# retried: a non-200 status, an unreadable body, and a network, TLS or protocol error
+_RETRYABLE = (OracleError, ScoreParseError, OSError)
 
 
 class HttpOracle:
     """POSTs {"model", "prompt"} per row and parses the response body.
 
     Each row is attempted up to ``retries`` times with exponential backoff
-    while its attempts fail in a way ``_retryable`` accepts; rows still
-    failing are reported, not silently dropped. Any other exception fails
-    its own row as ``"<Type>: <message>"`` and halts the batch: no further
-    row is handed out and the rest fail as "not attempted", so the scores
-    already paid for still reach the cache. A batch runs as at most
-    ``max_concurrency`` pool tasks, each pulling row indices from one shared
-    iterator, and the scores come back in the batch's row order, whatever
-    order the requests finish in. ``session`` only needs a ``post`` method,
-    which keeps the transport injectable; an injected session is shared by
-    the tasks, so it must be thread-safe. Without one, each task opens its
-    own ``requests.Session`` and closes it when it ends; an ``OSError`` from
-    that close is a warning, and it fails no row. Only an oracle
-    without an injected session imports ``requests`` (when it is built);
-    the thread pool is imported when a batch is scored.
+    while its attempts raise one of ``_RETRYABLE``; rows still failing are
+    reported, not silently dropped. Any other exception fails its own row as
+    ``"<Type>: <message>"`` and halts the batch: no further row is handed out
+    and the rest fail as "not attempted", so the scores already paid for
+    still reach the cache. A batch runs as at most ``max_concurrency`` pool
+    tasks, each pulling row indices from one shared iterator, and the scores
+    come back in the batch's row order, whatever order the responses arrive
+    in. ``session`` only needs a ``post`` method, which keeps the transport
+    injectable; an injected session is shared by the tasks, so it must be
+    thread-safe. Without one, each task opens its own ``_KeepAliveSession``
+    and closes it when it ends, and an ``OSError`` from that close is only a
+    warning. The thread pool and ``http.client`` load when a batch is scored.
     """
 
     kind = "http"
@@ -489,11 +549,6 @@ class HttpOracle:
         self.cache = cache
         self.session = session
         self.keywords = keywords
-        self._new_session = None
-        if session is None:
-            import requests
-
-            self._new_session = requests.Session
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -526,9 +581,7 @@ class HttpOracle:
         for attempt in range(self.config.retries):
             try:
                 return self._score_once(session, fields, headers), None
-            except Exception as exc:
-                if not _retryable(exc):
-                    raise
+            except _RETRYABLE as exc:
                 last = str(exc)
                 if attempt + 1 < self.config.retries:
                     time.sleep(self.config.backoff * 2.0**attempt)
@@ -547,7 +600,7 @@ class HttpOracle:
                 return None if halt.is_set() else next(rows, None)
 
         def task():
-            session = self.session if self.session is not None else self._new_session()
+            session = self.session if self.session is not None else _KeepAliveSession()
             try:
                 while (k := next_row()) is not None:
                     fields = {"id": ids[k], "stratum": strata[k] or ""}

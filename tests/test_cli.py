@@ -98,6 +98,13 @@ class TestErrorHandling:
         code, _, err = _run(capsys, "synth", "--config", cfg)
         assert code == 2 and "--out" in err
 
+    def test_score_with_an_unknown_prompt_placeholder_exits_2_before_any_post(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK + "oracle.kind = http\noracle.url = http://127.0.0.1:9/score\n"
+                         "oracle.model = judge-1\noracle.prompt_template = rate {item}\noracle.backoff = 0\n")
+        code, out, err = _run(capsys, "score", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err == "error: prompt_template may use only {id} and {stratum}, not {item}\n"
+
     def test_synth_requires_the_synth_block(self, tmp_path, capsys):
         code, _, err = _run(capsys, "synth", "--out", str(tmp_path / "o"))
         assert code == 2 and "synth" in err

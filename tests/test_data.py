@@ -69,6 +69,21 @@ class TestLabeledDataset:
             LabeledDataset.from_arrays(np.zeros((2, 1)), **{column: values})
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("X,message", [
+        ([[np.nan], [np.inf]], "instance 'r000000': non-finite feature value"),
+        ([[0.0, 1.0], [2.0, -np.inf]], "instance 'r000001': non-finite feature value"),
+    ])
+    def test_from_arrays_rejects_non_finite_features_as_the_loaders_do(self, X, message):
+        with pytest.raises(DatasetError) as info:
+            LabeledDataset.from_arrays(X, y=[0, 1])
+        assert str(info.value) == message
+
+    def test_row_views_compare_and_hash_by_identity(self):
+        ds = _toy(3, 2)
+        view = ds.row(0)
+        assert view == view and ds.row(0) != ds.row(0)
+        assert len({view, view, ds.row(1)}) == 2
+
     def test_feature_matrix_round_trip(self):
         ds = _toy(5, 4)
         assert ds.feature_matrix().shape == (5, 4)

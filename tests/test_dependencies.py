@@ -1,4 +1,4 @@
-"""The package imports nothing beyond the standard library, numpy and requests.
+"""The package imports nothing beyond the standard library and numpy.
 
 Every file under ``src/`` is parsed with ``ast``. The root of each absolute
 import in it, at module level or inside a function, must be a standard
@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEPENDENCIES = {"numpy", "requests"}
+DEPENDENCIES = {"numpy"}
 
 
 def _import_roots(path):
@@ -29,7 +29,7 @@ def test_the_allowed_dependencies_are_the_declared_ones():
     assert set(re.findall(r'^\s*"([A-Za-z0-9_.-]+)', block, re.M)) == DEPENDENCIES
 
 
-def test_sources_import_only_the_standard_library_numpy_and_requests():
+def test_sources_import_only_the_standard_library_and_numpy():
     paths = sorted((ROOT / "src").rglob("*.py"))
     assert len(paths) > 5
     roots = {(path.relative_to(ROOT).as_posix(), root) for path in paths for root in _import_roots(path)}

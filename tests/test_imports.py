@@ -1,4 +1,4 @@
-"""Which modules a process loads: the HTTP client stack only once an HTTP oracle opens its own sessions.
+"""Which modules a process loads: the HTTP client stack only once an HTTP oracle scores a batch itself.
 
 Each check runs in a fresh interpreter, so modules imported by this test
 process (or by other tests) cannot leak into the result.
@@ -41,13 +41,22 @@ def test_a_synthetic_experiment_loads_no_http_stack(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-def test_building_an_http_oracle_loads_requests():
-    before, after = _loaded_after(
-        "from scorefusion import HttpOracle, HttpOracleConfig",
-        "HttpOracle(HttpOracleConfig(url='http://127.0.0.1:9/score', model='judge-1'))",
+def test_an_http_oracle_loads_http_client_only_once_a_batch_is_scored():
+    built, scored = _loaded_after(
+        "import socket\n"
+        "from scorefusion import HttpOracle, HttpOracleConfig, LabeledDataset, OracleError, score_batch\n"
+        "with socket.socket() as probe:  # a port that was free a moment ago refuses the connection\n"
+        "    probe.bind(('127.0.0.1', 0))\n"
+        "    port = probe.getsockname()[1]\n"
+        "oracle = HttpOracle(HttpOracleConfig(url=f'http://127.0.0.1:{port}/score', model='judge-1',\n"
+        "                                     retries=1, backoff=0.0))",
+        "try:\n"
+        "    score_batch(oracle, LabeledDataset.from_arrays([[0.0]], ids=['a']))\n"
+        "except OracleError as exc:\n"
+        "    assert 'refused' in str(exc), exc",
     )
-    assert before == []
-    assert "requests" in after
+    assert built == []
+    assert scored == ["ssl", "http.client", "concurrent.futures"]  # and never requests or urllib3
 
 
 def test_an_http_oracle_with_an_injected_session_loads_no_requests_stack():

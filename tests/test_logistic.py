@@ -210,8 +210,10 @@ class TestTrain:
             train(ds, reg_lambda=-1.0)
 
     def test_rejects_non_finite_features(self):
-        X = np.array([[1.0], [np.nan]])
-        ds = LabeledDataset.from_arrays(X, y=[0, 1])
+        # the column constructor checks nothing, so the bad matrix reaches train
+        X, nan = np.array([[1.0], [np.nan]]), np.full(2, np.nan)
+        ds = LabeledDataset(np.array(["a", "b"], dtype=object), X, nan, np.array([0.0, 1.0]),
+                            np.full(2, -1), ())
         with pytest.raises(TrainingError):
             train(ds)
 

@@ -560,10 +560,10 @@ class _FakeSession:
 
     def __init__(self, script):
         self.script = {k: list(v) for k, v in script.items()}
-        self.requests = []
+        self.posts = []
 
     def post(self, url, json=None, headers=None, timeout=None):
-        self.requests.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
+        self.posts.append({"url": url, "json": json, "headers": headers, "timeout": timeout})
         key = json["prompt"].split()[-1]
         outcome = self.script[key].pop(0)
         if isinstance(outcome, Exception):
@@ -588,7 +588,7 @@ class TestHttpOracle:
         session = _FakeSession({"a": [_FakeResponse('{"score": 0.6}')]})
         oracle = _http(session)
         assert score_batch(oracle, _rows(["a"]), column=True).tolist() == [0.6]
-        req = session.requests[0]
+        req = session.posts[0]
         assert req["url"] == "http://127.0.0.1:9/score"
         assert req["json"] == {"model": "judge-1", "prompt": "score a"}
         assert req["timeout"] == 30.0
@@ -599,7 +599,7 @@ class TestHttpOracle:
         session = _FakeSession({"a": [_FakeResponse("0.5")]})
         oracle = _http(session, auth_env="JUDGE_TOKEN")
         score_batch(oracle, _rows(["a"]))
-        assert session.requests[0]["headers"]["Authorization"] == "Bearer sekrit"
+        assert session.posts[0]["headers"]["Authorization"] == "Bearer sekrit"
 
     def test_missing_token_fails_before_any_request(self, monkeypatch):
         monkeypatch.delenv("JUDGE_TOKEN", raising=False)
@@ -607,7 +607,7 @@ class TestHttpOracle:
         oracle = _http(session, auth_env="JUDGE_TOKEN")
         with pytest.raises(OracleError, match="JUDGE_TOKEN"):
             score_batch(oracle, _rows(["a"]))
-        assert session.requests == []
+        assert session.posts == []
 
     def test_retries_recover_from_transient_failures(self, monkeypatch):
         import scorefusion.oracle as oracle_mod
@@ -621,7 +621,7 @@ class TestHttpOracle:
         )
         oracle = _http(session, backoff=0.5)
         assert score_batch(oracle, _rows(["a"]), column=True).tolist() == [0.75]
-        assert len(session.requests) == 3
+        assert len(session.posts) == 3
         assert sleeps == [0.5, 1.0]  # backoff * 2^attempt
 
     def test_exhausted_retries_surface_as_failures(self):
@@ -631,7 +631,7 @@ class TestHttpOracle:
         assert np.isnan(results).tolist() == [True]
         assert len(failures) == 1 and failures[0][0] == "a"
         assert "500" in failures[0][1]
-        assert len(session.requests) == 3
+        assert len(session.posts) == 3
 
     def test_batch_is_ordered_despite_concurrency(self):
         ids = [f"i{k:02d}" for k in range(12)]
@@ -642,26 +642,22 @@ class TestHttpOracle:
         assert [i for i, _ in pairs] == ids
 
     def test_network_exceptions_are_caught_per_instance(self):
-        import requests as requests_lib
-
-        session = _FakeSession({"a": [requests_lib.ConnectionError("down")] * 3})
+        session = _FakeSession({"a": [ConnectionError("down")] * 3})
         oracle = _http(session)
         results, failures = oracle.score_uncached(_rows(["a"]))
         assert np.isnan(results).all() and failures[0][0] == "a"
 
-    def test_requests_errors_from_an_injected_session_are_retried(self):
-        import requests as requests_lib
-
-        session = _FakeSession({"a": [requests_lib.ConnectionError("down")] * 3})
+    def test_os_errors_from_an_injected_session_are_retried(self):
+        session = _FakeSession({"a": [TimeoutError("timed out"), ConnectionError("down"), OSError("gone")]})
         results, failures = _http(session).score_uncached(_rows(["a"]))
-        assert failures == [("a", "down")] and len(session.requests) == 3
+        assert failures == [("a", "gone")] and len(session.posts) == 3
 
     def test_an_unexpected_transport_exception_is_posted_once(self):
         session = _FakeSession({"a": [KeyError("frame")] * 3})
         results, failures = _http(session).score_uncached(_rows(["a"]))
         assert np.isnan(results).all()
         assert failures == [("a", "KeyError: 'frame'")]
-        assert len(session.requests) == 1
+        assert len(session.posts) == 1
 
     @pytest.mark.parametrize("concurrency", [1, 2, 8])
     def test_a_transport_exception_keeps_the_paid_scores(self, tmp_path, concurrency):
@@ -678,7 +674,7 @@ class TestHttpOracle:
                 score_batch(oracle, _rows(ids))
         finally:
             sys.setswitchinterval(interval)
-        posted = [r["json"]["prompt"].split()[-1] for r in session.requests]
+        posted = [r["json"]["prompt"].split()[-1] for r in session.posts]
         failures = dict(info.value.failures)
         assert posted.count("i05") == 1 and len(posted) == len(set(posted))
         scored = set(posted) - {"i05"}
@@ -689,8 +685,6 @@ class TestHttpOracle:
             assert posted == ids[:6]
 
     def test_each_pool_thread_opens_its_own_session(self, monkeypatch):
-        import requests as requests_lib
-
         opened = []
 
         class RecordingSession:
@@ -707,7 +701,7 @@ class TestHttpOracle:
             def close(self):
                 self.closed = True
 
-        monkeypatch.setattr(requests_lib, "Session", RecordingSession)
+        monkeypatch.setattr(oracle_mod, "_KeepAliveSession", RecordingSession)
         oracle = _http(None, max_concurrency=2)
         results, failures = oracle.score_uncached(_rows([f"i{k}" for k in range(8)]))
         assert failures == [] and results.tolist() == [0.5] * 8
@@ -718,8 +712,6 @@ class TestHttpOracle:
 
     @pytest.mark.parametrize("concurrency", [1, 3])
     def test_a_failing_session_close_keeps_every_score(self, tmp_path, monkeypatch, concurrency):
-        import requests as requests_lib
-
         class ClosesBadly:
             def post(self, url, json=None, headers=None, timeout=None):
                 return _FakeResponse(f"0.{json['prompt'][-1]}")
@@ -727,7 +719,7 @@ class TestHttpOracle:
             def close(self):
                 raise OSError("connection reset")
 
-        monkeypatch.setattr(requests_lib, "Session", ClosesBadly)
+        monkeypatch.setattr(oracle_mod, "_KeepAliveSession", ClosesBadly)
         oracle = _http(None, max_concurrency=concurrency)
         oracle.cache = OracleCache(tmp_path / "cache.csv")
         ids = [f"i{k}" for k in range(10)]
@@ -747,7 +739,7 @@ class TestHttpOracle:
         z = score_batch(_http(session, max_concurrency=3), _rows(ids), column=True)
         assert z.tolist() == [k / 100 for k in range(40)]
         assert 1 <= len(submitted) <= 3
-        assert len(session.requests) == 40
+        assert len(session.posts) == 40
 
     def test_every_row_is_posted_once_under_frequent_thread_switches(self):
         ids = [f"i{k:03d}" for k in range(400)]
@@ -759,7 +751,7 @@ class TestHttpOracle:
         finally:
             sys.setswitchinterval(interval)
         assert failures == [] and z.tolist() == [k / 1000 for k in range(400)]
-        assert sorted(r["json"]["prompt"] for r in session.requests) == [f"score {i}" for i in ids]
+        assert sorted(r["json"]["prompt"] for r in session.posts) == [f"score {i}" for i in ids]
 
     def test_instances_and_dataset_batches_agree(self, tmp_path):
         ids = ["c", "a", "e", "b", "d"]
@@ -772,7 +764,7 @@ class TestHttpOracle:
                                       prompt_template="score {stratum} {id}", max_concurrency=2)
             cache = OracleCache(tmp_path / f"{name}.csv")
             z = score_batch(HttpOracle(config, cache=cache, session=session), batch, column=True)
-            prompts = sorted(r["json"]["prompt"] for r in session.requests)
+            prompts = sorted(r["json"]["prompt"] for r in session.posts)
             seen.append((z.tolist(), cache.path.read_bytes(), prompts))
         assert seen[0] == seen[1]
         assert seen[0][0] == [0.1, 0.2, 0.3, 0.4, 0.5]
@@ -781,8 +773,20 @@ class TestHttpOracle:
     def test_config_validation(self):
         with pytest.raises(OracleError):
             HttpOracleConfig(url="http://x", model="m", retries=0)
+        for url in ("htps://x/score", "ftp://x/score", "x/score"):  # never posted as plain HTTP
+            with pytest.raises(OracleError, match="url must start with http:// or https://"):
+                HttpOracleConfig(url=url, model="m")
         with pytest.raises(OracleError):
             HttpOracleConfig(url="http://x", model="m", max_concurrency=0)
+
+    @pytest.mark.parametrize("template,named", [
+        ("rate {item}", "{item}"), ("{id} in {query} of {doc}", "{doc}, {query}"),
+    ])
+    def test_a_template_placeholder_other_than_id_and_stratum_is_rejected(self, template, named):
+        # found when the config is built, not per row after every row's retries and backoff
+        with pytest.raises(OracleError, match=re.escape(f"only {{id}} and {{stratum}}, not {named}")):
+            HttpOracleConfig(url="http://x", model="m", prompt_template=template)
+        HttpOracleConfig(url="http://x", model="m", prompt_template="{stratum}/{id} {not-a-key}")
 
     @pytest.mark.parametrize("field,value", [
         ("backoff", -0.5), ("backoff", float("nan")),

@@ -372,6 +372,8 @@ class TestTrainAugmented:
         ds = self._labeled(30, 2, seed=8)
         Xa = np.random.default_rng(9).standard_normal((20, 2))
         Xa[7, 1] = bad
-        aug = LabeledDataset.from_arrays(Xa, z=np.full(20, 0.5), prefix="aug")
+        # the column constructor checks nothing, so the bad matrix reaches train_augmented
+        aug = LabeledDataset(np.array([f"aug{k}" for k in range(20)], dtype=object), Xa,
+                             np.full(20, 0.5), np.full(20, np.nan), np.full(20, -1), ())
         with pytest.raises(TrainingError, match="augmented dataset contains non-finite features"):
             train_augmented(ds, aug)
