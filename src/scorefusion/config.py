@@ -26,14 +26,14 @@ class ConfigError(ValueError):
 
 _METHOD_RE = re.compile(r"^([a-z_]+)\s*(?:\(\s*([^)]*?)\s*\))?$")
 
-_METHOD_ARITY = {
-    # kind: (number of integer parameters, defaults or None when required)
-    "llm": (0, ()),
-    "ml": (0, ()),
-    "linear": (0, ()),
-    "adalinear": (1, (4,)),
-    "calibration": (2, (10, 2)),
-    "transfer": (1, None),
+_METHOD_KINDS = {
+    # kind: (least value of each integer parameter, defaults or None when required)
+    "llm": ((), ()),
+    "ml": ((), ()),
+    "linear": ((), ()),
+    "adalinear": ((1,), (4,)),
+    "calibration": ((1, 1), (10, 2)),
+    "transfer": ((0,), None),
 }
 
 
@@ -45,20 +45,14 @@ class MethodSpec:
     params: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _METHOD_ARITY:
-            raise ConfigError(
-                f"unknown method {self.kind!r}; expected one of {sorted(_METHOD_ARITY)}"
-            )
+        if self.kind not in _METHOD_KINDS:
+            raise ConfigError(f"unknown method {self.kind!r}; expected one of {sorted(_METHOD_KINDS)}")
         object.__setattr__(self, "params", tuple(int(p) for p in self.params))
-        arity, _ = _METHOD_ARITY[self.kind]
-        if len(self.params) != arity:
-            raise ConfigError(f"method {self.kind!r} takes {arity} parameter(s), got {self.params}")
-        if self.kind == "adalinear" and self.params[0] < 1:
-            raise ConfigError(f"adalinear piece count must be >= 1, got {self.params[0]}")
-        if self.kind == "calibration" and (self.params[0] < 1 or self.params[1] < 1):
-            raise ConfigError(f"calibration grid resolutions must be >= 1, got {self.params}")
-        if self.kind == "transfer" and self.params[0] < 0:
-            raise ConfigError(f"transfer augmentation count must be >= 0, got {self.params[0]}")
+        least, _ = _METHOD_KINDS[self.kind]
+        if len(self.params) != len(least):
+            raise ConfigError(f"method {self.kind!r} takes {len(least)} parameter(s), got {self.params}")
+        if any(p < lo for p, lo in zip(self.params, least)):
+            raise ConfigError(f"method {self.kind!r} parameters must be >= {least}, got {self.params}")
 
     @property
     def name(self) -> str:
@@ -72,12 +66,10 @@ class MethodSpec:
         if not match:
             raise ConfigError(f"cannot parse method {text!r}")
         kind, raw = match.group(1), match.group(2)
-        if kind not in _METHOD_ARITY:
-            raise ConfigError(f"unknown method {kind!r}; expected one of {sorted(_METHOD_ARITY)}")
-        arity, defaults = _METHOD_ARITY[kind]
-        if raw is None or raw == "":
+        if not raw:
+            least, defaults = _METHOD_KINDS.get(kind, ((), ()))  # an unknown kind fails in cls()
             if defaults is None:
-                raise ConfigError(f"method {kind!r} needs {arity} parameter(s), e.g. {kind}(1000)")
+                raise ConfigError(f"method {kind!r} needs {len(least)} parameter(s), e.g. {kind}(1000)")
             return cls(kind, defaults)
         try:
             params = tuple(int(p.strip()) for p in raw.split(","))
@@ -184,6 +176,10 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if not self.methods:
             raise ConfigError("at least one method is required")
+        for label, values in (("seed", self.seeds), ("method", [m.name for m in self.methods])):
+            repeated = dict.fromkeys(str(v) for v in values if values.count(v) > 1)
+            if repeated:
+                raise ConfigError(f"each {label} may be listed once; repeated: {', '.join(repeated)}")
         if self.fusion_r < 1:
             raise ConfigError(f"fusion.r must be >= 1, got {self.fusion_r}")
         if self.calibration_base_res < 1 or self.calibration_oracle_res < 1:
@@ -338,7 +334,8 @@ KEYS = {
     "base.tol": ("base", "tol", _float, None, "stop when the gradient max-norm reaches this"),
     "folds.k": ("", "k", _int, None, "folds for out-of-fold predictions"),
     "methods": ("", "methods", _methods, None,
-                "subset of ml, llm, linear, adalinear(r), calibration(M,M'), transfer(m)"),
+                "experiment: ml, llm, linear, adalinear(r), calibration(M,M'); transfer: "
+                "transfer(m), always with llm, ml, linear; other kinds fail before data loads"),
     "seeds": ("", "seeds", _ints, None, "comma-separated experiment seeds"),
     "out": ("", "out_dir", _text, "(none)", "output directory (--out overrides)"),
     "fusion.r": ("", "fusion_r", _int, None, "piece count for the fit-adaptive subcommand"),

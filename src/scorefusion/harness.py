@@ -123,7 +123,7 @@ def _save_artifacts(out_dir, seed, artifacts: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# data and oracle plumbing shared by both experiment kinds
+# data, oracle, fit-and-score and seed-loop plumbing shared by both protocols
 # ---------------------------------------------------------------------------
 
 
@@ -147,30 +147,85 @@ def _split(cfg: ExperimentConfig, fixed, seed: int):
     return split(fixed, cfg.test_fraction, seed)
 
 
+def _base_trainer(cfg: ExperimentConfig, seed: int):
+    """``train`` with the configured ``base.*`` settings and ``seed``."""
+    return lambda subset: train(subset, **asdict(cfg.base), seed=seed)
+
+
 def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
     """(out-of-fold base scores, oracle scores, labels) of ``ds``, which every fitter takes.
 
     The folds are ``make_folds(ds, cfg.k, seed=child_seed(seed, 1))``; each fold
-    model comes from ``trainer``, or by default from ``train`` with the
-    configured ``base.*`` settings and ``seed``.
+    model comes from ``trainer``, by default ``_base_trainer(cfg, seed)``.
     """
-    if trainer is None:
-        def trainer(subset):
-            return train(subset, **asdict(cfg.base), seed=seed)
     fold = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
+    trainer = trainer or _base_trainer(cfg, seed)
     return cv_predict(ds, fold, trainer=trainer), ds.oracle_scores(), ds.labels()
+
+
+def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
+    """Test-set scores for one method (any kind but transfer), fitted on training-side inputs only."""
+    y_cv, z_tr, y_tr = fit_inputs
+    base_test, z_test = test_inputs
+    if spec.kind == "llm":
+        return z_test
+    if spec.kind == "ml":
+        return base_test
+    if spec.kind == "calibration":
+        grid = GridSpec(spec.params[0], spec.params[1])
+        cal = fit_cell_calibrator(y_cv, z_tr, y_tr, grid)
+        artifacts[f"calibrator_{spec.params[0]}_{spec.params[1]}.json"] = cal
+        return cal.calibrate(base_test, z_test)
+    if spec.kind == "linear":
+        wf = WeightFunction.constant(fit_constant_weight(y_cv, z_tr, y_tr))
+    else:
+        wf = fit_adaptive_weights(y_cv, z_tr, y_tr, r=spec.params[0])
+    artifacts[f"weights_{spec.name}.json"] = wf
+    return fuse(wf, base_test, z_test)
+
+
+def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, provider, trainer, specs):
+    """({method name: test scores}, {file name: artifact}) of one seed, the core of both protocols.
+
+    Attaches oracle scores to the training side, then the test side; trains
+    the base model (``base_model.json``) and the out-of-fold inputs with
+    ``trainer``; then fits each of ``specs`` there and applies it to the test side.
+    """
+    train_ds = attach_scores(train_ds, provider)
+    test_ds = attach_scores(test_ds, provider)
+    base = trainer(train_ds)
+    train_inputs = fit_inputs(cfg, train_ds, seed, trainer=trainer)
+    test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
+    artifacts: dict = {"base_model.json": base}
+    scores = {spec.name: _fit_method_scores(spec, train_inputs, test_inputs, artifacts) for spec in specs}
+    return scores, artifacts
+
+
+# The method kinds each protocol evaluates, and where any other kind belongs.
+_PROTOCOL_KINDS = {
+    "fusion": (("ml", "llm", "linear", "adalinear", "calibration"),
+               "the transfer protocol; use run_transfer_experiment (CLI subcommand: transfer)"),
+    "transfer": (("llm", "ml", "linear", "transfer"),
+                 "the fusion protocol; use run_experiment (CLI subcommand: experiment), "
+                 "since the transfer protocol takes only llm, ml, linear and transfer(m)"),
+}
 
 
 def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
     """The seed loop of both protocols.
 
-    Builds the configured provider unless one is given and resolves the
-    fixed dataset once. Per seed it splits, calls
+    First rejects any configured method kind that ``meta["experiment"]`` does
+    not evaluate. Then builds the configured provider unless one is given and
+    resolves the fixed dataset once. Per seed it splits, calls
     ``body(train_ds, test_ds, seed, provider)`` for that seed's
     ({method: metrics}, {file name: artifact}) and saves the artifacts. The
     report's meta is ``meta`` plus the keys both protocols share; the report
     is saved when an output directory is configured.
     """
+    kinds, elsewhere = _PROTOCOL_KINDS[meta["experiment"]]
+    for spec in cfg.methods:
+        if spec.kind not in kinds:
+            raise HarnessError(f"method {spec.name!r} needs {elsewhere}")
     provider = provider if provider is not None else build_provider(cfg.oracle)
     fixed = fixed_dataset(cfg, dataset)
     per_seed = []
@@ -187,35 +242,8 @@ def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> Me
 
 
 # ---------------------------------------------------------------------------
-# the fusion experiment
+# the two protocols: fusion, and covariate-shift transfer
 # ---------------------------------------------------------------------------
-
-
-def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
-    """Test-set scores for one method, fitted on training-side inputs only."""
-    y_cv, z_tr, y_tr = fit_inputs
-    base_test, z_test = test_inputs
-    if spec.kind == "llm":
-        return z_test
-    if spec.kind == "ml":
-        return base_test
-    if spec.kind == "linear":
-        wf = WeightFunction.constant(fit_constant_weight(y_cv, z_tr, y_tr))
-        artifacts[f"weights_{spec.name}.json"] = wf
-        return fuse(wf, base_test, z_test)
-    if spec.kind == "adalinear":
-        wf = fit_adaptive_weights(y_cv, z_tr, y_tr, r=spec.params[0])
-        artifacts[f"weights_{spec.name}.json"] = wf
-        return fuse(wf, base_test, z_test)
-    if spec.kind == "calibration":
-        grid = GridSpec(spec.params[0], spec.params[1])
-        cal = fit_cell_calibrator(y_cv, z_tr, y_tr, grid)
-        artifacts[f"calibrator_{spec.params[0]}_{spec.params[1]}.json"] = cal
-        return cal.calibrate(base_test, z_test)
-    raise HarnessError(
-        f"method {spec.name!r} needs the transfer protocol; "
-        "use run_transfer_experiment (CLI subcommand: transfer)"
-    )
 
 
 def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> MetricReport:
@@ -226,29 +254,18 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
     method's parameters there, and measure accuracy, Brier score, and log-loss
     on the test side. Artifacts (base model, weight functions, calibrators)
     are written under ``out_dir/seed_<seed>/`` when an output directory is
-    configured, and report.json / report.csv at the top level.
+    configured, and report.json / report.csv at the top level. A transfer(m)
+    method raises HarnessError before any data is loaded or scored.
     """
     def body(train_ds, test_ds, seed, provider):
-        train_ds = attach_scores(train_ds, provider)
-        test_ds = attach_scores(test_ds, provider)
-        base = train(train_ds, **asdict(cfg.base), seed=seed)
-        train_inputs = fit_inputs(cfg, train_ds, seed)
-        test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
+        scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, provider,
+                                           _base_trainer(cfg, seed), cfg.methods)
         y_test = test_ds.labels()
-        artifacts: dict = {"base_model.json": base}
-        methods = {}
-        for spec in cfg.methods:
-            scores = _fit_method_scores(spec, train_inputs, test_inputs, artifacts)
-            methods[spec.name] = metric_dict(scores, y_test, n_test=float(len(y_test)))
-        return methods, artifacts
+        n_test = float(len(y_test))
+        return {name: metric_dict(s, y_test, n_test=n_test) for name, s in scores.items()}, artifacts
 
     meta = {"experiment": "fusion", "methods": [s.name for s in cfg.methods]}
     return _run_seeds(cfg, dataset, provider, body, meta)
-
-
-# ---------------------------------------------------------------------------
-# the covariate-shift experiment
-# ---------------------------------------------------------------------------
 
 
 def _strata_of(ds: LabeledDataset) -> dict:
@@ -261,11 +278,14 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     Per seed the data splits as usual, but training labels come solely from
     the source-stratum rows; target-stratum training rows act as the unlabeled
     augmentation pool (their labels are hidden behind the oracle). The
-    evaluated methods are the oracle alone (llm), source-only training (ml),
-    constant-weight fusion (linear), and transfer(m) for every transfer entry
-    in the method list; each is reported on the source and target test rows
-    separately as ``name@source`` / ``name@target``.
+    evaluated methods are always the oracle alone (llm), source-only training
+    (ml) and constant-weight fusion (linear), plus transfer(m) for every
+    transfer entry in the method list; each is reported on the source and
+    target test rows separately as ``name@source`` / ``name@target``. An
+    adalinear or calibration entry raises HarnessError before any data is
+    loaded or scored; ``run_experiment`` evaluates those.
     """
+    baselines = (MethodSpec("llm"), MethodSpec("ml"), MethodSpec("linear"))
     m_values = [s.params[0] for s in cfg.methods if s.kind == "transfer"]
     tr = cfg.transfer
 
@@ -284,34 +304,19 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
         if pool_ds.n == 0 and any(m > 0 for m in m_values):
             raise HarnessError("augmentation pool is empty but transfer(m > 0) was requested")
 
-        universe = sorted(
-            set(_strata_of(labeled)) | set(_strata_of(pool_ds)) | set(tr.target_density or ())
-        )
-        p1 = StratumDensity.from_counts(_strata_of(labeled), tags=universe)
-        if tr.target_density is not None:
-            p2 = StratumDensity.from_counts(tr.target_density, tags=universe)
-        else:
-            p2 = StratumDensity.from_counts(_strata_of(pool_ds), tags=universe)
-
-        labeled = attach_scores(labeled, provider)
-        test_ds = attach_scores(test_ds, provider)
-        y_test = test_ds.labels()
-        z_test = test_ds.oracle_scores()
+        source_counts, pool_counts = _strata_of(labeled), _strata_of(pool_ds)
+        universe = sorted(set(source_counts) | set(pool_counts) | set(tr.target_density or ()))
+        p1 = StratumDensity.from_counts(source_counts, tags=universe)
+        p2 = StratumDensity.from_counts(tr.target_density or pool_counts, tags=universe)
 
         def l2_trainer(ds, augmented=None):
             return train_augmented(ds, augmented, slack_a=tr.slack_a, **asdict(cfg.base),
                                    seed=seed, round_oracle_scores=tr.round_oracle)
 
-        ml_model = l2_trainer(labeled)
-        alpha = fit_constant_weight(*fit_inputs(cfg, labeled, seed, trainer=l2_trainer))
-        wf = WeightFunction.constant(alpha)
-
-        ml_test = ml_model.score_dataset(test_ds)
-        scores = {"llm": z_test, "ml": ml_test, "linear": fuse(wf, ml_test, z_test)}
-        artifacts: dict = {"base_model.json": ml_model, "weights_linear.json": wf}
+        scores, artifacts = _fit_and_score(cfg, labeled, test_ds, seed, provider, l2_trainer, baselines)
         for m in m_values:
             if m == 0:
-                model_m = ml_model
+                model_m = artifacts["base_model.json"]
             else:
                 plan = make_plan(p1, p2, labeled.n, m, slack_a=tr.slack_a)
                 sampled = sample_augmentation(pool_ds, plan.sampling, m, child_seed(seed, 2, m))
@@ -320,6 +325,7 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
                 artifacts[f"transfer_model_{m}.json"] = model_m
             scores[f"transfer({m})"] = model_m.score_dataset(test_ds)
 
+        y_test = test_ds.labels()
         sides = {"source": test_ds.in_strata(source_tags), "target": test_ds.in_strata(target_tags)}
         for side, mask in sides.items():
             if not mask.any():
@@ -332,7 +338,7 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
         return methods, artifacts
 
     meta = {"experiment": "transfer", "slack_a": tr.slack_a,
-            "methods": ["llm", "ml", "linear"] + [f"transfer({m})" for m in m_values]}
+            "methods": [s.name for s in baselines] + [f"transfer({m})" for m in m_values]}
     return _run_seeds(cfg, dataset, provider, body, meta)
 
 

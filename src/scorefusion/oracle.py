@@ -386,8 +386,6 @@ class SyntheticOracle:
     gets a NaN score and is listed as failed.
     """
 
-    kind = "synthetic"
-
     def __init__(self, spec: SyntheticOracleSpec, cache: OracleCache | None = None):
         self.spec = spec
         self.cache = cache
@@ -411,8 +409,6 @@ class SyntheticOracle:
 
 class CachedOracle:
     """Replays its cache and nothing else: every row the cache lacks fails."""
-
-    kind = "cached"
 
     def __init__(self, cache: OracleCache | None = None):
         self.cache = cache
@@ -540,8 +536,6 @@ class HttpOracle:
     and closes it when it ends, and an ``OSError`` from that close is only a
     warning. The thread pool and ``http.client`` load when a batch is scored.
     """
-
-    kind = "http"
 
     def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None,
                  session=None, keywords=DEFAULT_KEYWORDS):

@@ -88,6 +88,26 @@ class TestErrorHandling:
         assert err.splitlines() == [err.strip()] and err.startswith("error: transfer.target_density")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, methods, message", [
+        ("transfer", "ml, adalinear(4)", "method 'adalinear(4)' needs the fusion protocol"),
+        ("transfer", "calibration(10,2)", "method 'calibration(10,2)' needs the fusion protocol"),
+        ("experiment", "ml, transfer(50)", "method 'transfer(50)' needs the transfer protocol"),
+    ])
+    def test_a_method_of_the_other_protocol_exits_2_before_running(self, tmp_path, capsys,
+                                                                   command, methods, message):
+        cfg = _write_cfg(tmp_path, STRATA_BLOCK + f"methods = {methods}\n"
+                         + "transfer.source_strata = A\ntransfer.target_strata = B\n")
+        code, out, err = _run(capsys, command, "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [err.strip()] and err.startswith(f"error: {message}")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_repeated_seed_exits_2(self, tmp_path, capsys):
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK + "seeds = 3, 3\n")
+        code, _, err = _run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert code == 2 and "repeated: 3" in err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "bogus.key = 1\n")
         code, _, err = _run(capsys, "experiment", "--config", cfg)

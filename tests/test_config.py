@@ -70,6 +70,18 @@ class TestMethodSpec:
             with pytest.raises(ConfigError):
                 MethodSpec.parse(text)
 
+    @pytest.mark.parametrize("kind, params, message", [
+        ("adalinear", (0,), "'adalinear' parameters must be >= (1,)"),
+        ("calibration", (10, 0), "'calibration' parameters must be >= (1, 1)"),
+        ("transfer", (-1,), "'transfer' parameters must be >= (0,)"),
+        ("ml", (1,), "'ml' takes 0 parameter(s)"),
+        ("calibration", (10,), "'calibration' takes 2 parameter(s)"),
+        ("boost", (), "unknown method 'boost'"),
+    ])
+    def test_arity_and_least_values_are_checked_on_construction(self, kind, params, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            MethodSpec(kind, params)
+
 
 class TestConfigFromMapping:
     def test_defaults(self):
@@ -146,6 +158,23 @@ class TestConfigFromMapping:
             config_from_mapping({"oracle.kind": "psychic"})
         with pytest.raises(ConfigError):
             config_from_mapping({"oracle.kind": "cached"})  # no cache path
+
+    @pytest.mark.parametrize("key, value, repeated", [
+        ("seeds", "3, 3", "seed may be listed once; repeated: 3"),
+        ("seeds", "1, 2, 1, 2", "seed may be listed once; repeated: 1, 2"),
+        ("methods", "ml, ml, linear", "method may be listed once; repeated: ml"),
+        ("methods", "transfer(500), transfer(0), transfer(500)",
+         "method may be listed once; repeated: transfer(500)"),
+        ("methods", "adalinear, adalinear(4)", "method may be listed once; repeated: adalinear(4)"),
+    ])
+    def test_a_repeated_seed_or_method_is_rejected_at_load(self, key, value, repeated):
+        with pytest.raises(ConfigError, match=re.escape(repeated)):
+            config_from_mapping({key: value})
+
+    def test_distinct_seeds_and_methods_load(self):
+        cfg = config_from_mapping({"seeds": "3, 4", "methods": "transfer(500), transfer(50), ml"})
+        assert cfg.seeds == (3, 4)
+        assert [m.name for m in cfg.methods] == ["transfer(500)", "transfer(50)", "ml"]
 
     def test_data_source_requirement(self):
         cfg = config_from_mapping({})

@@ -1,6 +1,7 @@
 """Experiment orchestration: providers, reports, both protocols, tuning."""
 
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,6 +20,7 @@ from scorefusion import (
     OracleError,
     OracleSettings,
     SyntheticOracle,
+    SyntheticOracleSpec,
     TransferSettings,
     build_provider,
     child_seed,
@@ -271,6 +273,52 @@ class TestRunTransferExperiment:
             run_transfer_experiment(cfg, dataset=_dataset(100))
 
 
+class _CountingOracle(SyntheticOracle):
+    """A synthetic oracle that counts its score_uncached calls."""
+
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.calls = 0
+
+    def score_uncached(self, ds):
+        self.calls += 1
+        return super().score_uncached(ds)
+
+
+class TestMethodKindsCheckedFirst:
+    # each protocol rejects a method kind it does not evaluate before it loads
+    # the dataset, asks the oracle for a score or creates the output directory
+    @pytest.mark.parametrize("run, method", [
+        (run_transfer_experiment, MethodSpec("adalinear", (4,))),
+        (run_transfer_experiment, MethodSpec("calibration", (10, 2))),
+        (run_experiment, MethodSpec("transfer", (50,))),
+    ])
+    def test_rejected_before_any_data_or_oracle_call(self, run, method, tmp_path, monkeypatch):
+        loads = []
+        monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(args))
+        provider = _CountingOracle(SyntheticOracleSpec(accuracy=0.8, seed=5))
+        cfg = _cfg(methods=(MethodSpec("ml"), method),
+                   dataset_path=str(DATA / "fixed.jsonl"), out_dir=str(tmp_path / "out"),
+                   transfer=TransferSettings(source_strata=("A",), target_strata=("B",)))
+        other = "run_experiment" if run is run_transfer_experiment else "run_transfer_experiment"
+        with pytest.raises(HarnessError, match=re.escape(f"method '{method.name}' needs")) as err:
+            run(cfg, provider=provider)
+        assert other in str(err.value)
+        assert provider.calls == 0 and loads == []
+        assert not (tmp_path / "out").exists()
+
+    def test_the_transfer_message_names_the_kinds_it_takes(self):
+        cfg = _cfg(methods=(MethodSpec("adalinear", (4,)),))
+        with pytest.raises(HarnessError, match=re.escape("takes only llm, ml, linear and transfer(m)")):
+            run_transfer_experiment(cfg, dataset=_two_strata())
+
+    def test_the_transfer_protocol_reports_its_three_baselines_for_any_accepted_list(self):
+        cfg = _cfg(methods=(MethodSpec("linear"), MethodSpec("transfer", (0,))), seeds=(0,),
+                   transfer=TransferSettings(source_strata=("A",), target_strata=("B",)))
+        report = run_transfer_experiment(cfg, dataset=_two_strata())
+        assert report.meta["methods"] == ["llm", "ml", "linear", "transfer(0)"]
+
+
 class TestTuneHyperparameter:
     def test_single_candidate_short_circuits(self):
         assert tune_hyperparameter(_cfg(), parameter="r", candidates=[6]) == 6
@@ -303,6 +351,16 @@ class TestTuneHyperparameter:
     def test_config_carries_the_tuning_block(self):
         cfg = _cfg(tune_parameter="r", tune_candidates=(3,))
         assert tune_hyperparameter(cfg) == 3
+
+    # the selections that tuned.json records for the fixed dataset file
+    @pytest.mark.parametrize("parameter, kind, candidates, selected", [
+        ("M", "cell", (2, 5, 10, 20, 40), 2),
+        ("M", "additive", (2, 5, 10, 20, 40), 20),
+        ("r", "cell", (1, 2, 4, 8, 16), 4),
+    ])
+    def test_selection_on_the_fixed_file_is_pinned(self, parameter, kind, candidates, selected):
+        cfg = _cfg(dataset_path=str(DATA / "fixed.csv"), calibration_kind=kind)
+        assert tune_hyperparameter(cfg, parameter=parameter, candidates=candidates) == selected
 
 
 def _fixed_file_runs():
