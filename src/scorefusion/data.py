@@ -14,16 +14,28 @@ the only way in: ``Instance`` is a read-only row view that iteration builds,
 and nothing takes one as input. Datasets are immutable after construction;
 every randomized operation takes an explicit seed and uses numpy's PCG64
 generator, so results are reproducible across runs and platforms.
+
+A dataset file is parsed once. ``load_dataset`` stores the columns it parsed
+in a hidden sidecar next to the file (``.data.csv.sfcache.npz`` for
+``data.csv``), keyed by the sha256 of a format version, the format and the
+file's bytes. A later load hashes the file again and reads the sidecar
+instead of parsing when the keys match; an edited file, a changed format or a
+missing, stale or unreadable sidecar costs a parse and a rewrite. The sidecar
+is a plain ``np.savez`` archive read with ``allow_pickle=False``, so it never
+holds pickles, and deleting it is always safe.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import os
 import re
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -359,17 +371,131 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     Whitespace around a number is ignored; id and stratum cells are kept as
     written. Feature values must be finite in both formats: NaN or infinite
     features are rejected, and so are z outside [0, 1], y other than 0 or 1,
-    a JSONL stratum that is neither a string nor null, and bytes that are not
-    UTF-8.
+    a JSONL stratum that is neither a string nor null, bytes that are not
+    UTF-8, and a path that cannot be read.
+
+    The file is parsed once. A successful parse writes its columns to the
+    hidden sidecar ``.<name>.sfcache.npz`` in the file's directory, through
+    a temporary file and ``os.replace``; a write that fails is skipped, and
+    so is one whose file changed while it was parsed. Every load streams the
+    file through sha256 together with a format version and the format, and
+    reads the sidecar instead of parsing when it holds that key. The sidecar
+    is an ``np.savez`` archive of numeric and UTF-8 byte arrays, read with
+    ``allow_pickle=False``: it never holds pickles. Its columns go through
+    the same checks a parse applies, vectorized; one that fails raises
+    ``DatasetError`` naming the sidecar. Editing the file invalidates the
+    sidecar; a missing, stale, truncated or foreign sidecar costs a parse and
+    a rewrite, so deleting it is always safe.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
-    if not path.exists():
-        raise DatasetError(f"dataset file not found: {path}")
+    sidecar = path.with_name(f".{path.name}.sfcache.npz")
     try:
-        return _load_csv(path) if fmt == "csv" else _load_jsonl(path)
+        key, stamp = _file_key(path, fmt)
+        columns = _read_sidecar(sidecar, key)
+        if columns is not None:
+            return _from_sidecar(sidecar, path, *columns)
+        ds = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
+    except FileNotFoundError:
+        raise DatasetError(f"dataset file not found: {path}") from None
+    except OSError as exc:
+        raise DatasetError(f"cannot read dataset file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: {exc}") from None
+    _write_sidecar(sidecar, path, key, stamp, ds)
+    return ds
+
+
+# ---------------------------------------------------------------------------
+# the column sidecar of a dataset file
+# ---------------------------------------------------------------------------
+
+_SIDECAR_VERSION = b"scorefusion dataset sidecar 1"
+
+
+def _stamp(st: os.stat_result) -> tuple:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
+
+
+def _file_key(path: Path, fmt: str) -> tuple:
+    """(sidecar key of the file, its ``_stamp`` when opened). The key is the
+    sha256 of the sidecar version, the format and the file's bytes, streamed."""
+    digest = hashlib.sha256(b"%s\0%s\0" % (_SIDECAR_VERSION, fmt.encode()))
+    with open(path, "rb") as fh:
+        stamp = _stamp(os.fstat(fh.fileno()))
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest(), stamp
+
+
+def _pack(strings) -> np.ndarray:
+    """``strings`` as one uint8 column: the UTF-8 bytes of a character none of
+    them holds, then the strings joined by it; empty for no strings."""
+    if not strings:
+        return np.zeros(0, np.uint8)
+    used = set("".join(strings))
+    sep = next(c for c in map(chr, count()) if c not in used)
+    return np.frombuffer((sep + sep.join(strings)).encode("utf-8", "surrogatepass"), np.uint8)
+
+
+def _unpack(column: np.ndarray) -> list:
+    text = column.tobytes().decode("utf-8", "surrogatepass")
+    return text[1:].split(text[0]) if text else []
+
+
+def _read_sidecar(sidecar: Path, key: str):
+    """(ids, X, z, y, codes, tags) stored in ``sidecar`` under ``key``; None
+    when it is missing, holds another key or cannot be read."""
+    try:
+        # np.load leaves a file it opened unclosed when the archive is damaged
+        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as stored:
+            if stored["key"].item() != key:
+                return None
+            return (_unpack(stored["ids"]), stored["X"], stored["z"], stored["y"],
+                    stored["codes"], _unpack(stored["tags"]))
+    except Exception:
+        # np.load, zipfile and zlib reject a damaged or foreign archive with many
+        # exception types, and whatever is wrong with a sidecar costs only a reparse
+        return None
+
+
+def _from_sidecar(sidecar, source, ids, X, z, y, codes, tags) -> LabeledDataset:
+    """The dataset of a sidecar's columns, after the column checks a parse applies."""
+    n = len(ids)
+    if not (n and X.ndim == 2 and X.shape[0] == n and X.shape[1] and X.flags.c_contiguous
+            and all(c.shape == (n,) for c in (z, y, codes))
+            and all(c.dtype == np.float64 for c in (X, z, y)) and codes.dtype == np.intp):
+        what = "columns of unequal length or type"
+    elif not np.isfinite(X).all():
+        what = "a non-finite feature value"
+    elif ((z < 0) | (z > 1)).any():
+        what = "an oracle score outside [0, 1]"
+    elif not ((y == 0) | (y == 1) | np.isnan(y)).all():
+        what = "a label other than 0 or 1"
+    elif len(set(ids)) != n:
+        what = "a repeated id"
+    elif len(set(tags)) != len(tags) or not ((codes >= -1) & (codes < len(tags))).all():
+        what = "a stratum code out of range"
+    else:
+        return LabeledDataset(_objects(ids), X, z, y, codes, tuple(tags))
+    raise DatasetError(f"{sidecar} holds {what}; delete it to reparse {source}")
+
+
+def _write_sidecar(sidecar: Path, source: Path, key: str, stamp: tuple, ds: LabeledDataset) -> None:
+    """Store the columns of ``ds``, parsed from ``source``, in ``sidecar`` under
+    ``key``: a temporary file in the same directory, then ``os.replace``.
+    Skipped when ``source`` no longer has ``stamp`` or the write fails."""
+    tmp = sidecar.with_name(f"{sidecar.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        if _stamp(os.stat(source)) != stamp:
+            return
+        with open(tmp, "xb") as fh:  # created with the umask's permissions
+            np.savez(fh, key=np.array(key), ids=_pack(ds._ids.tolist()), X=ds.X, z=ds.z, y=ds.y,
+                     codes=ds._codes, tags=_pack(ds._tags))
+        os.replace(tmp, sidecar)
+    except OSError:
+        with suppress(OSError):
+            tmp.unlink()
 
 
 def _row_number(records, k: int) -> int:

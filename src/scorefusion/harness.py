@@ -211,21 +211,24 @@ _PROTOCOL_KINDS = {
 }
 
 
-def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
-    """The seed loop of both protocols.
+def _check_methods(cfg: ExperimentConfig, experiment: str) -> None:
+    """Reject any configured method kind that the ``experiment`` protocol does not evaluate."""
+    kinds, elsewhere = _PROTOCOL_KINDS[experiment]
+    for spec in cfg.methods:
+        if spec.kind not in kinds:
+            raise HarnessError(f"method {spec.name!r} needs {elsewhere}")
 
-    First rejects any configured method kind that ``meta["experiment"]`` does
-    not evaluate. Then builds the configured provider unless one is given and
-    resolves the fixed dataset once. Per seed it splits, calls
+
+def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
+    """The seed loop of both protocols, entered once the protocol has checked its config.
+
+    Builds the configured provider unless one is given and resolves the fixed
+    dataset once. Per seed it splits, calls
     ``body(train_ds, test_ds, seed, provider)`` for that seed's
     ({method: metrics}, {file name: artifact}) and saves the artifacts. The
     report's meta is ``meta`` plus the keys both protocols share; the report
     is saved when an output directory is configured.
     """
-    kinds, elsewhere = _PROTOCOL_KINDS[meta["experiment"]]
-    for spec in cfg.methods:
-        if spec.kind not in kinds:
-            raise HarnessError(f"method {spec.name!r} needs {elsewhere}")
     provider = provider if provider is not None else build_provider(cfg.oracle)
     fixed = fixed_dataset(cfg, dataset)
     per_seed = []
@@ -257,6 +260,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
     configured, and report.json / report.csv at the top level. A transfer(m)
     method raises HarnessError before any data is loaded or scored.
     """
+    _check_methods(cfg, "fusion")
+
     def body(train_ds, test_ds, seed, provider):
         scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, provider,
                                            _base_trainer(cfg, seed), cfg.methods)
@@ -282,9 +287,13 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     (ml) and constant-weight fusion (linear), plus transfer(m) for every
     transfer entry in the method list; each is reported on the source and
     target test rows separately as ``name@source`` / ``name@target``. An
-    adalinear or calibration entry raises HarnessError before any data is
-    loaded or scored; ``run_experiment`` evaluates those.
+    adalinear or calibration entry, or no ``transfer.target_strata``, raises
+    HarnessError before any data is loaded or scored; ``run_experiment``
+    evaluates adalinear and calibration.
     """
+    _check_methods(cfg, "transfer")
+    if not cfg.transfer.target_strata:
+        raise HarnessError("transfer experiment needs transfer.target_strata")
     baselines = (MethodSpec("llm"), MethodSpec("ml"), MethodSpec("linear"))
     m_values = [s.params[0] for s in cfg.methods if s.kind == "transfer"]
     tr = cfg.transfer
@@ -294,8 +303,6 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
         target_tags = tuple(tr.target_strata)
         if not source_tags:
             raise HarnessError("transfer experiment needs stratum tags on the dataset")
-        if not target_tags:
-            raise HarnessError("transfer experiment needs transfer.target_strata")
 
         labeled = train_all.take(train_all.in_strata(source_tags))
         pool_ds = train_all.take(train_all.in_strata(target_tags))

@@ -329,8 +329,14 @@ def _load_text(tmp_path, text, name="data.csv", newline=None):
 
 
 def _load_error(tmp_path, text, name="data.csv"):
+    """The message of the error that loading ``text`` raises, the same on a second
+    load of the file, which a failed load leaves without a sidecar."""
     with pytest.raises(DatasetError) as info:
         _load_text(tmp_path, text, name)
+    with pytest.raises(DatasetError) as again:
+        load_dataset(tmp_path / name)
+    assert str(again.value) == str(info.value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]
     return str(info.value)
 
 

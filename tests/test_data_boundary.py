@@ -1,6 +1,8 @@
 """Stratum columns and the dataset file boundary: tag order, untagged rows,
 concatenation, byte round trips, and the inputs loaders must reject."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,57 @@ class TestUndecodableBytes:
         path.write_bytes(b'{"id": "a\xff", "features": [1.0]}\n')
         with pytest.raises(DatasetError, match="bad.jsonl"):
             load_dataset(path)
+
+
+class TestFailedLoadsWriteNoSidecar:
+    # each bad file is loaded twice: both loads raise the same message, and
+    # neither leaves anything next to the file
+    @pytest.mark.parametrize("name, content, message", [
+        ("d.csv", b"id,f0,y\nr1,0.5,1\nr2,0.5,7\n", "row 2: y=7.0 not in {0, 1}"),
+        ("d.csv", b"id,f0,y\nr1,0.5,1\nr2,0.5\n", "row 2: expected 3 cells, got 2"),
+        ("d.csv", b"id,f0,y\nr1,0.5,1\nr2,inf,0\n", "row 2: non-finite feature value"),
+        ("d.csv", b"id,f0\nr1,0.5\nr1,1.5\n", "duplicate instance id 'r1'"),
+        ("d.csv", b"id,f0\nr1,0.5\nx\xff,1\n", "can't decode byte 0xff"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0], "y": 1}\n{"id": "b", "features": [2.0], "y": 3}\n',
+         "row 2: y=3.0 not in {0, 1}"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0, 2.0]}\n{"id": "b", "features": [2.0]}\n',
+         "row 2: dimension 1 inconsistent with first row (2)"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "b", "features": [NaN]}\n',
+         "row 2: non-finite feature value"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "a", "features": [2.0]}\n',
+         "duplicate instance id 'a'"),
+        ("d.jsonl", b'{"id": "a\xff", "features": [1.0]}\n', "can't decode byte 0xff"),
+    ], ids=["csv-label", "csv-short-row", "csv-non-finite", "csv-duplicate-id", "csv-undecodable",
+            "jsonl-label", "jsonl-short-row", "jsonl-non-finite", "jsonl-duplicate-id", "jsonl-undecodable"])
+    def test_the_same_error_twice_and_no_sidecar(self, tmp_path, name, content, message):
+        path = tmp_path / name
+        path.write_bytes(content)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(DatasetError) as info:
+                load_dataset(path)
+            errors.append(str(info.value))
+        assert message in errors[0] and errors[1] == errors[0]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+class TestUnreadablePaths:
+    @pytest.mark.parametrize("name", ["x.csv", "x.jsonl"])
+    def test_a_directory_is_a_dataset_error_naming_it(self, tmp_path, name):
+        path = tmp_path / name
+        path.mkdir()
+        with pytest.raises(DatasetError, match=f"^cannot read dataset file {re.escape(str(path))}: "):
+            load_dataset(path)
+
+    def test_a_path_through_a_file_is_a_dataset_error_naming_it(self, tmp_path):
+        (tmp_path / "file").write_text("id,f0\n", encoding="utf-8")
+        path = tmp_path / "file" / "x.csv"
+        with pytest.raises(DatasetError, match=f"^cannot read dataset file {re.escape(str(path))}: "):
+            load_dataset(path)
+
+    def test_a_missing_file_is_named(self, tmp_path):
+        with pytest.raises(DatasetError, match="^dataset file not found: .*nope.csv$"):
+            load_dataset(tmp_path / "nope.csv")
 
 
 class TestJsonlStratumType:

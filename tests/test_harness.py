@@ -307,6 +307,16 @@ class TestMethodKindsCheckedFirst:
         assert provider.calls == 0 and loads == []
         assert not (tmp_path / "out").exists()
 
+    def test_missing_target_strata_are_rejected_before_the_provider_or_the_dataset(self, monkeypatch):
+        loads, builds = [], []
+        monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(args))
+        monkeypatch.setattr(harness, "build_provider", lambda *args: builds.append(args))
+        cfg = _cfg(methods=(MethodSpec("transfer", (0,)),), dataset_path=str(DATA / "fixed.jsonl"),
+                   transfer=TransferSettings(source_strata=("A",)))
+        with pytest.raises(HarnessError, match=re.escape("needs transfer.target_strata")):
+            run_transfer_experiment(cfg)
+        assert loads == [] and builds == []
+
     def test_the_transfer_message_names_the_kinds_it_takes(self):
         cfg = _cfg(methods=(MethodSpec("adalinear", (4,)),))
         with pytest.raises(HarnessError, match=re.escape("takes only llm, ml, linear and transfer(m)")):
