@@ -197,21 +197,37 @@ class LabeledDataset:
         return self._present(self.z, "oracle scores")
 
     def take(self, rows) -> "LabeledDataset":
-        """Rows picked by a bool mask or by distinct int indices in [0, n), in that order.
+        """Rows picked by a bool mask or by distinct integer indices, in that order.
 
-        Rows are not re-validated: distinct rows of a valid dataset form one.
+        ``rows`` is either a 1-d bool mask of length n or a 1-d sequence of
+        distinct integer indices in [0, n); an empty sequence picks no rows.
+        Anything else (floats, strings, a mask of another length, a scalar or
+        a 2-d array) raises ``DatasetError``. A mask becomes one index array,
+        and each column is gathered once by it. Rows are not re-validated:
+        distinct rows of a valid dataset form one.
         """
         rows = np.asarray(rows)
-        if rows.dtype != bool:
+        if rows.ndim != 1:
+            raise DatasetError(f"take needs a 1-d mask or index sequence, got shape {rows.shape}")
+        if rows.dtype == bool:
+            if rows.size != self.n:
+                raise DatasetError(f"take needs a bool mask of length {self.n}, got {rows.size}")
+            rows = np.flatnonzero(rows)
+        elif not rows.size:  # [] arrives as float64
             rows = rows.astype(np.intp)
-            if rows.size and (rows.min() < 0 or rows.max() >= self.n):
+        elif rows.dtype.kind not in "iu":
+            raise DatasetError(f"take needs a bool mask or integer row indices, got dtype {rows.dtype}")
+        else:
+            rows = rows.astype(np.intp, copy=False)
+            if rows.min() < 0 or rows.max() >= self.n:
                 raise DatasetError(f"take needs row indices in [0, {self.n})")
             seen = np.zeros(self.n, dtype=bool)
             seen[rows] = True
             if np.count_nonzero(seen) != rows.size:
                 raise DatasetError("take needs distinct row indices")
         return LabeledDataset(
-            self._ids[rows], self.X[rows], self.z[rows], self.y[rows], self._codes[rows], self._tags
+            self._ids.take(rows), self.X.take(rows, axis=0), self.z.take(rows), self.y.take(rows),
+            self._codes.take(rows), self._tags,
         )
 
     def subset(self, ids) -> "LabeledDataset":
@@ -250,6 +266,12 @@ class LabeledDataset:
     def without_labels(self) -> "LabeledDataset":
         return LabeledDataset(
             self._ids, self.X, self.z, np.full(self.n, np.nan), self._codes, self._tags
+        )
+
+    def without_features(self) -> "LabeledDataset":
+        """The same rows with zero feature columns (``dim`` 0), so a ``take`` copies no features."""
+        return LabeledDataset(
+            self._ids, np.empty((self.n, 0)), self.z, self.y, self._codes, self._tags
         )
 
     def _strata_present(self) -> tuple:

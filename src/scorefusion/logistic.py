@@ -158,7 +158,7 @@ class BaseModel(Artifact):
         )
 
 
-def _standardized(X: np.ndarray):
+def _standardized(X: np.ndarray, total=None):
     """(X - mean) / scale, mean, scale, with ``X - mean`` computed once.
 
     The scale is the root mean square of the centered matrix; constant
@@ -166,10 +166,11 @@ def _standardized(X: np.ndarray):
     ``X`` (no copy when it already is one), where ``einsum`` adds each column
     row by row, the same order and bits as ``X.mean(axis=0)`` and
     ``X.std(axis=0)`` on C-ordered input, without their per-row inner loops.
+    ``total`` is ``einsum("ij->j", X)`` when the caller already has it.
     """
     X = np.ascontiguousarray(X)
     n = X.shape[0]
-    mean = np.einsum("ij->j", X) / n
+    mean = (np.einsum("ij->j", X) if total is None else total) / n
     centered = X - mean
     scale = np.sqrt(np.einsum("ij,ij->j", centered, centered) / n)
     scale = np.where(scale > 0.0, scale, 1.0)
@@ -194,11 +195,14 @@ def _training_inputs(ds: LabeledDataset, reg_lambda: float, role: str = "trainin
         raise TrainingError(f"reg_lambda must be >= 0, got {reg_lambda}")
     if not ds.has_labels:
         raise TrainingError(f"{role} dataset has instances with missing labels")
-    X = ds.feature_matrix()
-    if not np.all(np.isfinite(X)):
+    X = np.ascontiguousarray(ds.feature_matrix())
+    total = np.einsum("ij->j", X)
+    # a NaN or infinite feature leaves its column sum non-finite; only then, or
+    # when finite features overflowed the sum, is every feature looked at
+    if not np.isfinite(total).all() and not np.isfinite(X).all():
         raise TrainingError(f"{role} dataset contains non-finite features")
-    Xs, mean, scale = _standardized(X)
-    return Xs, ds.labels(), mean, scale
+    Xs, mean, scale = _standardized(X, total)
+    return Xs, ds.y, mean, scale  # has_labels above: no NaN label
 
 
 def _fitted_model(fit, reg_lambda: float, mean, scale, seed: int) -> BaseModel:
@@ -228,6 +232,16 @@ def train(
     return _fitted_model(fit, reg_lambda, mean, scale, seed)
 
 
+def _single_class(y: np.ndarray) -> bool:
+    """Whether a label column (0, 1 or NaN) holds fewer than two distinct values.
+
+    A column with both a zero and a nonzero holds two; ``np.unique`` (which
+    counts NaN as one value) decides only when every label is nonzero.
+    """
+    nonzero = np.count_nonzero(y)
+    return nonzero == 0 or (nonzero == y.size and np.unique(y).size < 2)
+
+
 def cv_predict(ds: LabeledDataset, fold, trainer=None) -> np.ndarray:
     """Out-of-fold scores: each row scored by the fold-model trained on the other folds.
 
@@ -248,7 +262,7 @@ def cv_predict(ds: LabeledDataset, fold, trainer=None) -> np.ndarray:
         if not held_out.any():
             continue
         train_part = ds.take(~held_out)
-        if np.unique(train_part.y).size < 2:
+        if _single_class(train_part.y):
             warnings.warn(
                 f"fold {f + 1}: training complement contains a single class",
                 SingleClassFoldWarning,

@@ -2,15 +2,15 @@
 
 Every provider works on columns. It is built with an optional ``cache``
 (an ``OracleCache``), and its ``score_uncached(ds)`` takes a
-``LabeledDataset`` and returns a float column aligned with ``ds``'s rows,
-NaN where a row failed, together with the (id, reason) failures. Providers
-are deterministic given their own state: the synthetic provider gives each
-id its own RNG stream, so scores do not depend on batch composition or
-order; the cached provider replays a CSV file; and the HTTP provider's
-results become deterministic once captured in a cache file. Binary synthetic
-scores come from one vectorized pass over the batch that equals each id's
-first ``default_rng`` draw bit for bit; soft mode still builds the per-id
-streams.
+``LabeledDataset`` (with zero feature columns when ``score_batch`` calls it)
+and returns a float column aligned with ``ds``'s rows, NaN where a row
+failed, together with the (id, reason) failures. Providers are deterministic
+given their own state: the synthetic provider gives each id its own RNG
+stream, so scores do not depend on batch composition or order; the cached
+provider replays a CSV file; and the HTTP provider's results become
+deterministic once captured in a cache file. Binary synthetic scores come
+from vectorized passes over fixed-size row blocks that equal each id's first
+``default_rng`` draw bit for bit; soft mode still builds the per-id streams.
 
 ``score_batch`` is the single entry point, and a ``LabeledDataset`` is the
 only batch it takes: it consults the provider's cache before issuing any
@@ -344,10 +344,22 @@ def _seeded_first_draws(seed: int, words: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _first_draws(seed: int, ids) -> np.ndarray:
-    """First ``random_raw()`` of each id's ``default_rng([seed, h(id)])`` stream, h = sha256 prefix."""
-    digests = b"".join(sha256(i.encode("utf-8")).digest()[:16] for i in ids)
-    return _seeded_first_draws(seed, np.frombuffer(digests, dtype="<u4").reshape(-1, 4))
+_DRAW_BLOCK = 1 << 14  # rows per block of _first_draws: about 4 MB of temporaries, and faster than one pass
+
+
+def _first_draws(seed: int, ids: list) -> np.ndarray:
+    """First ``random_raw()`` of each id's ``default_rng([seed, h(id)])`` stream, h = sha256 prefix.
+
+    Works on blocks of ``_DRAW_BLOCK`` rows, so its memory does not grow with
+    the batch; each row's draw depends only on that row's id.
+    """
+    raw = np.empty(len(ids), dtype=np.uint64)
+    for start in range(0, len(ids), _DRAW_BLOCK):
+        block = ids[start:start + _DRAW_BLOCK]
+        digests = b"".join([sha256(i.encode()).digest() for i in block])  # no per-id slice
+        words = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4]  # h: the first 16 bytes
+        raw[start:start + len(block)] = _seeded_first_draws(seed, words)
+    return raw
 
 
 @dataclass(frozen=True)
@@ -377,13 +389,15 @@ class SyntheticOracle:
     are batched: each id owns the stream ``default_rng([seed, h])``, where h
     is the first 16 bytes of the id's sha256 read little-endian. Binary mode
     emits the true label when the stream's first uniform is below q and its
-    flip otherwise; it computes that uniform for the whole batch in one
-    vectorized pass (SeedSequence mixing, PCG64 seeding and one output step
-    over uint32/uint64 columns) that equals the per-id ``default_rng`` draw
-    bit for bit. Soft mode emits clamp(y*q + (1-y)*(1-q) + Normal(0, noise),
-    0, 1) and still builds each id's ``default_rng``, because numpy does not
-    expose the ziggurat tables behind its normal draws. A row without a label
-    gets a NaN score and is listed as failed.
+    flip otherwise; it computes that uniform in vectorized passes (SeedSequence
+    mixing, PCG64 seeding and one output step over uint32/uint64 columns)
+    that equal the per-id ``default_rng`` draw bit for bit. The passes run
+    over fixed-size blocks of ``_DRAW_BLOCK`` rows, so their temporaries stay
+    a few MB however large the batch is. Soft mode emits
+    clamp(y*q + (1-y)*(1-q) + Normal(0, noise), 0, 1) and still builds each
+    id's ``default_rng``, because numpy does not expose the ziggurat tables
+    behind its normal draws. A row without a label gets a NaN score and is
+    listed as failed.
     """
 
     def __init__(self, spec: SyntheticOracleSpec, cache: OracleCache | None = None):
@@ -630,7 +644,9 @@ def score_batch(provider, batch, *, column=False):
     Returns (id, z) pairs sorted by id, or with ``column=True`` a float array
     of the scores aligned with the dataset's rows. The provider's cache (when
     it has one) is looked up by id first; only the misses go to
-    ``provider.score_uncached``, as a dataset of those rows in id order.
+    ``provider.score_uncached``, as a dataset of those rows in id order. It
+    holds their ids, strata, labels and scores but zero feature columns
+    (``dim`` 0), so scoring never copies the batch's feature matrix.
     Every in-range score it returns is appended to the cache before anything
     can raise, so paid-for results are kept. If any row failed after the
     provider's retry policy, or came back NaN or out of range without being
@@ -650,7 +666,7 @@ def score_batch(provider, batch, *, column=False):
     misses = sorted(np.flatnonzero(np.isnan(z)).tolist(), key=ids.__getitem__)
 
     if misses:
-        fetched, failures = provider.score_uncached(batch.take(misses))
+        fetched, failures = provider.score_uncached(batch.without_features().take(misses))
         fetched = np.asarray(fetched, dtype=float)
         if fetched.shape != (len(misses),):
             raise OracleError(f"provider returned a score column of shape {fetched.shape}, "

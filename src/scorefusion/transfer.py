@@ -352,7 +352,7 @@ def train_augmented(
         if not np.all(np.isfinite(Xa)):
             raise TrainingError("augmented dataset contains non-finite features")
         Xa = (Xa - mean) / scale
-        z = augmented.oracle_scores()
+        z = augmented.z  # has_oracle_scores above: no NaN score
         if round_oracle_scores:
             z = (z > 0.5).astype(float)
 

@@ -109,6 +109,36 @@ def test_every_oracle_join_goes_through_score_batch(run, joins):
     assert joins["scored"] == joins["joined"]
 
 
+@pytest.mark.parametrize("provider_class", ["SyntheticOracle", "CachedOracle", "HttpOracle"])
+def test_a_provider_batch_has_one_row_per_cache_miss(provider_class, tmp_path, monkeypatch):
+    # the tracer counts oracle.cache_misses as len(args[1]) of each score_uncached call
+    ids = [f"i{k}" for k in range(12)]
+    ds = LabeledDataset.from_arrays(np.arange(36.0).reshape(12, 3), y=[k % 2 for k in range(12)], ids=ids)
+    cache = oracle.OracleCache(tmp_path / "warm.csv")
+    cache.update({i: 0.5 for i in ids[::3]})
+    misses = sorted(set(ids) - set(ids[::3]))
+    provider = {
+        "SyntheticOracle": lambda: oracle.SyntheticOracle(oracle.SyntheticOracleSpec(seed=1), cache=cache),
+        "CachedOracle": lambda: oracle.CachedOracle(cache=cache),
+        "HttpOracle": lambda: oracle.HttpOracle(
+            oracle.HttpOracleConfig(url="http://judge.invalid/v1/score", model="fake-judge", backoff=0.0),
+            cache=cache, session=_Judge(poison=None)),
+    }[provider_class]()
+    lengths = []
+    original = getattr(oracle, provider_class).score_uncached
+
+    def score_uncached(self, batch):
+        lengths.append((len(batch), batch.ids()))
+        return original(self, batch)
+
+    monkeypatch.setattr(getattr(oracle, provider_class), "score_uncached", score_uncached)
+    try:
+        oracle.score_batch(provider, ds)
+    except oracle.OracleError:
+        assert provider_class == "CachedOracle"  # it fails every row its cache lacks
+    assert lengths == [(len(misses), misses)]
+
+
 @pytest.mark.parametrize("command, attr", [
     ("experiment", "run_experiment"),
     ("transfer", "run_transfer_experiment"),

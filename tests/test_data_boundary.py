@@ -192,3 +192,93 @@ class TestTakeIndices:
 
     def test_empty_index_list_gives_an_empty_dataset(self):
         assert _tagged(["A", "B"]).take([]).n == 0
+
+    @pytest.mark.parametrize("rows", [[0.7, 1.9], [1.0], ["1"], [b"0"], [None], np.array([1, 2], dtype=object)])
+    def test_indices_that_are_not_integers_are_rejected(self, rows):
+        # fancy indexing used to truncate [0.7, 1.9] to rows 0 and 1 and read "1" as row 1
+        ds = _tagged(["A", "B", "C"])
+        with pytest.raises(DatasetError, match="integer row indices"):
+            ds.take(rows)
+
+    @pytest.mark.parametrize("length", [0, 2, 4])
+    def test_a_mask_of_another_length_is_rejected(self, length):
+        ds = _tagged(["A", "B", "C"])
+        with pytest.raises(DatasetError, match="mask of length 3"):
+            ds.take(np.ones(length, dtype=bool))
+
+    @pytest.mark.parametrize("rows", [np.intp(1), np.array([[0, 1]]), np.ones((3, 1), dtype=bool)])
+    def test_a_scalar_or_2d_selection_is_rejected(self, rows):
+        with pytest.raises(DatasetError, match="1-d"):
+            _tagged(["A", "B", "C"]).take(rows)
+
+    def test_empty_sequences_of_any_type_give_an_empty_dataset(self):
+        ds = _tagged(["A", "B"])
+        for rows in ([], (), np.array([], dtype=float), np.array([], dtype=np.uint8)):
+            empty = ds.take(rows)
+            assert empty.n == 0 and empty.X.shape == (0, 2)
+        assert ds.take([]).take(np.zeros(0, dtype=bool)).n == 0
+
+
+def _fancy_take(ds, rows):
+    """The columns of ``ds.take(rows)`` by plain numpy fancy indexing, as it was gathered before."""
+    rows = np.asarray(rows)
+    if rows.dtype != bool:
+        rows = rows.astype(np.intp)
+    return ds._ids[rows], ds.X[rows], ds.z[rows], ds.y[rows], ds._codes[rows]
+
+
+def _odd_dataset(n, seed):
+    """Rows with ids holding NUL and line breaks, absent scores and labels, and untagged rows."""
+    rng = np.random.default_rng(seed)
+    ids = [f"r\0{k}" if k % 3 == 0 else f"r\n{k}\r\n" if k % 3 == 1 else f"r{k}" for k in range(n)]
+    z = [None if k % 5 == 0 else rng.uniform() for k in range(n)]
+    y = [None if k % 7 == 0 else int(rng.integers(0, 2)) for k in range(n)]
+    strata = [None if k % 4 == 0 else "AB"[k % 2] for k in range(n)]
+    return LabeledDataset.from_arrays(rng.standard_normal((n, 3)), y=y, z=z, strata=strata, ids=ids)
+
+
+class TestTakeEqualsFancyIndexing:
+    """One index array per gather gives every column's bits that fancy indexing gave."""
+
+    def _assert_same_columns(self, ds, rows):
+        taken = ds.take(rows)
+        ids, X, z, y, codes = _fancy_take(ds, rows)
+        assert taken.ids() == ids.tolist()
+        assert taken.X.shape == X.shape and taken.X.tobytes() == X.tobytes()
+        assert taken.X.flags.c_contiguous and not taken.X.flags.writeable
+        for mine, theirs in ((taken.z, z), (taken.y, y), (taken._codes, codes)):
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        assert taken.strata.tolist() == [ds.strata[k] for k in np.arange(ds.n)[rows]]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_masks(self, seed):
+        ds = _odd_dataset(40, seed)
+        rng = np.random.default_rng(100 + seed)
+        for p in (0.0, 0.1, 0.5, 0.9, 1.0):
+            self._assert_same_columns(ds, rng.uniform(size=ds.n) < p)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_indices(self, seed):
+        ds = _odd_dataset(40, seed)
+        rng = np.random.default_rng(200 + seed)
+        for size in (0, 1, 17, 40):
+            rows = rng.permutation(ds.n)[:size]
+            self._assert_same_columns(ds, rows)
+            self._assert_same_columns(ds, rows.tolist())
+            self._assert_same_columns(ds, rows.astype(np.uint16))
+
+    def test_empty_and_all_true_selections(self):
+        ds = _odd_dataset(12, 0)
+        self._assert_same_columns(ds, np.zeros(ds.n, dtype=bool))
+        self._assert_same_columns(ds, np.ones(ds.n, dtype=bool))
+        self._assert_same_columns(ds, np.arange(ds.n))
+        assert ds.take(np.ones(ds.n, dtype=bool)).ids() == ds.ids()
+        assert ds.take([]).ids() == []
+
+    def test_a_feature_free_take_keeps_every_other_column(self):
+        ds = _odd_dataset(30, 3)
+        rows = np.random.default_rng(4).permutation(ds.n)[:11]
+        bare, full = ds.without_features().take(rows), ds.take(rows)
+        assert bare.X.shape == (11, 0) and bare.dim == 0 and len(bare) == 11
+        assert bare.ids() == full.ids() and bare.strata.tolist() == full.strata.tolist()
+        assert bare.z.tobytes() == full.z.tobytes() and bare.y.tobytes() == full.y.tobytes()

@@ -556,3 +556,65 @@ class TestDeferredGradient:
         deferred_fit = minimize_gd(deferred, np.zeros(2), max_iter=100, tol=1e-10)
         np.testing.assert_array_equal(eager_fit[0], deferred_fit[0])
         assert eager_fit[1:] == deferred_fit[1:]
+
+
+def _stored(X, y):
+    """A dataset built from stored columns, so ``X`` may hold values ``from_arrays`` rejects."""
+    n = len(X)
+    return LabeledDataset(np.array([f"r{k}" for k in range(n)], dtype=object),
+                          np.array(X, dtype=float, order="C"), np.full(n, np.nan),
+                          np.asarray(y, dtype=float), np.full(n, -1, dtype=np.intp), ())
+
+
+class TestNonFiniteFeatures:
+    """Checking the column sums rejects exactly what an elementwise ``isfinite`` pass rejects."""
+
+    @pytest.mark.parametrize("bad", ["nan", "+inf", "-inf", "+inf and -inf"])
+    def test_a_non_finite_feature_is_rejected_before_any_arithmetic(self, bad):
+        X = np.random.default_rng(5).standard_normal((20, 3))
+        if bad == "nan":
+            X[4, 1] = np.nan
+        elif bad == "+inf":
+            X[0, 2] = np.inf
+        elif bad == "-inf":
+            X[19, 0] = -np.inf
+        else:
+            X[2, 1], X[9, 1] = np.inf, -np.inf  # the column sums to NaN, not to an infinity
+        ds = _stored(X, [k % 2 for k in range(20)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing computes on the bad values first
+            with pytest.raises(TrainingError, match="^training dataset contains non-finite features"):
+                train(ds)
+            with pytest.raises(TrainingError, match="^labeled dataset contains non-finite features"):
+                train_augmented(ds)
+
+    def test_finite_features_whose_column_sum_overflows_are_accepted(self):
+        X = np.array([[1e308, 0.0], [1e308, 1.0], [-1e308, 2.0], [5.0, 3.0]])
+        assert np.isinf(np.einsum("ij->j", X)[0]) and np.isfinite(X).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow itself
+            Xs, y, mean, scale = logistic._training_inputs(_stored(X, [0, 1, 0, 1]), 1e-3)
+            want = logistic._standardized(X)
+        for got, ref in zip((Xs, mean, scale), want):
+            np.testing.assert_array_equal(_bits(got), _bits(ref))
+        assert y.tolist() == [0, 1, 0, 1]
+
+
+class TestSingleClass:
+    """``_single_class`` agrees with ``np.unique(y).size < 2``, which counts NaN as one value."""
+
+    @pytest.mark.parametrize("column", [
+        [], [0], [1], [np.nan], [0, 0, 0], [1, 1], [np.nan, np.nan], [0, 1], [1, np.nan],
+        [0, np.nan], [np.nan, 1, 1], [0, 1, np.nan],
+    ])
+    def test_small_columns(self, column):
+        y = np.array(column, dtype=float)
+        assert logistic._single_class(y) == (np.unique(y).size < 2)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_columns(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            y = rng.choice(np.array([0.0, 1.0, np.nan])[rng.permutation(3)[:rng.integers(1, 4)]],
+                           size=rng.integers(0, 6))
+            assert logistic._single_class(y) == (np.unique(y).size < 2)

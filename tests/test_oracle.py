@@ -296,6 +296,28 @@ class TestVectorizedDraws:
         expected = [_reference_stream(seed, i).bit_generator.random_raw() for i in ids]
         assert oracle_mod._first_draws(seed, ids).tolist() == expected
 
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_every_block_size_gives_the_per_id_draws(self, block, monkeypatch):
+        # 55 bytes is the longest id sha256 pads into one 64-byte block; 56 takes two
+        ids = [f"r{k}" for k in range(23)] + _ODD_IDS + ["é" * 27, "q" * 55, "q" * 56, "é" * 28, "ß" * 60]
+        expected = [_reference_stream(9, i).bit_generator.random_raw() for i in ids]
+        monkeypatch.setattr(oracle_mod, "_DRAW_BLOCK", block)
+        assert oracle_mod._first_draws(9, ids).tolist() == expected
+
+    def test_a_batch_across_the_block_boundary(self):
+        block = oracle_mod._DRAW_BLOCK
+        ids = [f"b{k:06d}" for k in range(block + 40)]
+        ids[block - 2:block + 4] = ["", "ünïcødé", "日本語", "w" * 56, "a,b\n", "\U0001f600"]
+        raw = oracle_mod._first_draws(4, ids)
+        assert raw.shape == (len(ids),)
+        near = range(block - 30, len(ids))  # the 30 rows before the boundary and every row after it
+        assert raw[block - 30:].tolist() == [
+            _reference_stream(4, ids[k]).bit_generator.random_raw() for k in near]
+        head = oracle_mod._first_draws(4, ids[:block])
+        assert raw[:block].tolist() == head.tolist()
+        assert raw[:100].tolist() == [_reference_stream(4, i).bit_generator.random_raw() for i in ids[:100]]
+        assert oracle_mod._first_draws(4, []).shape == (0,)
+
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
     def test_hashes_with_one_to_four_significant_words(self, seed):
         hashes = [0, 1, 2**32, 2**96 + 1, 2**128 - 1]
@@ -480,7 +502,7 @@ class TestScoreBatch:
         assert pairs == [("a", 0.9), ("b", 0.1), ("c", 0.1)]
         (sent,) = seen
         assert isinstance(sent, LabeledDataset) and sent.ids() == ["b", "c"]
-        np.testing.assert_array_equal(sent.X[1], [0.0, 1.0])
+        assert sent.X.shape == (2, 0) and sent.dim == 0 and len(sent) == 2  # no feature copy
         assert (sent.y[0], sent.strata[0]) == (1, "s")
         assert score_batch(provider, ds.instances) == pairs
 
