@@ -7,7 +7,10 @@ label ``y``, and a stratum tag (a discrete category used by the
 transfer-learning utilities). ``z`` and ``y`` are float columns in which NaN
 means "absent"; the loaders and ``from_arrays`` reject NaN as a value, so it
 cannot clash with a real one. Strata are stored as an int code per row
-indexing a tuple of tags, with -1 for an untagged row (stratum None). Splits,
+indexing a tuple of tags, with -1 for an untagged row (stratum None). Each
+row also holds its id key h, the first 16 bytes of the sha256 of the id's
+UTF-8 text (``id_keys``), computed once where the ids enter and carried by
+every operation, so that the synthetic judge never hashes an id. Splits,
 subsets, folds and stratum groups are index operations on the columns, and a
 fold assignment is itself an int column aligned with the rows. Columns are
 the only way in: ``Instance`` is a read-only row view that iteration builds,
@@ -15,14 +18,15 @@ and nothing takes one as input. Datasets are immutable after construction;
 every randomized operation takes an explicit seed and uses numpy's PCG64
 generator, so results are reproducible across runs and platforms.
 
-A dataset file is parsed once. ``load_dataset`` stores the columns it parsed
-in a hidden sidecar next to the file (``.data.csv.sfcache.npz`` for
-``data.csv``), keyed by the sha256 of a format version, the format and the
-file's bytes. A later load hashes the file again and reads the sidecar
-instead of parsing when the keys match; an edited file, a changed format or a
-missing, stale or unreadable sidecar costs a parse and a rewrite. The sidecar
-is a plain ``np.savez`` archive read with ``allow_pickle=False``, so it never
-holds pickles, and deleting it is always safe.
+A dataset file is parsed once. ``load_dataset`` stores the columns it parsed,
+id keys included, in a hidden sidecar next to the file
+(``.data.csv.sfcache.npz`` for ``data.csv``), keyed by the sha256 of a
+format version, the format and the file's bytes. A later load hashes the
+file again and reads the sidecar instead of parsing when the keys match; an
+edited file, a changed format or a missing, stale or unreadable sidecar
+costs a parse and a rewrite. The sidecar is a plain ``np.savez`` archive
+read with ``allow_pickle=False``, so it never holds pickles, and deleting it
+is always safe.
 """
 
 from __future__ import annotations
@@ -73,6 +77,44 @@ def _stratum_codes(strata) -> tuple:
     return np.fromiter(map(code_of.__getitem__, strata), np.intp, len(strata)), tags
 
 
+_KEY_BLOCK = 1 << 14  # ids per block of id_keys, so the joined digests stay about 0.5 MB
+
+
+def id_keys(ids) -> np.ndarray:
+    """The (n, 4) uint32 key column of ``ids``: row k holds h, the first 16 bytes
+    of the sha256 of ``ids[k]`` encoded as UTF-8, as four little-endian words.
+
+    An id that UTF-8 cannot encode (a lone surrogate) raises ``UnicodeEncodeError``.
+    """
+    keys = np.empty((len(ids), 4), dtype=np.uint32)
+    for start in range(0, len(ids), _KEY_BLOCK):
+        block = ids[start:start + _KEY_BLOCK]
+        digests = b"".join([hashlib.sha256(i.encode()).digest() for i in block])  # no per-id slice
+        keys[start:start + len(block)] = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4]
+    return keys
+
+
+_SURROGATE = re.compile(r"[\ud800-\udfff]")  # the only code points UTF-8 cannot encode
+
+
+def _text_keys(ids, strata, where) -> np.ndarray:
+    """``id_keys(ids)``, once every id and stratum is known to be UTF-8 text.
+
+    The first row k whose id or stratum holds a lone surrogate (a JSON
+    ``\\ud800`` escape or a Python string can) raises ``DatasetError`` naming
+    ``where(k)``. None strata are untagged rows.
+    """
+    try:
+        for tag in set(strata) - {None}:
+            tag.encode()
+        return id_keys(ids)
+    except UnicodeEncodeError:
+        k, what, text = next((k, what, text) for k, row in enumerate(zip(ids, strata))
+                             for what, text in zip(("id", "stratum"), row)
+                             if text is not None and _SURROGATE.search(text))
+        raise DatasetError(f"{where(k)}: {what} {text!r} is not UTF-8 text") from None
+
+
 def _check_unique(ids) -> None:
     if len(set(ids)) != len(ids):
         seen = set()
@@ -89,19 +131,21 @@ class LabeledDataset:
     float columns with NaN where a row has no oracle score or label; ``strata``
     is an object column with None for untagged rows, built from the stored
     stratum codes on each access; ``ids()`` lists the row ids, which are
-    unique. Iteration gives ``Instance`` row views, built as they are reached.
+    unique, and the read-only ``_keys`` holds ``id_keys`` of them. Iteration
+    gives ``Instance`` row views, built as they are reached.
 
     The constructor takes the columns as they are stored and checks nothing:
-    an object column of unique ids, X, z in [0, 1] or NaN, y in {0, 1} or
-    NaN, and an int stratum code per row in [-1, len(tags)) indexing the
-    tuple of tags. Outside input goes through ``from_arrays``,
-    ``load_dataset`` or ``synthesize``.
+    an object column of unique ids, their (n, 4) uint32 keys, X, z in [0, 1]
+    or NaN, y in {0, 1} or NaN, and an int stratum code per row in
+    [-1, len(tags)) indexing the tuple of tags. Outside input goes through
+    ``from_arrays``, ``load_dataset`` or ``synthesize``.
     """
 
-    __slots__ = ("dim", "X", "z", "y", "_codes", "_tags", "_ids")
+    __slots__ = ("dim", "X", "z", "y", "_codes", "_tags", "_ids", "_keys")
 
-    def __init__(self, ids, X, z, y, codes, tags):
-        for name, column in (("_ids", ids), ("X", X), ("z", z), ("y", y), ("_codes", codes)):
+    def __init__(self, ids, keys, X, z, y, codes, tags):
+        for name, column in (("_ids", ids), ("_keys", keys), ("X", X), ("z", z), ("y", y),
+                             ("_codes", codes)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_tags", tags)
@@ -118,7 +162,8 @@ class LabeledDataset:
         ``z`` leaves that row's label or score absent, and a None stratum
         leaves the row untagged. A score outside [0, 1], a label other than
         0 or 1, a non-finite feature, a column whose length is not X's row
-        count, or a repeated id raises ``DatasetError``.
+        count, an id or stratum that is not UTF-8 text (a lone surrogate), or
+        a repeated id raises ``DatasetError``.
         """
         X = np.array(X, dtype=float, order="C")
         if X.ndim != 2:
@@ -132,9 +177,11 @@ class LabeledDataset:
         cells = {name: _objects(list(v)) for name, v in (("z", z), ("y", y)) if v is not None}
         if not len(ids) == len(strata) == n or any(len(v) != n for v in cells.values()):
             raise DatasetError(f"ids, z, y and strata must each have one entry per row of X (n={n})")
-        zs, ys = _annotations(X, cells, lambda k: f"instance {ids[k]!r}")
+        where = lambda k: f"instance {ids[k]!r}"
+        zs, ys = _annotations(X, cells, where)
+        keys = _text_keys(ids, strata, where)
         _check_unique(ids)
-        return cls(_objects(ids), X, zs, ys, *_stratum_codes(strata))
+        return cls(_objects(ids), keys, X, zs, ys, *_stratum_codes(strata))
 
     @property
     def n(self) -> int:
@@ -226,8 +273,8 @@ class LabeledDataset:
             if np.count_nonzero(seen) != rows.size:
                 raise DatasetError("take needs distinct row indices")
         return LabeledDataset(
-            self._ids.take(rows), self.X.take(rows, axis=0), self.z.take(rows), self.y.take(rows),
-            self._codes.take(rows), self._tags,
+            self._ids.take(rows), self._keys.take(rows, axis=0), self.X.take(rows, axis=0),
+            self.z.take(rows), self.y.take(rows), self._codes.take(rows), self._tags,
         )
 
     def subset(self, ids) -> "LabeledDataset":
@@ -261,17 +308,17 @@ class LabeledDataset:
         if bad.any():
             k = int(bad.argmax())
             raise DatasetError(f"instance {self._ids[k]!r}: oracle score {float(z[k])} outside [0, 1]")
-        return LabeledDataset(self._ids, self.X, z, self.y, self._codes, self._tags)
+        return LabeledDataset(self._ids, self._keys, self.X, z, self.y, self._codes, self._tags)
 
     def without_labels(self) -> "LabeledDataset":
         return LabeledDataset(
-            self._ids, self.X, self.z, np.full(self.n, np.nan), self._codes, self._tags
+            self._ids, self._keys, self.X, self.z, np.full(self.n, np.nan), self._codes, self._tags
         )
 
     def without_features(self) -> "LabeledDataset":
         """The same rows with zero feature columns (``dim`` 0), so a ``take`` copies no features."""
         return LabeledDataset(
-            self._ids, np.empty((self.n, 0)), self.z, self.y, self._codes, self._tags
+            self._ids, self._keys, np.empty((self.n, 0)), self.z, self.y, self._codes, self._tags
         )
 
     def _strata_present(self) -> tuple:
@@ -313,7 +360,7 @@ class LabeledDataset:
         remap = np.array([tags.index(tag) for tag in other._tags] + [-1], dtype=np.intp)
         return LabeledDataset(
             *(np.concatenate([getattr(self, name), getattr(other, name)])
-              for name in ("_ids", "X", "z", "y")),
+              for name in ("_ids", "_keys", "X", "z", "y")),
             np.concatenate([self._codes, remap[other._codes]]), tags,
         )
 
@@ -394,7 +441,8 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     written. Feature values must be finite in both formats: NaN or infinite
     features are rejected, and so are z outside [0, 1], y other than 0 or 1,
     a JSONL stratum that is neither a string nor null, bytes that are not
-    UTF-8, and a path that cannot be read.
+    UTF-8, a JSONL id or stratum that is not UTF-8 text (a ``\\ud800``
+    escape, a lone surrogate), and a path that cannot be read.
 
     The file is parsed once. A successful parse writes its columns to the
     hidden sidecar ``.<name>.sfcache.npz`` in the file's directory, through
@@ -403,11 +451,15 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     file through sha256 together with a format version and the format, and
     reads the sidecar instead of parsing when it holds that key. The sidecar
     is an ``np.savez`` archive of numeric and UTF-8 byte arrays, read with
-    ``allow_pickle=False``: it never holds pickles. Its columns go through
-    the same checks a parse applies, vectorized; one that fails raises
-    ``DatasetError`` naming the sidecar. Editing the file invalidates the
-    sidecar; a missing, stale, truncated or foreign sidecar costs a parse and
-    a rewrite, so deleting it is always safe.
+    ``allow_pickle=False``: it never holds pickles. Besides the parsed
+    columns it stores the id keys (``id_keys``) as ``keys``, so a warm load
+    hashes no id. Its columns go through the same checks a parse applies,
+    vectorized, and ``keys`` must be an (n, 4) uint32 array; one that fails
+    raises ``DatasetError`` naming the sidecar. Like ``X``, the keys are
+    otherwise protected by the content key and the archive's CRCs. Editing
+    the file invalidates the sidecar; a missing, stale, truncated or foreign
+    sidecar (one from an older sidecar version too) costs a parse and a
+    rewrite, so deleting it is always safe.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
@@ -432,7 +484,7 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
 # the column sidecar of a dataset file
 # ---------------------------------------------------------------------------
 
-_SIDECAR_VERSION = b"scorefusion dataset sidecar 1"
+_SIDECAR_VERSION = b"scorefusion dataset sidecar 2"
 
 
 def _stamp(st: os.stat_result) -> tuple:
@@ -466,14 +518,14 @@ def _unpack(column: np.ndarray) -> list:
 
 
 def _read_sidecar(sidecar: Path, key: str):
-    """(ids, X, z, y, codes, tags) stored in ``sidecar`` under ``key``; None
+    """(ids, keys, X, z, y, codes, tags) stored in ``sidecar`` under ``key``; None
     when it is missing, holds another key or cannot be read."""
     try:
         # np.load leaves a file it opened unclosed when the archive is damaged
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as stored:
             if stored["key"].item() != key:
                 return None
-            return (_unpack(stored["ids"]), stored["X"], stored["z"], stored["y"],
+            return (_unpack(stored["ids"]), stored["keys"], stored["X"], stored["z"], stored["y"],
                     stored["codes"], _unpack(stored["tags"]))
     except Exception:
         # np.load, zipfile and zlib reject a damaged or foreign archive with many
@@ -481,10 +533,11 @@ def _read_sidecar(sidecar: Path, key: str):
         return None
 
 
-def _from_sidecar(sidecar, source, ids, X, z, y, codes, tags) -> LabeledDataset:
+def _from_sidecar(sidecar, source, ids, keys, X, z, y, codes, tags) -> LabeledDataset:
     """The dataset of a sidecar's columns, after the column checks a parse applies."""
     n = len(ids)
     if not (n and X.ndim == 2 and X.shape[0] == n and X.shape[1] and X.flags.c_contiguous
+            and keys.shape == (n, 4) and keys.dtype == np.uint32
             and all(c.shape == (n,) for c in (z, y, codes))
             and all(c.dtype == np.float64 for c in (X, z, y)) and codes.dtype == np.intp):
         what = "columns of unequal length or type"
@@ -499,7 +552,7 @@ def _from_sidecar(sidecar, source, ids, X, z, y, codes, tags) -> LabeledDataset:
     elif len(set(tags)) != len(tags) or not ((codes >= -1) & (codes < len(tags))).all():
         what = "a stratum code out of range"
     else:
-        return LabeledDataset(_objects(ids), X, z, y, codes, tuple(tags))
+        return LabeledDataset(_objects(ids), keys, X, z, y, codes, tuple(tags))
     raise DatasetError(f"{sidecar} holds {what}; delete it to reparse {source}")
 
 
@@ -512,8 +565,8 @@ def _write_sidecar(sidecar: Path, source: Path, key: str, stamp: tuple, ds: Labe
         if _stamp(os.stat(source)) != stamp:
             return
         with open(tmp, "xb") as fh:  # created with the umask's permissions
-            np.savez(fh, key=np.array(key), ids=_pack(ds._ids.tolist()), X=ds.X, z=ds.z, y=ds.y,
-                     codes=ds._codes, tags=_pack(ds._tags))
+            np.savez(fh, key=np.array(key), ids=_pack(ds._ids.tolist()), keys=ds._keys, X=ds.X,
+                     z=ds.z, y=ds.y, codes=ds._codes, tags=_pack(ds._tags))
         os.replace(tmp, sidecar)
     except OSError:
         with suppress(OSError):
@@ -637,7 +690,8 @@ def _load_csv(path) -> LabeledDataset:
     ids = table["id"].copy()
     _check_unique(ids.tolist())
     strata = table["stratum"].tolist() if "stratum" in extras else [None] * len(table)
-    return LabeledDataset(ids, X, z, y, *_stratum_codes([s or None for s in strata]))
+    # the file decoded as UTF-8, so every id is UTF-8 text
+    return LabeledDataset(ids, id_keys(ids), X, z, y, *_stratum_codes([s or None for s in strata]))
 
 
 _decode_json = json.JSONDecoder().raw_decode
@@ -683,16 +737,18 @@ def _load_jsonl(path) -> LabeledDataset:
         raise DatasetError(f"no data rows in {path}")
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
     cells = {"z": _objects(zs), "y": _objects(ys)}
-    z, y = _annotations(X, cells, lambda k: f"row {_jsonl_row_number(path, k)}")
+    where = lambda k: f"row {_jsonl_row_number(path, k)}"
+    z, y = _annotations(X, cells, where)
     try:  # JSON values other than strings and null are unhashable or not str
         tagged = all(isinstance(tag, str) for tag in set(strata) - {None})
     except TypeError:
         tagged = False
     if not tagged:
         k = next(k for k, tag in enumerate(strata) if not (tag is None or isinstance(tag, str)))
-        raise DatasetError(f"row {_jsonl_row_number(path, k)}: 'stratum' must be a string or null")
+        raise DatasetError(f"{where(k)}: 'stratum' must be a string or null")
+    keys = _text_keys(ids, strata, where)
     _check_unique(ids)
-    return LabeledDataset(_objects(ids), X, z, y, *_stratum_codes(strata))
+    return LabeledDataset(_objects(ids), keys, X, z, y, *_stratum_codes(strata))
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
@@ -916,4 +972,4 @@ def synthesize(spec: SyntheticSpec) -> LabeledDataset:
     else:  # strata that share a tag share its code
         distinct = tuple(dict.fromkeys(tags))
         codes = np.array([distinct.index(tag) for tag in tags], dtype=np.intp)[assignment]
-    return LabeledDataset(ids, X, np.full(n, np.nan), y.astype(float), codes, distinct)
+    return LabeledDataset(ids, id_keys(ids), X, np.full(n, np.nan), y.astype(float), codes, distinct)

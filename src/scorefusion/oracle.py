@@ -9,8 +9,9 @@ given their own state: the synthetic provider gives each id its own RNG
 stream, so scores do not depend on batch composition or order; the cached
 provider replays a CSV file; and the HTTP provider's results become
 deterministic once captured in a cache file. Binary synthetic scores come
-from vectorized passes over fixed-size row blocks that equal each id's first
-``default_rng`` draw bit for bit; soft mode still builds the per-id streams.
+from vectorized passes over fixed-size row blocks of the dataset's stored id
+keys that equal each id's first ``default_rng`` draw bit for bit; soft mode
+still builds the per-id streams, from the same keys.
 
 ``score_batch`` is the single entry point, and a ``LabeledDataset`` is the
 only batch it takes: it consults the provider's cache before issuing any
@@ -32,7 +33,6 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from hashlib import sha256
 from itertools import compress, repeat
 from json import JSONDecodeError, dumps, loads
 from pathlib import Path
@@ -347,18 +347,16 @@ def _seeded_first_draws(seed: int, words: np.ndarray) -> np.ndarray:
 _DRAW_BLOCK = 1 << 14  # rows per block of _first_draws: about 4 MB of temporaries, and faster than one pass
 
 
-def _first_draws(seed: int, ids: list) -> np.ndarray:
-    """First ``random_raw()`` of each id's ``default_rng([seed, h(id)])`` stream, h = sha256 prefix.
+def _first_draws(seed: int, keys: np.ndarray) -> np.ndarray:
+    """First ``random_raw()`` of each row's ``default_rng([seed, h])`` stream, h read from its id key.
 
-    Works on blocks of ``_DRAW_BLOCK`` rows, so its memory does not grow with
-    the batch; each row's draw depends only on that row's id.
+    ``keys`` is an (n, 4) uint32 id-key column (``data.id_keys``). Works on
+    blocks of ``_DRAW_BLOCK`` rows, so its memory does not grow with the
+    batch; each row's draw depends only on that row's key.
     """
-    raw = np.empty(len(ids), dtype=np.uint64)
-    for start in range(0, len(ids), _DRAW_BLOCK):
-        block = ids[start:start + _DRAW_BLOCK]
-        digests = b"".join([sha256(i.encode()).digest() for i in block])  # no per-id slice
-        words = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4]  # h: the first 16 bytes
-        raw[start:start + len(block)] = _seeded_first_draws(seed, words)
+    raw = np.empty(len(keys), dtype=np.uint64)
+    for start in range(0, len(keys), _DRAW_BLOCK):
+        raw[start:start + _DRAW_BLOCK] = _seeded_first_draws(seed, keys[start:start + _DRAW_BLOCK])
     return raw
 
 
@@ -387,36 +385,39 @@ class SyntheticOracle:
 
     z is a pure function of (seed, id, label), independent of how instances
     are batched: each id owns the stream ``default_rng([seed, h])``, where h
-    is the first 16 bytes of the id's sha256 read little-endian. Binary mode
-    emits the true label when the stream's first uniform is below q and its
-    flip otherwise; it computes that uniform in vectorized passes (SeedSequence
-    mixing, PCG64 seeding and one output step over uint32/uint64 columns)
-    that equal the per-id ``default_rng`` draw bit for bit. The passes run
-    over fixed-size blocks of ``_DRAW_BLOCK`` rows, so their temporaries stay
-    a few MB however large the batch is. Soft mode emits
-    clamp(y*q + (1-y)*(1-q) + Normal(0, noise), 0, 1) and still builds each
-    id's ``default_rng``, because numpy does not expose the ziggurat tables
-    behind its normal draws. A row without a label gets a NaN score and is
-    listed as failed.
+    is the first 16 bytes of the id's sha256 read little-endian. h is not
+    computed here: it is the dataset's id-key column (``data.id_keys``),
+    hashed once where the ids entered and stored in a loaded file's sidecar,
+    so scoring hashes no id. Binary mode emits the true label when the
+    stream's first uniform is below q and its flip otherwise; it computes
+    that uniform in vectorized passes (SeedSequence mixing, PCG64 seeding and
+    one output step over uint32/uint64 columns) that equal the per-id
+    ``default_rng`` draw bit for bit. The passes run over fixed-size blocks
+    of ``_DRAW_BLOCK`` rows, so their temporaries stay a few MB however large
+    the batch is. Soft mode emits clamp(y*q + (1-y)*(1-q) + Normal(0, noise),
+    0, 1) and still builds each row's ``default_rng`` from its key, because
+    numpy does not expose the ziggurat tables behind its normal draws. A row
+    without a label gets a NaN score and is listed as failed.
     """
 
     def __init__(self, spec: SyntheticOracleSpec, cache: OracleCache | None = None):
         self.spec = spec
         self.cache = cache
 
-    def _rng(self, instance_id: str):
-        digest = sha256(instance_id.encode("utf-8")).digest()
-        return np.random.default_rng([self.spec.seed, int.from_bytes(digest[:16], "little")])
+    def _rng(self, key: np.ndarray):
+        """The stream of the row whose id key is ``key``, one row of ``data.id_keys``."""
+        h = int.from_bytes(key.astype("<u4").tobytes(), "little")
+        return np.random.default_rng([self.spec.seed, h])
 
     def score_uncached(self, ds: LabeledDataset):
-        ids, y = ds.ids(), ds.y  # a NaN label flows through to a NaN score
-        failures = [(ids[k], "no true label available") for k in np.flatnonzero(np.isnan(y)).tolist()]
+        y = ds.y  # a NaN label flows through to a NaN score
+        failures = [(ds._ids[k], "no true label available") for k in np.flatnonzero(np.isnan(y)).tolist()]
         q = self.spec.accuracy
         if self.spec.mode == "binary":
-            u = (_first_draws(self.spec.seed, ids) >> 11) * 2.0**-53  # Generator.uniform()
+            u = (_first_draws(self.spec.seed, ds._keys) >> 11) * 2.0**-53  # Generator.uniform()
             z = np.where(u < q, y, 1 - y)
         else:
-            noise = np.array([self._rng(i).normal(0.0, self.spec.noise) for i in ids])
+            noise = np.array([self._rng(key).normal(0.0, self.spec.noise) for key in ds._keys])
             z = np.clip(y * q + (1 - y) * (1.0 - q) + noise, 0.0, 1.0)
         return z, failures
 

@@ -109,6 +109,36 @@ class TestUndecodableBytes:
             load_dataset(path)
 
 
+class TestTextThatIsNotUtf8:
+    """A lone surrogate in an id or stratum is refused where it enters, naming its row;
+    loaded, it broke synthetic scoring, CSV saving and cache writes later on."""
+
+    @pytest.mark.parametrize("line, message", [
+        ('{"id": "x\\ud800", "features": [2.0]}', "row 3: id 'x\\ud800' is not UTF-8 text"),
+        ('{"id": "\\udc80", "features": [2.0], "stratum": "A"}', "row 3: id '\\udc80' is not UTF-8 text"),
+        ('{"id": "b", "features": [2.0], "stratum": "B\\udfff"}', "row 3: stratum 'B\\udfff' is not UTF-8 text"),
+    ], ids=["id", "id-lone-low-surrogate", "stratum"])
+    def test_a_jsonl_escape_is_rejected_naming_the_row(self, tmp_path, line, message):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "a", "features": [1.0], "stratum": "A"}\n\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            load_dataset(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
+
+    def test_an_escaped_surrogate_pair_is_one_character_and_loads(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"id": "\\ud83d\\ude00", "features": [1.0], "stratum": "\\ud83d\\ude00"}\n',
+                        encoding="utf-8")
+        ds = load_dataset(path)
+        assert ds.ids() == ["\U0001f600"] and ds.strata.tolist() == ["\U0001f600"]
+
+    def test_from_arrays_rejects_a_lone_surrogate(self):
+        with pytest.raises(DatasetError, match=re.escape("instance 'b\\ud800': id 'b\\ud800' is not UTF-8 text")):
+            LabeledDataset.from_arrays(np.zeros((2, 1)), ids=["a", "b\ud800"])
+        with pytest.raises(DatasetError, match=re.escape("instance 'r1': stratum 'S\\udc00' is not UTF-8 text")):
+            LabeledDataset.from_arrays(np.zeros((2, 1)), ids=["r0", "r1"], strata=[None, "S\udc00"])
+
+
 class TestFailedLoadsWriteNoSidecar:
     # each bad file is loaded twice: both loads raise the same message, and
     # neither leaves anything next to the file
@@ -127,8 +157,11 @@ class TestFailedLoadsWriteNoSidecar:
         ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "a", "features": [2.0]}\n',
          "duplicate instance id 'a'"),
         ("d.jsonl", b'{"id": "a\xff", "features": [1.0]}\n', "can't decode byte 0xff"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "a\\ud800", "features": [2.0]}\n',
+         "row 2: id 'a\\ud800' is not UTF-8 text"),
     ], ids=["csv-label", "csv-short-row", "csv-non-finite", "csv-duplicate-id", "csv-undecodable",
-            "jsonl-label", "jsonl-short-row", "jsonl-non-finite", "jsonl-duplicate-id", "jsonl-undecodable"])
+            "jsonl-label", "jsonl-short-row", "jsonl-non-finite", "jsonl-duplicate-id", "jsonl-undecodable",
+            "jsonl-lone-surrogate"])
     def test_the_same_error_twice_and_no_sidecar(self, tmp_path, name, content, message):
         path = tmp_path / name
         path.write_bytes(content)

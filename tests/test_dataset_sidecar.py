@@ -13,9 +13,9 @@ from scorefusion import DatasetError, LabeledDataset, cli, data, load_dataset, s
 
 DATA = Path(__file__).parent / "data"
 
-# ids with a delimiter, a quote, a line break, non-ASCII text and (JSONL only) NUL and a lone surrogate
+# ids with a delimiter, a quote, a line break, non-ASCII text and (JSONL only) NUL
 _IDS = ["a,b", 'say "hi"', "two\nlines", "café", "日本", "plain"]
-_JSONL_IDS = _IDS[:-1] + ["nul\u0000", "lone\ud800"]
+_JSONL_IDS = _IDS[:-1] + ["nul\u0000"]
 
 
 def _sidecar(path: Path) -> Path:
@@ -40,8 +40,8 @@ def _fixture(tmp_path, fmt, with_annotations=True):
 
 
 def _columns(ds):
-    return (ds.ids(), ds.X.tobytes(), ds.X.shape, ds.z.tobytes(), ds.y.tobytes(),
-            ds._codes.tolist(), ds._tags, ds.strata.tolist())
+    return (ds.ids(), ds._keys.tobytes(), ds._keys.shape, ds.X.tobytes(), ds.X.shape, ds.z.tobytes(),
+            ds.y.tobytes(), ds._codes.tolist(), ds._tags, ds.strata.tolist())
 
 
 def _no_parse(monkeypatch):
@@ -96,13 +96,14 @@ class TestSameBits:
 def _rewrite_sidecar(path, fmt, **changes):
     """Replace the sidecar of ``path`` with its parsed columns, some altered, under the file's own key."""
     ds = load_dataset(path)
-    columns = {"ids": ds.ids(), "X": ds.X.copy(), "z": ds.z.copy(), "y": ds.y.copy(),
-               "codes": ds._codes.copy(), "tags": list(ds._tags)}
+    columns = {"ids": ds.ids(), "keys": ds._keys.copy(), "X": ds.X.copy(), "z": ds.z.copy(),
+               "y": ds.y.copy(), "codes": ds._codes.copy(), "tags": list(ds._tags)}
     for name, change in changes.items():
         columns[name] = change(columns[name])
     key, _ = data._file_key(path, fmt)
-    np.savez(_sidecar(path), key=np.array(key), ids=data._pack(columns["ids"]), X=columns["X"],
-             z=columns["z"], y=columns["y"], codes=columns["codes"], tags=data._pack(columns["tags"]))
+    np.savez(_sidecar(path), key=np.array(key), ids=data._pack(columns["ids"]), keys=columns["keys"],
+             X=columns["X"], z=columns["z"], y=columns["y"], codes=columns["codes"],
+             tags=data._pack(columns["tags"]))
 
 
 def _set(column, k, value):
@@ -126,6 +127,11 @@ class TestWarmLoadsAreChecked:
         ({"X": lambda X: np.ones(X.shape, np.float32)}, "columns of unequal length or type"),
         ({"X": lambda X: X[:, :0]}, "columns of unequal length or type"),
         ({"X": np.asfortranarray}, "columns of unequal length or type"),
+        ({"keys": lambda keys: keys[:, :3]}, "columns of unequal length or type"),
+        ({"keys": lambda keys: keys[:-1]}, "columns of unequal length or type"),
+        ({"keys": lambda keys: keys.ravel()}, "columns of unequal length or type"),
+        ({"keys": lambda keys: keys.astype(np.int64)}, "columns of unequal length or type"),
+        ({"keys": lambda keys: keys.astype(np.int32)}, "columns of unequal length or type"),
     ])
     def test_an_altered_column_under_the_right_key_raises(self, tmp_path, fmt, changes, what):
         path = _fixture(tmp_path, fmt)
@@ -200,6 +206,24 @@ class TestStaleOrBrokenSidecars:
         assert _Tripwire.unpickled == []
         _no_parse(monkeypatch)
         assert _columns(load_dataset(path)) == _columns(cold)
+
+    @pytest.mark.parametrize("version", [b"scorefusion dataset sidecar 1", data._SIDECAR_VERSION])
+    def test_a_sidecar_without_keys_is_reparsed_once(self, tmp_path, monkeypatch, version):
+        # version 1 stored no id keys; under the current key a sidecar without them is damaged
+        path = _fixture(tmp_path, "jsonl")
+        cold = load_dataset(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(data, "_SIDECAR_VERSION", version)
+            key, _ = data._file_key(path, "jsonl")
+        np.savez(_sidecar(path), key=np.array(key), ids=data._pack(cold.ids()), X=cold.X, z=cold.z,
+                 y=cold.y, codes=cold._codes, tags=data._pack(list(cold._tags)))
+        parses, parse = [], data._load_jsonl
+        monkeypatch.setattr(data, "_load_jsonl", lambda source: parses.append(source) or parse(source))
+        assert _columns(load_dataset(path)) == _columns(cold)
+        assert _columns(load_dataset(path)) == _columns(cold)
+        assert parses == [path]
+        with np.load(_sidecar(path)) as stored:
+            assert stored["keys"].tobytes() == data.id_keys(cold.ids()).tobytes()
 
     def test_a_failing_sidecar_write_still_returns_the_dataset(self, tmp_path, monkeypatch):
         path = _fixture(tmp_path, "csv")

@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -368,26 +369,33 @@ class TestTuneHyperparameter:
         ("M", "additive", (2, 5, 10, 20, 40), 20),
         ("r", "cell", (1, 2, 4, 8, 16), 4),
     ])
-    def test_selection_on_the_fixed_file_is_pinned(self, parameter, kind, candidates, selected):
-        cfg = _cfg(dataset_path=str(DATA / "fixed.csv"), calibration_kind=kind)
+    def test_selection_on_the_fixed_file_is_pinned(self, parameter, kind, candidates, selected, tmp_path):
+        cfg = _cfg(dataset_path=_fixed_copy(tmp_path, "fixed.csv"), calibration_kind=kind)
         assert tune_hyperparameter(cfg, parameter=parameter, candidates=candidates) == selected
 
 
-def _fixed_file_runs():
-    """The fusion and transfer runs over the dataset files in tests/data, by report name."""
+def _fixed_copy(tmp_path, name):
+    """Path of a copy of tests/data/<name> under ``tmp_path``: loading it leaves the
+    dataset sidecar there, not in the source tree, and every test loads it cold."""
+    (tmp_path / "data").mkdir(exist_ok=True)
+    return str(shutil.copy(DATA / name, tmp_path / "data" / name))
+
+
+def _fixed_file_runs(tmp_path):
+    """The fusion and transfer runs over copies of the dataset files in tests/data, by report name."""
     fusion = _cfg(
         methods=(
             MethodSpec("ml"), MethodSpec("llm"), MethodSpec("linear"),
             MethodSpec("adalinear", (4,)), MethodSpec("calibration", (10, 2)),
         ),
-        dataset_path=str(DATA / "fixed.csv"),
+        dataset_path=_fixed_copy(tmp_path, "fixed.csv"),
     )
     transfer = _cfg(
         methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (60,))),
         test_fraction=0.3,
         oracle=OracleSettings(kind="synthetic", accuracy=0.9, seed=7),
         transfer=TransferSettings(source_strata=("A",), target_strata=("B",)),
-        dataset_path=str(DATA / "fixed.jsonl"),
+        dataset_path=_fixed_copy(tmp_path, "fixed.jsonl"),
     )
     return {"experiment": (run_experiment, fusion), "transfer": (run_transfer_experiment, transfer)}
 
@@ -412,8 +420,8 @@ class TestResultsUnchanged:
     # tests/data/report_*.json were written by the code that stored datasets
     # as tuples of Instance objects, before the columnar dataset core
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
-    def test_report_matches_the_reference(self, name):
-        run, cfg = _fixed_file_runs()[name]
+    def test_report_matches_the_reference(self, name, tmp_path):
+        run, cfg = _fixed_file_runs(tmp_path)[name]
         want = json.loads((DATA / f"report_{name}.json").read_text(encoding="utf-8"))
         _assert_report_close(json.loads(run(cfg).to_json()), want)
 
@@ -421,7 +429,7 @@ class TestResultsUnchanged:
     # out each protocol's seed loop and each trainer's checks on its own
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
     def test_per_seed_artifacts_match_the_reference(self, name, tmp_path):
-        run, cfg = _fixed_file_runs()[name]
+        run, cfg = _fixed_file_runs(tmp_path)[name]
         run(replace(cfg, out_dir=str(tmp_path)))
         got = {path.relative_to(tmp_path).as_posix(): json.loads(path.read_text(encoding="utf-8"))
                for path in tmp_path.glob("seed_*/*")}
@@ -429,9 +437,9 @@ class TestResultsUnchanged:
         _assert_report_close(got, want)
 
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
-    def test_a_dataset_file_is_loaded_once_per_run(self, name, monkeypatch):
+    def test_a_dataset_file_is_loaded_once_per_run(self, name, monkeypatch, tmp_path):
         original, loads = harness.load_dataset, []
         monkeypatch.setattr(harness, "load_dataset", lambda *args: loads.append(args) or original(*args))
-        run, cfg = _fixed_file_runs()[name]
+        run, cfg = _fixed_file_runs(tmp_path)[name]
         assert len(run(cfg).per_seed) == 2
         assert len(loads) == 1

@@ -23,6 +23,7 @@ from scorefusion import (
     train_augmented,
 )
 from scorefusion import logistic
+from scorefusion.data import id_keys
 
 
 def _reference_sigmoid(t):
@@ -212,8 +213,8 @@ class TestTrain:
     def test_rejects_non_finite_features(self):
         # the column constructor checks nothing, so the bad matrix reaches train
         X, nan = np.array([[1.0], [np.nan]]), np.full(2, np.nan)
-        ds = LabeledDataset(np.array(["a", "b"], dtype=object), X, nan, np.array([0.0, 1.0]),
-                            np.full(2, -1), ())
+        ids = np.array(["a", "b"], dtype=object)
+        ds = LabeledDataset(ids, id_keys(ids), X, nan, np.array([0.0, 1.0]), np.full(2, -1), ())
         with pytest.raises(TrainingError):
             train(ds)
 
@@ -561,8 +562,8 @@ class TestDeferredGradient:
 def _stored(X, y):
     """A dataset built from stored columns, so ``X`` may hold values ``from_arrays`` rejects."""
     n = len(X)
-    return LabeledDataset(np.array([f"r{k}" for k in range(n)], dtype=object),
-                          np.array(X, dtype=float, order="C"), np.full(n, np.nan),
+    ids = np.array([f"r{k}" for k in range(n)], dtype=object)
+    return LabeledDataset(ids, id_keys(ids), np.array(X, dtype=float, order="C"), np.full(n, np.nan),
                           np.asarray(y, dtype=float), np.full(n, -1, dtype=np.intp), ())
 
 

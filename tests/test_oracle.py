@@ -27,6 +27,7 @@ from scorefusion import (
     render_prompt,
     score_batch,
 )
+from scorefusion import data
 from scorefusion import oracle as oracle_mod
 
 DATA = Path(__file__).parent / "data"
@@ -284,7 +285,7 @@ class TestVectorizedDraws:
 
     def test_uniforms_equal_default_rng_over_many_ids(self):
         ids = [f"id{k}" for k in range(10_000)] + _ODD_IDS
-        raw = oracle_mod._first_draws(1, ids)
+        raw = oracle_mod._first_draws(1, data.id_keys(ids))
         uniforms = (raw >> 11) * 2.0**-53
         expected = np.array([_reference_stream(1, i).uniform() for i in ids])
         assert uniforms.dtype == np.float64
@@ -294,7 +295,7 @@ class TestVectorizedDraws:
     def test_raw_draws_for_every_seed_width(self, seed):
         ids = [f"r{k:06d}" for k in range(300)] + _ODD_IDS
         expected = [_reference_stream(seed, i).bit_generator.random_raw() for i in ids]
-        assert oracle_mod._first_draws(seed, ids).tolist() == expected
+        assert oracle_mod._first_draws(seed, data.id_keys(ids)).tolist() == expected
 
     @pytest.mark.parametrize("block", [1, 2, 5, 64])
     def test_every_block_size_gives_the_per_id_draws(self, block, monkeypatch):
@@ -302,21 +303,21 @@ class TestVectorizedDraws:
         ids = [f"r{k}" for k in range(23)] + _ODD_IDS + ["é" * 27, "q" * 55, "q" * 56, "é" * 28, "ß" * 60]
         expected = [_reference_stream(9, i).bit_generator.random_raw() for i in ids]
         monkeypatch.setattr(oracle_mod, "_DRAW_BLOCK", block)
-        assert oracle_mod._first_draws(9, ids).tolist() == expected
+        assert oracle_mod._first_draws(9, data.id_keys(ids)).tolist() == expected
 
     def test_a_batch_across_the_block_boundary(self):
         block = oracle_mod._DRAW_BLOCK
         ids = [f"b{k:06d}" for k in range(block + 40)]
         ids[block - 2:block + 4] = ["", "ünïcødé", "日本語", "w" * 56, "a,b\n", "\U0001f600"]
-        raw = oracle_mod._first_draws(4, ids)
+        raw = oracle_mod._first_draws(4, data.id_keys(ids))
         assert raw.shape == (len(ids),)
         near = range(block - 30, len(ids))  # the 30 rows before the boundary and every row after it
         assert raw[block - 30:].tolist() == [
             _reference_stream(4, ids[k]).bit_generator.random_raw() for k in near]
-        head = oracle_mod._first_draws(4, ids[:block])
+        head = oracle_mod._first_draws(4, data.id_keys(ids[:block]))
         assert raw[:block].tolist() == head.tolist()
         assert raw[:100].tolist() == [_reference_stream(4, i).bit_generator.random_raw() for i in ids[:100]]
-        assert oracle_mod._first_draws(4, []).shape == (0,)
+        assert oracle_mod._first_draws(4, data.id_keys([])).shape == (0,)
 
     @pytest.mark.parametrize("seed", [0, 7, 2**64 + 3])
     def test_hashes_with_one_to_four_significant_words(self, seed):

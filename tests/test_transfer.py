@@ -21,6 +21,7 @@ from scorefusion import (
     sigmoid,
     train_augmented,
 )
+from scorefusion.data import id_keys
 
 
 def _pool(n_per=50, d=2, seed=0, tags=("A", "B")):
@@ -373,7 +374,7 @@ class TestTrainAugmented:
         Xa = np.random.default_rng(9).standard_normal((20, 2))
         Xa[7, 1] = bad
         # the column constructor checks nothing, so the bad matrix reaches train_augmented
-        aug = LabeledDataset(np.array([f"aug{k}" for k in range(20)], dtype=object), Xa,
-                             np.full(20, 0.5), np.full(20, np.nan), np.full(20, -1), ())
+        ids = np.array([f"aug{k}" for k in range(20)], dtype=object)
+        aug = LabeledDataset(ids, id_keys(ids), Xa, np.full(20, 0.5), np.full(20, np.nan), np.full(20, -1), ())
         with pytest.raises(TrainingError, match="augmented dataset contains non-finite features"):
             train_augmented(ds, aug)
