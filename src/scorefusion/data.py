@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
 import re
@@ -47,6 +48,10 @@ import numpy as np
 
 class DatasetError(ValueError):
     """Raised for schema violations, malformed rows, or invalid parameters."""
+
+
+class _NoRows(DatasetError):
+    """A dataset file holds no data rows: it is empty, or holds a header alone."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,12 +120,13 @@ def _text_keys(ids, strata, where) -> np.ndarray:
         raise DatasetError(f"{where(k)}: {what} {text!r} is not UTF-8 text") from None
 
 
-def _check_unique(ids) -> None:
+def _check_unique(ids, where=None) -> None:
+    """Raise ``DatasetError`` at the first repeated id, naming ``where(k)`` of its row k when given."""
     if len(set(ids)) != len(ids):
         seen = set()
-        for i in ids:
+        for k, i in enumerate(ids):
             if i in seen:
-                raise DatasetError(f"duplicate instance id {i!r}")
+                raise DatasetError(f"{where(k) + ': ' if where else ''}duplicate instance id {i!r}")
             seen.add(i)
 
 
@@ -430,8 +436,9 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     CSV schema: header ``id,f0,...,f{d-1}[,z][,y][,stratum]``. JSONL schema:
     one object per line with keys ``id`` and ``features`` plus optional ``z``,
     ``y``, ``stratum``. The feature dimension is inferred from the first row;
-    every later row must match it. Missing z/y columns or keys yield
-    instances with those fields absent, and so do empty z/y cells.
+    every later row must match it, and it may be 0 (the header ``id[,z][,y][,stratum]``
+    or ``"features": []``), as in an ``id,z`` score cache (``oracle.OracleCache``).
+    Missing z/y columns or keys leave those fields absent, and so do empty z/y cells.
 
     CSV dialect: cells are separated by ``,`` and may be quoted with ``"``
     (a doubled ``""`` inside quotes is one quote), as ``csv.writer`` writes
@@ -440,9 +447,9 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     Whitespace around a number is ignored; id and stratum cells are kept as
     written. Feature values must be finite in both formats: NaN or infinite
     features are rejected, and so are z outside [0, 1], y other than 0 or 1,
-    a JSONL stratum that is neither a string nor null, bytes that are not
-    UTF-8, a JSONL id or stratum that is not UTF-8 text (a ``\\ud800``
-    escape, a lone surrogate), and a path that cannot be read.
+    a repeated id (named by its row), a JSONL stratum that is neither a string
+    nor null, bytes that are not UTF-8, a JSONL id or stratum that is not UTF-8
+    text (a ``\\ud800`` escape, a lone surrogate), and a path that cannot be read.
 
     The file is parsed once. A successful parse writes its columns to the
     hidden sidecar ``.<name>.sfcache.npz`` in the file's directory, through
@@ -456,26 +463,32 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     hashes no id. Its columns go through the same checks a parse applies,
     vectorized, and ``keys`` must be an (n, 4) uint32 array; one that fails
     raises ``DatasetError`` naming the sidecar. Like ``X``, the keys are
-    otherwise protected by the content key and the archive's CRCs. Editing
-    the file invalidates the sidecar; a missing, stale, truncated or foreign
-    sidecar (one from an older sidecar version too) costs a parse and a
-    rewrite, so deleting it is always safe.
+    otherwise protected by the content key and the archive's CRCs. Editing or
+    appending to the file invalidates the sidecar; a missing, stale,
+    truncated or foreign sidecar (one from an older sidecar version too)
+    costs a parse and a rewrite, so deleting it is always safe.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
-    sidecar = path.with_name(f".{path.name}.sfcache.npz")
     try:
-        key, stamp = _file_key(path, fmt)
-        columns = _read_sidecar(sidecar, key)
-        if columns is not None:
-            return _from_sidecar(sidecar, path, *columns)
-        ds = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
+        return _load_dataset(path, fmt)
     except FileNotFoundError:
         raise DatasetError(f"dataset file not found: {path}") from None
     except OSError as exc:
         raise DatasetError(f"cannot read dataset file {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise DatasetError(f"{path}: {exc}") from None
+
+
+def _load_dataset(path: Path, fmt: str) -> LabeledDataset:
+    """``load_dataset`` leaving an unreadable path as ``OSError`` and non-UTF-8 bytes as
+    ``UnicodeDecodeError``. ``OracleCache`` calls it, so a wrapped ``load_dataset`` sees datasets only."""
+    sidecar = path.with_name(f".{path.name}.sfcache.npz")
+    key, stamp = _file_key(path, fmt)
+    columns = _read_sidecar(sidecar, key)
+    if columns is not None:
+        return _from_sidecar(sidecar, path, *columns)
+    ds = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
     _write_sidecar(sidecar, path, key, stamp, ds)
     return ds
 
@@ -536,7 +549,7 @@ def _read_sidecar(sidecar: Path, key: str):
 def _from_sidecar(sidecar, source, ids, keys, X, z, y, codes, tags) -> LabeledDataset:
     """The dataset of a sidecar's columns, after the column checks a parse applies."""
     n = len(ids)
-    if not (n and X.ndim == 2 and X.shape[0] == n and X.shape[1] and X.flags.c_contiguous
+    if not (n and X.ndim == 2 and X.shape[0] == n and X.flags.c_contiguous
             and keys.shape == (n, 4) and keys.dtype == np.uint32
             and all(c.shape == (n,) for c in (z, y, codes))
             and all(c.dtype == np.float64 for c in (X, z, y)) and codes.dtype == np.intp):
@@ -651,31 +664,26 @@ def _csv_error(path, exc: ValueError) -> DatasetError:
     return DatasetError(f"{path}: {message}")
 
 
-def _load_csv(path) -> LabeledDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+def _load_csv(path, text=None) -> LabeledDataset:
+    """The dataset of the CSV file ``path``, or of ``text`` (a prefix of its contents) when given."""
+    with open(path, newline="", encoding="utf-8") if text is None else io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise DatasetError(f"empty CSV file: {path}") from None
+            raise _NoRows(f"empty CSV file: {path}") from None
         header = [h.strip() for h in header]
         if not header or header[0] != "id":
             raise DatasetError(f"CSV header must start with 'id', got {header[:1]}")
         d = 0
         while 1 + d < len(header) and header[1 + d] == f"f{d}":
             d += 1
-        if d == 0:
-            raise DatasetError("CSV header has no feature columns f0..f{d-1}")
         extras = header[1 + d :]
-        allowed = [c for c in ("z", "y", "stratum")]
-        if [c for c in extras if c not in allowed] or extras != [
-            c for c in allowed if c in extras
-        ]:
-            raise DatasetError(
-                f"unexpected trailing CSV columns {extras}; expected subset of [z, y, stratum] in order"
-            )
+        if extras != [c for c in ("z", "y", "stratum") if c in extras]:  # unknown, repeated or out of order
+            raise DatasetError(f"unexpected trailing CSV columns {extras}; "
+                               "expected subset of [z, y, stratum] in order")
         if not any(reader):
-            raise DatasetError(f"no data rows in {path}")
+            raise _NoRows(f"no data rows in {path}")
         fh.seek(0)
         dtype = [("id", object), ("f", float, (d,))] + [(name, object) for name in extras]
         try:
@@ -686,9 +694,10 @@ def _load_csv(path) -> LabeledDataset:
             raise _csv_error(path, exc) from None
     X = np.ascontiguousarray(table["f"])
     cells = {name: table[name] for name in ("z", "y") if name in extras}
-    z, y = _annotations(X, cells, lambda k: f"row {_csv_row_number(path, k)}")
+    where = lambda k: f"row {_csv_row_number(path, k)}"
+    z, y = _annotations(X, cells, where)
     ids = table["id"].copy()
-    _check_unique(ids.tolist())
+    _check_unique(ids.tolist(), where)
     strata = table["stratum"].tolist() if "stratum" in extras else [None] * len(table)
     # the file decoded as UTF-8, so every id is UTF-8 text
     return LabeledDataset(ids, id_keys(ids), X, z, y, *_stratum_codes([s or None for s in strata]))
@@ -734,7 +743,7 @@ def _load_jsonl(path) -> LabeledDataset:
             ys.append(obj.get("y"))
             strata.append(obj.get("stratum"))
     if not ids:
-        raise DatasetError(f"no data rows in {path}")
+        raise _NoRows(f"no data rows in {path}")
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
     cells = {"z": _objects(zs), "y": _objects(ys)}
     where = lambda k: f"row {_jsonl_row_number(path, k)}"
@@ -747,7 +756,7 @@ def _load_jsonl(path) -> LabeledDataset:
         k = next(k for k, tag in enumerate(strata) if not (tag is None or isinstance(tag, str)))
         raise DatasetError(f"{where(k)}: 'stratum' must be a string or null")
     keys = _text_keys(ids, strata, where)
-    _check_unique(ids)
+    _check_unique(ids, where)
     return LabeledDataset(_objects(ids), keys, X, z, y, *_stratum_codes(strata))
 
 

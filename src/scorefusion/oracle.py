@@ -25,7 +25,6 @@ needs.
 from __future__ import annotations
 
 import csv
-import io
 import os
 import re
 import selectors
@@ -41,7 +40,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
-from .data import LabeledDataset
+from . import data
+from .data import DatasetError, LabeledDataset
 
 
 class OracleError(RuntimeError):
@@ -138,69 +138,54 @@ def parse_score(text: str, keywords=DEFAULT_KEYWORDS) -> float:
 
 
 class OracleCache:
-    """CSV-backed id -> score map; rows round-trip at full float precision.
+    """An id -> score map in an ``id,z`` CSV file, appended to at full float precision.
 
-    Only rows that end in a newline count. A partial last row, left by an
-    append that was cut short, is dropped with a warning and cut off the file
-    before the next ``update`` appends, so a torn ``b,0.`` is never read as 0.
+    The file is a dataset file with zero feature columns, opened by the
+    dataset loader through its sidecar (``.scores.csv.sfcache.npz``), so only
+    the first open after an append parses it. It holds one row per id, and an
+    empty or header-only file is an empty cache. A partial last row, left by
+    an append that was cut short, is dropped with a warning on every open and
+    cut off before the next ``update`` appends, so a torn ``b,0.`` is never 0.
     """
 
     HEADER = ("id", "z")
+    _ROW = re.compile(r"^row (\d+)")  # the row number that starts a dataset loader's error
 
     def __init__(self, path):
         self.path = Path(path)
-        self._scores: dict[str, float] = {}
+        self._torn_at = None  # byte offset where a partial last row starts
+        try:
+            ds = self._open()
+        except (FileNotFoundError, data._NoRows):
+            ds = LabeledDataset.from_arrays(np.empty((0, 0)))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OracleError(f"cannot read cache file {self.path} as UTF-8 text: {exc}") from None
+        except DatasetError as exc:  # the loader numbers data rows, a cache file its lines
+            message = self._ROW.sub(lambda row: f"line {int(row[1]) + 1}", str(exc), count=1)
+            raise OracleError(f"cache file {self.path}: {message}") from None
+        if ds.dim or ds._tags or not np.isnan(ds.y).all():
+            raise OracleError(f"cache file {self.path} must start with header 'id,z'")
+        if np.isnan(ds.z).any():
+            k = int(np.isnan(ds.z).argmax())
+            line = data._csv_row_number(self.path, k) + 1
+            raise OracleError(f"cache file {self.path} line {line}: no score for id {ds._ids[k]!r}")
+        self._scores: dict[str, float] = dict(zip(ds._ids.tolist(), ds.z.tolist()))
         # get(id) -> score or None: the dict's own lookup, so a map over ids stays in C
         self.get = self._scores.get
-        self._torn_at = None  # byte offset where a partial last row starts
-        if self.path.exists():
-            try:
-                self._read()
-            except (OSError, UnicodeDecodeError) as exc:
-                raise OracleError(f"cannot read cache file {self.path} as UTF-8 text: {exc}") from None
 
-    def _read(self):
+    def _open(self) -> LabeledDataset:
+        """The dataset of the file's whole rows; a torn last row is left out, with a warning."""
         with open(self.path, "rb") as fh:
-            size = fh.seek(0, os.SEEK_END)
-            fh.seek(max(size - 1, 0))
-            torn = fh.read(1) not in (b"", b"\n")
+            fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
+            if fh.read(1) in (b"", b"\n"):
+                return data._load_dataset(self.path, "csv")
             fh.seek(0)
-            source = fh
-            if torn:
-                head = fh.read()
-                self._torn_at = head.rfind(b"\n") + 1
-                line = head.count(b"\n", 0, self._torn_at) + 1
-                warnings.warn(
-                    f"cache file {self.path} line {line}: dropping partial last row "
-                    f"{head[self._torn_at:]!r} (no trailing newline)",
-                    stacklevel=3,
-                )
-                source = io.BytesIO(head[: self._torn_at])
-            reader = csv.reader(io.TextIOWrapper(source, encoding="utf-8", newline=""))
-            header = next(reader, None)
-            if header is None:
-                return
-            if tuple(h.strip() for h in header) != self.HEADER:
-                raise OracleError(f"cache file {self.path} must start with header 'id,z'")
-            for row_num, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise OracleError(f"cache file {self.path} line {row_num}: expected 2 cells")
-                self._scores[row[0]] = self._check(row[0], row[1], row_num)
-
-    def _check(self, instance_id, text, row_num) -> float:
-        try:
-            z = float(text)
-        except ValueError:
-            raise OracleError(
-                f"cache file {self.path} line {row_num}: bad score {text!r}"
-            ) from None
-        if not 0.0 <= z <= 1.0:
-            raise OracleError(
-                f"cache file {self.path} line {row_num}: score {z} outside [0, 1] for id {instance_id!r}"
-            )
-        return z
+            head = fh.read()
+        self._torn_at = head.rfind(b"\n") + 1
+        line = head.count(b"\n", 0, self._torn_at) + 1
+        warnings.warn(f"cache file {self.path} line {line}: dropping partial last row "
+                      f"{head[self._torn_at:]!r} (no trailing newline)", stacklevel=3)
+        return data._load_csv(self.path, head[: self._torn_at].decode("utf-8"))
 
     def __contains__(self, instance_id) -> bool:
         return instance_id in self._scores
@@ -212,11 +197,16 @@ class OracleCache:
         return dict(self._scores)
 
     def update(self, new_scores: dict) -> None:
-        """Merge scores and append them to the backing file (17 significant digits)."""
+        """Add scores and append them to the backing file (17 significant digits). A score
+        equal to its id's cached one is not written again; a different one raises before any write."""
         fresh = {str(i): float(z) for i, z in new_scores.items()}
         for i, z in fresh.items():
             if not 0.0 <= z <= 1.0:
                 raise OracleError(f"refusing to cache out-of-range score {z} for id {i!r}")
+            if self._scores.get(i, z) != z:
+                raise OracleError(f"cache file {self.path} holds score {self._scores[i]!r} "
+                                  f"for id {i!r}; refusing to replace it with {z!r}")
+        fresh = {i: z for i, z in fresh.items() if i not in self._scores}
         if not fresh:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)

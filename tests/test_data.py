@@ -430,7 +430,7 @@ class TestCsvDialect:
         ("id,f0,y\nr1,0.5,1\n   \n", "row 2: expected 3 cells, got 1"),
         ("id,f0,f1\nr1,0.5,1\nr2,0.5,\n", "row 2: malformed feature value"),
         ("id,f0,f1\nr1,0.5,1\nr2,0x10,1\n", "row 2: malformed feature value"),
-        ("id,f0,y\nr1,0.5,1\nr2,0.5,0\nr1,0.5,1\n", "duplicate instance id 'r1'"),
+        ("id,f0,y\nr1,0.5,1\nr2,0.5,0\nr1,0.5,1\n", "row 3: duplicate instance id 'r1'"),
     ])
     def test_malformed_rows_and_duplicate_ids(self, tmp_path, text, message):
         assert _load_error(tmp_path, text) == message

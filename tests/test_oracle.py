@@ -214,6 +214,127 @@ class TestOracleCache:
         assert cache.scores() == {"x": 0.7}
 
 
+def _cache_sidecar(path: Path) -> Path:
+    return path.with_name(f".{path.name}.sfcache.npz")
+
+
+class TestOneRowPerId:
+    def test_an_equal_score_is_not_written_again(self, tmp_path):
+        path = tmp_path / "c.csv"
+        cache = OracleCache(path)
+        cache.update({"a": 0.5})
+        cache.update({"a": 0.5, "b": 0.25})
+        cache.update({"b": 0.25})
+        assert path.read_text().splitlines() == ["id,z", "a,0.5", "b,0.25"]
+        assert OracleCache(path).scores() == {"a": 0.5, "b": 0.25}
+
+    def test_a_different_score_raises_before_anything_is_written(self, tmp_path):
+        path = tmp_path / "c.csv"
+        cache = OracleCache(path)
+        cache.update({"a": 0.5})
+        before = path.read_bytes()
+        with pytest.raises(OracleError, match=r"holds score 0\.5 for id 'a'; refusing to replace it with 0\.25"):
+            cache.update({"b": 0.75, "a": 0.25})
+        assert path.read_bytes() == before
+        assert cache.scores() == {"a": 0.5} and OracleCache(path).scores() == {"a": 0.5}
+
+    def test_a_file_with_a_repeated_id_does_not_open(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text("id,z\na,0.5\nb,0.25\na,0.5\n")
+        with pytest.raises(OracleError, match=re.escape(f"cache file {path}: line 4: duplicate instance id 'a'")):
+            OracleCache(path)
+
+
+class TestCacheFileIsADataset:
+    """The cache opens through the dataset loader and its content-keyed sidecar."""
+
+    def test_a_warm_open_never_parses(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.csv"
+        OracleCache(path).update({"a": 1 / 3, "b": 1.0, "c": 0.0})
+        cold = OracleCache(path).scores()
+        assert _cache_sidecar(path).is_file()
+
+        def fail(*args):
+            raise AssertionError("parsed a cache file despite a valid sidecar")
+
+        monkeypatch.setattr(data, "_load_csv", fail)
+        assert OracleCache(path).scores() == cold == {"a": 1 / 3, "b": 1.0, "c": 0.0}
+
+    def test_an_append_makes_the_next_open_reparse(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.csv"
+        OracleCache(path).update({"a": 0.5})
+        cache = OracleCache(path)  # cold: writes the sidecar
+        cache.update({"b": 0.25})
+        parses, parse = [], data._load_csv
+        monkeypatch.setattr(data, "_load_csv", lambda *args: parses.append(args) or parse(*args))
+        assert OracleCache(path).scores() == {"a": 0.5, "b": 0.25}
+        assert OracleCache(path).scores() == {"a": 0.5, "b": 0.25}
+        assert parses == [(path,)]
+
+    def test_a_torn_row_warns_despite_a_valid_sidecar_and_is_cut_before_the_append(self, tmp_path):
+        path = tmp_path / "c.csv"
+        OracleCache(path).update({"a": 0.5})
+        with open(path, "ab") as fh:
+            fh.write(b"b,0.")
+        # a dataset load of the torn file reads b as 0 and stores that under the file's own key
+        assert data.load_dataset(path).z.tolist() == [0.5, 0.0]
+        assert _cache_sidecar(path).is_file()
+        for _ in range(2):
+            with pytest.warns(UserWarning, match=r"line 3: dropping partial last row b'b,0\.'"):
+                cache = OracleCache(path)
+            assert cache.scores() == {"a": 0.5}
+        cache.update({"c": 0.25})
+        assert path.read_bytes() == b"id,z\r\na,0.5\r\nc,0.25\r\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OracleCache(path).scores() == {"a": 0.5, "c": 0.25}
+
+    def test_awkward_ids_round_trip_through_a_warm_reopen(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.csv"
+        scores = {"a,b": 0.5, 'say "hi"': 0.25, "two\nlines": 1 / 3, " edge ": 1.0, "\tx ": 0.0, "café": 0.125}
+        OracleCache(path).update(scores)
+        assert OracleCache(path).scores() == scores  # cold
+        monkeypatch.setattr(data, "_load_csv", None)
+        assert OracleCache(path).scores() == scores  # warm
+
+    def test_load_dataset_is_not_called(self, tmp_path, monkeypatch):
+        # a wrapper of data.load_dataset (the bench's tracer) counts dataset loads only
+        path = tmp_path / "c.csv"
+        OracleCache(path).update({"a": 0.5, "b": 0.25})
+
+        def fail(*args, **kwargs):
+            raise AssertionError("the cache opened through load_dataset")
+
+        monkeypatch.setattr(data, "load_dataset", fail)
+        for _ in range(2):  # cold, then warm
+            provider = CachedOracle(OracleCache(path))
+            assert score_batch(provider, _rows(["b", "a"])) == [("a", 0.5), ("b", 0.25)]
+
+    @pytest.mark.parametrize("content, message", [
+        ("id,f0,z\na,1.0,0.5\n", "must start with header 'id,z'"),
+        ("id,z,y\na,0.5,1\n", "must start with header 'id,z'"),
+        ("id,z,stratum\na,0.5,s\n", "must start with header 'id,z'"),
+        ("id,z\na,0.5\n\nb,\n", "line 4: no score for id 'b'"),
+        ("id\na\n", "line 2: no score for id 'a'"),
+        ("id,z\na,0.5\nb,x\n", "line 3: bad z value 'x'"),
+    ])
+    def test_a_file_that_is_not_an_id_z_cache_is_named(self, tmp_path, content, message):
+        path = tmp_path / "c.csv"
+        path.write_text(content)
+        with pytest.raises(OracleError, match=re.escape(message)) as err:
+            OracleCache(path)
+        assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
+    def test_a_header_only_file_is_an_empty_cache(self, tmp_path, body):
+        path = tmp_path / "c.csv"
+        path.write_text("id,z\n" + body)
+        cache = OracleCache(path)
+        assert len(cache) == 0
+        cache.update({"a": 0.5})
+        assert OracleCache(path).scores() == {"a": 0.5}
+
+
 class TestSyntheticOracle:
     def test_score_is_a_pure_function_of_seed_and_id(self):
         oracle = SyntheticOracle(SyntheticOracleSpec(accuracy=0.8, seed=4))
