@@ -5,18 +5,24 @@ dense feature vector (a row of the read-only (n, d) matrix ``X``), an oracle
 score ``z`` in [0, 1] (an external judge's estimate of the label), a binary
 label ``y``, and a stratum tag (a discrete category used by the
 transfer-learning utilities). ``z`` and ``y`` are float columns in which NaN
-means "absent"; the loaders and ``from_arrays`` reject NaN as a value, so it
-cannot clash with a real one. Strata are stored as an int code per row
-indexing a tuple of tags, with -1 for an untagged row (stratum None). Each
-row also holds its id key h, the first 16 bytes of the sha256 of the id's
-UTF-8 text (``id_keys``), computed once where the ids enter and carried by
-every operation, so that the synthetic judge never hashes an id. Splits,
-subsets, folds and stratum groups are index operations on the columns, and a
-fold assignment is itself an int column aligned with the rows. Columns are
-the only way in: ``Instance`` is a read-only row view that iteration builds,
-and nothing takes one as input. Datasets are immutable after construction;
-every randomized operation takes an explicit seed and uses numpy's PCG64
-generator, so results are reproducible across runs and platforms.
+means "absent"; no way in accepts NaN as a value, so it cannot clash with a
+real one. Strata are stored as an int code per row indexing a tuple of tags,
+with -1 for an untagged row (stratum None). Each row also holds its id key
+h, the first 16 bytes of the sha256 of the id's UTF-8 text (``id_keys``),
+computed once where the ids enter and carried by every operation, so that
+the synthetic judge never hashes an id. Splits, subsets, folds and stratum
+groups are index operations on the columns, and a fold assignment is itself
+an int column aligned with the rows. Datasets are immutable after
+construction; every randomized operation takes an explicit seed and uses
+numpy's PCG64 generator, so results are reproducible across runs and
+platforms.
+
+Columns are the only way in: ``Instance`` is a read-only row view that
+iteration builds, and nothing takes one as input. ``from_arrays`` and both
+file parsers end in one checked builder. It applies each rule to every row
+before the next, in this order, and names the first row that breaks one:
+finite features; z a number in [0, 1]; y a number in {0, 1}; a stratum that
+is a string or None; ids and strata that are UTF-8 text; unique ids.
 
 A dataset file is parsed once. ``load_dataset`` stores the columns it parsed,
 id keys included, in a hidden sidecar next to the file
@@ -147,15 +153,19 @@ class LabeledDataset:
     ``from_arrays``, ``load_dataset`` or ``synthesize``.
     """
 
-    __slots__ = ("dim", "X", "z", "y", "_codes", "_tags", "_ids", "_keys")
+    _COLUMNS = ("_ids", "_keys", "X", "z", "y", "_codes")  # aligned columns, in constructor order
+    __slots__ = ("dim", "_tags", *_COLUMNS)
 
     def __init__(self, ids, keys, X, z, y, codes, tags):
-        for name, column in (("_ids", ids), ("_keys", keys), ("X", X), ("z", z), ("y", y),
-                             ("_codes", codes)):
+        for name, column in zip(self._COLUMNS, (ids, keys, X, z, y, codes)):
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         object.__setattr__(self, "_tags", tags)
         object.__setattr__(self, "dim", X.shape[1])
+
+    def _replace(self, **new) -> "LabeledDataset":
+        """A dataset of these columns and tags, with the ones named in ``new`` replaced."""
+        return LabeledDataset(*(new.get(c, getattr(self, c)) for c in (*self._COLUMNS, "_tags")))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"LabeledDataset is immutable; cannot set {name!r}")
@@ -166,10 +176,11 @@ class LabeledDataset:
 
         ``X`` is copied into C order. A None (or ``""``) entry of ``y`` or
         ``z`` leaves that row's label or score absent, and a None stratum
-        leaves the row untagged. A score outside [0, 1], a label other than
-        0 or 1, a non-finite feature, a column whose length is not X's row
-        count, an id or stratum that is not UTF-8 text (a lone surrogate), or
-        a repeated id raises ``DatasetError``.
+        leaves the row untagged. A column whose length is not X's row count
+        raises ``DatasetError``, and so does, naming the row by its id and in
+        this order of checks: a non-finite feature, a score outside [0, 1], a
+        label other than 0 or 1, an id or stratum that is not UTF-8 text (a
+        lone surrogate), a repeated id.
         """
         X = np.array(X, dtype=float, order="C")
         if X.ndim != 2:
@@ -183,11 +194,7 @@ class LabeledDataset:
         cells = {name: _objects(list(v)) for name, v in (("z", z), ("y", y)) if v is not None}
         if not len(ids) == len(strata) == n or any(len(v) != n for v in cells.values()):
             raise DatasetError(f"ids, z, y and strata must each have one entry per row of X (n={n})")
-        where = lambda k: f"instance {ids[k]!r}"
-        zs, ys = _annotations(X, cells, where)
-        keys = _text_keys(ids, strata, where)
-        _check_unique(ids)
-        return cls(_objects(ids), keys, X, zs, ys, *_stratum_codes(strata))
+        return _checked(X, cells, ids, strata, lambda k: f"instance {ids[k]!r}")
 
     @property
     def n(self) -> int:
@@ -278,10 +285,7 @@ class LabeledDataset:
             seen[rows] = True
             if np.count_nonzero(seen) != rows.size:
                 raise DatasetError("take needs distinct row indices")
-        return LabeledDataset(
-            self._ids.take(rows), self._keys.take(rows, axis=0), self.X.take(rows, axis=0),
-            self.z.take(rows), self.y.take(rows), self._codes.take(rows), self._tags,
-        )
+        return self._replace(**{c: getattr(self, c).take(rows, axis=0) for c in self._COLUMNS})
 
     def subset(self, ids) -> "LabeledDataset":
         """Dataset restricted to the given ids, keeping this dataset's order."""
@@ -314,18 +318,14 @@ class LabeledDataset:
         if bad.any():
             k = int(bad.argmax())
             raise DatasetError(f"instance {self._ids[k]!r}: oracle score {float(z[k])} outside [0, 1]")
-        return LabeledDataset(self._ids, self._keys, self.X, z, self.y, self._codes, self._tags)
+        return self._replace(z=z)
 
     def without_labels(self) -> "LabeledDataset":
-        return LabeledDataset(
-            self._ids, self._keys, self.X, self.z, np.full(self.n, np.nan), self._codes, self._tags
-        )
+        return self._replace(y=np.full(self.n, np.nan))
 
     def without_features(self) -> "LabeledDataset":
         """The same rows with zero feature columns (``dim`` 0), so a ``take`` copies no features."""
-        return LabeledDataset(
-            self._ids, self._keys, np.empty((self.n, 0)), self.z, self.y, self._codes, self._tags
-        )
+        return self._replace(X=np.empty((self.n, 0)))
 
     def _strata_present(self) -> tuple:
         """(shifted codes of the strata with rows, in first-seen order; row count per shifted code).
@@ -364,11 +364,9 @@ class LabeledDataset:
         _check_unique(self.ids() + other.ids())
         tags = self._tags + tuple(tag for tag in other._tags if tag not in self._tags)
         remap = np.array([tags.index(tag) for tag in other._tags] + [-1], dtype=np.intp)
-        return LabeledDataset(
-            *(np.concatenate([getattr(self, name), getattr(other, name)])
-              for name in ("_ids", "_keys", "X", "z", "y")),
-            np.concatenate([self._codes, remap[other._codes]]), tags,
-        )
+        other = other._replace(_codes=remap[other._codes])
+        joined = {c: np.concatenate([getattr(self, c), getattr(other, c)]) for c in self._COLUMNS}
+        return self._replace(_tags=tags, **joined)
 
 
 @dataclass(frozen=True)
@@ -445,11 +443,13 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     them. ``#`` has no special meaning: there are no comment lines. Blank lines
     are skipped but still counted in the row numbers of error messages.
     Whitespace around a number is ignored; id and stratum cells are kept as
-    written. Feature values must be finite in both formats: NaN or infinite
-    features are rejected, and so are z outside [0, 1], y other than 0 or 1,
-    a repeated id (named by its row), a JSONL stratum that is neither a string
-    nor null, bytes that are not UTF-8, a JSONL id or stratum that is not UTF-8
-    text (a ``\\ud800`` escape, a lone surrogate), and a path that cannot be read.
+    written. A path that cannot be read, bytes that are not UTF-8 and a
+    malformed row raise ``DatasetError`` as the file is read. The parsed
+    columns then go through the checks ``from_arrays`` applies, in its order,
+    each naming the first row that breaks it: a NaN or infinite feature, z
+    outside [0, 1], y other than 0 or 1, a JSONL stratum that is neither a
+    string nor null, a JSONL id or stratum that is not UTF-8 text (a
+    ``\\ud800`` escape, a lone surrogate), a repeated id.
 
     The file is parsed once. A successful parse writes its columns to the
     hidden sidecar ``.<name>.sfcache.npz`` in the file's directory, through
@@ -586,9 +586,29 @@ def _write_sidecar(sidecar: Path, source: Path, key: str, stamp: tuple, ds: Labe
             tmp.unlink()
 
 
-def _row_number(records, k: int) -> int:
-    """1-based number of the record loaded as row k; blank (falsy) records are counted but never loaded."""
-    return next(islice((num for num, record in enumerate(records, start=1) if record), k, None))
+def _row_number(path, fmt: str, k: int) -> int:
+    """1-based number of the record of the ``fmt`` file ``path`` loaded as row k: a JSONL line, or
+    a CSV record after the header. Blank records are counted but never loaded."""
+    with open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
+        records = islice(csv.reader(fh), 1, None) if fmt == "csv" else map(str.strip, fh)
+        return next(islice((num for num, record in enumerate(records, start=1) if record), k, None))
+
+
+def _checked(X, cells: dict, ids: list, strata: list, where) -> LabeledDataset:
+    """The dataset of a C-ordered X, the raw z and y ``cells`` and lists of ids and strata, where
+    every way in ends. Each rule runs over all rows before the next, in the module docstring's
+    order, and the first row k that breaks one raises ``DatasetError`` naming ``where(k)``."""
+    z, y = _annotations(X, cells, where)
+    try:  # JSON values other than strings and null are unhashable or not str
+        tagged = all(isinstance(tag, str) for tag in set(strata) - {None})
+    except TypeError:
+        tagged = False
+    if not tagged:
+        k = next(k for k, tag in enumerate(strata) if not (tag is None or isinstance(tag, str)))
+        raise DatasetError(f"{where(k)}: 'stratum' must be a string or null")
+    keys = _text_keys(ids, strata, where)
+    _check_unique(ids, where)
+    return LabeledDataset(_objects(ids), keys, X, z, y, *_stratum_codes(strata))
 
 
 def _annotations(X, cells: dict, where) -> tuple:
@@ -635,37 +655,26 @@ def _reads_as_float(value) -> bool:
     return True
 
 
-def _csv_row_number(path, k: int) -> int:
-    with open(path, newline="", encoding="utf-8") as fh:
-        records = csv.reader(fh)
-        next(records)
-        return _row_number(records, k)
-
-
-def _jsonl_row_number(path, k: int) -> int:
-    with open(path, encoding="utf-8") as fh:
-        return _row_number((line.strip() for line in fh), k)
-
-
 # np.loadtxt numbers the rows it loads, skipping blank lines: 1-based in a
 # cell-count error and 0-based in a value error.
 _LOADTXT_CELLS = re.compile(r"requires (\d+) columns but (\d+) were found at row (\d+)")
 _LOADTXT_VALUE = re.compile(r"at row (\d+), column \d+\.$")
 
 
-def _csv_error(path, exc: ValueError) -> DatasetError:
-    """``DatasetError`` for an ``np.loadtxt`` error, naming the row as the file numbers it."""
+def _csv_error(path, exc: ValueError, where) -> DatasetError:
+    """``DatasetError`` for an ``np.loadtxt`` error, naming ``where(k)`` of the row k it loaded."""
     message = str(exc)
     if match := _LOADTXT_CELLS.search(message):
         want, got, row = map(int, match.groups())
-        return DatasetError(f"row {_csv_row_number(path, row - 1)}: expected {want} cells, got {got}")
+        return DatasetError(f"{where(row - 1)}: expected {want} cells, got {got}")
     if match := _LOADTXT_VALUE.search(message):
-        return DatasetError(f"row {_csv_row_number(path, int(match[1]))}: malformed feature value")
+        return DatasetError(f"{where(int(match[1]))}: malformed feature value")
     return DatasetError(f"{path}: {message}")
 
 
 def _load_csv(path, text=None) -> LabeledDataset:
     """The dataset of the CSV file ``path``, or of ``text`` (a prefix of its contents) when given."""
+    where = lambda k: f"row {_row_number(path, 'csv', k)}"
     with open(path, newline="", encoding="utf-8") if text is None else io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -691,16 +700,11 @@ def _load_csv(path, text=None) -> LabeledDataset:
                 fh, dtype=dtype, delimiter=",", quotechar='"', comments=None, skiprows=1, ndmin=1
             )
         except ValueError as exc:
-            raise _csv_error(path, exc) from None
-    X = np.ascontiguousarray(table["f"])
+            raise _csv_error(path, exc, where) from None
     cells = {name: table[name] for name in ("z", "y") if name in extras}
-    where = lambda k: f"row {_csv_row_number(path, k)}"
-    z, y = _annotations(X, cells, where)
-    ids = table["id"].copy()
-    _check_unique(ids.tolist(), where)
     strata = table["stratum"].tolist() if "stratum" in extras else [None] * len(table)
-    # the file decoded as UTF-8, so every id is UTF-8 text
-    return LabeledDataset(ids, id_keys(ids), X, z, y, *_stratum_codes([s or None for s in strata]))
+    strata = [s or None for s in strata]
+    return _checked(np.ascontiguousarray(table["f"]), cells, table["id"].tolist(), strata, where)
 
 
 _decode_json = json.JSONDecoder().raw_decode
@@ -745,19 +749,8 @@ def _load_jsonl(path) -> LabeledDataset:
     if not ids:
         raise _NoRows(f"no data rows in {path}")
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
-    cells = {"z": _objects(zs), "y": _objects(ys)}
-    where = lambda k: f"row {_jsonl_row_number(path, k)}"
-    z, y = _annotations(X, cells, where)
-    try:  # JSON values other than strings and null are unhashable or not str
-        tagged = all(isinstance(tag, str) for tag in set(strata) - {None})
-    except TypeError:
-        tagged = False
-    if not tagged:
-        k = next(k for k, tag in enumerate(strata) if not (tag is None or isinstance(tag, str)))
-        raise DatasetError(f"{where(k)}: 'stratum' must be a string or null")
-    keys = _text_keys(ids, strata, where)
-    _check_unique(ids, where)
-    return LabeledDataset(_objects(ids), keys, X, z, y, *_stratum_codes(strata))
+    return _checked(X, {"z": _objects(zs), "y": _objects(ys)}, ids, strata,
+                    lambda k: f"row {_row_number(path, 'jsonl', k)}")
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
@@ -826,9 +819,9 @@ def load_artifact(path, *classes):
     """Read an artifact file and build it with whichever of ``classes`` has its kind.
 
     A path that cannot be read as UTF-8 text (missing, a directory, undecodable
-    bytes), a file that is not JSON, one that holds another kind, or one that
-    lacks a field raises the first class's ``ERROR``, naming the path and the
-    expected kind.
+    bytes), a file that is not JSON, one that holds another kind, one that
+    lacks a field, or one whose field has the wrong type or value raises the
+    first class's ``ERROR``, naming the path and the expected kind.
     """
     by_kind = {cls.KIND: cls for cls in classes}
     expected = " or ".join(repr(kind) for kind in by_kind)
@@ -847,6 +840,8 @@ def load_artifact(path, *classes):
         return by_kind[kind].from_doc(doc)
     except KeyError as exc:
         raise classes[0].ERROR(f"{path}: the {kind!r} artifact lacks the field {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise classes[0].ERROR(f"{path}: the {kind!r} artifact holds a bad field: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

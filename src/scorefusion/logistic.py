@@ -116,6 +116,10 @@ class BaseModel(Artifact):
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "feature_mean", np.asarray(self.feature_mean, dtype=float))
         object.__setattr__(self, "feature_scale", np.asarray(self.feature_scale, dtype=float))
+        shapes = [v.shape for v in (self.weights, self.feature_mean, self.feature_scale)]
+        if len(shapes[0]) != 1 or len(set(shapes)) != 1:
+            raise TrainingError("weights, feature_mean and feature_scale must be 1-d arrays of one "
+                                f"length, got shapes {shapes}")
 
     @property
     def dim(self) -> int:

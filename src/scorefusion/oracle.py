@@ -32,7 +32,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from json import JSONDecodeError, dumps, loads
 from pathlib import Path
 from types import SimpleNamespace
@@ -161,14 +161,15 @@ class OracleCache:
         except (OSError, UnicodeDecodeError) as exc:
             raise OracleError(f"cannot read cache file {self.path} as UTF-8 text: {exc}") from None
         except DatasetError as exc:  # the loader numbers data rows, a cache file its lines
-            message = self._ROW.sub(lambda row: f"line {int(row[1]) + 1}", str(exc), count=1)
+            message = self._ROW.sub(lambda m: f"line {self._line(int(m[1]))}", str(exc), count=1)
             raise OracleError(f"cache file {self.path}: {message}") from None
         if ds.dim or ds._tags or not np.isnan(ds.y).all():
             raise OracleError(f"cache file {self.path} must start with header 'id,z'")
         if np.isnan(ds.z).any():
             k = int(np.isnan(ds.z).argmax())
-            line = data._csv_row_number(self.path, k) + 1
-            raise OracleError(f"cache file {self.path} line {line}: no score for id {ds._ids[k]!r}")
+            line = self._line(data._row_number(self.path, "csv", k))
+            raise OracleError(f"cache file {self.path}: line {line}: "
+                              f"no score for id {ds._ids[k]!r}")
         self._scores: dict[str, float] = dict(zip(ds._ids.tolist(), ds.z.tolist()))
         # get(id) -> score or None: the dict's own lookup, so a map over ids stays in C
         self.get = self._scores.get
@@ -186,6 +187,14 @@ class OracleCache:
         warnings.warn(f"cache file {self.path} line {line}: dropping partial last row "
                       f"{head[self._torn_at:]!r} (no trailing newline)", stacklevel=3)
         return data._load_csv(self.path, head[: self._torn_at].decode("utf-8"))
+
+    def _line(self, row: int) -> int:
+        """The line on which data row ``row`` ends, as the csv reader counts lines (an id may
+        hold line breaks); rows are numbered as in the dataset loader's errors."""
+        with open(self.path, newline="", encoding="utf-8") as fh:
+            records = csv.reader(fh)
+            next(islice(records, row, None))  # the header, then rows 1 to row
+            return records.line_num
 
     def __contains__(self, instance_id) -> bool:
         return instance_id in self._scores

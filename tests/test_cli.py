@@ -312,6 +312,21 @@ class TestEvalCommand:
         assert code == 2 and err.startswith("error:")
         assert "calibrator.json" in err and "piecewise_weight" in err
 
+    def test_eval_with_a_field_of_the_wrong_type_exits_2(self, tmp_path, capsys):
+        arts = self._fitted_artifacts(tmp_path, capsys)
+        weights = arts / "weights_constant.json"
+        weights.write_text(json.dumps({**json.loads(weights.read_text()), "r": "x"}))
+        cfg = _write_cfg(
+            tmp_path,
+            f"dataset.path = {arts / 'synthetic.csv'}\n"
+            f"eval.model = {arts / 'base_model.json'}\n"
+            f"eval.weights = {weights}\n",
+            "evaltype.cfg",
+        )
+        code, _, err = _run(capsys, "eval", "--config", cfg)
+        assert code == 2 and err.startswith("error:")
+        assert "weights_constant.json" in err and "piecewise_weight" in err
+
     def test_eval_requires_a_model(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, SYNTH_BLOCK, "nomodel.cfg")
         code, _, err = _run(capsys, "eval", "--config", cfg)

@@ -1,6 +1,7 @@
 """Dataset containers, file formats, splitting, synthesis, and artifact files."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from scorefusion import (
 )
 from scorefusion.calibration import load_calibrator
 from scorefusion.data import fold_index
+from scorefusion.logistic import TrainMeta
 from scorefusion.transfer import StratumDensity, sample_augmentation
 
 
@@ -657,6 +659,43 @@ class TestArtifactFiles:
         with pytest.raises(error, match=kind) as exc:
             cls.load(path)
         assert str(path) in str(exc.value)
+
+    @staticmethod
+    def _valid(cls, path):
+        """Save a valid ``cls`` artifact at ``path``."""
+        if cls is BaseModel:
+            BaseModel([1.0], 0.0, 0.1, [0.0], [1.0], TrainMeta(1, 0.5, 0)).save(path)
+        elif cls is WeightFunction:
+            WeightFunction.constant(0.5).save(path)
+        elif cls is CellCalibrator:
+            CellCalibrator(GridSpec(1, 1), np.zeros((2, 2)), np.zeros((2, 2))).save(path)
+        else:
+            half = StratumDensity({"A": 0.5, "B": 0.5})
+            TransferPlan(n=2, m=2, source=half, target=half, sampling=half).save(path)
+
+    @pytest.mark.parametrize("cls, error, kind, field, value", [
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", "r", "x", id="r-text"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", "r", float("inf"),
+                     id="r-infinite"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", "weights", None,
+                     id="weights-null"),
+        pytest.param(CellCalibrator, CalibrationError, "cell_calibrator", "delta",
+                     [["x", 0.0], [0.0, 0.0]], id="delta-cell-text"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", "source", ["A", "B"],
+                     id="source-list"),
+        pytest.param(BaseModel, TrainingError, "logistic", "train_meta", None, id="train_meta-null"),
+        pytest.param(BaseModel, TrainingError, "logistic", "feature_mean", [0.0, 0.0],
+                     id="feature_mean-too-long"),
+    ])
+    def test_a_field_of_the_wrong_type_or_length(self, cls, error, kind, field, value, tmp_path):
+        path = tmp_path / "bad.json"
+        self._valid(cls, path)
+        cls.load(path)
+        doc = json.loads(path.read_text())
+        doc[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=re.escape(f"{path}: the {kind!r} artifact")):
+            cls.load(path)
 
     def test_a_missing_base_model_at_an_absolute_path(self):
         with pytest.raises(TrainingError, match="/nonexistent/m.json"):

@@ -1,6 +1,7 @@
 """Stratum columns and the dataset file boundary: tag order, untagged rows,
 concatenation, byte round trips, and the inputs loaders must reject."""
 
+import json
 import re
 
 import numpy as np
@@ -172,6 +173,45 @@ class TestFailedLoadsWriteNoSidecar:
             errors.append(str(info.value))
         assert message in errors[0] and errors[1] == errors[0]
         assert sorted(p.name for p in tmp_path.iterdir()) == [name]
+
+
+def _built(source, tmp_path, rows):
+    """The dataset of ``rows`` (id, feature, z, y; None is absent) through ``from_arrays``, CSV or JSONL."""
+    if source == "from_arrays":
+        ids, x, z, y = zip(*rows)
+        return LabeledDataset.from_arrays([[v] for v in x], z=z, y=y, ids=ids)
+    path = tmp_path / f"d.{source}"
+    if source == "csv":
+        cell = lambda v: "" if v is None else str(v)
+        path.write_text("id,f0,z,y\n" + "".join(f"{i},{x},{cell(z)},{cell(y)}\n" for i, x, z, y in rows))
+    else:
+        path.write_text("".join(json.dumps({"id": i, "features": [x], "z": z, "y": y}) + "\n"
+                                for i, x, z, y in rows))
+    return load_dataset(path)
+
+
+class TestOneCheckOrder:
+    """Every way in runs the same rules in the same order, each over all rows:
+    the same bad rows report the same rule at the same row."""
+
+    @pytest.mark.parametrize("rows, k, rule", [
+        pytest.param([("a", 0.5, None, 2), ("b", 0.5, 1.5, 1)], 1, "z=1.5 outside [0, 1]",
+                     id="z-before-y"),
+        pytest.param([("a", 0.5, 1.5, 1), ("b", float("inf"), 0.5, 1)], 1, "non-finite feature value",
+                     id="features-before-z"),
+        pytest.param([("a", 0.5, 0.5, 1), ("a", 0.5, 0.5, 2)], 1, "y=2.0 not in {0, 1}",
+                     id="y-before-duplicates"),
+        pytest.param([("a", 0.5, 1.5, 1), ("b", 0.5, "x", 1)], 1, "bad z value 'x'",
+                     id="unreadable-z-before-range"),
+        pytest.param([("a", 0.5, None, 1), ("b", 0.5, None, None), ("a", 0.5, 0.5, 0)], 2,
+                     "duplicate instance id 'a'", id="duplicate-id"),
+    ])
+    @pytest.mark.parametrize("source", ["from_arrays", "csv", "jsonl"])
+    def test_the_same_rule_at_the_same_row(self, tmp_path, source, rows, k, rule):
+        where = f"instance {rows[k][0]!r}" if source == "from_arrays" else f"row {k + 1}"
+        with pytest.raises(DatasetError) as exc:
+            _built(source, tmp_path, rows)
+        assert str(exc.value) == f"{where}: {rule}"
 
 
 class TestUnreadablePaths:

@@ -5,6 +5,7 @@ dataset sidecar, so a warm load followed by synthetic scoring hashes no id."""
 import csv
 from hashlib import sha256
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -73,27 +74,65 @@ _OPERATIONS = ("take", "subset", "filter", "concat", "split", "scores", "score_m
                "without_labels", "without_features")
 
 
-def _apply(ds, operation, rng):
+class _Row(NamedTuple):
+    id: str
+    key: bytes
+    x: tuple
+    z: float | None
+    y: float | None
+    stratum: str | None
+
+
+def _rows(ds):
+    """The dataset's rows read back from its columns, None where z or y is NaN."""
+    absent = lambda v: None if v != v else v
+    return [_Row(i, k.tobytes(), tuple(x), absent(z), absent(y), s) for i, k, x, z, y, s in zip(
+        ds._ids.tolist(), ds._keys, ds.X.tolist(), ds.z.tolist(), ds.y.tolist(), ds.strata.tolist())]
+
+
+def _apply(ds, rows, operation, rng):
+    """(``operation`` on the dataset, the rows it must hold, worked out row by row)."""
     if operation == "take":
-        return ds.take(rng.permutation(ds.n)[: rng.integers(0, ds.n + 1)])
+        picked = rng.permutation(ds.n)[: rng.integers(0, ds.n + 1)]
+        return ds.take(picked), [rows[k] for k in picked]
     if operation == "subset":
-        return ds.subset([i for i in ds.ids() if rng.uniform() < 0.6])
+        wanted = {i for i in ds.ids() if rng.uniform() < 0.6}
+        return ds.subset(wanted), [r for r in rows if r.id in wanted]
     if operation == "filter":
-        return ds.filter(lambda row: row.label != 1)
+        return ds.filter(lambda row: row.label != 1), [r for r in rows if r.y != 1]
     if operation == "concat":
         mask = rng.uniform(size=ds.n) < 0.5
-        return ds.take(mask).concat(ds.take(~mask))
+        rest = [r for r, m in zip(rows, mask) if not m]
+        # rebuilt from its rows, so its tags are numbered in its own first-seen order
+        other = LabeledDataset.from_arrays(
+            np.array([r.x for r in rest]).reshape(len(rest), ds.dim), y=[r.y for r in rest],
+            z=[r.z for r in rest], strata=[r.stratum for r in rest], ids=[r.id for r in rest])
+        return ds.take(mask).concat(other), [r for r, m in zip(rows, mask) if m] + rest
     if operation == "split":
         if ds.n < 2:
-            return ds
-        return data.split(ds, 0.5, int(rng.integers(0, 100)))[int(rng.integers(0, 2))]
+            return ds, rows
+        part = data.split(ds, 0.5, int(rng.integers(0, 100)))[int(rng.integers(0, 2))]
+        kept = set(part.ids())
+        return part, [r for r in rows if r.id in kept]
     if operation == "scores":
-        return ds.with_oracle_scores(rng.uniform(size=ds.n))
+        z = rng.uniform(size=ds.n)
+        return ds.with_oracle_scores(z), [r._replace(z=v) for r, v in zip(rows, z.tolist())]
     if operation == "score_map":
-        return ds.with_oracle_scores({i: 0.25 for i in ds.ids()})
+        return ds.with_oracle_scores({i: 0.25 for i in ds.ids()}), [r._replace(z=0.25) for r in rows]
     if operation == "without_labels":
-        return ds.without_labels()
-    return ds.without_features()
+        return ds.without_labels(), [r._replace(y=None) for r in rows]
+    return ds.without_features(), [r._replace(x=()) for r in rows]
+
+
+def _assert_columns(ds, rows):
+    """The columns hold ``rows``, read-only with one entry per row; the codes index distinct tags."""
+    assert _rows(ds) == rows
+    for name in ds._COLUMNS:
+        column = getattr(ds, name)
+        assert len(column) == ds.n and not column.flags.writeable
+    assert ds.dim == ds.X.shape[1] and ds._codes.dtype == np.intp
+    assert len(set(ds._tags)) == len(ds._tags)
+    assert ((ds._codes >= -1) & (ds._codes < len(ds._tags))).all()
 
 
 @st.composite
@@ -101,20 +140,24 @@ def _datasets(draw):
     ids = draw(st.lists(st.text(max_size=6), min_size=1, max_size=14, unique=True))
     n = len(ids)
     labels = draw(st.lists(st.sampled_from([None, 0, 1]), min_size=n, max_size=n))
+    scores = draw(st.lists(st.sampled_from([None, 0.0, 0.5, 1.0]), min_size=n, max_size=n))
     strata = draw(st.lists(st.sampled_from([None, "A", "B", "日"]), min_size=n, max_size=n))
     X = np.arange(2.0 * n).reshape(n, 2)
-    return LabeledDataset.from_arrays(X, y=labels, strata=strata, ids=ids)
+    return LabeledDataset.from_arrays(X, y=labels, z=scores, strata=strata, ids=ids)
 
 
-class TestEveryOperationCarriesTheKeys:
+class TestEveryOperationCarriesEveryColumn:
     @settings(max_examples=150, deadline=None, database=None)
     @given(_datasets(), st.lists(st.sampled_from(_OPERATIONS), max_size=6), st.integers(0, 2**32 - 1))
-    def test_keys_equal_the_hash_of_the_ids(self, ds, operations, seed):
+    def test_rows_keep_their_values_and_keys(self, ds, operations, seed):
         rng = np.random.default_rng(seed)
+        rows = _rows(ds)
         _assert_keys(ds)
+        _assert_columns(ds, rows)
         for operation in operations:
-            ds = _apply(ds, operation, rng)
+            ds, rows = _apply(ds, rows, operation, rng)
             _assert_keys(ds)
+            _assert_columns(ds, rows)
 
 
 class TestTheWarmPathHashesNothing:

@@ -230,6 +230,16 @@ class TestModelPersistence:
         np.testing.assert_array_equal(back.feature_mean, model.feature_mean)
         np.testing.assert_array_equal(back.feature_scale, model.feature_scale)
 
+    @pytest.mark.parametrize("mean, scale", [
+        ([0.0], [1.0, 1.0]), ([0.0, 0.0], [1.0]), ([0.0, 0.0], [[1.0, 1.0]]),
+    ])
+    def test_columns_of_unequal_length_or_rank_are_rejected(self, mean, scale):
+        meta = logistic.TrainMeta(1, 0.5, 0)
+        with pytest.raises(TrainingError, match="1-d arrays of one length"):
+            BaseModel([1.0, 2.0], 0.0, 0.1, mean, scale, meta)
+        with pytest.raises(TrainingError, match="1-d arrays of one length"):
+            BaseModel(1.0, 0.0, 0.1, 0.0, 1.0, meta)
+
     def test_loaded_model_scores_identically(self, tmp_path):
         ds = _separable(25, 2, seed=8)
         model = train(ds)

@@ -325,6 +325,18 @@ class TestCacheFileIsADataset:
             OracleCache(path)
         assert str(path) in str(err.value)
 
+    @pytest.mark.parametrize("content, message", [
+        ('id,z\n"a\nb",0.5\nc,1.5\n', "line 4: z=1.5 outside [0, 1]"),
+        ('id,z\n"a\nb",0.5\nc,\n', "line 4: no score for id 'c'"),
+        ('id,z\n"a\nb",\nc,0.5\n', "line 3: no score for id 'a\\nb'"),
+        ('id,z\n"a\nb",0.5\nc,0.5,1\n', "line 4: expected 2 cells, got 3"),
+    ])
+    def test_an_id_with_a_line_break_moves_the_line_named(self, tmp_path, content, message):
+        path = tmp_path / "c.csv"
+        path.write_text(content)
+        with pytest.raises(OracleError, match=re.escape(f"cache file {path}: {message}")):
+            OracleCache(path)
+
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
     def test_a_header_only_file_is_an_empty_cache(self, tmp_path, body):
         path = tmp_path / "c.csv"
