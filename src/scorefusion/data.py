@@ -361,7 +361,8 @@ class LabeledDataset:
     def concat(self, other: "LabeledDataset") -> "LabeledDataset":
         if other.dim != self.dim:
             raise DatasetError(f"dimension mismatch: {self.dim} vs {other.dim}")
-        _check_unique(self.ids() + other.ids())
+        appended = lambda k: f"row {k - self.n + 1} of the appended dataset"  # self's ids are unique
+        _check_unique(self.ids() + other.ids(), appended)
         tags = self._tags + tuple(tag for tag in other._tags if tag not in self._tags)
         remap = np.array([tags.index(tag) for tag in other._tags] + [-1], dtype=np.intp)
         other = other._replace(_codes=remap[other._codes])
@@ -480,16 +481,16 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def _load_dataset(path: Path, fmt: str) -> LabeledDataset:
+def _load_dataset(path: Path, fmt: str, where=None) -> LabeledDataset:
     """``load_dataset`` leaving an unreadable path as ``OSError`` and non-UTF-8 bytes as
-    ``UnicodeDecodeError``. ``OracleCache`` calls it, so a wrapped ``load_dataset`` sees datasets only."""
+    ``UnicodeDecodeError``. ``OracleCache`` calls it, so a wrapped ``load_dataset`` sees datasets
+    only, and passes ``where``, the namer of a CSV parse's errors (see ``_load_csv``)."""
     sidecar = path.with_name(f".{path.name}.sfcache.npz")
     key, stamp = _file_key(path, fmt)
-    columns = _read_sidecar(sidecar, key)
-    if columns is not None:
-        return _from_sidecar(sidecar, path, *columns)
-    ds = _load_csv(path) if fmt == "csv" else _load_jsonl(path)
-    _write_sidecar(sidecar, path, key, stamp, ds)
+    ds = _read_sidecar(sidecar, path, key)
+    if ds is None:
+        ds = _load_csv(path, where=where) if fmt == "csv" else _load_jsonl(path)
+        _write_sidecar(sidecar, path, key, stamp, ds)
     return ds
 
 
@@ -530,24 +531,21 @@ def _unpack(column: np.ndarray) -> list:
     return text[1:].split(text[0]) if text else []
 
 
-def _read_sidecar(sidecar: Path, key: str):
-    """(ids, keys, X, z, y, codes, tags) stored in ``sidecar`` under ``key``; None
-    when it is missing, holds another key or cannot be read."""
+def _read_sidecar(sidecar: Path, source: Path, key: str):
+    """The dataset stored in ``sidecar`` under ``key``, after the column checks a parse of
+    ``source`` applies; None when the sidecar is missing, holds another key or cannot be read.
+    Columns that fail a check raise ``DatasetError`` naming both files."""
     try:
         # np.load leaves a file it opened unclosed when the archive is damaged
         with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as stored:
             if stored["key"].item() != key:
                 return None
-            return (_unpack(stored["ids"]), stored["keys"], stored["X"], stored["z"], stored["y"],
-                    stored["codes"], _unpack(stored["tags"]))
+            ids, tags = _unpack(stored["ids"]), _unpack(stored["tags"])
+            keys, X, z, y, codes = (stored[c] for c in ("keys", "X", "z", "y", "codes"))
     except Exception:
         # np.load, zipfile and zlib reject a damaged or foreign archive with many
         # exception types, and whatever is wrong with a sidecar costs only a reparse
         return None
-
-
-def _from_sidecar(sidecar, source, ids, keys, X, z, y, codes, tags) -> LabeledDataset:
-    """The dataset of a sidecar's columns, after the column checks a parse applies."""
     n = len(ids)
     if not (n and X.ndim == 2 and X.shape[0] == n and X.flags.c_contiguous
             and keys.shape == (n, 4) and keys.dtype == np.uint32
@@ -672,9 +670,10 @@ def _csv_error(path, exc: ValueError, where) -> DatasetError:
     return DatasetError(f"{path}: {message}")
 
 
-def _load_csv(path, text=None) -> LabeledDataset:
-    """The dataset of the CSV file ``path``, or of ``text`` (a prefix of its contents) when given."""
-    where = lambda k: f"row {_row_number(path, 'csv', k)}"
+def _load_csv(path, text=None, where=None) -> LabeledDataset:
+    """The dataset of the CSV file ``path``, or of ``text`` (a prefix of its contents) when given.
+    ``where(k)`` names loaded row k in errors, by default ``row N`` (see ``_row_number``)."""
+    where = where or (lambda k: f"row {_row_number(path, 'csv', k)}")
     with open(path, newline="", encoding="utf-8") if text is None else io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:

@@ -27,8 +27,8 @@ class SingleClassFoldWarning(UserWarning):
 
 
 def _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda):
-    """Value of ``regularized_logloss`` and a zero-argument callable that
-    builds its (grad_w, grad_b) from the value's own sigmoid pass."""
+    """Value of ``regularized_logloss`` and a zero-argument callable that builds its
+    gradient, grad_w followed by grad_b, from the value's own sigmoid pass."""
     t = X @ weights
     t += intercept
     p = sigmoid(t)
@@ -36,7 +36,7 @@ def _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda):
 
     def grad():
         resid = p - y
-        return X.T @ resid / len(y) + reg_lambda * weights, float(np.mean(resid))
+        return np.append(X.T @ resid / len(y) + reg_lambda * weights, np.mean(resid))
 
     return value, grad
 
@@ -48,7 +48,8 @@ def regularized_logloss(weights, intercept, X, y, reg_lambda):
 
 def regularized_logloss_grad(weights, intercept, X, y, reg_lambda):
     """Gradient of ``regularized_logloss`` with respect to (weights, intercept)."""
-    return _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda)[1]()
+    grad = _regularized_logloss_deferred(weights, intercept, X, y, reg_lambda)[1]()
+    return grad[:-1], float(grad[-1])
 
 
 def minimize_gd(value_and_grad, theta0, max_iter, tol):
@@ -154,12 +155,15 @@ class BaseModel(Artifact):
     @classmethod
     def from_doc(cls, doc: dict) -> "BaseModel":
         meta = doc["train_meta"]
-        return cls(
+        model = cls(
             weights=doc["weights"], intercept=float(doc["intercept"]),
             reg_lambda=float(doc["reg_lambda"]),
             feature_mean=doc["feature_mean"], feature_scale=doc["feature_scale"],
             train_meta=TrainMeta(int(meta["iterations"]), float(meta["objective"]), int(meta["seed"])),
         )
+        if doc["dim"] != model.dim:
+            raise TrainingError(f"dim is {doc['dim']!r} but the model has {model.dim} weights")
+        return model
 
 
 def _standardized(X: np.ndarray, total=None):
@@ -180,11 +184,6 @@ def _standardized(X: np.ndarray, total=None):
     scale = np.where(scale > 0.0, scale, 1.0)
     centered /= scale
     return centered, mean, scale
-
-
-def standardization(X: np.ndarray):
-    """Per-coordinate mean and scale; constant coordinates get scale 1."""
-    return _standardized(X)[1:]
 
 
 def _training_inputs(ds: LabeledDataset, reg_lambda: float, role: str = "training"):
@@ -226,13 +225,11 @@ def train(
 ) -> BaseModel:
     """Fit the logistic scorer on a fully labeled dataset."""
     Xs, y, mean, scale = _training_inputs(ds, reg_lambda)
-    d = ds.dim
 
     def value_and_grad(theta):
-        value, grad = _regularized_logloss_deferred(theta[:d], theta[d], Xs, y, reg_lambda)
-        return value, lambda: np.append(*grad())
+        return _regularized_logloss_deferred(theta[:-1], theta[-1], Xs, y, reg_lambda)
 
-    fit = minimize_gd(value_and_grad, np.zeros(d + 1), max_iter=max_iter, tol=tol)
+    fit = minimize_gd(value_and_grad, np.zeros(ds.dim + 1), max_iter=max_iter, tol=tol)
     return _fitted_model(fit, reg_lambda, mean, scale, seed)
 
 

@@ -143,13 +143,16 @@ class OracleCache:
     The file is a dataset file with zero feature columns, opened by the
     dataset loader through its sidecar (``.scores.csv.sfcache.npz``), so only
     the first open after an append parses it. It holds one row per id, and an
-    empty or header-only file is an empty cache. A partial last row, left by
-    an append that was cut short, is dropped with a warning on every open and
-    cut off before the next ``update`` appends, so a torn ``b,0.`` is never 0.
+    empty or header-only file is an empty cache. Errors name the line of the
+    file on which the bad row ends (an id may hold line breaks). A partial
+    last row, left by an append that was cut short, is dropped with a warning
+    on every open and cut off before the next ``update`` appends, so a torn
+    ``b,0.`` is never 0. It starts after the last line break with an even
+    number of ``"`` before it, when a quote follows that break (only a quoted
+    id spans lines), and after the last line break otherwise.
     """
 
     HEADER = ("id", "z")
-    _ROW = re.compile(r"^row (\d+)")  # the row number that starts a dataset loader's error
 
     def __init__(self, path):
         self.path = Path(path)
@@ -160,15 +163,13 @@ class OracleCache:
             ds = LabeledDataset.from_arrays(np.empty((0, 0)))
         except (OSError, UnicodeDecodeError) as exc:
             raise OracleError(f"cannot read cache file {self.path} as UTF-8 text: {exc}") from None
-        except DatasetError as exc:  # the loader numbers data rows, a cache file its lines
-            message = self._ROW.sub(lambda m: f"line {self._line(int(m[1]))}", str(exc), count=1)
-            raise OracleError(f"cache file {self.path}: {message}") from None
+        except DatasetError as exc:
+            raise OracleError(f"cache file {self.path}: {exc}") from None
         if ds.dim or ds._tags or not np.isnan(ds.y).all():
             raise OracleError(f"cache file {self.path} must start with header 'id,z'")
         if np.isnan(ds.z).any():
             k = int(np.isnan(ds.z).argmax())
-            line = self._line(data._row_number(self.path, "csv", k))
-            raise OracleError(f"cache file {self.path}: line {line}: "
+            raise OracleError(f"cache file {self.path}: {self._line(k)}: "
                               f"no score for id {ds._ids[k]!r}")
         self._scores: dict[str, float] = dict(zip(ds._ids.tolist(), ds.z.tolist()))
         # get(id) -> score or None: the dict's own lookup, so a map over ids stays in C
@@ -179,22 +180,27 @@ class OracleCache:
         with open(self.path, "rb") as fh:
             fh.seek(max(fh.seek(0, os.SEEK_END) - 1, 0))
             if fh.read(1) in (b"", b"\n"):
-                return data._load_dataset(self.path, "csv")
+                return data._load_dataset(self.path, "csv", where=self._line)
             fh.seek(0)
             head = fh.read()
-        self._torn_at = head.rfind(b"\n") + 1
-        line = head.count(b"\n", 0, self._torn_at) + 1
-        warnings.warn(f"cache file {self.path} line {line}: dropping partial last row "
+        cut = len(head)  # back to the last line break with an even number of quotes before it
+        while (cut := head.rfind(b"\n", 0, cut)) >= 0 and head.count(b'"', 0, cut) % 2:
+            pass
+        if not head.startswith(b'"', cut + 1):  # only a quoted id spans lines; a stray '"' misled
+            cut = head.rfind(b"\n")
+        self._torn_at = cut + 1
+        line = head.count(b"\n") + 1  # the torn row ends on the last line
+        warnings.warn(f"cache file {self.path}: line {line}: dropping partial last row "
                       f"{head[self._torn_at:]!r} (no trailing newline)", stacklevel=3)
-        return data._load_csv(self.path, head[: self._torn_at].decode("utf-8"))
+        return data._load_csv(self.path, head[: self._torn_at].decode("utf-8"), where=self._line)
 
-    def _line(self, row: int) -> int:
-        """The line on which data row ``row`` ends, as the csv reader counts lines (an id may
-        hold line breaks); rows are numbered as in the dataset loader's errors."""
+    def _line(self, k: int) -> str:
+        """``line N``, N being the line on which loaded row k ends as the csv reader counts
+        lines; blank records are never loaded."""
         with open(self.path, newline="", encoding="utf-8") as fh:
             records = csv.reader(fh)
-            next(islice(records, row, None))  # the header, then rows 1 to row
-            return records.line_num
+            next(islice(filter(None, islice(records, 1, None)), k, None))  # the header, then row k
+            return f"line {records.line_num}"
 
     def __contains__(self, instance_id) -> bool:
         return instance_id in self._scores

@@ -161,8 +161,7 @@ class TransferPlan(Artifact):
     clamped: bool = False
 
     def __post_init__(self):
-        if not self.slack_a >= 0:
-            raise TransferError(f"slack_a must be >= 0, got {self.slack_a}")
+        RelaxedLoss(self.slack_a)  # raises for a slack_a the loss rejects
         if not self.clamped:
             for tag in self.target.tags:
                 mixed = (self.n * self.source.prob(tag) + self.m * self.sampling.prob(tag)) / (
@@ -242,10 +241,11 @@ def _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_la
     """Value of ``augmented_objective_and_grad`` and a zero-argument callable
     that builds its gradient from the value's residuals and band excess.
 
-    Each side's ``X @ w`` buffer takes the intercept in place and then holds
-    the residual (``p - y`` or ``q - z``), and the band excess is built in
-    place in one array; the gradient's in-place products keep the order of
-    ``2.0 * resid * p * (1.0 - p)`` and ``RelaxedLoss.grad(q, z) * q * (1.0 - q)``.
+    Each side's ``X @ w`` buffer takes the intercept in place, the labeled
+    one then holds the residual ``p - y``, and ``RelaxedLoss.excess(q, z)``
+    gives the augmented residual and band excess; the gradient's in-place
+    products keep the order of ``2.0 * resid * p * (1.0 - p)`` and
+    ``RelaxedLoss.grad(q, z) * q * (1.0 - q)``.
     The callable writes only into arrays it allocates, so every call gives
     the same bits.
     """
@@ -265,13 +265,10 @@ def _augmented_objective_deferred(theta, X_labeled, y, X_aug, z, slack_a, reg_la
         np.subtract(p, y, out=resid)
         value += float(np.sum(np.square(resid)))
     if m:
-        diff = X_aug @ w
-        diff += b
-        q = sigmoid(diff)
-        np.subtract(q, z, out=diff)
-        excess = np.abs(diff)  # RelaxedLoss.excess, in place
-        excess -= loss0.slack_a
-        np.maximum(excess, 0.0, out=excess)
+        t = X_aug @ w
+        t += b
+        q = sigmoid(t)
+        diff, excess = loss0.excess(q, z)
         value += float(np.sum(np.square(excess)))
     value = value / total + 0.5 * reg_lambda * float(np.dot(w, w))
 

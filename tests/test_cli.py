@@ -327,6 +327,21 @@ class TestEvalCommand:
         assert code == 2 and err.startswith("error:")
         assert "weights_constant.json" in err and "piecewise_weight" in err
 
+    def test_eval_with_a_model_whose_dim_is_not_its_weight_count_exits_2(self, tmp_path, capsys):
+        arts = self._fitted_artifacts(tmp_path, capsys)
+        model = arts / "base_model.json"
+        model.write_text(json.dumps({**json.loads(model.read_text()), "dim": 5}))
+        cfg = _write_cfg(
+            tmp_path,
+            f"dataset.path = {arts / 'synthetic.csv'}\n"
+            f"eval.model = {model}\n"
+            f"eval.weights = {arts / 'weights_constant.json'}\n",
+            "evaldim.cfg",
+        )
+        code, _, err = _run(capsys, "eval", "--config", cfg)
+        assert code == 2 and err.startswith("error:")
+        assert "base_model.json" in err and "dim is 5" in err
+
     def test_eval_requires_a_model(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, SYNTH_BLOCK, "nomodel.cfg")
         code, _, err = _run(capsys, "eval", "--config", cfg)

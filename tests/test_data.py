@@ -220,9 +220,12 @@ class TestColumnarMatchesRowwise:
         _assert_same(self.ds.concat(_dataset(other)), self.rows + other)
 
     def test_concat_rejects_a_duplicate_id_across_sides(self):
-        clash = _dataset([Instance("o1", np.zeros(3), None, None, None), self.rows[4]])
-        with pytest.raises(DatasetError, match=f"duplicate instance id {self.rows[4].id!r}"):
-            self.ds.concat(clash)
+        for fresh, repeat in ((1, 4), (2, 0)):  # named by its row in the appended dataset
+            rows = [Instance(f"o{k}", np.zeros(3), None, None, None) for k in range(fresh)]
+            clash = _dataset(rows + [self.rows[repeat]])
+            message = f"row {fresh + 1} of the appended dataset: duplicate instance id {self.rows[repeat].id!r}"
+            with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+                self.ds.concat(clash)
 
     def test_with_oracle_scores(self):
         scores = {r.id: (k % 10) / 10 for k, r in enumerate(self.rows)}

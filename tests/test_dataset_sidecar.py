@@ -289,8 +289,8 @@ class TestStaleOrBrokenSidecars:
         path.write_text("id,f0\nr1,0.5\n", encoding="utf-8")
         parse = data._load_csv
 
-        def parse_then_change(source):
-            ds = parse(source)
+        def parse_then_change(source, **kwargs):
+            ds = parse(source, **kwargs)
             if change == "mtime":
                 os.utime(source, ns=(0, os.stat(source).st_mtime_ns + 10**9))
             else:

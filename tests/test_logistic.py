@@ -1,5 +1,7 @@
 """Regularized logistic scorer: loss, optimizer, training, cross-validation."""
 
+import json
+import re
 import warnings
 
 import numpy as np
@@ -18,7 +20,6 @@ from scorefusion import (
     regularized_logloss,
     regularized_logloss_grad,
     sigmoid,
-    standardization,
     train,
     train_augmented,
 )
@@ -240,6 +241,15 @@ class TestModelPersistence:
         with pytest.raises(TrainingError, match="1-d arrays of one length"):
             BaseModel(1.0, 0.0, 0.1, 0.0, 1.0, meta)
 
+    @pytest.mark.parametrize("dim", [5, 1, "2"])
+    def test_a_dim_that_is_not_the_weight_count_is_rejected(self, tmp_path, dim):
+        path = tmp_path / "model.json"
+        train(_separable(30, 2, seed=7)).save(path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dim": dim}))
+        message = f"{path}: the 'logistic' artifact holds a bad field: dim is {dim!r} but"
+        with pytest.raises(TrainingError, match=re.escape(message) + " the model has 2 weights$"):
+            BaseModel.load(path)
+
     def test_loaded_model_scores_identically(self, tmp_path):
         ds = _separable(25, 2, seed=8)
         model = train(ds)
@@ -343,8 +353,6 @@ class TestStandardization:
         want = _reference_standardized(X)
         for got, ref in zip(logistic._standardized(X), want):
             np.testing.assert_array_equal(_bits(got), _bits(ref))
-        for got, ref in zip(standardization(X), want[1:]):
-            np.testing.assert_array_equal(_bits(got), _bits(ref))
 
     def test_fortran_ordered_input_standardizes_like_its_c_ordered_copy(self):
         X = np.random.default_rng(7).standard_normal((1000, 16)) * 5.0 + 2.0
@@ -379,7 +387,7 @@ class TestBitwiseTraining:
     def test_train(self, make, max_iter, stops_at_max_iter, monkeypatch):
         ds = make()
         X, y, lam = ds.feature_matrix(), ds.labels(), 1e-3
-        mean, scale = standardization(X)
+        mean, scale = logistic._standardized(X)[1:]
         Xs = (X - mean) / scale
         d = ds.dim
 
@@ -404,7 +412,7 @@ class TestBitwiseTraining:
         augmented = augmented.without_labels().with_oracle_scores(dict(zip(augmented.ids(), z)))
         slack, lam = 0.1, 1e-3
         X, y = labeled.feature_matrix(), labeled.labels()
-        mean, scale = standardization(X)
+        mean, scale = logistic._standardized(X)[1:]
         Xs, Xa = (X - mean) / scale, (augmented.feature_matrix() - mean) / scale
         loss0, d, total = RelaxedLoss(slack), ds.dim, labeled.n + augmented.n
 

@@ -163,7 +163,7 @@ class TestOracleCache:
     def test_torn_trailing_score_is_dropped_and_cut_off(self, tmp_path):
         path = tmp_path / "c.csv"
         path.write_bytes(b"id,z\r\na,0.5\r\nb,0.")
-        with pytest.warns(UserWarning, match=r"c\.csv line 3: dropping partial last row b'b,0\.'"):
+        with pytest.warns(UserWarning, match=r"c\.csv: line 3: dropping partial last row b'b,0\.'"):
             cache = OracleCache(path)
         assert cache.scores() == {"a": 0.5}
         cache.update({"c": 0.25})
@@ -171,6 +171,28 @@ class TestOracleCache:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert OracleCache(path).scores() == {"a": 0.5, "c": 0.25}
+
+    def test_a_torn_row_whose_id_holds_a_line_break_is_dropped_whole(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b'id,z\na,0.5\n"b\nc",0.')
+        warning = f"cache file {path}: line 4: dropping partial last row b'\"b\\nc\",0.'"
+        with pytest.warns(UserWarning, match=re.escape(warning)):
+            cache = OracleCache(path)
+        assert cache.scores() == {"a": 0.5}
+        cache.update({"d": 0.25})
+        assert path.read_bytes() == b"id,z\na,0.5\nd,0.25\r\n"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OracleCache(path).scores() == {"a": 0.5, "d": 0.25}
+
+    def test_a_stray_quote_in_an_earlier_id_leaves_the_whole_rows(self, tmp_path):
+        # a quote inside an unquoted id is literal, so the quote count before each line break is odd
+        path = tmp_path / "c.csv"
+        path.write_bytes(b'id,z\na"b,0.5\nc,0.25\nd,0.')
+        with pytest.warns(UserWarning, match=re.escape(f"{path}: line 4: dropping partial last row b'd,0.'")):
+            cache = OracleCache(path)
+        cache.update({"e": 0.125})
+        assert OracleCache(path).scores() == {'a"b': 0.5, "c": 0.25, "e": 0.125}
 
     def test_bare_trailing_id_or_character_is_dropped(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -212,6 +234,24 @@ class TestOracleCache:
         cache.update({"x": 0.7})
         assert "x" in cache and "y" not in cache
         assert cache.scores() == {"x": 0.7}
+
+
+# files that are not id,z caches, and their error message after the path
+_NOT_A_CACHE = [
+    ("id,f0,z\na,1.0,0.5\n", "must start with header 'id,z'"),
+    ("id,z,y\na,0.5,1\n", "must start with header 'id,z'"),
+    ("id,z,stratum\na,0.5,s\n", "must start with header 'id,z'"),
+    ("id,z\na,0.5\n\nb,\n", "line 4: no score for id 'b'"),
+    ("id\na\n", "line 2: no score for id 'a'"),
+    ("id,z\na,0.5\nb,x\n", "line 3: bad z value 'x'"),
+]
+# bad caches in which an id holds a line break, so lines and rows differ
+_LINE_BREAK_IDS = [
+    ('id,z\n"a\nb",0.5\nc,1.5\n', "line 4: z=1.5 outside [0, 1]"),
+    ('id,z\n"a\nb",0.5\nc,\n', "line 4: no score for id 'c'"),
+    ('id,z\n"a\nb",\nc,0.5\n', "line 3: no score for id 'a\\nb'"),
+    ('id,z\n"a\nb",0.5\nc,0.5,1\n', "line 4: expected 2 cells, got 3"),
+]
 
 
 def _cache_sidecar(path: Path) -> Path:
@@ -266,7 +306,7 @@ class TestCacheFileIsADataset:
         cache = OracleCache(path)  # cold: writes the sidecar
         cache.update({"b": 0.25})
         parses, parse = [], data._load_csv
-        monkeypatch.setattr(data, "_load_csv", lambda *args: parses.append(args) or parse(*args))
+        monkeypatch.setattr(data, "_load_csv", lambda *args, **kw: parses.append(args) or parse(*args, **kw))
         assert OracleCache(path).scores() == {"a": 0.5, "b": 0.25}
         assert OracleCache(path).scores() == {"a": 0.5, "b": 0.25}
         assert parses == [(path,)]
@@ -280,7 +320,7 @@ class TestCacheFileIsADataset:
         assert data.load_dataset(path).z.tolist() == [0.5, 0.0]
         assert _cache_sidecar(path).is_file()
         for _ in range(2):
-            with pytest.warns(UserWarning, match=r"line 3: dropping partial last row b'b,0\.'"):
+            with pytest.warns(UserWarning, match=r"c\.csv: line 3: dropping partial last row b'b,0\.'"):
                 cache = OracleCache(path)
             assert cache.scores() == {"a": 0.5}
         cache.update({"c": 0.25})
@@ -310,14 +350,7 @@ class TestCacheFileIsADataset:
             provider = CachedOracle(OracleCache(path))
             assert score_batch(provider, _rows(["b", "a"])) == [("a", 0.5), ("b", 0.25)]
 
-    @pytest.mark.parametrize("content, message", [
-        ("id,f0,z\na,1.0,0.5\n", "must start with header 'id,z'"),
-        ("id,z,y\na,0.5,1\n", "must start with header 'id,z'"),
-        ("id,z,stratum\na,0.5,s\n", "must start with header 'id,z'"),
-        ("id,z\na,0.5\n\nb,\n", "line 4: no score for id 'b'"),
-        ("id\na\n", "line 2: no score for id 'a'"),
-        ("id,z\na,0.5\nb,x\n", "line 3: bad z value 'x'"),
-    ])
+    @pytest.mark.parametrize("content, message", _NOT_A_CACHE)
     def test_a_file_that_is_not_an_id_z_cache_is_named(self, tmp_path, content, message):
         path = tmp_path / "c.csv"
         path.write_text(content)
@@ -325,17 +358,25 @@ class TestCacheFileIsADataset:
             OracleCache(path)
         assert str(path) in str(err.value)
 
-    @pytest.mark.parametrize("content, message", [
-        ('id,z\n"a\nb",0.5\nc,1.5\n', "line 4: z=1.5 outside [0, 1]"),
-        ('id,z\n"a\nb",0.5\nc,\n', "line 4: no score for id 'c'"),
-        ('id,z\n"a\nb",\nc,0.5\n', "line 3: no score for id 'a\\nb'"),
-        ('id,z\n"a\nb",0.5\nc,0.5,1\n', "line 4: expected 2 cells, got 3"),
-    ])
+    @pytest.mark.parametrize("content, message", _LINE_BREAK_IDS)
     def test_an_id_with_a_line_break_moves_the_line_named(self, tmp_path, content, message):
         path = tmp_path / "c.csv"
         path.write_text(content)
         with pytest.raises(OracleError, match=re.escape(f"cache file {path}: {message}")):
             OracleCache(path)
+
+    @pytest.mark.parametrize("tail", ["x,0.", '"t\nu",0.', '"t\n\nu""'], ids=["row", "id-line-break", "open-quote"])
+    @pytest.mark.parametrize("content, message", _NOT_A_CACHE + _LINE_BREAK_IDS)
+    def test_a_torn_tail_leaves_the_error_as_it_was(self, tmp_path, content, message, tail):
+        # the torn file parses from a prefix of its text, the whole one through the loader's sidecar
+        path = tmp_path / "c.csv"
+        path.write_text(content + tail)
+        line = (content + tail).count("\n") + 1
+        warning = f"cache file {path}: line {line}: dropping partial last row {tail.encode()!r}"
+        with pytest.warns(UserWarning, match=re.escape(warning)):
+            with pytest.raises(OracleError, match=re.escape(message)) as err:
+                OracleCache(path)
+        assert str(err.value).startswith(f"cache file {path}")
 
     @pytest.mark.parametrize("body", ["", "\n", "\r\n\r\n"])
     def test_a_header_only_file_is_an_empty_cache(self, tmp_path, body):
