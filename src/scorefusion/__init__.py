@@ -14,6 +14,8 @@ a seeded simulator) through three routes:
 All randomness flows through numpy's default_rng (PCG64) with explicit seeds.
 """
 
+from types import ModuleType as _ModuleType
+
 from .calibration import (
     AdditiveCalibrator,
     CalibrationError,
@@ -113,88 +115,6 @@ from .transfer import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdditiveCalibrator",
-    "BaseModel",
-    "BaseSettings",
-    "CachedOracle",
-    "CalibrationError",
-    "CellCalibrator",
-    "ConfigError",
-    "DEFAULT_KEYWORDS",
-    "DatasetError",
-    "EnsembleError",
-    "ExperimentConfig",
-    "FusionReport",
-    "GridSpec",
-    "HarnessError",
-    "HttpOracle",
-    "HttpOracleConfig",
-    "Instance",
-    "LabeledDataset",
-    "MethodSpec",
-    "MetricError",
-    "MetricReport",
-    "OracleCache",
-    "OracleError",
-    "OracleSettings",
-    "PromptError",
-    "RelaxedLoss",
-    "ScoreParseError",
-    "SingleClassFoldWarning",
-    "StratumDensity",
-    "SyntheticOracle",
-    "SyntheticOracleSpec",
-    "SyntheticSpec",
-    "TrainMeta",
-    "TrainingError",
-    "TransferError",
-    "TransferPlan",
-    "TransferSettings",
-    "WeightFunction",
-    "accuracy",
-    "augmented_objective_and_grad",
-    "brier_score",
-    "build_provider",
-    "child_seed",
-    "choose_grid",
-    "choose_pieces",
-    "config_from_mapping",
-    "cv_predict",
-    "derive_p3",
-    "feasibility_threshold",
-    "fit_adaptive_weights",
-    "fit_additive_calibrator",
-    "fit_cell_calibrator",
-    "fit_constant_weight",
-    "fuse",
-    "fusion_objective",
-    "fusion_report",
-    "grid_index",
-    "grid_round",
-    "label_with_oracle",
-    "load_calibrator",
-    "load_config",
-    "load_dataset",
-    "log_loss",
-    "make_folds",
-    "make_plan",
-    "minimize_gd",
-    "parse_config_text",
-    "parse_score",
-    "piece_index",
-    "regularized_logloss",
-    "regularized_logloss_grad",
-    "render_prompt",
-    "run_experiment",
-    "run_transfer_experiment",
-    "sample_augmentation",
-    "save_dataset",
-    "score_batch",
-    "sigmoid",
-    "split",
-    "synthesize",
-    "train",
-    "train_augmented",
-    "tune_hyperparameter",
-]
+# every public name imported above, sorted; the submodules are not listed
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

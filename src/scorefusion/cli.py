@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .calibration import CalibrationError, GridSpec, fit_additive_calibrator, fit_cell_calibrator, load_calibrator
 from .config import DEFAULT_LINES, ConfigError, ExperimentConfig, config_from_mapping, load_config
-from .data import DatasetError, save_dataset, synthesize
+from .data import DatasetError, _write_whole, save_dataset, synthesize
 from .ensemble import EnsembleError, WeightFunction, fit_adaptive_weights, fit_constant_weight, fuse
 from .harness import (
     HarnessError,
@@ -84,7 +84,8 @@ def _write_doc(cfg, name: str, text: str) -> None:
     """Write ``text`` to ``name`` in the output directory, when one is configured."""
     if cfg.out_dir is not None:
         path = _require_out(cfg) / name
-        path.write_text(text + "\n", encoding="utf-8")
+        with _write_whole(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
         print(f"wrote {path}")
 
 

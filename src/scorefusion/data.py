@@ -44,7 +44,7 @@ import json
 import os
 import re
 from array import array
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from itertools import count, islice
 from pathlib import Path
@@ -453,13 +453,16 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     ``\\ud800`` escape, a lone surrogate), a repeated id.
 
     The file is parsed once. A successful parse writes its columns to the
-    hidden sidecar ``.<name>.sfcache.npz`` in the file's directory, through
-    a temporary file and ``os.replace``; a write that fails is skipped, and
-    so is one whose file changed while it was parsed. Every load streams the
-    file through sha256 together with a format version and the format, and
-    reads the sidecar instead of parsing when it holds that key. The sidecar
-    is an ``np.savez`` archive of numeric and UTF-8 byte arrays, read with
-    ``allow_pickle=False``: it never holds pickles. Besides the parsed
+    hidden sidecar ``.<name>.sfcache.npz`` in the file's directory, whole or
+    not at all, as ``save_dataset`` writes (costs included); a write that
+    fails is skipped, and so is one whose file changed while it was parsed.
+    A file that ``save_dataset`` was writing when it was stopped holds its
+    old rows, not a prefix of the new ones, so it never loads as a smaller
+    dataset. Every load streams the file through sha256 together with a
+    format version and the format, and reads the sidecar instead of parsing
+    when it holds that key. The sidecar is an ``np.savez`` archive of
+    numeric and UTF-8 byte arrays, read with ``allow_pickle=False``: it
+    never holds pickles. Besides the parsed
     columns it stores the id keys (``id_keys``) as ``keys``, so a warm load
     hashes no id. Its columns go through the same checks a parse applies,
     vectorized, and ``keys`` must be an (n, 4) uint32 array; one that fails
@@ -568,20 +571,34 @@ def _read_sidecar(sidecar: Path, source: Path, key: str):
 
 
 def _write_sidecar(sidecar: Path, source: Path, key: str, stamp: tuple, ds: LabeledDataset) -> None:
-    """Store the columns of ``ds``, parsed from ``source``, in ``sidecar`` under
-    ``key``: a temporary file in the same directory, then ``os.replace``.
-    Skipped when ``source`` no longer has ``stamp`` or the write fails."""
-    tmp = sidecar.with_name(f"{sidecar.name}.{os.urandom(6).hex()}.tmp")
+    """Store the columns of ``ds``, parsed from ``source``, in ``sidecar`` under ``key``, through
+    ``_write_whole``. Skipped when ``source`` no longer has ``stamp`` or the write fails."""
+    with suppress(OSError):
+        if _stamp(os.stat(source)) == stamp:
+            with _write_whole(sidecar, "wb") as fh:
+                np.savez(fh, key=np.array(key), ids=_pack(ds._ids.tolist()), keys=ds._keys, X=ds.X,
+                         z=ds.z, y=ds.y, codes=ds._codes, tags=_pack(ds._tags))
+
+
+@contextmanager
+def _write_whole(path, mode: str, **text):
+    """The file object through which ``path`` is written whole or not at all, for a ``with`` block.
+
+    It is a new temporary file beside ``path``, opened as ``open(tmp, mode, **text)`` with the
+    ``"w"`` of ``mode`` made ``"x"``, so the umask sets its permissions. ``os.replace`` moves it
+    onto ``path`` when the block ends; anything raised before that, an interrupt too, removes it
+    and is raised again.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
     try:
-        if _stamp(os.stat(source)) != stamp:
-            return
-        with open(tmp, "xb") as fh:  # created with the umask's permissions
-            np.savez(fh, key=np.array(key), ids=_pack(ds._ids.tolist()), keys=ds._keys, X=ds.X,
-                     z=ds.z, y=ds.y, codes=ds._codes, tags=_pack(ds._tags))
-        os.replace(tmp, sidecar)
-    except OSError:
+        with open(tmp, mode.replace("w", "x"), **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
         with suppress(OSError):
             tmp.unlink()
+        raise
 
 
 def _row_number(path, fmt: str, k: int) -> int:
@@ -757,6 +774,14 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
 
     Optional columns are emitted when at least one instance carries the field;
     instances missing it get an empty cell (CSV) or no key (JSONL).
+
+    The file appears whole or not at all, as does every file the package
+    writes but the score cache's appends: the rows go to a temporary file
+    ``<name>.<hex>.tmp`` beside ``path``, which ``os.replace`` moves onto it.
+    A write that raises or is interrupted removes it and leaves ``path`` as
+    it was; a SIGKILL leaves ``path`` as it was and the temporary file too.
+    Costs: a replaced file takes the umask's mode, not its own; a symlink at
+    ``path`` is replaced, not written through; nothing is fsynced.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
@@ -767,7 +792,7 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
     rows = zip(ds.ids(), ds.X, zs, ys, strata)
     if fmt == "csv":
         has_z, has_y, has_stratum = (any(v is not None for v in col) for col in (zs, ys, strata))
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with _write_whole(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             header = ["id"] + [f"f{j}" for j in range(ds.dim)]
             header += ["z"] * has_z + ["y"] * has_y + ["stratum"] * has_stratum
@@ -782,7 +807,7 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
                     row.append(stratum or "")
                 writer.writerow(row)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _write_whole(path, "w", encoding="utf-8") as fh:
             for instance_id, x, z, y, stratum in rows:
                 obj = {"id": instance_id, "features": x.tolist()}
                 if z is not None:
@@ -807,7 +832,8 @@ class Artifact:
         return json.dumps({"kind": self.KIND, **self.to_doc()}, sort_keys=True, indent=2)
 
     def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        with _write_whole(path, "w", encoding="utf-8") as fh:
+            fh.write(self.to_json() + "\n")
 
     @classmethod
     def load(cls, path):

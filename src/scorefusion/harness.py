@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibration import GridSpec, choose_grid, fit_cell_calibrator
 from .config import ExperimentConfig, MethodSpec
-from .data import LabeledDataset, load_dataset, make_folds, split, synthesize
+from .data import LabeledDataset, _write_whole, load_dataset, make_folds, split, synthesize
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
 from .logistic import cv_predict, train
 from .metrics import metric_dict
@@ -109,8 +109,9 @@ class MetricReport:
     def save(self, out_dir) -> None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(self.to_json() + "\n", encoding="utf-8")
-        (out / "report.csv").write_text(self.to_csv(), encoding="utf-8")
+        for name, text in (("report.json", self.to_json() + "\n"), ("report.csv", self.to_csv())):
+            with _write_whole(out / name, "w", encoding="utf-8") as fh:
+                fh.write(text)
 
 
 def _save_artifacts(out_dir, seed, artifacts: dict) -> None:

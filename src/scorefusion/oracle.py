@@ -147,9 +147,10 @@ class OracleCache:
     file on which the bad row ends (an id may hold line breaks). A partial
     last row, left by an append that was cut short, is dropped with a warning
     on every open and cut off before the next ``update`` appends, so a torn
-    ``b,0.`` is never 0. It starts after the last line break with an even
-    number of ``"`` before it, when a quote follows that break (only a quoted
-    id spans lines), and after the last line break otherwise.
+    ``b,0.`` is never 0. It starts where a csv reader of the file ends the
+    last record before the one that ends the file, so a torn quoted id that
+    holds a line break is dropped whole and a ``"`` inside an unquoted id is
+    read as the literal it is.
     """
 
     HEADER = ("id", "z")
@@ -183,12 +184,12 @@ class OracleCache:
                 return data._load_dataset(self.path, "csv", where=self._line)
             fh.seek(0)
             head = fh.read()
-        cut = len(head)  # back to the last line break with an even number of quotes before it
-        while (cut := head.rfind(b"\n", 0, cut)) >= 0 and head.count(b'"', 0, cut) % 2:
-            pass
-        if not head.startswith(b'"', cut + 1):  # only a quoted id spans lines; a stray '"' misled
-            cut = head.rfind(b"\n")
-        self._torn_at = cut + 1
+        # split where the loader's open(newline="") splits; the reader has read ends[j] lines when
+        # record j ends, and the last record, the torn one, ends the file
+        lines = head.splitlines(keepends=True)
+        records = csv.reader(line.decode("utf-8", "surrogateescape") for line in lines)
+        ends = [0, *(records.line_num for _ in records)]
+        self._torn_at = sum(map(len, lines[: ends[-2]]))
         line = head.count(b"\n") + 1  # the torn row ends on the last line
         warnings.warn(f"cache file {self.path}: line {line}: dropping partial last row "
                       f"{head[self._torn_at:]!r} (no trailing newline)", stacklevel=3)

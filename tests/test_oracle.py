@@ -194,6 +194,20 @@ class TestOracleCache:
         cache.update({"e": 0.125})
         assert OracleCache(path).scores() == {'a"b': 0.5, "c": 0.25, "e": 0.125}
 
+    def test_a_stray_quote_and_a_torn_quoted_id_with_a_line_break(self, tmp_path):
+        # the quote count before a line break cannot tell the literal quote in a"b from a quoting one
+        path = tmp_path / "c.csv"
+        path.write_bytes(b'id,z\na"b,0.5\n"x\ny",0.')
+        warning = f"cache file {path}: line 4: dropping partial last row b'\"x\\ny\",0.'"
+        with pytest.warns(UserWarning, match=re.escape(warning)):
+            cache = OracleCache(path)
+        assert cache.scores() == {'a"b': 0.5}
+        cache.update({"e": 0.125})
+        assert path.read_bytes() == b'id,z\na"b,0.5\ne,0.125\r\n'
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert OracleCache(path).scores() == {'a"b': 0.5, "e": 0.125}
+
     def test_bare_trailing_id_or_character_is_dropped(self, tmp_path):
         path = tmp_path / "c.csv"
         # a bare id, and an append cut inside a two-byte character
