@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     try:
         cfg = _prepare(args)
         return args.func(cfg, args)
-    except _ERRORS as exc:
+    except (*_ERRORS, OSError) as exc:  # an OSError names the path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

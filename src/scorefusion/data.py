@@ -601,12 +601,15 @@ def _write_whole(path, mode: str, **text):
         raise
 
 
-def _row_number(path, fmt: str, k: int) -> int:
-    """1-based number of the record of the ``fmt`` file ``path`` loaded as row k: a JSONL line, or
-    a CSV record after the header. Blank records are counted but never loaded."""
+def _place(path, fmt: str, k: int) -> tuple:
+    """(record, line) of row k loaded from the ``fmt`` file ``path``: the 1-based number of its
+    record (a JSONL line or a CSV record after the header; blank ones count but never load) and
+    the line it ends on as the csv reader counts lines (a quoted cell may hold line breaks)."""
     with open(path, newline="" if fmt == "csv" else None, encoding="utf-8") as fh:
-        records = islice(csv.reader(fh), 1, None) if fmt == "csv" else map(str.strip, fh)
-        return next(islice((num for num, record in enumerate(records, start=1) if record), k, None))
+        reader = csv.reader(fh) if fmt == "csv" else None
+        records = islice(reader, 1, None) if reader else map(str.strip, fh)
+        num = next(islice((num for num, record in enumerate(records, start=1) if record), k, None))
+        return num, reader.line_num if reader else num
 
 
 def _checked(X, cells: dict, ids: list, strata: list, where) -> LabeledDataset:
@@ -689,8 +692,8 @@ def _csv_error(path, exc: ValueError, where) -> DatasetError:
 
 def _load_csv(path, text=None, where=None) -> LabeledDataset:
     """The dataset of the CSV file ``path``, or of ``text`` (a prefix of its contents) when given.
-    ``where(k)`` names loaded row k in errors, by default ``row N`` (see ``_row_number``)."""
-    where = where or (lambda k: f"row {_row_number(path, 'csv', k)}")
+    ``where(k)`` names loaded row k in errors, by default ``row N`` (see ``_place``)."""
+    where = where or (lambda k: f"row {_place(path, 'csv', k)[0]}")
     with open(path, newline="", encoding="utf-8") if text is None else io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -766,7 +769,7 @@ def _load_jsonl(path) -> LabeledDataset:
         raise _NoRows(f"no data rows in {path}")
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
     return _checked(X, {"z": _objects(zs), "y": _objects(ys)}, ids, strata,
-                    lambda k: f"row {_row_number(path, 'jsonl', k)}")
+                    lambda k: f"row {_place(path, 'jsonl', k)[0]}")
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:

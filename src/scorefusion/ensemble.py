@@ -64,8 +64,8 @@ class WeightFunction(Artifact):
             raise EnsembleError("piece weights must lie in [0, 1]")
 
     @classmethod
-    def constant(cls, alpha: float, support_count: int = 0) -> "WeightFunction":
-        return cls(r=1, weights=(alpha,), support_counts=(support_count,))
+    def constant(cls, alpha: float) -> "WeightFunction":
+        return cls(r=1, weights=(alpha,), support_counts=(0,))
 
     @property
     def breakpoints(self) -> tuple:

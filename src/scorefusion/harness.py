@@ -16,6 +16,8 @@ timestamped or machine-specific is recorded.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -99,12 +101,12 @@ class MetricReport:
         return json.dumps(doc, sort_keys=True, indent=2)
 
     def to_csv(self) -> str:
-        lines = ["seed,method,metric,value"]
-        for seed, methods in self.per_seed:
-            for method in sorted(methods):
-                for metric in sorted(methods[method]):
-                    lines.append(f"{seed},{method},{metric},{methods[method][metric]!r}")
-        return "\n".join(lines) + "\n"
+        """``seed,method,metric,value`` rows, quoted where needed as ``save_dataset`` quotes."""
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([("seed", "method", "metric", "value")] + [
+            (seed, method, metric, repr(value)) for seed, methods in self.per_seed
+            for method in sorted(methods) for metric, value in sorted(methods[method].items())])
+        return out.getvalue()
 
     def save(self, out_dir) -> None:
         out = Path(out_dir)

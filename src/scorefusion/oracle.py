@@ -32,7 +32,7 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from json import JSONDecodeError, dumps, loads
 from pathlib import Path
 from types import SimpleNamespace
@@ -196,12 +196,8 @@ class OracleCache:
         return data._load_csv(self.path, head[: self._torn_at].decode("utf-8"), where=self._line)
 
     def _line(self, k: int) -> str:
-        """``line N``, N being the line on which loaded row k ends as the csv reader counts
-        lines; blank records are never loaded."""
-        with open(self.path, newline="", encoding="utf-8") as fh:
-            records = csv.reader(fh)
-            next(islice(filter(None, islice(records, 1, None)), k, None))  # the header, then row k
-            return f"line {records.line_num}"
+        """``line N``, N being the line of the file on which loaded row k ends."""
+        return f"line {data._place(self.path, 'csv', k)[1]}"
 
     def __contains__(self, instance_id) -> bool:
         return instance_id in self._scores
@@ -558,12 +554,10 @@ class HttpOracle:
     warning. The thread pool and ``http.client`` load when a batch is scored.
     """
 
-    def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None,
-                 session=None, keywords=DEFAULT_KEYWORDS):
+    def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None, session=None):
         self.config = config
         self.cache = cache
         self.session = session
-        self.keywords = keywords
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -588,7 +582,7 @@ class HttpOracle:
         status = getattr(response, "status_code", 200)
         if status != 200:
             raise OracleError(f"endpoint returned HTTP {status}")
-        return parse_score(response.text, self.keywords)
+        return parse_score(response.text)
 
     def _score_with_retries(self, session, fields, headers):
         """(score, None) on success, (NaN, last error) once every attempt failed."""

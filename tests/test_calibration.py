@@ -1,5 +1,7 @@
 """Grid rounding and the two post-hoc calibrators."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ class TestGridRounding:
     def test_grid_spec_validation(self):
         with pytest.raises(CalibrationError):
             GridSpec(0, 2)
+
+
+class TestTableShapes:
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: CellCalibrator(GridSpec(2, 1), np.zeros((3, 3)), np.zeros((3, 2))),
+                     "delta/counts must have shape (3, 2)", id="cell-delta"),
+        pytest.param(lambda: CellCalibrator(GridSpec(2, 1), np.zeros((3, 2)), np.zeros(6)),
+                     "delta/counts must have shape (3, 2)", id="cell-counts"),
+        pytest.param(lambda: AdditiveCalibrator(GridSpec(2, 1), np.zeros(3), np.zeros(3)),
+                     "offset vectors do not match the grid resolutions", id="additive-columns"),
+        pytest.param(lambda: AdditiveCalibrator(GridSpec(2, 1), np.zeros((3, 1)), np.zeros(2)),
+                     "offset vectors do not match the grid resolutions", id="additive-rows"),
+    ])
+    def test_a_table_that_does_not_fit_the_grid_is_rejected(self, build, message):
+        with pytest.raises(CalibrationError, match=f"^{re.escape(message)}$"):
+            build()
 
 
 class TestCellCalibrator:

@@ -1,5 +1,6 @@
 """End-to-end command-line interface checks (all in-process via main)."""
 
+import csv
 import json
 
 import pytest
@@ -129,6 +130,25 @@ class TestErrorHandling:
         code, _, err = _run(capsys, "synth", "--out", str(tmp_path / "o"))
         assert code == 2 and "synth" in err
 
+    def test_an_out_directory_under_a_regular_file_exits_2_with_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        target = tmp_path / "afile" / "sub"
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK)
+        code, out, err = _run(capsys, "synth", "--config", cfg, "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ") and str(target) in err
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_an_output_file_that_is_a_directory_exits_2_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        (out / "tuned.json").mkdir(parents=True)
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK + "tune.parameter = r\ntune.candidates = 1, 2\nfolds.k = 3\n")
+        code, _, err = _run(capsys, "tune", "--config", cfg, "--out", str(out))
+        assert code == 2
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert str(out / "tuned.json") in err
+        assert (out / "tuned.json").is_dir() and not list(tmp_path.rglob("*.tmp"))
+
 
 class TestDataPipeline:
     def test_synth_then_score_then_fit_base(self, tmp_path, capsys):
@@ -197,6 +217,26 @@ class TestDataPipeline:
         assert cache.scores() == dict(zip(scored.ids(), scored.oracle_scores().tolist()))
         assert set(cache.scores()) == {"a,b", 'd"q', "plain"}
         assert len((out / "scores.csv").read_bytes().splitlines()) == 4
+
+
+class TestCsvOutputs:
+    def test_every_csv_the_cli_writes_is_rectangular(self, tmp_path, capsys):
+        # report.csv rows name methods such as calibration(10,2), which hold a comma
+        out = tmp_path / "o"
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK + "methods = ml, llm, calibration(10,2)\nseeds = 0, 1\n"
+                         "folds.k = 3\n")
+        assert _run(capsys, "synth", "--config", cfg, "--out", str(out))[0] == 0
+        score_cfg = _write_cfg(tmp_path, f"dataset.path = {out / 'synthetic.csv'}\n", "s.cfg")
+        assert _run(capsys, "score", "--config", score_cfg, "--out", str(out))[0] == 0
+        assert _run(capsys, "experiment", "--config", cfg, "--out", str(out))[0] == 0
+        tables = {}
+        for path in sorted(out.rglob("*.csv")):
+            with open(path, newline="", encoding="utf-8") as fh:
+                tables[path.name] = list(csv.reader(fh))
+        assert sorted(tables) == ["report.csv", "scored.csv", "scores.csv", "synthetic.csv"]
+        for name, (header, *rows) in tables.items():
+            assert rows and all(len(row) == len(header) for row in rows), name
+        assert "calibration(10,2)" in {row[1] for row in tables["report.csv"]}
 
 
 class TestExperimentCommands:

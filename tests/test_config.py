@@ -171,6 +171,34 @@ class TestConfigFromMapping:
         with pytest.raises(ConfigError, match=re.escape(repeated)):
             config_from_mapping({key: value})
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("methods", "ml, adalinear(x)", "method parameters must be integers in 'adalinear(x)'"),
+        ("base.reg_lambda", "-1", "invalid base-model hyperparameters: reg_lambda=-1.0"),
+        ("oracle.kind", "http", "oracle.kind = http requires oracle.url and oracle.model"),
+        ("transfer.slack_a", "-0.5", "transfer.slack_a must be >= 0, got -0.5"),
+        ("fusion.r", "0", "fusion.r must be >= 1, got 0"),
+        ("calibration.base_res", "0", "calibration grid resolutions must be >= 1"),
+        ("calibration.kind", "grid", "calibration.kind must be cell or additive, got 'grid'"),
+        ("seeds", "1, x", "seeds must be comma-separated integers"),
+        ("synth.strata", "A:0.5", "synth.strata entry 'A:0.5' must be tag:weight:s0|s1|..."),
+        ("synth.strata", "A:x:0|0", "synth.strata entry 'A:x:0|0' has non-numeric fields"),
+        ("transfer.target_density", "A", "transfer.target_density entry 'A' must be tag:prob"),
+        ("transfer.target_density", "A:x", "transfer.target_density entry 'A:x' has a bad number"),
+        ("bogus.key", "1", "unknown config key(s): ['bogus.key']"),
+    ])
+    def test_a_bad_value_is_rejected_naming_it(self, key, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            config_from_mapping({key: value})
+
+    @pytest.mark.parametrize("field, message", [
+        ("seeds", "at least one seed is required"),
+        ("methods", "at least one method is required"),
+    ])
+    def test_an_empty_seed_or_method_tuple_is_rejected_on_construction(self, field, message):
+        # an empty config list keeps the default, so only a direct construction reaches this
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig(**{field: ()})
+
     def test_distinct_seeds_and_methods_load(self):
         cfg = config_from_mapping({"seeds": "3, 4", "methods": "transfer(500), transfer(50), ml"})
         assert cfg.seeds == (3, 4)

@@ -600,6 +600,33 @@ class TestSynthesize:
                           strata=(("a", (0.0,), 0.6), ("b", (0.0,), 0.6)))
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("build, message", [
+        pytest.param(lambda: LabeledDataset.from_arrays([1.0, 2.0]),
+                     "feature matrix must be 2-d, got shape (2,)", id="from-arrays-1d"),
+        pytest.param(lambda: LabeledDataset.from_arrays(np.zeros((2, 1)), ids=["a"]),
+                     "ids, z, y and strata must each have one entry per row of X (n=2)", id="from-arrays-ids"),
+        pytest.param(lambda: _toy(3).subset(["r000001", "zz"]), "unknown instance id(s): ['zz']",
+                     id="subset-unknown-id"),
+        pytest.param(lambda: _toy(2, d=3).concat(_toy(2, d=2)), "dimension mismatch: 3 vs 2", id="concat-dim"),
+        pytest.param(lambda: SyntheticSpec(d=0, n=5, true_weights=(0.0,)),
+                     "synthetic spec needs d >= 1 and n >= 1", id="synth-d"),
+        pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(1.0, 0.0),
+                                           strata=(("a", (0.0,), -0.5), ("b", (0.0,), 1.5))),
+                     "stratum mixture weights must be nonnegative", id="synth-negative-weight"),
+        pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(1.0, 0.0), strata=(("a", (0.0, 1.0), 1.0),)),
+                     "stratum 'a' mean shift must have length d=1", id="synth-shift-length"),
+        pytest.param(lambda: load_dataset("x.csv", format="tsv"),
+                     "unknown dataset format 'tsv'; expected one of ('csv', 'jsonl')", id="unknown-format"),
+        pytest.param(lambda: split(_toy(1), 0.5, seed=0), "cannot split a dataset with n=1", id="split-n"),
+        pytest.param(lambda: split(_toy(4), 1.5, seed=0), "test_fraction must be in (0, 1), got 1.5",
+                     id="split-fraction"),
+    ])
+    def test_a_bad_argument_is_rejected_naming_it(self, build, message):
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            build()
+
+
 class TestArtifactFiles:
     """``X.load`` on a file it cannot read raises X's module error, naming the path and kind."""
 

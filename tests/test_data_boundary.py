@@ -160,9 +160,21 @@ class TestFailedLoadsWriteNoSidecar:
         ("d.jsonl", b'{"id": "a\xff", "features": [1.0]}\n', "can't decode byte 0xff"),
         ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "a\\ud800", "features": [2.0]}\n',
          "row 2: id 'a\\ud800' is not UTF-8 text"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n\n{"id": "b", features: [2.0]}\n',
+         "row 3: invalid JSON (Expecting property name enclosed in double quotes)"),
+        ("d.jsonl", b'\xef\xbb\xbf{"id": "a", "features": [1.0]}\n',
+         "row 1: invalid JSON (Unexpected UTF-8 BOM (decode using utf-8-sig))"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "b", "features": [2.0]} {}\n',
+         "row 2: invalid JSON (Extra data)"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "b", "y": 1}\n',
+         "row 2: each line needs 'id' and 'features'"),
+        ("d.jsonl", b'{"id": "a", "features": [1.0]}\n{"id": "b", "features": 2.0}\n',
+         "row 2: 'features' must be an array"),
+        ("d.jsonl", b"\n \n", "no data rows in "),
     ], ids=["csv-label", "csv-short-row", "csv-non-finite", "csv-duplicate-id", "csv-undecodable",
             "jsonl-label", "jsonl-short-row", "jsonl-non-finite", "jsonl-duplicate-id", "jsonl-undecodable",
-            "jsonl-lone-surrogate"])
+            "jsonl-lone-surrogate", "jsonl-invalid", "jsonl-bom", "jsonl-extra-data", "jsonl-no-features",
+            "jsonl-features-not-array", "jsonl-empty"])
     def test_the_same_error_twice_and_no_sidecar(self, tmp_path, name, content, message):
         path = tmp_path / name
         path.write_bytes(content)

@@ -1,5 +1,7 @@
 """Constant and piecewise fusion weights and the fused scorer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,15 @@ class TestWeightFunction:
             WeightFunction(r=2, weights=(0.5,), support_counts=(1, 1))
         with pytest.raises(EnsembleError):
             WeightFunction(r=1, weights=(1.5,), support_counts=(1,))
+
+    @pytest.mark.parametrize("r, weights, counts, message", [
+        (0, (), (), "piece count must be >= 1, got 0"),
+        (2, (0.5,), (1, 1), "weights and support_counts must both have length r"),
+        (1, (1.5,), (1,), "piece weights must lie in [0, 1]"),
+    ], ids=["no-pieces", "length", "weight-range"])
+    def test_construction_checks_name_the_bad_field(self, r, weights, counts, message):
+        with pytest.raises(EnsembleError, match=f"^{re.escape(message)}$"):
+            WeightFunction(r=r, weights=weights, support_counts=counts)
 
 
 class TestFuse:

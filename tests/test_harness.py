@@ -273,6 +273,19 @@ class TestRunTransferExperiment:
         with pytest.raises(HarnessError):
             run_transfer_experiment(cfg, dataset=_dataset(100))
 
+    @pytest.mark.parametrize("methods, source, data, message", [
+        pytest.param((0,), (), _dataset, "transfer experiment needs stratum tags on the dataset", id="no-tags"),
+        pytest.param((0, 150), ("A",), lambda: _two_strata().filter(lambda row: row.stratum == "A"),
+                     "augmentation pool is empty but transfer(m > 0) was requested", id="empty-pool"),
+        pytest.param((0,), ("A",), lambda: _two_strata().filter(lambda row: row.stratum == "A"),
+                     "test split has no rows in the target strata", id="no-target-test-rows"),
+    ])
+    def test_strata_that_cannot_run_the_protocol_are_named(self, methods, source, data, message):
+        transfer = TransferSettings(source_strata=source, target_strata=("B",), target_density={"B": 1.0})
+        cfg = self._transfer_cfg(methods=tuple(MethodSpec("transfer", (m,)) for m in methods), transfer=transfer)
+        with pytest.raises(HarnessError, match=f"^{re.escape(message)}$"):
+            run_transfer_experiment(cfg, dataset=data())
+
 
 class _CountingOracle(SyntheticOracle):
     """A synthetic oracle that counts its score_uncached calls."""

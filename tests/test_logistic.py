@@ -161,6 +161,19 @@ class TestMinimizeGd:
         np.testing.assert_array_equal(theta, np.ones(2))
         assert iters == 0
 
+    def test_no_descent_returns_the_start_after_sixty_halvings(self):
+        # the value never falls along -grad, so every Armijo candidate is rejected
+        steps = []
+
+        def vag(theta):
+            steps.append(-float(theta[0]))
+            return 0.0, np.ones_like(theta)
+
+        theta, iters, value = minimize_gd(vag, np.zeros(2), max_iter=10, tol=1e-6)
+        np.testing.assert_array_equal(theta, np.zeros(2))
+        assert (iters, value) == (0, 0.0)
+        assert steps == [0.0] + [2.0 * 0.5**h for h in range(60)]
+
 
 class TestTrain:
     def test_learns_separable_data(self):
@@ -250,6 +263,13 @@ class TestModelPersistence:
         with pytest.raises(TrainingError, match=re.escape(message) + " the model has 2 weights$"):
             BaseModel.load(path)
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 1), (2, 3)])
+    def test_features_of_another_dimension_are_rejected(self, shape):
+        model = train(_separable(30, 2, seed=7))
+        message = f"feature dimension {shape[-1]} does not match model dim 2"
+        with pytest.raises(DatasetError, match=f"^{re.escape(message)}$"):
+            model.score(np.zeros(shape))
+
     def test_loaded_model_scores_identically(self, tmp_path):
         ds = _separable(25, 2, seed=8)
         model = train(ds)
@@ -317,6 +337,22 @@ class TestCvPredict:
         assert [str(w.message)[:7] for w in caught] == ["fold 1:", "fold 2:"]
         assert scores.shape == (4,)
         assert all(0.0 <= s <= 1.0 for s in scores)
+
+    def test_a_fold_id_with_no_rows_is_skipped(self):
+        ds = _separable(10, 2, seed=15)
+        fold = np.array([0, 2] * 5)
+        scored = []
+
+        class Stub(_RecordingStub):
+            def score_dataset(self, part):
+                scored.extend(part.ids())
+                return np.full(part.n, 0.25)
+
+        log = []
+        scores = cv_predict(ds, fold, trainer=Stub(log))
+        assert log == [set(ds.take(fold == 2).ids()), set(ds.take(fold == 0).ids())]
+        assert sorted(scored) == sorted(ds.ids())
+        np.testing.assert_array_equal(scores, np.full(10, 0.25))
 
     def test_missing_fold_assignment_is_an_error(self):
         ds = _separable(6, 2, seed=13)

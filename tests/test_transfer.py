@@ -1,5 +1,7 @@
 """Covariate-shift transfer: density algebra, sampling, slack-banded training."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -37,6 +39,20 @@ def _pool(n_per=50, d=2, seed=0, tags=("A", "B")):
     for p in parts[1:]:
         ds = ds.concat(p)
     return ds
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda: StratumDensity.from_counts({"a": 0, "b": 0.0}),
+                     "cannot normalize counts that sum to zero", id="zero-counts"),
+        pytest.param(lambda: feasibility_threshold(StratumDensity({"a": 1.0}), StratumDensity({"a": 1.0}), 0),
+                     "feasibility threshold needs n >= 1, got n=0", id="threshold-n"),
+        pytest.param(lambda: sample_augmentation(_pool(5), StratumDensity({"A": 0.5, "B": 0.5}), -1, seed=0),
+                     "augmentation count must be >= 0, got -1", id="negative-m"),
+    ])
+    def test_a_bad_argument_is_rejected_naming_it(self, call, message):
+        with pytest.raises(TransferError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestStratumDensity:
