@@ -343,7 +343,9 @@ KEYS = {
                              "base-score grid M for the calibrate subcommand"),
     "calibration.oracle_res": ("", "calibration_oracle_res", _int, None,
                                "oracle-score grid M' for the calibrate subcommand"),
-    "calibration.kind": ("", "calibration_kind", _text, None, "cell or additive"),
+    "calibration.kind": ("", "calibration_kind", _text, None,
+                         "cell or additive, for the calibrate subcommand and tune M; "
+                         "experiment's calibration(M,M') always fits cell"),
     "transfer.slack_a": ("transfer", "slack_a", _float, None,
                          "dead-band half-width of the augmented loss"),
     "transfer.source_strata": ("transfer", "source_strata", _strings, "(all)",

@@ -327,31 +327,17 @@ class LabeledDataset:
         """The same rows with zero feature columns (``dim`` 0), so a ``take`` copies no features."""
         return self._replace(X=np.empty((self.n, 0)))
 
-    def _strata_present(self) -> tuple:
-        """(shifted codes of the strata with rows, in first-seen order; row count per shifted code).
-
-        A shifted code is the stored code + 1, so 0 is untagged and it indexes ``(None, *tags)``.
-        """
-        shifted = self._codes + 1
-        counts = np.bincount(shifted, minlength=len(self._tags) + 1)
-        first = np.full(counts.size, self.n)
-        np.minimum.at(first, shifted, np.arange(self.n))
-        present = np.flatnonzero(counts)
-        return present[np.argsort(first[present])].tolist(), counts.tolist()
-
     def stratum_rows(self) -> dict:
         """Row indices of each stratum tag (None for untagged rows), tags in first-seen order."""
-        present, counts = self._strata_present()
         order = np.argsort(self._codes, kind="stable")  # grouped by code, row order within
-        ends = np.cumsum(counts).tolist()
-        tags = (None, *self._tags)
-        return {tags[c]: order[ends[c] - counts[c]:ends[c]] for c in present}
+        groups = np.split(order, np.flatnonzero(np.diff(self._codes[order])) + 1) if self.n else []
+        groups.sort(key=lambda rows: rows[0])
+        tags = (*self._tags, None)  # code -1 (untagged) indexes None
+        return {tags[self._codes[rows[0]]]: rows for rows in groups}
 
     def stratum_counts(self) -> dict:
         """Row count of each stratum tag (None for untagged rows), tags in first-seen order."""
-        present, counts = self._strata_present()
-        tags = (None, *self._tags)
-        return {tags[c]: counts[c] for c in present}
+        return {tag: len(rows) for tag, rows in self.stratum_rows().items()}
 
     def in_strata(self, tags) -> np.ndarray:
         """Bool mask of the rows whose stratum is one of ``tags``."""

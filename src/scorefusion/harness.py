@@ -292,13 +292,17 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     target test rows separately as ``name@source`` / ``name@target``. An
     adalinear or calibration entry, or no ``transfer.target_strata``, raises
     HarnessError before any data is loaded or scored; ``run_experiment``
-    evaluates adalinear and calibration.
+    evaluates adalinear and calibration. Each seed checks its source rows, its
+    pool (when some m > 0) and both test sides, then makes every transfer plan
+    and augmentation draw, before it fetches its first oracle score; transfer(0)
+    is the source-only model and needs no plan.
     """
     _check_methods(cfg, "transfer")
     if not cfg.transfer.target_strata:
         raise HarnessError("transfer experiment needs transfer.target_strata")
     baselines = (MethodSpec("llm"), MethodSpec("ml"), MethodSpec("linear"))
     m_values = [s.params[0] for s in cfg.methods if s.kind == "transfer"]
+    augment_m = [m for m in m_values if m > 0]
     tr = cfg.transfer
 
     def body(train_all, test_ds, seed, provider):
@@ -311,13 +315,24 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
         pool_ds = train_all.take(train_all.in_strata(target_tags))
         if labeled.n == 0:
             raise HarnessError(f"no training rows in source strata {source_tags}")
-        if pool_ds.n == 0 and any(m > 0 for m in m_values):
+        if pool_ds.n == 0 and augment_m:
             raise HarnessError("augmentation pool is empty but transfer(m > 0) was requested")
+        sides = {"source": test_ds.in_strata(source_tags), "target": test_ds.in_strata(target_tags)}
+        for side, mask in sides.items():
+            if not mask.any():
+                raise HarnessError(f"test split has no rows in the {side} strata")
 
-        source_counts, pool_counts = _strata_of(labeled), _strata_of(pool_ds)
-        universe = sorted(set(source_counts) | set(pool_counts) | set(tr.target_density or ()))
-        p1 = StratumDensity.from_counts(source_counts, tags=universe)
-        p2 = StratumDensity.from_counts(tr.target_density or pool_counts, tags=universe)
+        # Every plan and draw is made, and can fail, before the first oracle call.
+        draws = {}
+        if augment_m:
+            source_counts, pool_counts = _strata_of(labeled), _strata_of(pool_ds)
+            universe = sorted(set(source_counts) | set(pool_counts) | set(tr.target_density or ()))
+            p1 = StratumDensity.from_counts(source_counts, tags=universe)
+            p2 = StratumDensity.from_counts(tr.target_density or pool_counts, tags=universe)
+            for m in augment_m:
+                plan = make_plan(p1, p2, labeled.n, m, slack_a=tr.slack_a)
+                sampled = sample_augmentation(pool_ds, plan.sampling, m, child_seed(seed, 2, m))
+                draws[m] = plan, sampled
 
         def l2_trainer(ds, augmented=None):
             return train_augmented(ds, augmented, slack_a=tr.slack_a, **asdict(cfg.base),
@@ -328,18 +343,13 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
             if m == 0:
                 model_m = artifacts["base_model.json"]
             else:
-                plan = make_plan(p1, p2, labeled.n, m, slack_a=tr.slack_a)
-                sampled = sample_augmentation(pool_ds, plan.sampling, m, child_seed(seed, 2, m))
+                plan, sampled = draws[m]
                 model_m = l2_trainer(labeled, label_with_oracle(sampled, provider))
                 artifacts[f"transfer_plan_{m}.json"] = plan
                 artifacts[f"transfer_model_{m}.json"] = model_m
             scores[f"transfer({m})"] = model_m.score_dataset(test_ds)
 
         y_test = test_ds.labels()
-        sides = {"source": test_ds.in_strata(source_tags), "target": test_ds.in_strata(target_tags)}
-        for side, mask in sides.items():
-            if not mask.any():
-                raise HarnessError(f"test split has no rows in the {side} strata")
         methods = {}
         for name, s in scores.items():
             for side, mask in sides.items():

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scorefusion import DatasetError, LabeledDataset, load_dataset, save_dataset
 
@@ -74,6 +76,29 @@ class TestStratumCodesMatchTheRowLoop:
             assert ds.stratum_counts() == {tag: len(rows) for tag, rows in expected.items()}
             for tags in (["A"], ["B", "C"], [None], ["Z"]):
                 assert ds.in_strata(tags).tolist() == [s in tags for s in ds.strata.tolist()]
+
+
+def _coded(strata):
+    """Dataset of one zero feature per entry of ``strata``: only the code column varies."""
+    return LabeledDataset.from_arrays(np.zeros((len(strata), 1)), strata=strata, prefix="g")
+
+
+class TestOneGrouping:
+    # stratum_rows and stratum_counts both read one grouping of the code column
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.sampled_from(["A", "B", "C", "D", None]), max_size=40), st.data())
+    def test_rows_and_counts_match_the_row_loop(self, strata, data):
+        ds = _coded(strata)
+        picks = data.draw(st.lists(st.integers(0, len(strata) - 1), unique=True) if strata else st.just([]))
+        for subset in (ds, ds.take(np.array(picks, dtype=np.intp))):
+            expected = _reference_groups(subset)
+            assert list(subset.stratum_rows()) == list(expected)
+            assert _groups(subset) == expected
+            assert list(subset.stratum_counts().items()) == [(tag, len(rows)) for tag, rows in expected.items()]
+
+    def test_an_empty_dataset_has_no_groups(self):
+        for ds in (_coded([]), _coded(["A", None]).take(np.array([], dtype=np.intp))):
+            assert ds.stratum_rows() == {} and ds.stratum_counts() == {}
 
 
 class TestByteRoundTrip:

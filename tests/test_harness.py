@@ -20,8 +20,10 @@ from scorefusion import (
     OracleCache,
     OracleError,
     OracleSettings,
+    StratumDensity,
     SyntheticOracle,
     SyntheticOracleSpec,
+    TransferError,
     TransferSettings,
     build_provider,
     child_seed,
@@ -273,18 +275,44 @@ class TestRunTransferExperiment:
         with pytest.raises(HarnessError):
             run_transfer_experiment(cfg, dataset=_dataset(100))
 
-    @pytest.mark.parametrize("methods, source, data, message", [
-        pytest.param((0,), (), _dataset, "transfer experiment needs stratum tags on the dataset", id="no-tags"),
-        pytest.param((0, 150), ("A",), lambda: _two_strata().filter(lambda row: row.stratum == "A"),
+    @pytest.mark.parametrize("methods, source, density, data, message", [
+        pytest.param((0,), (), {"B": 1.0}, _dataset,
+                     "transfer experiment needs stratum tags on the dataset", id="no-tags"),
+        pytest.param((0, 150), ("A",), {"B": 1.0}, lambda: _two_strata().filter(lambda row: row.stratum == "A"),
                      "augmentation pool is empty but transfer(m > 0) was requested", id="empty-pool"),
-        pytest.param((0,), ("A",), lambda: _two_strata().filter(lambda row: row.stratum == "A"),
+        pytest.param((0,), ("A",), {"B": 1.0}, lambda: _two_strata().filter(lambda row: row.stratum == "A"),
                      "test split has no rows in the target strata", id="no-target-test-rows"),
+        # no target density to fall back on: nothing derives one from the empty pool
+        pytest.param((0,), ("A",), None, lambda: _two_strata().filter(lambda row: row.stratum == "A"),
+                     "test split has no rows in the target strata", id="no-target-rows-no-density"),
     ])
-    def test_strata_that_cannot_run_the_protocol_are_named(self, methods, source, data, message):
-        transfer = TransferSettings(source_strata=source, target_strata=("B",), target_density={"B": 1.0})
+    def test_strata_that_cannot_run_the_protocol_are_named(self, methods, source, density, data, message):
+        transfer = TransferSettings(source_strata=source, target_strata=("B",), target_density=density)
         cfg = self._transfer_cfg(methods=tuple(MethodSpec("transfer", (m,)) for m in methods), transfer=transfer)
+        provider = _CountingOracle(SyntheticOracleSpec(accuracy=0.9, seed=7))
         with pytest.raises(HarnessError, match=f"^{re.escape(message)}$"):
-            run_transfer_experiment(cfg, dataset=data())
+            run_transfer_experiment(cfg, dataset=data(), provider=provider)
+        assert provider.calls == 0
+
+    def test_an_exhausted_stratum_fails_before_any_score_or_training(self, monkeypatch):
+        trainings = []
+        train_augmented = harness.train_augmented
+        monkeypatch.setattr(harness, "train_augmented",
+                            lambda *args, **kwargs: trainings.append(1) or train_augmented(*args, **kwargs))
+        provider = _CountingOracle(SyntheticOracleSpec(accuracy=0.9, seed=7))
+        cfg = self._transfer_cfg(methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (5000,))))
+        with pytest.raises(TransferError, match="^stratum 'B' exhausted: need 5000 instances"):
+            run_transfer_experiment(cfg, dataset=_two_strata(), provider=provider)
+        assert provider.calls == 0 and trainings == []
+
+    def test_zero_augmentation_derives_no_density(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("transfer(0) needs no stratum density")
+
+        monkeypatch.setattr(StratumDensity, "from_counts", refuse)
+        cfg = self._transfer_cfg(methods=(MethodSpec("transfer", (0,)),))
+        report = run_transfer_experiment(cfg, dataset=_two_strata())
+        assert report.meta["methods"] == ["llm", "ml", "linear", "transfer(0)"]
 
 
 class _CountingOracle(SyntheticOracle):
