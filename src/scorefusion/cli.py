@@ -28,7 +28,7 @@ from .harness import (
 )
 from .logistic import BaseModel, TrainingError, train
 from .metrics import MetricError, metric_dict
-from .oracle import OracleCache, OracleError, attach_scores, score_batch
+from .oracle import OracleCache, OracleError, score_batch
 from .transfer import TransferError
 
 _ERRORS = (
@@ -68,16 +68,12 @@ def _load_input_dataset(cfg: ExperimentConfig):
     return synthesize(cfg.synth) if ds is None else ds
 
 
-def _with_scores(cfg, ds):
-    """Return the dataset with oracle scores, fetching them if absent."""
-    return ds if ds.has_oracle_scores else attach_scores(ds, build_provider(cfg.oracle))
-
-
 def _fit_inputs(cfg):
-    """The output directory, and the input dataset's out-of-fold base scores,
-    oracle scores (fetched if absent) and labels, for the fitting subcommands."""
-    out = _require_out(cfg)
-    return out, fit_inputs(cfg, _with_scores(cfg, _load_input_dataset(cfg)), cfg.seeds[0])
+    """The output directory and the input dataset's ``fit_inputs``, scored by the configured
+    oracle unless every row holds a score, for the fitting subcommands."""
+    out, ds = _require_out(cfg), _load_input_dataset(cfg)
+    provider = None if ds.has_oracle_scores else build_provider(cfg.oracle)
+    return out, fit_inputs(cfg, ds, cfg.seeds[0], provider)
 
 
 def _write_doc(cfg, name: str, text: str) -> None:
@@ -182,21 +178,23 @@ def cmd_eval(cfg, args) -> int:
     if cfg.eval_weights is not None and cfg.eval_calibrator is not None:
         raise ConfigError("eval.weights and eval.calibrator are mutually exclusive")
     cfg.validate_paths()
-    ds = _load_input_dataset(cfg)
     model = BaseModel.load(cfg.eval_model)
+    weights = None if cfg.eval_weights is None else WeightFunction.load(cfg.eval_weights)
+    calibrator = None if cfg.eval_calibrator is None else load_calibrator(cfg.eval_calibrator)
+    if cfg.out_dir is not None:
+        _require_out(cfg)  # created before the first score is bought
+    ds = _load_input_dataset(cfg)
     base_scores = model.score_dataset(ds)
     y = ds.labels()
     results = {"ml": metric_dict(base_scores, y, n=len(y))}
-    if cfg.eval_weights is not None or cfg.eval_calibrator is not None:
-        ds = _with_scores(cfg, ds)
-        z = ds.oracle_scores()
+    if weights is not None or calibrator is not None:
+        provider = None if ds.has_oracle_scores else build_provider(cfg.oracle)
+        z = ds.z if provider is None else score_batch(provider, ds, column=True)
         results["llm"] = metric_dict(z, y, n=len(y))
-        if cfg.eval_weights is not None:
-            fused = fuse(WeightFunction.load(cfg.eval_weights), base_scores, z)
-            results["fused"] = metric_dict(fused, y, n=len(y))
+        if weights is not None:
+            results["fused"] = metric_dict(fuse(weights, base_scores, z), y, n=len(y))
         else:
-            calibrated = load_calibrator(cfg.eval_calibrator).calibrate(base_scores, z)
-            results["calibrated"] = metric_dict(calibrated, y, n=len(y))
+            results["calibrated"] = metric_dict(calibrator.calibrate(base_scores, z), y, n=len(y))
     text = json.dumps(results, sort_keys=True, indent=2)
     print(text)
     _write_doc(cfg, "eval.json", text)
@@ -204,6 +202,8 @@ def cmd_eval(cfg, args) -> int:
 
 
 def cmd_tune(cfg, args) -> int:
+    if cfg.out_dir is not None:
+        _require_out(cfg)  # created before the first score is bought
     selected = tune_hyperparameter(cfg)
     print(f"{cfg.tune_parameter} = {selected}")
     doc = {"parameter": cfg.tune_parameter, "selected": selected}

@@ -79,11 +79,8 @@ class MetricReport:
         for method in methods:
             aggregate[method] = {}
             for metric in sorted(per_seed[0][1][method]):
-                values = np.array([entry[method][metric] for _, entry in per_seed])
-                aggregate[method][metric] = {
-                    "mean": float(values.mean()),
-                    "stdev": float(values.std()),
-                }
+                v = np.array([entry[method][metric] for _, entry in per_seed])
+                aggregate[method][metric] = {"mean": float(v.mean()), "stdev": float(v.std())}
         return cls(per_seed=tuple(per_seed), aggregate=aggregate, meta=dict(meta))
 
     def mean(self, method: str, metric: str = "accuracy") -> float:
@@ -155,15 +152,18 @@ def _base_trainer(cfg: ExperimentConfig, seed: int):
     return lambda subset: train(subset, **asdict(cfg.base), seed=seed)
 
 
-def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
+def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, provider, trainer=None):
     """(out-of-fold base scores, oracle scores, labels) of ``ds``, which every fitter takes.
 
-    The folds are ``make_folds(ds, cfg.k, seed=child_seed(seed, 1))``; each fold
-    model comes from ``trainer``, by default ``_base_trainer(cfg, seed)``.
+    It deals the folds (``make_folds(ds, cfg.k, seed=child_seed(seed, 1))``) and reads the labels
+    before ``provider`` (None keeps the scores ``ds`` holds) scores ``ds``. Each fold model comes
+    from ``trainer``, by default ``_base_trainer(cfg, seed)``.
     """
     fold = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
-    trainer = trainer or _base_trainer(cfg, seed)
-    return cv_predict(ds, fold, trainer=trainer), ds.oracle_scores(), ds.labels()
+    y = ds.labels()
+    if provider is not None:
+        ds = attach_scores(ds, provider)
+    return cv_predict(ds, fold, trainer=trainer or _base_trainer(cfg, seed)), ds.oracle_scores(), y
 
 
 def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
@@ -190,14 +190,12 @@ def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
 def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, provider, trainer, specs):
     """({method name: test scores}, {file name: artifact}) of one seed, the core of both protocols.
 
-    Attaches oracle scores to the training side, then the test side; trains
-    the base model (``base_model.json``) and the out-of-fold inputs with
-    ``trainer``; then fits each of ``specs`` there and applies it to the test side.
+    Scores the training side in ``fit_inputs``, then the test side; trains the base model
+    (``base_model.json``) with ``trainer``; fits each of ``specs`` and applies it to the test side.
     """
-    train_ds = attach_scores(train_ds, provider)
+    train_inputs = fit_inputs(cfg, train_ds, seed, provider, trainer=trainer)
     test_ds = attach_scores(test_ds, provider)
     base = trainer(train_ds)
-    train_inputs = fit_inputs(cfg, train_ds, seed, trainer=trainer)
     test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
     artifacts: dict = {"base_model.json": base}
     scores = {spec.name: _fit_method_scores(spec, train_inputs, test_inputs, artifacts) for spec in specs}
@@ -225,8 +223,8 @@ def _check_methods(cfg: ExperimentConfig, experiment: str) -> None:
 def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
     """The seed loop of both protocols, entered once the protocol has checked its config.
 
-    Builds the configured provider unless one is given and resolves the fixed
-    dataset once. Per seed it splits, calls
+    Builds the configured provider unless one is given, resolves the fixed
+    dataset once and creates the output directory. Per seed it splits, calls
     ``body(train_ds, test_ds, seed, provider)`` for that seed's
     ({method: metrics}, {file name: artifact}) and saves the artifacts. The
     report's meta is ``meta`` plus the keys both protocols share; the report
@@ -234,6 +232,8 @@ def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> Me
     """
     provider = provider if provider is not None else build_provider(cfg.oracle)
     fixed = fixed_dataset(cfg, dataset)
+    if cfg.out_dir is not None:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     per_seed = []
     for seed in cfg.seeds:
         methods, artifacts = body(*_split(cfg, fixed, seed), seed, provider)
@@ -261,14 +261,15 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
     on the test side. Artifacts (base model, weight functions, calibrators)
     are written under ``out_dir/seed_<seed>/`` when an output directory is
     configured, and report.json / report.csv at the top level. A transfer(m)
-    method raises HarnessError before any data is loaded or scored.
+    method raises HarnessError before any data is loaded or scored; a seed reads
+    both sides' labels and deals its folds before its first oracle score.
     """
     _check_methods(cfg, "fusion")
 
     def body(train_ds, test_ds, seed, provider):
+        y_test = test_ds.labels()
         scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, provider,
                                            _base_trainer(cfg, seed), cfg.methods)
-        y_test = test_ds.labels()
         n_test = float(len(y_test))
         return {name: metric_dict(s, y_test, n_test=n_test) for name, s in scores.items()}, artifacts
 
@@ -292,10 +293,10 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     target test rows separately as ``name@source`` / ``name@target``. An
     adalinear or calibration entry, or no ``transfer.target_strata``, raises
     HarnessError before any data is loaded or scored; ``run_experiment``
-    evaluates adalinear and calibration. Each seed checks its source rows, its
-    pool (when some m > 0) and both test sides, then makes every transfer plan
-    and augmentation draw, before it fetches its first oracle score; transfer(0)
-    is the source-only model and needs no plan.
+    evaluates adalinear and calibration. Each seed reads its test labels, checks
+    its source rows, its pool (when some m > 0) and both test sides, makes every
+    plan and draw, and deals its folds, before its first oracle score;
+    transfer(0) is the source-only model and needs no plan.
     """
     _check_methods(cfg, "transfer")
     if not cfg.transfer.target_strata:
@@ -306,6 +307,7 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     tr = cfg.transfer
 
     def body(train_all, test_ds, seed, provider):
+        y_test = test_ds.labels()
         source_tags = tuple(tr.source_strata) or tuple(sorted(_strata_of(train_all)))
         target_tags = tuple(tr.target_strata)
         if not source_tags:
@@ -349,7 +351,6 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
                 artifacts[f"transfer_model_{m}.json"] = model_m
             scores[f"transfer({m})"] = model_m.score_dataset(test_ds)
 
-        y_test = test_ds.labels()
         methods = {}
         for name, s in scores.items():
             for side, mask in sides.items():
@@ -377,19 +378,18 @@ def tune_hyperparameter(
     """Select r (weight pieces) or M (base grid) by cross-validation on the
     training split only. Ties break toward the smaller candidate."""
     parameter = parameter if parameter is not None else cfg.tune_parameter
-    candidates = tuple(candidates) if candidates is not None else cfg.tune_candidates
     if parameter not in ("r", "M"):
         raise HarnessError(f"tunable parameters are 'r' and 'M', got {parameter!r}")
-    if not candidates:
-        raise HarnessError("tuning needs at least one candidate value")
-    candidates = sorted(set(int(c) for c in candidates))
+    candidates = sorted(set(map(int, cfg.tune_candidates if candidates is None else candidates)))
+    if not candidates or candidates[0] < 1:
+        raise HarnessError(f"tuning needs candidate values >= 1, got {candidates}")
     if len(candidates) == 1:
         return candidates[0]
 
     provider = provider if provider is not None else build_provider(cfg.oracle)
     seed = cfg.seeds[0]
     train_ds, _ = _split(cfg, fixed_dataset(cfg, dataset), seed)
-    y_cv, z, y = fit_inputs(cfg, attach_scores(train_ds, provider), seed)
+    y_cv, z, y = fit_inputs(cfg, train_ds, seed, provider)
 
     if parameter == "M":
         return choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,
