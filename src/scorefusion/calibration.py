@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, bin_sums, check_scores, cv_select, load_artifact
+from .data import Artifact, bin_sums, check_scores, cv_select, json_field, load_artifact
 
 
 class CalibrationError(ValueError):
@@ -67,8 +67,19 @@ class _GridCalibrator(Artifact):
     """Application shared by both calibrators: f + table[grid_index(f), grid_index(z)].
 
     A subclass sets ``grid``, and ``table`` (its offset per cell, shape
-    (base_res+1, oracle_res+1)) when it is built.
+    (base_res+1, oracle_res+1)) when it is built. ``ARRAYS`` names its array
+    fields and their JSON kind, in the order its constructor takes them after
+    ``grid``; the document holds the two resolutions and those arrays.
     """
+
+    def to_doc(self) -> dict:
+        arrays = {name: getattr(self, name).tolist() for name, _ in self.ARRAYS}
+        return {"base_res": self.grid.base_res, "oracle_res": self.grid.oracle_res, **arrays}
+
+    @classmethod
+    def from_doc(cls, doc: dict):
+        grid = GridSpec(json_field(doc, "base_res", int), json_field(doc, "oracle_res", int))
+        return cls(grid, *(json_field(doc, name, kind, list) for name, kind in cls.ARRAYS))
 
     def offset(self, base_score, oracle_score):
         i = grid_index(base_score, self.grid.base_res)
@@ -92,6 +103,7 @@ class CellCalibrator(_GridCalibrator):
 
     KIND = "cell_calibrator"
     ERROR = CalibrationError
+    ARRAYS = (("delta", float), ("counts", int))
 
     grid: GridSpec
     delta: np.ndarray  # (base_res+1, oracle_res+1)
@@ -114,19 +126,6 @@ class CellCalibrator(_GridCalibrator):
     def parameter_count(self) -> int:
         return (self.grid.base_res + 1) * (self.grid.oracle_res + 1)
 
-    def to_doc(self) -> dict:
-        return {
-            "base_res": self.grid.base_res,
-            "oracle_res": self.grid.oracle_res,
-            "delta": [[float(v) for v in row] for row in self.delta],
-            "counts": [[int(c) for c in row] for row in self.counts],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "CellCalibrator":
-        grid = GridSpec(int(doc["base_res"]), int(doc["oracle_res"]))
-        return cls(grid, doc["delta"], doc["counts"])
-
 
 @dataclass(frozen=True)
 class AdditiveCalibrator(_GridCalibrator):
@@ -134,6 +133,7 @@ class AdditiveCalibrator(_GridCalibrator):
 
     KIND = "additive_calibrator"
     ERROR = CalibrationError
+    ARRAYS = (("row_offsets", float), ("col_offsets", float))
 
     grid: GridSpec
     row_offsets: np.ndarray  # base_res+1
@@ -153,19 +153,6 @@ class AdditiveCalibrator(_GridCalibrator):
     @property
     def parameter_count(self) -> int:
         return (self.grid.base_res + 1) + (self.grid.oracle_res + 1)
-
-    def to_doc(self) -> dict:
-        return {
-            "base_res": self.grid.base_res,
-            "oracle_res": self.grid.oracle_res,
-            "row_offsets": [float(v) for v in self.row_offsets],
-            "col_offsets": [float(v) for v in self.col_offsets],
-        }
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "AdditiveCalibrator":
-        grid = GridSpec(int(doc["base_res"]), int(doc["oracle_res"]))
-        return cls(grid, doc["row_offsets"], doc["col_offsets"])
 
 
 def load_calibrator(path):

@@ -423,7 +423,9 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     ``y``, ``stratum``. The feature dimension is inferred from the first row;
     every later row must match it, and it may be 0 (the header ``id[,z][,y][,stratum]``
     or ``"features": []``), as in an ``id,z`` score cache (``oracle.OracleCache``).
-    Missing z/y columns or keys leave those fields absent, and so do empty z/y cells.
+    Missing z/y columns or keys leave those fields absent, and so do empty z/y cells
+    and JSONL nulls. A JSONL feature, z or y must be a JSON number: a string or a
+    boolean there is malformed (an unreadable z or y, checked in z's or y's turn).
 
     CSV dialect: cells are separated by ``,`` and may be quoted with ``"``
     (a doubled ``""`` inside quotes is one quote), as ``csv.writer`` writes
@@ -487,7 +489,7 @@ def _load_dataset(path: Path, fmt: str, where=None) -> LabeledDataset:
 # the column sidecar of a dataset file
 # ---------------------------------------------------------------------------
 
-_SIDECAR_VERSION = b"scorefusion dataset sidecar 2"
+_SIDECAR_VERSION = b"scorefusion dataset sidecar 3"
 
 
 def _stamp(st: os.stat_result) -> tuple:
@@ -713,6 +715,18 @@ def _load_csv(path, text=None, where=None) -> LabeledDataset:
 
 
 _decode_json = json.JSONDecoder().raw_decode
+_JSON_NUMBER_OR_NULL = {int, float, type(None)}
+
+
+class _NotANumber:
+    """A JSON z or y value other than a number or null: ``float`` cannot read it, so the
+    checked builder reports it as unreadable at its place in the order of rules."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __repr__(self):
+        return repr(self.value)
 
 
 def _load_jsonl(path) -> LabeledDataset:
@@ -743,19 +757,25 @@ def _load_jsonl(path) -> LabeledDataset:
                 raise DatasetError(
                     f"row {row_num}: dimension {len(feats)} inconsistent with first row ({d})"
                 )
-            try:
-                features.extend(map(float, feats))
-            except (TypeError, ValueError, OverflowError):
+            try:  # an array of doubles takes JSON numbers (and booleans) only
+                features.extend(feats)
+            except (TypeError, OverflowError):
                 raise DatasetError(f"row {row_num}: malformed feature value") from None
+            if ("true" in line or "false" in line) and bool in map(type, feats):
+                raise DatasetError(f"row {row_num}: malformed feature value")
             ids.append(str(obj["id"]))
             zs.append(obj.get("z"))
             ys.append(obj.get("y"))
             strata.append(obj.get("stratum"))
     if not ids:
         raise _NoRows(f"no data rows in {path}")
+    cells = {}
+    for name, values in (("z", zs), ("y", ys)):
+        if not set(map(type, values)) <= _JSON_NUMBER_OR_NULL:  # a string or boolean is no number
+            values = [v if type(v) in _JSON_NUMBER_OR_NULL else _NotANumber(v) for v in values]
+        cells[name] = _objects(values)
     X = np.frombuffer(features, dtype=float).reshape(len(ids), d)
-    return _checked(X, {"z": _objects(zs), "y": _objects(ys)}, ids, strata,
-                    lambda k: f"row {_place(path, 'jsonl', k)[0]}")
+    return _checked(X, cells, ids, strata, lambda k: f"row {_place(path, 'jsonl', k)[0]}")
 
 
 def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
@@ -827,6 +847,29 @@ class Artifact:
     @classmethod
     def load(cls, path):
         return load_artifact(path, cls)
+
+
+_JSON_KINDS = {float: ((int, float), "numbers"), int: ((int,), "integers"),
+               bool: ((bool,), "true or false")}
+
+
+def json_field(doc: dict, name: str, kind: type, container: type | None = None):
+    """``doc[name]`` when it is a JSON value of ``kind`` (float: a number, int: an integer, bool:
+    true or false), or with ``container`` an array (list, nested to any depth) or object (dict)
+    whose values are; else a ``TypeError`` naming the field. A boolean is never a number."""
+    value = doc[name]
+    types, what = _JSON_KINDS[kind]
+    if container is not None and type(value) is not container:
+        what = "array" if container is list else "object"
+        raise TypeError(f"{name} must be a JSON {what}, got {value!r}")
+    entries = [value] if container is None else list(value.values() if container is dict else value)
+    while entries:
+        entry = entries.pop()
+        if container is list and type(entry) is list:
+            entries.extend(entry)
+        elif type(entry) not in types:
+            raise TypeError(f"{name} must hold JSON {what}, got {entry!r}")
+    return value
 
 
 def load_artifact(path, *classes):

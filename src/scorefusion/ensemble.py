@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, bin_sums, check_scores, cv_select
+from .data import Artifact, bin_sums, check_scores, cv_select, json_field
 
 
 class EnsembleError(ValueError):
@@ -83,7 +83,8 @@ class WeightFunction(Artifact):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "WeightFunction":
-        return cls(r=int(doc["r"]), weights=doc["weights"], support_counts=doc["support_counts"])
+        return cls(r=json_field(doc, "r", int), weights=json_field(doc, "weights", float, list),
+                   support_counts=json_field(doc, "support_counts", int, list))
 
 
 def _piece_sums(y_cv, z, y, r: int, fold=None, k: int = 1) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, DatasetError, LabeledDataset, sigmoid
+from .data import Artifact, DatasetError, LabeledDataset, json_field, sigmoid
 from .metrics import LOSS_CLAMP, mean_log_loss  # LOSS_CLAMP stays importable from here
 
 
@@ -156,12 +156,16 @@ class BaseModel(Artifact):
     def from_doc(cls, doc: dict) -> "BaseModel":
         meta = doc["train_meta"]
         model = cls(
-            weights=doc["weights"], intercept=float(doc["intercept"]),
-            reg_lambda=float(doc["reg_lambda"]),
-            feature_mean=doc["feature_mean"], feature_scale=doc["feature_scale"],
-            train_meta=TrainMeta(int(meta["iterations"]), float(meta["objective"]), int(meta["seed"])),
+            weights=json_field(doc, "weights", float, list),
+            intercept=float(json_field(doc, "intercept", float)),
+            reg_lambda=float(json_field(doc, "reg_lambda", float)),
+            feature_mean=json_field(doc, "feature_mean", float, list),
+            feature_scale=json_field(doc, "feature_scale", float, list),
+            train_meta=TrainMeta(json_field(meta, "iterations", int),
+                                 float(json_field(meta, "objective", float)),
+                                 json_field(meta, "seed", int)),
         )
-        if doc["dim"] != model.dim:
+        if type(doc["dim"]) is not int or doc["dim"] != model.dim:
             raise TrainingError(f"dim is {doc['dim']!r} but the model has {model.dim} weights")
         return model
 

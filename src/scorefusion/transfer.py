@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Artifact, LabeledDataset
+from .data import Artifact, LabeledDataset, json_field
 from .logistic import BaseModel, TrainingError, _fitted_model, _training_inputs, minimize_gd, sigmoid
 from .oracle import attach_scores
 
@@ -186,9 +186,11 @@ class TransferPlan(Artifact):
 
     @classmethod
     def from_doc(cls, doc: dict) -> "TransferPlan":
-        densities = {side: StratumDensity(doc[side]) for side in ("source", "target", "sampling")}
-        return cls(n=int(doc["n"]), m=int(doc["m"]), slack_a=float(doc["slack_a"]),
-                   clamped=bool(doc["clamped"]), **densities)
+        densities = {side: StratumDensity(json_field(doc, side, float, dict))
+                     for side in ("source", "target", "sampling")}
+        return cls(n=json_field(doc, "n", int), m=json_field(doc, "m", int),
+                   slack_a=float(json_field(doc, "slack_a", float)),
+                   clamped=json_field(doc, "clamped", bool), **densities)
 
 
 def make_plan(

@@ -468,10 +468,13 @@ class TestCsvDialect:
 
 
 class TestJsonlBoundary:
-    @pytest.mark.parametrize("feature", ["NaN", "Infinity", "-Infinity", '"nan"'])
-    def test_non_finite_features_are_rejected(self, tmp_path, feature):
+    @pytest.mark.parametrize("feature, message", [
+        pytest.param(feature, "row 3: non-finite feature value", id=feature)
+        for feature in ("NaN", "Infinity", "-Infinity")
+    ] + [pytest.param('"nan"', "row 3: malformed feature value", id='"nan"')])  # a string is no number
+    def test_non_finite_features_are_rejected(self, tmp_path, feature, message):
         text = f'{{"id": "a", "features": [1.0]}}\n\n{{"id": "b", "features": [{feature}]}}\n'
-        assert _load_error(tmp_path, text, "data.jsonl") == "row 3: non-finite feature value"
+        assert _load_error(tmp_path, text, "data.jsonl") == message
 
     @pytest.mark.parametrize("key, value, message", [
         ("z", "NaN", "row 2: z=nan outside [0, 1]"),
@@ -490,6 +493,26 @@ class TestJsonlBoundary:
     def test_malformed_features(self, tmp_path, feature):
         text = f'{{"id": "a", "features": [1.0]}}\n{{"id": "b", "features": [{feature}]}}\n'
         assert _load_error(tmp_path, text, "data.jsonl") == "row 2: malformed feature value"
+
+    @pytest.mark.parametrize("cells, message", [
+        pytest.param('"y": true, "z": false', "row 2: bad z value False", id="booleans"),
+        pytest.param('"y": "1"', "row 2: bad y value '1'", id="string-y"),
+        pytest.param('"z": "0.25"', "row 2: bad z value '0.25'", id="string-z"),
+        pytest.param('"z": ""', "row 2: bad z value ''", id="empty-string-z"),
+    ])
+    def test_a_score_or_label_must_be_a_json_number(self, tmp_path, cells, message):
+        text = f'{{"id": "a", "features": [1.0], "z": 1, "y": 1}}\n{{"id": "b", "features": [1.0], {cells}}}\n'
+        assert _load_error(tmp_path, text, "data.jsonl") == message
+
+    @pytest.mark.parametrize("features", ['[true, 2.5]', '[1.0, "2.5"]', '[1.0, false]'])
+    def test_a_feature_must_be_a_json_number(self, tmp_path, features):
+        text = f'{{"id": "a", "features": [1.0, 1.0]}}\n{{"id": "b", "features": {features}}}\n'
+        assert _load_error(tmp_path, text, "data.jsonl") == "row 2: malformed feature value"
+
+    def test_true_and_false_in_text_are_not_booleans(self, tmp_path):
+        text = '{"id": "true", "features": [1, 2.5], "z": 0, "y": 1, "stratum": "false"}\n'
+        ds = _load_text(tmp_path, text, "data.jsonl")
+        assert (ds.ids(), ds.feature_matrix().tolist(), ds.strata.tolist()) == (["true"], [[1.0, 2.5]], ["false"])
 
     def test_null_and_missing_annotations_are_absent(self, tmp_path):
         text = '{"id": "a", "features": [1.0], "z": null, "y": 1}\n{"id": "b", "features": [2.0], "z": 0.5}\n'
@@ -725,6 +748,54 @@ class TestArtifactFiles:
         doc[field] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(error, match=re.escape(f"{path}: the {kind!r} artifact")):
+            cls.load(path)
+
+    # a field of the right name but another JSON type never loads as a coerced value
+    @pytest.mark.parametrize("cls, error, kind, field, value", [
+        pytest.param(TransferPlan, TransferError, "transfer_plan", ("clamped",), "false", id="clamped-text"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", ("clamped",), 0, id="clamped-number"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", ("n",), 2.0, id="n-float"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", ("slack_a",), "0.1", id="slack-text"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", ("source",), {"A": "0.5", "B": 0.5},
+                     id="density-text"),
+        pytest.param(TransferPlan, TransferError, "transfer_plan", ("target",), {"A": True, "B": 0},
+                     id="density-boolean"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", ("r",), 2.9, id="r-float"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", ("r",), True, id="r-boolean"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", ("support_counts",), [4.7],
+                     id="support-count-float"),
+        pytest.param(WeightFunction, EnsembleError, "piecewise_weight", ("weights",), ["0.25"],
+                     id="weight-text"),
+        pytest.param(CellCalibrator, CalibrationError, "cell_calibrator", ("base_res",), 1.5,
+                     id="base-res-float"),
+        pytest.param(CellCalibrator, CalibrationError, "cell_calibrator", ("oracle_res",), True,
+                     id="oracle-res-boolean"),
+        pytest.param(CellCalibrator, CalibrationError, "cell_calibrator", ("counts",), [[0, 0], [0, "4"]],
+                     id="count-text"),
+        pytest.param(CellCalibrator, CalibrationError, "cell_calibrator", ("delta",), [[0.0, 0.0], [0.0, False]],
+                     id="delta-boolean"),
+        pytest.param(AdditiveCalibrator, CalibrationError, "additive_calibrator", ("row_offsets",),
+                     [0.0, "0.5"], id="offset-text"),
+        pytest.param(BaseModel, TrainingError, "logistic", ("intercept",), True, id="intercept-boolean"),
+        pytest.param(BaseModel, TrainingError, "logistic", ("weights",), ["1.0"], id="model-weight-text"),
+        pytest.param(BaseModel, TrainingError, "logistic", ("train_meta", "iterations"), 1.5,
+                     id="iterations-float"),
+        pytest.param(BaseModel, TrainingError, "logistic", ("train_meta", "objective"), "0.5",
+                     id="objective-text"),
+        pytest.param(BaseModel, TrainingError, "logistic", ("dim",), 1.0, id="dim-float"),
+    ])
+    def test_a_field_of_another_json_type(self, cls, error, kind, field, value, tmp_path):
+        path = tmp_path / "typed.json"
+        if cls is AdditiveCalibrator:
+            AdditiveCalibrator(GridSpec(1, 1), [0.0, 0.0], [0.0, 0.0]).save(path)
+        else:
+            self._valid(cls, path)
+        cls.load(path)
+        doc = json.loads(path.read_text())
+        *outer, name = field
+        (doc[outer[0]] if outer else doc)[name] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(error, match=re.escape(f"{path}: the {kind!r} artifact holds a bad field: {name}")):
             cls.load(path)
 
     def test_a_missing_base_model_at_an_absolute_path(self):

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 from scorefusion import (
+    AdditiveCalibrator,
+    BaseModel,
     CachedOracle,
+    CellCalibrator,
     ExperimentConfig,
     HarnessError,
     HttpOracle,
@@ -24,7 +27,9 @@ from scorefusion import (
     SyntheticOracle,
     SyntheticOracleSpec,
     TransferError,
+    TransferPlan,
     TransferSettings,
+    WeightFunction,
     build_provider,
     child_seed,
     run_experiment,
@@ -35,6 +40,7 @@ from scorefusion import (
 )
 from scorefusion import harness
 from scorefusion.config import BaseSettings
+from scorefusion.data import load_artifact
 
 DATA = Path(__file__).parent / "data"
 
@@ -476,6 +482,20 @@ class TestResultsUnchanged:
                for path in tmp_path.glob("seed_*/*")}
         want = json.loads((DATA / f"artifacts_{name}.json").read_text(encoding="utf-8"))
         _assert_report_close(got, want)
+
+    @pytest.mark.parametrize("name", ["experiment", "transfer"])
+    def test_every_reference_and_written_artifact_loads(self, name, tmp_path):
+        classes = (BaseModel, WeightFunction, CellCalibrator, AdditiveCalibrator, TransferPlan)
+        run, cfg = _fixed_file_runs(tmp_path)[name]
+        run(replace(cfg, out_dir=str(tmp_path / "out")))
+        reference = json.loads((DATA / f"artifacts_{name}.json").read_text(encoding="utf-8"))
+        for rel, doc in reference.items():
+            (tmp_path / "ref" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "ref" / rel).write_text(json.dumps(doc), encoding="utf-8")
+        paths = sorted(tmp_path.glob("*/seed_*/*.json"))
+        assert len(paths) == 2 * len(reference)
+        for path in paths:
+            assert load_artifact(path, *classes).KIND == json.loads(path.read_text())["kind"]
 
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
     def test_a_dataset_file_is_loaded_once_per_run(self, name, monkeypatch, tmp_path):
