@@ -761,7 +761,8 @@ def _load_jsonl(path) -> LabeledDataset:
                 features.extend(feats)
             except (TypeError, OverflowError):
                 raise DatasetError(f"row {row_num}: malformed feature value") from None
-            if ("true" in line or "false" in line) and bool in map(type, feats):
+            # every false holds an "l", the cheapest letter to look for, and no number holds one
+            if ("l" in line or "true" in line) and bool in map(type, feats):
                 raise DatasetError(f"row {row_num}: malformed feature value")
             ids.append(str(obj["id"]))
             zs.append(obj.get("z"))
@@ -860,8 +861,8 @@ def json_field(doc: dict, name: str, kind: type, container: type | None = None):
     value = doc[name]
     types, what = _JSON_KINDS[kind]
     if container is not None and type(value) is not container:
-        what = "array" if container is list else "object"
-        raise TypeError(f"{name} must be a JSON {what}, got {value!r}")
+        shape = "array" if container is list else "object"
+        raise TypeError(f"{name} must be a JSON {shape}, got {value!r}")
     entries = [value] if container is None else list(value.values() if container is dict else value)
     while entries:
         entry = entries.pop()
