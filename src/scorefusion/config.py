@@ -182,6 +182,8 @@ class ExperimentConfig:
                 raise ConfigError(f"each {label} may be listed once; repeated: {', '.join(repeated)}")
         if self.fusion_r < 1:
             raise ConfigError(f"fusion.r must be >= 1, got {self.fusion_r}")
+        if any(c < 1 for c in self.tune_candidates):
+            raise ConfigError(f"tune.candidates must be >= 1, got {list(self.tune_candidates)}")
         if self.calibration_base_res < 1 or self.calibration_oracle_res < 1:
             raise ConfigError("calibration grid resolutions must be >= 1")
         if self.calibration_kind not in ("cell", "additive"):

@@ -177,6 +177,7 @@ class TestConfigFromMapping:
         ("oracle.kind", "http", "oracle.kind = http requires oracle.url and oracle.model"),
         ("transfer.slack_a", "-0.5", "transfer.slack_a must be >= 0, got -0.5"),
         ("fusion.r", "0", "fusion.r must be >= 1, got 0"),
+        ("tune.candidates", "0, 4", "tune.candidates must be >= 1, got [0, 4]"),
         ("calibration.base_res", "0", "calibration grid resolutions must be >= 1"),
         ("calibration.kind", "grid", "calibration.kind must be cell or additive, got 'grid'"),
         ("seeds", "1, x", "seeds must be comma-separated integers"),
