@@ -26,6 +26,7 @@ from scorefusion import (
     StratumDensity,
     SyntheticOracle,
     SyntheticOracleSpec,
+    SyntheticSpec,
     TransferError,
     TransferPlan,
     TransferSettings,
@@ -447,6 +448,25 @@ def _fixed_file_runs(tmp_path):
     return {"experiment": (run_experiment, fusion), "transfer": (run_transfer_experiment, transfer)}
 
 
+def _synthetic_seed_runs():
+    """The fusion and transfer runs that draw a new synthetic dataset for each of two seeds."""
+    fusion = _cfg(
+        methods=(
+            MethodSpec("ml"), MethodSpec("llm"), MethodSpec("linear"),
+            MethodSpec("adalinear", (4,)), MethodSpec("calibration", (10, 2)),
+        ),
+        synth=SyntheticSpec(d=3, n=300, true_weights=(2.0, -1.0, 0.5, 0.0), seed=11),
+    )
+    strata = (("A", (1.0, 0.0, 0.0), 0.5), ("B", (0.0, 1.0, 1.0), 0.5))
+    transfer = _cfg(
+        methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (40,))),
+        test_fraction=0.3,
+        transfer=TransferSettings(source_strata=("A",), target_strata=("B",)),
+        synth=SyntheticSpec(d=3, n=400, true_weights=(1.0, -1.0, 1.0, 0.0), strata=strata, seed=12),
+    )
+    return {"experiment": (run_experiment, fusion), "transfer": (run_transfer_experiment, transfer)}
+
+
 def _assert_report_close(got, want, path=()):
     """Equal structure; accuracy and n_test exactly equal, other numbers within 1e-12."""
     if isinstance(want, dict):
@@ -504,3 +524,11 @@ class TestResultsUnchanged:
         run, cfg = _fixed_file_runs(tmp_path)[name]
         assert len(run(cfg).per_seed) == 2
         assert len(loads) == 1
+
+    # tests/data/report_synthetic_seeds.json was written by the code that still
+    # scored each seed's sides on their own, inside the seed loop
+    @pytest.mark.parametrize("name", ["experiment", "transfer"])
+    def test_per_seed_synthetic_report_matches_the_reference(self, name):
+        run, cfg = _synthetic_seed_runs()[name]
+        want = json.loads((DATA / "report_synthetic_seeds.json").read_text(encoding="utf-8"))[name]
+        _assert_report_close(json.loads(run(cfg).to_json()), want)
