@@ -909,18 +909,22 @@ def load_artifact(path, *classes):
 
 def split(ds: LabeledDataset, test_fraction: float, seed: int):
     """Random disjoint (train, test) partition with round(n * test_fraction) test rows."""
-    if ds.n < 2:
-        raise DatasetError(f"cannot split a dataset with n={ds.n}")
+    test = _test_rows(ds.n, test_fraction, seed)
+    return ds.take(~test), ds.take(test)
+
+
+def _test_rows(n: int, test_fraction: float, seed: int) -> np.ndarray:
+    """Bool mask of the test rows that ``split`` deals from n rows."""
+    if n < 2:
+        raise DatasetError(f"cannot split a dataset with n={n}")
     if not 0.0 < test_fraction < 1.0:
         raise DatasetError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    n_test = int(round(ds.n * test_fraction))
-    if n_test == 0 or n_test == ds.n:
-        raise DatasetError(
-            f"split leaves an empty side: n={ds.n}, test_fraction={test_fraction}"
-        )
-    test = np.zeros(ds.n, dtype=bool)
-    test[np.random.default_rng(seed).permutation(ds.n)[:n_test]] = True
-    return ds.take(~test), ds.take(test)
+    n_test = int(round(n * test_fraction))
+    if n_test == 0 or n_test == n:
+        raise DatasetError(f"split leaves an empty side: n={n}, test_fraction={test_fraction}")
+    test = np.zeros(n, dtype=bool)
+    test[np.random.default_rng(seed).permutation(n)[:n_test]] = True
+    return test
 
 
 def fold_index(n: int, k: int, seed: int) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Experiment orchestration: split, train, score, fuse, evaluate, report.
 
 ``run_experiment`` reproduces the fusion evaluation protocol: per seed, the
-data is split, the base model is trained on the training side only, oracle
-scores are fetched for both sides, fusion weights and calibrators are fitted
-on out-of-fold training predictions, and every requested method is evaluated
-on the held-out side. ``run_transfer_experiment`` does the covariate-shift
-variant, where training labels exist only in the source strata and each
-Transfer(m) method augments them with m oracle-labeled rows sampled from the
-target pool.
+data is split, the base model is trained on the training side only, fusion
+weights and calibrators are fitted on out-of-fold training predictions and
+oracle scores, and every requested method is evaluated on the held-out side.
+``run_transfer_experiment`` does the covariate-shift variant: training labels
+exist only in the source strata, and each Transfer(m) method adds m
+oracle-labeled rows sampled from the target pool. Their shared seed loop checks
+every seed, scores each row they need once in one batch, then fits each seed.
 
 Reports are deterministic: identical config plus seeds (and a cached or
 synthetic oracle) produce byte-identical JSON and CSV, since nothing
@@ -26,12 +26,12 @@ import numpy as np
 
 from .calibration import GridSpec, choose_grid, fit_cell_calibrator
 from .config import ExperimentConfig, MethodSpec
-from .data import LabeledDataset, _write_whole, load_dataset, make_folds, split, synthesize
+from .data import LabeledDataset, _test_rows, _write_whole, load_dataset, make_folds, synthesize
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
 from .logistic import cv_predict, train
 from .metrics import metric_dict
 from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, SyntheticOracle, SyntheticOracleSpec, attach_scores
-from .transfer import StratumDensity, label_with_oracle, make_plan, sample_augmentation, train_augmented
+from .transfer import StratumDensity, _drawn_rows, make_plan, train_augmented
 
 
 class HarnessError(RuntimeError):
@@ -139,12 +139,9 @@ def fixed_dataset(cfg: ExperimentConfig, dataset=None) -> LabeledDataset | None:
     return load_dataset(cfg.dataset_path, cfg.dataset_format)
 
 
-def _split(cfg: ExperimentConfig, fixed, seed: int):
-    """(train, test) of ``seed``: the fixed dataset if there is one, else a
-    fresh synthetic draw for this seed, split with ``seed``."""
-    if fixed is None:
-        fixed = synthesize(replace(cfg.synth, seed=child_seed(cfg.synth.seed, seed)))
-    return split(fixed, cfg.test_fraction, seed)
+def _seed_draw(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
+    """The synthetic dataset that ``seed`` draws when the run has no fixed dataset."""
+    return synthesize(replace(cfg.synth, seed=child_seed(cfg.synth.seed, seed)))
 
 
 def _base_trainer(cfg: ExperimentConfig, seed: int):
@@ -152,15 +149,19 @@ def _base_trainer(cfg: ExperimentConfig, seed: int):
     return lambda subset: train(subset, **asdict(cfg.base), seed=seed)
 
 
+def _folds_and_labels(cfg: ExperimentConfig, ds: LabeledDataset, seed: int):
+    """(fold column, labels) of ``ds``, the checks of ``fit_inputs`` that need no score."""
+    return make_folds(ds, cfg.k, seed=child_seed(seed, 1)), ds.labels()
+
+
 def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, provider, trainer=None):
     """(out-of-fold base scores, oracle scores, labels) of ``ds``, which every fitter takes.
 
-    It deals the folds (``make_folds(ds, cfg.k, seed=child_seed(seed, 1))``) and reads the labels
-    before ``provider`` (None keeps the scores ``ds`` holds) scores ``ds``. Each fold model comes
-    from ``trainer``, by default ``_base_trainer(cfg, seed)``.
+    It deals the folds and reads the labels (``_folds_and_labels``) before ``provider`` (None
+    keeps the scores ``ds`` holds) scores ``ds``. Each fold model comes from ``trainer``, by
+    default ``_base_trainer(cfg, seed)``.
     """
-    fold = make_folds(ds, cfg.k, seed=child_seed(seed, 1))
-    y = ds.labels()
+    fold, y = _folds_and_labels(cfg, ds, seed)
     if provider is not None:
         ds = attach_scores(ds, provider)
     return cv_predict(ds, fold, trainer=trainer or _base_trainer(cfg, seed)), ds.oracle_scores(), y
@@ -187,14 +188,13 @@ def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
     return fuse(wf, base_test, z_test)
 
 
-def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, provider, trainer, specs):
+def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, trainer, specs):
     """({method name: test scores}, {file name: artifact}) of one seed, the core of both protocols.
 
-    Scores the training side in ``fit_inputs``, then the test side; trains the base model
-    (``base_model.json``) with ``trainer``; fits each of ``specs`` and applies it to the test side.
+    Both sides hold their oracle scores. Trains the base model (``base_model.json``) with
+    ``trainer``; fits each of ``specs`` on the training side and applies it to the test side.
     """
-    train_inputs = fit_inputs(cfg, train_ds, seed, provider, trainer=trainer)
-    test_ds = attach_scores(test_ds, provider)
+    train_inputs = fit_inputs(cfg, train_ds, seed, None, trainer=trainer)
     base = trainer(train_ds)
     test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
     artifacts: dict = {"base_model.json": base}
@@ -220,25 +220,34 @@ def _check_methods(cfg: ExperimentConfig, experiment: str) -> None:
             raise HarnessError(f"method {spec.name!r} needs {elsewhere}")
 
 
-def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> MetricReport:
-    """The seed loop of both protocols, entered once the protocol has checked its config.
+def _run_seeds(cfg: ExperimentConfig, dataset, provider, plan, meta: dict) -> MetricReport:
+    """The seed loop of both protocols and the only place they pay the oracle.
 
-    Builds the configured provider unless one is given, resolves the fixed
-    dataset once and creates the output directory. Per seed it splits, calls
-    ``body(train_ds, test_ds, seed, provider)`` for that seed's
-    ({method: metrics}, {file name: artifact}) and saves the artifacts. The
-    report's meta is ``meta`` plus the keys both protocols share; the report
-    is saved when an output directory is configured.
+    Builds the provider unless one is given, resolves the fixed dataset once, creates ``out_dir``.
+    ``plan(rows, seed)``, given the rows without features, makes each check that needs no score
+    and returns (bool mask of the rows the seed needs, ``fit``). One ``attach_scores`` scores the
+    union of the masks. ``fit(take)``, where ``take(mask)`` is the scored rows a mask within its
+    seed's picks, gives ({method: metrics}, {file: artifact}). A per-seed synthetic draw (ids
+    repeat across draws) is planned, paid and fitted alone. The shared keys join ``meta``.
     """
     provider = provider if provider is not None else build_provider(cfg.oracle)
-    fixed = fixed_dataset(cfg, dataset)
+    ds = fixed_dataset(cfg, dataset)
+    per_draw = ds is None
+    if per_draw and len(cfg.seeds) > 1 and provider.cache is not None:
+        raise HarnessError("oracle.cache cannot serve several seeds that each draw a dataset from "
+                           "the synth.* keys: the draws reuse their row ids for other rows")
     if cfg.out_dir is not None:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     per_seed = []
-    for seed in cfg.seeds:
-        methods, artifacts = body(*_split(cfg, fixed, seed), seed, provider)
-        _save_artifacts(cfg.out_dir, seed, artifacts)
-        per_seed.append((seed, methods))
+    for seeds in [(seed,) for seed in cfg.seeds] if per_draw else [cfg.seeds]:
+        ds = _seed_draw(cfg, seeds[0]) if per_draw else ds
+        fits = [plan(ds.without_features(), seed) for seed in seeds]
+        need = np.logical_or.reduce([rows for rows, _ in fits])
+        ds = attach_scores(ds if need.all() else ds.take(need), provider)  # drops the unscored rows
+        for seed, (_, fit) in zip(seeds, fits):
+            methods, artifacts = fit(lambda rows: ds.take(rows[need]))
+            _save_artifacts(cfg.out_dir, seed, artifacts)
+            per_seed.append((seed, methods))
     shared = {"seeds": list(cfg.seeds), "k": cfg.k, "test_fraction": cfg.test_fraction,
               "oracle_kind": cfg.oracle.kind}
     report = MetricReport.build(per_seed, meta={**meta, **shared})
@@ -255,26 +264,33 @@ def _run_seeds(cfg: ExperimentConfig, dataset, provider, body, meta: dict) -> Me
 def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> MetricReport:
     """Evaluate every configured method once per seed on held-out data.
 
-    Per seed: split the data, fetch oracle scores for both sides, train the
-    base model and its out-of-fold predictions on the training side, fit each
-    method's parameters there, and measure accuracy, Brier score, and log-loss
-    on the test side. Artifacts (base model, weight functions, calibrators)
-    are written under ``out_dir/seed_<seed>/`` when an output directory is
+    Per seed: split the data, train the base model and its out-of-fold
+    predictions on the training side, fit each method's parameters there with
+    its oracle scores, and measure accuracy, Brier score, and log-loss on the
+    test side. Artifacts (base model, weight functions, calibrators) are
+    written under ``out_dir/seed_<seed>/`` when an output directory is
     configured, and report.json / report.csv at the top level. A transfer(m)
-    method raises HarnessError before any data is loaded or scored; a seed reads
-    both sides' labels and deals its folds before its first oracle score.
+    method raises HarnessError before any data is loaded or scored; every seed
+    reads its labels and deals its folds before the run scores each row once.
     """
     _check_methods(cfg, "fusion")
 
-    def body(train_ds, test_ds, seed, provider):
-        y_test = test_ds.labels()
-        scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, provider,
-                                           _base_trainer(cfg, seed), cfg.methods)
-        n_test = float(len(y_test))
-        return {name: metric_dict(s, y_test, n_test=n_test) for name, s in scores.items()}, artifacts
+    def plan(rows, seed):
+        test = _test_rows(rows.n, cfg.test_fraction, seed)
+        rows.take(test).labels()
+        _folds_and_labels(cfg, rows.take(~test), seed)
+
+        def fit(take):
+            train_ds, test_ds = take(~test), take(test)
+            y_test, trainer = test_ds.labels(), _base_trainer(cfg, seed)
+            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, trainer, cfg.methods)
+            n_test = float(len(y_test))
+            return {k: metric_dict(s, y_test, n_test=n_test) for k, s in scores.items()}, artifacts
+
+        return np.ones(rows.n, dtype=bool), fit
 
     meta = {"experiment": "fusion", "methods": [s.name for s in cfg.methods]}
-    return _run_seeds(cfg, dataset, provider, body, meta)
+    return _run_seeds(cfg, dataset, provider, plan, meta)
 
 
 def _strata_of(ds: LabeledDataset) -> dict:
@@ -293,10 +309,10 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     target test rows separately as ``name@source`` / ``name@target``. An
     adalinear or calibration entry, or no ``transfer.target_strata``, raises
     HarnessError before any data is loaded or scored; ``run_experiment``
-    evaluates adalinear and calibration. Each seed reads its test labels, checks
+    evaluates adalinear and calibration. Every seed reads its test labels, checks
     its source rows, its pool (when some m > 0) and both test sides, makes every
-    plan and draw, and deals its folds, before its first oracle score;
-    transfer(0) is the source-only model and needs no plan.
+    plan and draw, and deals its folds before the run scores each source training,
+    test and drawn row once; transfer(0) is the source-only model and needs no plan.
     """
     _check_methods(cfg, "transfer")
     if not cfg.transfer.target_strata:
@@ -306,61 +322,64 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
     augment_m = [m for m in m_values if m > 0]
     tr = cfg.transfer
 
-    def body(train_all, test_ds, seed, provider):
-        y_test = test_ds.labels()
-        source_tags = tuple(tr.source_strata) or tuple(sorted(_strata_of(train_all)))
+    def plan(rows, seed):
+        test = _test_rows(rows.n, cfg.test_fraction, seed)
+        rows.take(test).labels()
+        source_tags = tuple(tr.source_strata) or tuple(sorted(_strata_of(rows.take(~test))))
         target_tags = tuple(tr.target_strata)
         if not source_tags:
             raise HarnessError("transfer experiment needs stratum tags on the dataset")
 
-        labeled = train_all.take(train_all.in_strata(source_tags))
-        pool_ds = train_all.take(train_all.in_strata(target_tags))
-        if labeled.n == 0:
+        source, target = rows.in_strata(source_tags), rows.in_strata(target_tags)
+        labeled, pool = source & ~test, target & ~test
+        if not labeled.any():
             raise HarnessError(f"no training rows in source strata {source_tags}")
-        if pool_ds.n == 0 and augment_m:
+        if not pool.any() and augment_m:
             raise HarnessError("augmentation pool is empty but transfer(m > 0) was requested")
-        sides = {"source": test_ds.in_strata(source_tags), "target": test_ds.in_strata(target_tags)}
+        sides = {"source": source[test], "target": target[test]}
         for side, mask in sides.items():
             if not mask.any():
                 raise HarnessError(f"test split has no rows in the {side} strata")
 
-        # Every plan and draw is made, and can fail, before the first oracle call.
-        draws = {}
+        labeled_rows, draws = rows.take(labeled), {}
         if augment_m:
-            source_counts, pool_counts = _strata_of(labeled), _strata_of(pool_ds)
+            pool_rows = rows.take(pool)
+            source_counts, pool_counts = _strata_of(labeled_rows), _strata_of(pool_rows)
             universe = sorted(set(source_counts) | set(pool_counts) | set(tr.target_density or ()))
             p1 = StratumDensity.from_counts(source_counts, tags=universe)
             p2 = StratumDensity.from_counts(tr.target_density or pool_counts, tags=universe)
             for m in augment_m:
-                plan = make_plan(p1, p2, labeled.n, m, slack_a=tr.slack_a)
-                sampled = sample_augmentation(pool_ds, plan.sampling, m, child_seed(seed, 2, m))
-                draws[m] = plan, sampled
+                plan_m = make_plan(p1, p2, labeled_rows.n, m, slack_a=tr.slack_a)
+                drawn = pool.copy()
+                drawn[pool] = _drawn_rows(pool_rows, plan_m.sampling, m, child_seed(seed, 2, m))
+                draws[m] = plan_m, drawn
+        _folds_and_labels(cfg, labeled_rows, seed)
 
         def l2_trainer(ds, augmented=None):
             return train_augmented(ds, augmented, slack_a=tr.slack_a, **asdict(cfg.base),
                                    seed=seed, round_oracle_scores=tr.round_oracle)
 
-        scores, artifacts = _fit_and_score(cfg, labeled, test_ds, seed, provider, l2_trainer, baselines)
-        for m in m_values:
-            if m == 0:
-                model_m = artifacts["base_model.json"]
-            else:
-                plan, sampled = draws[m]
-                model_m = l2_trainer(labeled, label_with_oracle(sampled, provider))
-                artifacts[f"transfer_plan_{m}.json"] = plan
-                artifacts[f"transfer_model_{m}.json"] = model_m
-            scores[f"transfer({m})"] = model_m.score_dataset(test_ds)
+        def fit(take):
+            train_ds, test_ds = take(labeled), take(test)
+            y_test = test_ds.labels()
+            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, l2_trainer, baselines)
+            for m in m_values:
+                if m == 0:
+                    model_m = artifacts["base_model.json"]
+                else:
+                    plan_m, drawn = draws[m]
+                    model_m = l2_trainer(train_ds, take(drawn).without_labels())
+                    artifacts[f"transfer_plan_{m}.json"] = plan_m
+                    artifacts[f"transfer_model_{m}.json"] = model_m
+                scores[f"transfer({m})"] = model_m.score_dataset(test_ds)
+            return {f"{name}@{side}": metric_dict(s[mask], y_test[mask], n_test=float(mask.sum()))
+                    for name, s in scores.items() for side, mask in sides.items()}, artifacts
 
-        methods = {}
-        for name, s in scores.items():
-            for side, mask in sides.items():
-                y_side = y_test[mask]
-                methods[f"{name}@{side}"] = metric_dict(s[mask], y_side, n_test=float(len(y_side)))
-        return methods, artifacts
+        return np.logical_or.reduce([labeled, test, *(drawn for _, drawn in draws.values())]), fit
 
     meta = {"experiment": "transfer", "slack_a": tr.slack_a,
             "methods": [s.name for s in baselines] + [f"transfer({m})" for m in m_values]}
-    return _run_seeds(cfg, dataset, provider, body, meta)
+    return _run_seeds(cfg, dataset, provider, plan, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +407,9 @@ def tune_hyperparameter(
 
     provider = provider if provider is not None else build_provider(cfg.oracle)
     seed = cfg.seeds[0]
-    train_ds, _ = _split(cfg, fixed_dataset(cfg, dataset), seed)
+    ds = fixed_dataset(cfg, dataset)
+    ds = _seed_draw(cfg, seed) if ds is None else ds
+    train_ds = ds.take(~_test_rows(ds.n, cfg.test_fraction, seed))
     y_cv, z, y = fit_inputs(cfg, train_ds, seed, provider)
 
     if parameter == "M":

@@ -207,10 +207,16 @@ def sample_augmentation(
 ) -> LabeledDataset:
     """Draw m pool instances: stratum counts multinomial(m, p3), then without
     replacement within each stratum. Rows keep their pool order."""
+    return pool.take(_drawn_rows(pool, p3, m, seed))
+
+
+def _drawn_rows(pool: LabeledDataset, p3: StratumDensity, m: int, seed: int) -> np.ndarray:
+    """Bool mask of the m rows of ``pool`` that ``sample_augmentation`` draws."""
     if m < 0:
         raise TransferError(f"augmentation count must be >= 0, got {m}")
+    drawn = np.zeros(pool.n, dtype=bool)
     if m == 0:
-        return pool.take([])
+        return drawn
     groups = {str(tag): rows for tag, rows in pool.stratum_rows().items() if tag is not None}
     missing = [t for t in p3.support() if t not in groups]
     if missing:
@@ -219,7 +225,6 @@ def sample_augmentation(
     probs = p3.as_array(tags)
     rng = np.random.default_rng(seed)
     counts = rng.multinomial(m, probs / probs.sum())
-    chosen = []
     for tag, count in zip(tags, counts):
         if count == 0:
             continue
@@ -228,8 +233,8 @@ def sample_augmentation(
             raise TransferError(
                 f"stratum {tag!r} exhausted: need {count} instances, pool has {len(rows)}"
             )
-        chosen.append(rows[rng.choice(len(rows), size=count, replace=False)])
-    return pool.take(np.sort(np.concatenate(chosen)))
+        drawn[rows[rng.choice(len(rows), size=count, replace=False)]] = True
+    return drawn
 
 
 def label_with_oracle(ds: LabeledDataset, provider) -> LabeledDataset:

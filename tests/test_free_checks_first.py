@@ -1,9 +1,11 @@
-"""No run buys an oracle score before the checks that need none.
+"""No run buys an oracle score before the checks that need none, nor any row twice.
 
 Every test scores through a provider that answers every row, labeled or not,
 as a paid judge does, and asserts that no row reaches ``score_uncached``
-before the run fails.
+before the run fails, or that a run asks for each row it needs once.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,12 @@ from scorefusion import (
     HarnessError,
     LabeledDataset,
     MethodSpec,
+    OracleCache,
+    OracleError,
     OracleSettings,
+    SyntheticOracle,
+    SyntheticOracleSpec,
+    SyntheticSpec,
     TransferSettings,
     run_experiment,
     run_transfer_experiment,
@@ -125,6 +132,74 @@ class TestProtocols:
         exc = _refusal(tune_hyperparameter, _cfg(), parameter=parameter, candidates=(0, 4), dataset=_dataset())
         assert paid == [] and builds == []
         assert isinstance(exc, HarnessError) and str(exc) == "tuning needs candidate values >= 1, got [0, 4]"
+
+
+class TestOnePayerPerRun:
+    def test_a_later_seed_failing_its_strata_check_pays_nothing(self, paid):
+        cfg, probe = _transfer_cfg(seeds=(0, 1)), _dataset(200)
+        test0, test1 = (set(split(probe, cfg.test_fraction, seed)[1].ids()) for seed in cfg.seeds)
+        ids = probe.ids()
+        # one target row in seed 0's test split and none in seed 1's
+        target = [i for i in ids if i in test0 - test1][:1] + [i for i in ids if i not in test0 | test1][:3]
+        ds = LabeledDataset.from_arrays(probe.feature_matrix(), y=probe.y.tolist(), ids=ids,
+                                        strata=["B" if i in target else "A" for i in ids])
+        exc = _refusal(run_transfer_experiment, cfg, dataset=ds)
+        assert paid == []
+        assert isinstance(exc, HarnessError) and str(exc) == "test split has no rows in the target strata"
+
+    def test_a_three_seed_experiment_asks_for_each_row_once(self, paid):
+        ds = _dataset(2000)
+        run_experiment(_cfg(seeds=(0, 1, 2)), dataset=ds)
+        assert sorted(paid) == ds.ids()
+
+    def test_a_three_seed_transfer_asks_for_each_needed_row_once(self, paid):
+        cfg = replace(_transfer_cfg(seeds=(0, 1, 2)),
+                      methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (200,))))
+        ds = _dataset(2000, strata=["A", "B"] * 1000)
+        run_transfer_experiment(cfg, dataset=ds)
+        source = {i for i, tag in zip(ds.ids(), ds.strata) if tag == "A"}
+        tested = {i for seed in cfg.seeds for i in split(ds, cfg.test_fraction, seed)[1].ids()}
+        assert len(paid) == len(set(paid))
+        assert set(paid) >= source | tested
+        # the target training rows asked for are the ones drawn: at most 200 per seed
+        assert 0 < len(set(paid) - source - tested) <= 600
+
+    def test_a_cache_lacking_a_row_only_a_later_seed_draws_fails_before_any_fit(self, tmp_path, monkeypatch):
+        cfg = replace(_transfer_cfg(seeds=(0, 1)),
+                      methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (30,))))
+        ds = _dataset(400, strata=["A", "B"] * 200)
+        needed = []
+        for seed in cfg.seeds:  # the rows each seed needs, as a one-seed run caches them
+            oracle_cfg = OracleSettings(kind="synthetic", seed=5, cache_path=str(tmp_path / f"{seed}.csv"))
+            run_transfer_experiment(replace(cfg, seeds=(seed,), oracle=oracle_cfg), dataset=ds)
+            needed.append(OracleCache(tmp_path / f"{seed}.csv").scores())
+        target = {i for i, tag in zip(ds.ids(), ds.strata) if tag == "B"}
+        tested = set(split(ds, cfg.test_fraction, 1)[1].ids())
+        missing = sorted((set(needed[1]) - set(needed[0]) - tested) & target)[0]
+        scores = {**needed[0], **needed[1]}
+        del scores[missing]
+        OracleCache(tmp_path / "replay.csv").update(scores)
+        fits, train_augmented = [], harness.train_augmented
+        monkeypatch.setattr(harness, "train_augmented", lambda *a, **kw: fits.append(1) or train_augmented(*a, **kw))
+        cached = OracleSettings(kind="cached", cache_path=str(tmp_path / "replay.csv"))
+        exc = _refusal(run_transfer_experiment, replace(cfg, oracle=cached, out_dir=str(tmp_path / "out")),
+                       dataset=ds)
+        assert isinstance(exc, OracleError) and f"{missing}: not in cache" in str(exc)
+        assert fits == [] and not (tmp_path / "out" / "seed_0").exists()
+
+    @pytest.mark.parametrize("via", ["config", "provider"])
+    def test_seeds_that_each_draw_a_synthetic_dataset_refuse_a_cache(self, paid, tmp_path, monkeypatch, via):
+        # every draw names its rows syn0..., so seed 1 would replay seed 0's scores for other rows
+        draws, synthesize = [], harness.synthesize
+        monkeypatch.setattr(harness, "synthesize", lambda spec: draws.append(spec) or synthesize(spec))
+        cache = str(tmp_path / "scores.csv")
+        oracle_cfg = OracleSettings(kind="synthetic", seed=5, cache_path=cache if via == "config" else None)
+        provider = SyntheticOracle(SyntheticOracleSpec(seed=5), cache=OracleCache(cache)) if via == "provider" else None
+        cfg = _cfg(seeds=(0, 1), oracle=oracle_cfg,
+                   synth=SyntheticSpec(d=2, n=400, true_weights=(2.0, -1.0, 0.0)))
+        exc = _refusal(run_experiment, cfg, provider=provider)
+        assert paid == [] and draws == []
+        assert isinstance(exc, HarnessError) and "oracle.cache" in str(exc) and "synth.*" in str(exc)
 
 
 SYNTH = "synth.d = 2\nsynth.n = 40\nsynth.weights = 2.0, -1.0, 0.0\nsynth.seed = 3\nfolds.k = 3\n"
