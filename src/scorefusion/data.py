@@ -795,31 +795,22 @@ def save_dataset(ds: LabeledDataset, path, format: str | None = None) -> None:
     """
     fmt = _infer_format(path, format)
     path = Path(path)
-    # absent z/y become None; every value written is a Python float, so repr gives the shortest round-trip text
+    # absent z/y become None; each value is a Python float, whose str is its shortest round-trip text
     zs = [None if v != v else v for v in ds.z.tolist()]
     ys = [None if v != v else int(v) for v in ds.y.tolist()]
     strata = ds.strata.tolist()
-    rows = zip(ds.ids(), ds.X, zs, ys, strata)
+    ids, xs = ds.ids(), ds.X.tolist()
     if fmt == "csv":
-        has_z, has_y, has_stratum = (any(v is not None for v in col) for col in (zs, ys, strata))
+        tail = {name: col for name, col in (("z", zs), ("y", ys), ("stratum", strata))
+                if any(v is not None for v in col)}
         with _write_whole(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            header = ["id"] + [f"f{j}" for j in range(ds.dim)]
-            header += ["z"] * has_z + ["y"] * has_y + ["stratum"] * has_stratum
-            writer.writerow(header)
-            for instance_id, x, z, y, stratum in rows:
-                row = [instance_id] + [repr(v) for v in x.tolist()]
-                if has_z:
-                    row.append("" if z is None else repr(z))
-                if has_y:
-                    row.append("" if y is None else str(y))
-                if has_stratum:
-                    row.append(stratum or "")
-                writer.writerow(row)
+            writer = csv.writer(fh)  # writes None as an empty cell
+            writer.writerow(["id"] + [f"f{j}" for j in range(ds.dim)] + list(tail))
+            writer.writerows([i, *x, *t] for i, x, *t in zip(ids, xs, *tail.values()))
     else:
         with _write_whole(path, "w", encoding="utf-8") as fh:
-            for instance_id, x, z, y, stratum in rows:
-                obj = {"id": instance_id, "features": x.tolist()}
+            for instance_id, x, z, y, stratum in zip(ids, xs, zs, ys, strata):
+                obj = {"id": instance_id, "features": x}
                 if z is not None:
                     obj["z"] = z
                 if y is not None:

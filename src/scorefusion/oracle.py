@@ -25,6 +25,8 @@ needs.
 from __future__ import annotations
 
 import csv
+import heapq
+import math
 import os
 import re
 import selectors
@@ -539,17 +541,21 @@ _RETRYABLE = (OracleError, ScoreParseError, OSError)
 class HttpOracle:
     """POSTs {"model", "prompt"} per row and parses the response body.
 
-    Each row is attempted up to ``retries`` times with exponential backoff
-    while its attempts raise one of ``_RETRYABLE``; rows still failing are
-    reported, not silently dropped. Any other exception fails its own row as
-    ``"<Type>: <message>"`` and halts the batch: no further row is handed out
-    and the rest fail as "not attempted", so the scores already paid for
-    still reach the cache. A batch runs as at most ``max_concurrency`` pool
-    tasks, each pulling row indices from one shared iterator, and the scores
-    come back in the batch's row order, whatever order the responses arrive
-    in. ``session`` only needs a ``post`` method, which keeps the transport
-    injectable; an injected session is shared by the tasks, so it must be
-    thread-safe. Without one, each task opens its own ``_KeepAliveSession``
+    Each row is attempted up to ``retries`` times while its attempts raise
+    one of ``_RETRYABLE``; rows still failing are reported with their last
+    error. ``backoff * 2**attempt`` s is the least wait between a row's
+    attempts, which the worker fills with other rows: it takes a due retry,
+    else a fresh row, else sleeps until the earliest retry is due. Any other
+    exception fails its own row as ``"<Type>: <message>"`` and halts the
+    batch. After a halt no POST starts: a waiting retry fails with its last
+    error, a row never handed out as "not attempted", and the paid scores
+    reach the cache. What reaches the calling thread (a ``KeyboardInterrupt``)
+    halts the batch too, and is raised once the POSTs in flight end, so its
+    scores are not cached. At most
+    ``max_concurrency`` pool tasks share the rows and the retry heap under
+    one lock; scores come back in row order. ``session`` only needs a
+    ``post`` method; an injected one is shared by the tasks, so it must be
+    thread-safe. Otherwise each task opens its own ``_KeepAliveSession``
     and closes it when it ends, and an ``OSError`` from that close is only a
     warning. The thread pool and ``http.client`` load when a batch is scored.
     """
@@ -584,38 +590,47 @@ class HttpOracle:
             raise OracleError(f"endpoint returned HTTP {status}")
         return parse_score(response.text)
 
-    def _score_with_retries(self, session, fields, headers):
-        """(score, None) on success, (NaN, last error) once every attempt failed."""
-        last = None
-        for attempt in range(self.config.retries):
-            try:
-                return self._score_once(session, fields, headers), None
-            except _RETRYABLE as exc:
-                last = str(exc)
-                if attempt + 1 < self.config.retries:
-                    time.sleep(self.config.backoff * 2.0**attempt)
-        return np.nan, last
-
     def score_uncached(self, ds: LabeledDataset):
         from concurrent.futures import ThreadPoolExecutor
 
         headers = self._headers()
         ids, strata = ds.ids(), ds.strata.tolist()
         scores, errors = np.full(ds.n, np.nan), [None] * ds.n
-        rows, lock, halt = iter(range(ds.n)), threading.Lock(), threading.Event()
+        retries, backoff = self.config.retries, self.config.backoff
+        rows, waiting = iter(range(ds.n)), []  # waiting: a heap of (due, row, attempt)
+        lock, halt = threading.Lock(), threading.Event()
 
-        def next_row():
+        def next_attempt():
+            """(due, row, attempt) of a due retry, else a fresh row, else the earliest retry."""
             with lock:
-                return None if halt.is_set() else next(rows, None)
+                if halt.is_set():
+                    return None
+                if waiting and waiting[0][0] <= time.monotonic():
+                    return heapq.heappop(waiting)
+                k = next(rows, None)
+                if k is not None:
+                    return -math.inf, k, 0
+                return heapq.heappop(waiting) if waiting else None
 
         def task():
             session = self.session if self.session is not None else _KeepAliveSession()
             try:
-                while (k := next_row()) is not None:
+                while (work := next_attempt()) is not None:
+                    due, k, attempt = work
+                    if (wait := due - time.monotonic()) > 0:
+                        time.sleep(wait)
+                        if halt.is_set():  # the row keeps its last error
+                            break
                     fields = {"id": ids[k], "stratum": strata[k] or ""}
                     try:
-                        scores[k], errors[k] = self._score_with_retries(session, fields, headers)
-                    except Exception as exc:  # not retryable: fail this row, hand out no more
+                        scores[k], errors[k] = self._score_once(session, fields, headers), None
+                    except _RETRYABLE as exc:
+                        errors[k] = str(exc)
+                        if attempt + 1 < retries:
+                            due = time.monotonic() + backoff * 2.0**attempt
+                            with lock:
+                                heapq.heappush(waiting, (due, k, attempt + 1))
+                    except Exception as exc:  # not retryable: fail this row, start no more POSTs
                         errors[k] = f"{type(exc).__name__}: {exc}"
                         halt.set()
             finally:
@@ -626,9 +641,12 @@ class HttpOracle:
                         warnings.warn(f"closing an HTTP session failed: {exc}")
 
         with ThreadPoolExecutor(max_workers=self.config.max_concurrency) as pool:
-            tasks = [pool.submit(task) for _ in range(min(self.config.max_concurrency, ds.n))]
-        for done in tasks:
-            done.result()  # re-raise what a task did not catch
+            try:
+                for done in [pool.submit(task) for _ in range(min(self.config.max_concurrency, ds.n))]:
+                    done.result()  # re-raise what a task did not catch
+            except BaseException:  # an interrupt too: halt; the pool's exit waits for POSTs in flight
+                halt.set()
+                raise
         for k in rows:  # left in the iterator only when the batch was halted
             errors[k] = "not attempted"
         return scores, [(i, error) for i, error in zip(ids, errors) if error is not None]

@@ -108,13 +108,6 @@ def serve():
         server.server_close()
 
 
-@pytest.fixture
-def sleeps(monkeypatch):
-    slept = []
-    monkeypatch.setattr(oracle_mod.time, "sleep", slept.append)
-    return slept
-
-
 def _rows(ids):
     return LabeledDataset.from_arrays(np.zeros((len(ids), 1)), ids=ids)
 
@@ -129,11 +122,12 @@ def _post(session, url, row="a"):
                         headers={"Content-Type": "application/json"}, timeout=5.0)
 
 
-def test_a_200_and_a_503_then_200(serve, sleeps):
+def test_a_200_and_a_503_then_200(serve, fake_clock):
     server = serve({"a": [(200, '{"score": 0.25}')], "b": [(503, "busy"), (200, "Score: 0.75")]})
     z = score_batch(_oracle(server.url, max_concurrency=1), _rows(["a", "b"]), column=True)
     assert z.tolist() == [0.25, 0.75]
-    assert server.rows() == ["a", "b", "b"] and sleeps == [0.25]
+    assert server.rows() == ["a", "b", "b"] and fake_clock.slept == [0.25]
+    assert fake_clock.starts == {"a": [0.0], "b": [0.0, 0.25]}  # the retry starts when it is due
     assert {line for _, _, line, _ in server.seen} == {"POST /v1/score HTTP/1.1"}
     headers = server.seen[0][3]
     assert headers["Content-Type"] == "application/json" and headers["Accept-Encoding"] == "identity"
@@ -147,17 +141,19 @@ def test_the_bearer_token_is_sent(serve, monkeypatch):
     assert server.seen[0][3]["Authorization"] == "Bearer sekrit"
 
 
-def test_a_timeout_is_retried_on_a_new_connection(serve, sleeps):
+def test_a_timeout_is_retried_on_a_new_connection(serve, fake_clock):
     server = serve({"a": ["slow", (200, "0.5")]})
     z = score_batch(_oracle(server.url, timeout=0.1), _rows(["a"]), column=True)
-    assert z.tolist() == [0.5] and sleeps == [0.25]
+    assert z.tolist() == [0.5] and fake_clock.slept == [0.25]
+    assert fake_clock.starts == {"a": [0.0, 0.25]}
     assert server.rows() == ["a", "a"] and len(server.connections()) == 2
 
 
-def test_a_protocol_error_is_retried(serve, sleeps):
+def test_a_protocol_error_is_retried(serve, fake_clock):
     server = serve({"a": ["garbage", (200, "0.5")]})
     assert score_batch(_oracle(server.url), _rows(["a"]), column=True).tolist() == [0.5]
-    assert server.rows() == ["a", "a"] and sleeps == [0.25]
+    assert server.rows() == ["a", "a"] and fake_clock.slept == [0.25]
+    assert fake_clock.starts == {"a": [0.0, 0.25]}
 
 
 def test_a_redirect_is_not_followed(serve):

@@ -1,11 +1,14 @@
 """Oracle scoring: prompt rendering, response parsing, caching, providers."""
 
 import csv
+import itertools
 import re
+import signal
 import sys
 import threading
 import time
 import warnings
+from collections import Counter
 from hashlib import sha256
 from pathlib import Path
 
@@ -820,11 +823,7 @@ class TestHttpOracle:
             score_batch(oracle, _rows(["a"]))
         assert session.posts == []
 
-    def test_retries_recover_from_transient_failures(self, monkeypatch):
-        import scorefusion.oracle as oracle_mod
-
-        sleeps = []
-        monkeypatch.setattr(oracle_mod.time, "sleep", sleeps.append)
+    def test_retries_recover_from_transient_failures(self, fake_clock):
         session = _FakeSession(
             {"a": [_FakeResponse("oops", status_code=500),
                    _FakeResponse("garbage"),
@@ -833,7 +832,53 @@ class TestHttpOracle:
         oracle = _http(session, backoff=0.5)
         assert score_batch(oracle, _rows(["a"]), column=True).tolist() == [0.75]
         assert len(session.posts) == 3
-        assert sleeps == [0.5, 1.0]  # backoff * 2^attempt
+        assert fake_clock.slept == [0.5, 1.0]  # backoff * 2^attempt
+        assert fake_clock.starts == {"a": [0.0, 0.5, 1.5]}  # no retry starts before it is due
+
+    def test_the_worker_posts_fresh_rows_while_a_retry_waits(self, fake_clock):
+        session = _FakeSession({"a": [_FakeResponse("busy", 503), _FakeResponse("0.1")],
+                                "b": [_FakeResponse("0.2")], "c": [_FakeResponse("0.3")]})
+        oracle = _http(session, backoff=0.05, max_concurrency=1)
+        assert score_batch(oracle, _rows(["a", "b", "c"]), column=True).tolist() == [0.1, 0.2, 0.3]
+        assert [r["json"]["prompt"] for r in session.posts] == ["score a", "score b", "score c", "score a"]
+        assert fake_clock.slept == [0.05]  # only what was left of a's wait
+        assert fake_clock.starts == {"a": [0.0, 0.05], "b": [0.0], "c": [0.0]}
+
+    def test_a_waiting_retry_is_not_posted_after_a_halt(self, fake_clock):
+        session = _FakeSession({"a": [_FakeResponse("busy", 503), _FakeResponse("0.1")],
+                                "b": [RuntimeError("socket closed")], "c": [_FakeResponse("0.3")]})
+        oracle = _http(session, backoff=0.05, max_concurrency=1)
+        z, failures = oracle.score_uncached(_rows(["a", "b", "c"]))
+        assert [r["json"]["prompt"] for r in session.posts] == ["score a", "score b"]
+        assert np.isnan(z).all() and fake_clock.slept == []
+        assert failures == [("a", "endpoint returned HTTP 503"), ("b", "RuntimeError: socket closed"),
+                            ("c", "not attempted")]
+
+    def test_an_interrupt_lets_the_posts_in_flight_finish_and_starts_no_more(self):
+        main, posted = threading.main_thread().ident, itertools.count(1)
+
+        class Interrupting(_FakeSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                if next(posted) == 20:
+                    signal.pthread_kill(main, signal.SIGUSR1)
+                time.sleep(0.002)  # a paced endpoint: the main thread runs its handler meanwhile
+                return super().post(url, json, headers, timeout)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        ids = [f"i{k:03d}" for k in range(400)]
+        session = Interrupting({i: [_FakeResponse("0.5")] for i in ids})
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                _http(session, max_concurrency=2).score_uncached(_rows(ids))
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        for thread in threading.enumerate():  # any worker still running would go on posting
+            if thread.name.startswith("ThreadPoolExecutor"):
+                thread.join()
+        assert 20 <= len(session.posts) <= 20 + 2
 
     def test_exhausted_retries_surface_as_failures(self):
         session = _FakeSession({"a": [_FakeResponse("nope", 500)] * 3})
@@ -963,6 +1008,21 @@ class TestHttpOracle:
             sys.setswitchinterval(interval)
         assert failures == [] and z.tolist() == [k / 1000 for k in range(400)]
         assert sorted(r["json"]["prompt"] for r in session.posts) == [f"score {i}" for i in ids]
+
+    def test_every_retry_is_posted_once_under_frequent_thread_switches(self):
+        ids = [f"i{k:03d}" for k in range(400)]
+        flaky = set(ids[::10])  # each answers 503 once, then its score
+        session = _FakeSession({i: [_FakeResponse("busy", 503)] * (i in flaky) + [_FakeResponse(f"0.{k:03d}")]
+                                for k, i in enumerate(ids)})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            z, failures = _http(session, max_concurrency=8, backoff=0.001).score_uncached(_rows(ids))
+        finally:
+            sys.setswitchinterval(interval)
+        assert failures == [] and z.tolist() == [k / 1000 for k in range(400)]
+        posts = Counter(r["json"]["prompt"].split()[-1] for r in session.posts)
+        assert posts == {i: 2 if i in flaky else 1 for i in ids}
 
     def test_instances_and_dataset_batches_agree(self, tmp_path):
         ids = ["c", "a", "e", "b", "d"]
