@@ -30,13 +30,13 @@ import math
 import os
 import re
 import selectors
-import threading
-import time
 import warnings
 from dataclasses import dataclass
 from itertools import compress, repeat
 from json import JSONDecodeError, dumps, loads
 from pathlib import Path
+from threading import Event, Lock
+from time import monotonic
 from types import SimpleNamespace
 from urllib.parse import urlsplit
 
@@ -445,7 +445,7 @@ class HttpOracleConfig:
     rendered per row with its {id} and {stratum} ("" for an untagged row),
     and any other placeholder is rejected here, before a row is scored.
     ``timeout`` must be > 0 and ``backoff`` >= 0, so neither the transport
-    nor the sleep between attempts can reject them mid-batch.
+    nor the wait between attempts can reject them mid-batch.
     """
 
     url: str
@@ -545,13 +545,14 @@ class HttpOracle:
     one of ``_RETRYABLE``; rows still failing are reported with their last
     error. ``backoff * 2**attempt`` s is the least wait between a row's
     attempts, which the worker fills with other rows: it takes a due retry,
-    else a fresh row, else sleeps until the earliest retry is due. Any other
-    exception fails its own row as ``"<Type>: <message>"`` and halts the
-    batch. After a halt no POST starts: a waiting retry fails with its last
-    error, a row never handed out as "not attempted", and the paid scores
-    reach the cache. What reaches the calling thread (a ``KeyboardInterrupt``)
-    halts the batch too, and is raised once the POSTs in flight end, so its
-    scores are not cached. At most
+    else a fresh row, else waits on the halt until the earliest retry is
+    due, so a halt ends that wait at once. Any other exception fails its
+    own row as ``"<Type>: <message>"`` and halts the batch. After a halt no
+    POST starts: a waiting retry fails with its last error, a row never
+    handed out as "not attempted", and the paid scores reach the cache.
+    What reaches the calling thread (a ``KeyboardInterrupt``) halts the
+    batch too: once the POSTs in flight end, the in-range scores fetched so
+    far go to the cache, and then it is raised. At most
     ``max_concurrency`` pool tasks share the rows and the retry heap under
     one lock; scores come back in row order. ``session`` only needs a
     ``post`` method; an injected one is shared by the tasks, so it must be
@@ -598,14 +599,14 @@ class HttpOracle:
         scores, errors = np.full(ds.n, np.nan), [None] * ds.n
         retries, backoff = self.config.retries, self.config.backoff
         rows, waiting = iter(range(ds.n)), []  # waiting: a heap of (due, row, attempt)
-        lock, halt = threading.Lock(), threading.Event()
+        lock, halt = Lock(), Event()
 
         def next_attempt():
             """(due, row, attempt) of a due retry, else a fresh row, else the earliest retry."""
             with lock:
                 if halt.is_set():
                     return None
-                if waiting and waiting[0][0] <= time.monotonic():
+                if waiting and waiting[0][0] <= monotonic():
                     return heapq.heappop(waiting)
                 k = next(rows, None)
                 if k is not None:
@@ -617,17 +618,15 @@ class HttpOracle:
             try:
                 while (work := next_attempt()) is not None:
                     due, k, attempt = work
-                    if (wait := due - time.monotonic()) > 0:
-                        time.sleep(wait)
-                        if halt.is_set():  # the row keeps its last error
-                            break
+                    if (wait := due - monotonic()) > 0 and halt.wait(wait):
+                        break  # halted while it waited: the row keeps its last error
                     fields = {"id": ids[k], "stratum": strata[k] or ""}
                     try:
                         scores[k], errors[k] = self._score_once(session, fields, headers), None
                     except _RETRYABLE as exc:
                         errors[k] = str(exc)
                         if attempt + 1 < retries:
-                            due = time.monotonic() + backoff * 2.0**attempt
+                            due = monotonic() + backoff * 2.0**attempt
                             with lock:
                                 heapq.heappush(waiting, (due, k, attempt + 1))
                     except Exception as exc:  # not retryable: fail this row, start no more POSTs
@@ -644,8 +643,11 @@ class HttpOracle:
             try:
                 for done in [pool.submit(task) for _ in range(min(self.config.max_concurrency, ds.n))]:
                     done.result()  # re-raise what a task did not catch
-            except BaseException:  # an interrupt too: halt; the pool's exit waits for POSTs in flight
+            except BaseException:  # an interrupt too: no POST starts
                 halt.set()
+                pool.shutdown()  # the POSTs in flight end
+                if self.cache is not None:  # and their scores are kept, as paid for
+                    self.cache.update({i: z for i, z in zip(ids, scores.tolist()) if 0 <= z <= 1})
                 raise
         for k in rows:  # left in the iterator only when the batch was halted
             errors[k] = "not attempted"

@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import threading
+
 import pytest
 
 from scorefusion import HttpOracle
@@ -7,9 +9,9 @@ from scorefusion import oracle as oracle_mod
 
 
 class FakeClock:
-    """A monotonic clock at 0.0 that only ``sleep`` moves, so every backoff wait is exact.
+    """A monotonic clock at 0.0 that only a wait on the halt moves, so every backoff wait is exact.
 
-    ``slept`` lists the sleeps, and ``starts`` maps each row id to the clock
+    ``slept`` lists the waits, and ``starts`` maps each row id to the clock
     reading at the start of each of its attempts.
     """
 
@@ -19,17 +21,30 @@ class FakeClock:
     def monotonic(self):
         return self.now
 
-    def sleep(self, seconds):
-        self.slept.append(seconds)
-        self.now += seconds
+    def event(self):
+        """A ``threading.Event`` whose ``wait(timeout)`` moves the clock instead of blocking."""
+        clock, event = self, threading.Event()
+
+        def wait(timeout):
+            if not event.is_set():  # a set halt ends the wait at once
+                clock.slept.append(timeout)
+                clock.now += timeout
+            return event.is_set()
+
+        event.wait = wait
+        return event
 
 
 @pytest.fixture
 def fake_clock(monkeypatch):
-    """Runs ``HttpOracle`` on a ``FakeClock`` that records when each attempt starts."""
+    """Runs ``HttpOracle`` on a ``FakeClock`` that records when each attempt starts.
+
+    Only ``oracle.py``'s own names are patched, so ``time`` and ``threading``
+    stay real for every other thread, a test server's too.
+    """
     clock = FakeClock()
-    monkeypatch.setattr(oracle_mod.time, "monotonic", clock.monotonic)
-    monkeypatch.setattr(oracle_mod.time, "sleep", clock.sleep)
+    monkeypatch.setattr(oracle_mod, "monotonic", clock.monotonic)
+    monkeypatch.setattr(oracle_mod, "Event", clock.event)
     score_once = HttpOracle._score_once
 
     def recorded(oracle, session, fields, headers):

@@ -880,6 +880,70 @@ class TestHttpOracle:
                 thread.join()
         assert 20 <= len(session.posts) <= 20 + 2
 
+    def test_an_interrupt_ends_a_waiting_retry_at_once(self):
+        session = _FakeSession({"a": [_FakeResponse("busy", 503)] * 3})
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        previous, start = signal.signal(signal.SIGALRM, interrupt), time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)  # while a's retry waits out its 2 s backoff
+            with pytest.raises(KeyboardInterrupt):
+                _http(session, backoff=2.0).score_uncached(_rows(["a"]))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 0.5
+        assert [r["json"]["prompt"] for r in session.posts] == ["score a"]
+
+    def test_a_halt_ends_another_workers_waiting_retry_at_once(self):
+        b_posted = threading.Event()
+
+        class Paced(_FakeSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                if json["prompt"] == "score a":
+                    b_posted.wait(5)  # so b's worker holds b while a's retry waits
+                else:
+                    b_posted.set()
+                    time.sleep(0.05)  # a's worker starts its 2 s wait meanwhile
+                return super().post(url, json, headers, timeout)
+
+        session = Paced({"a": [_FakeResponse("busy", 503)] * 3, "b": [RuntimeError("socket closed")]})
+        start = time.monotonic()
+        z, failures = _http(session, backoff=2.0, max_concurrency=2).score_uncached(_rows(["a", "b"]))
+        assert time.monotonic() - start < 0.5
+        assert np.isnan(z).all()
+        assert failures == [("a", "endpoint returned HTTP 503"), ("b", "RuntimeError: socket closed")]
+        assert sorted(r["json"]["prompt"] for r in session.posts) == ["score a", "score b"]
+
+    def test_an_interrupted_batch_caches_the_scores_it_paid_for(self, tmp_path):
+        main, posted = threading.main_thread().ident, itertools.count(1)
+
+        class Interrupting(_FakeSession):
+            def post(self, url, json=None, headers=None, timeout=None):
+                if next(posted) == 20:
+                    signal.pthread_kill(main, signal.SIGUSR1)
+                time.sleep(0.002)
+                return super().post(url, json, headers, timeout)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        ids = [f"i{k:03d}" for k in range(400)]
+        oracle = _http(Interrupting({i: [_FakeResponse(f"0.{k:03d}")] for k, i in enumerate(ids)}),
+                       max_concurrency=2)
+        oracle.cache = OracleCache(tmp_path / "cache.csv")
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                score_batch(oracle, _rows(ids))
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        answered = [r["json"]["prompt"].split()[-1] for r in oracle.session.posts]
+        assert 20 <= len(answered) <= 20 + 2
+        assert OracleCache(tmp_path / "cache.csv").scores() == {i: int(i[1:]) / 1000 for i in answered}
+
     def test_exhausted_retries_surface_as_failures(self):
         session = _FakeSession({"a": [_FakeResponse("nope", 500)] * 3})
         oracle = _http(session)
