@@ -177,7 +177,6 @@ def cmd_eval(cfg, args) -> int:
         raise ConfigError("eval needs eval.model = <base model JSON>")
     if cfg.eval_weights is not None and cfg.eval_calibrator is not None:
         raise ConfigError("eval.weights and eval.calibrator are mutually exclusive")
-    cfg.validate_paths()
     model = BaseModel.load(cfg.eval_model)
     weights = None if cfg.eval_weights is None else WeightFunction.load(cfg.eval_weights)
     calibrator = None if cfg.eval_calibrator is None else load_calibrator(cfg.eval_calibrator)

@@ -12,6 +12,7 @@ built from the table and the fields.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -87,7 +88,7 @@ class BaseSettings:
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.reg_lambda < 0 or self.max_iter < 1 or self.tol <= 0:
+        if not self.reg_lambda >= 0 or self.max_iter < 1 or not self.tol > 0:
             raise ConfigError(
                 f"invalid base-model hyperparameters: reg_lambda={self.reg_lambda}, "
                 f"max_iter={self.max_iter}, tol={self.tol}"
@@ -174,6 +175,8 @@ class ExperimentConfig:
             raise ConfigError(f"fold count must be >= 2, got {self.k}")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if any(s < 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be >= 0, got {list(self.seeds)}")
         if not self.methods:
             raise ConfigError("at least one method is required")
         for label, values in (("seed", self.seeds), ("method", [m.name for m in self.methods])):
@@ -190,17 +193,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"calibration.kind must be cell or additive, got {self.calibration_kind!r}"
             )
-
-    def validate_paths(self) -> None:
-        """Check that every referenced input file exists."""
-        for label, path in (
-            ("dataset.path", self.dataset_path),
-            ("eval.model", self.eval_model),
-            ("eval.weights", self.eval_weights),
-            ("eval.calibrator", self.eval_calibrator),
-        ):
-            if path is not None and not Path(path).exists():
-                raise ConfigError(f"{label} refers to a missing file: {path}")
 
     def require_data_source(self) -> None:
         if self.dataset_path is None and self.synth is None:
@@ -248,8 +240,16 @@ def _sequence(convert, noun):
     return parse
 
 
-_int, _float = _scalar(int, "an integer"), _scalar(float, "a number")
-_ints, _floats = _sequence(int, "integers"), _sequence(float, "numbers")
+def _finite(text: str) -> float:
+    """``float(text)`` when finite; a ValueError, as for a non-number, when not."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_int, _float = _scalar(int, "an integer"), _scalar(_finite, "a finite number")
+_ints, _floats = _sequence(int, "integers"), _sequence(_finite, "finite numbers")
 _strings = _sequence(str, "strings")
 
 
@@ -275,7 +275,7 @@ def _strata(key, text):
         tag, weight, shift = parts
         try:
             strata.append(
-                (tag.strip(), tuple(float(s) for s in shift.split("|")), float(weight))
+                (tag.strip(), tuple(_finite(s) for s in shift.split("|")), _finite(weight))
             )
         except ValueError:
             raise ConfigError(f"synth.strata entry {entry!r} has non-numeric fields") from None
@@ -290,7 +290,7 @@ def _density(key, text) -> dict | None:
         if not sep:
             raise ConfigError(f"transfer.target_density entry {entry!r} must be tag:prob")
         try:
-            density[tag.strip()] = float(prob)
+            density[tag.strip()] = _finite(prob)
         except ValueError:
             raise ConfigError(f"transfer.target_density entry {entry!r} has a bad number") from None
     return density or None

@@ -375,8 +375,12 @@ class SyntheticSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "true_weights", tuple(float(w) for w in self.true_weights))
+        if not np.isfinite(self.true_weights).all():
+            raise DatasetError(f"true_weights must be finite, got {list(self.true_weights)}")
         if self.d < 1 or self.n < 1:
             raise DatasetError("synthetic spec needs d >= 1 and n >= 1")
+        if self.seed < 0:
+            raise DatasetError(f"synthetic spec seed must be >= 0, got {self.seed}")
         if len(self.true_weights) != self.d + 1:
             raise DatasetError(
                 f"true_weights must have length d+1={self.d + 1}, got {len(self.true_weights)}"
@@ -388,6 +392,8 @@ class SyntheticSpec:
             )
             object.__setattr__(self, "strata", strata)
             weights = [w for _, _, w in strata]
+            if not np.isfinite([*weights, *(s for _, shift, _ in strata for s in shift)]).all():
+                raise DatasetError("stratum mean shifts and mixture weights must be finite")
             if any(w < 0 for w in weights):
                 raise DatasetError("stratum mixture weights must be nonnegative")
             if abs(sum(weights) - 1.0) > 1e-9:

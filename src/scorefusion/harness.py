@@ -135,7 +135,6 @@ def fixed_dataset(cfg: ExperimentConfig, dataset=None) -> LabeledDataset | None:
     cfg.require_data_source()
     if cfg.dataset_path is None:
         return None
-    cfg.validate_paths()
     return load_dataset(cfg.dataset_path, cfg.dataset_format)
 
 
@@ -387,20 +386,14 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
 # ---------------------------------------------------------------------------
 
 
-def tune_hyperparameter(
-    cfg: ExperimentConfig,
-    parameter: str | None = None,
-    candidates=None,
-    dataset=None,
-    provider=None,
-) -> int:
-    """Select r (weight pieces) or M (base grid) by cross-validation on the
-    training split only. Ties break toward the smaller candidate."""
-    parameter = parameter if parameter is not None else cfg.tune_parameter
-    if parameter not in ("r", "M"):
-        raise HarnessError(f"tunable parameters are 'r' and 'M', got {parameter!r}")
-    candidates = sorted(set(map(int, cfg.tune_candidates if candidates is None else candidates)))
-    if not candidates or candidates[0] < 1:
+def tune_hyperparameter(cfg: ExperimentConfig, dataset=None, provider=None) -> int:
+    """Select ``tune.parameter`` (r, the weight pieces, or M, the base grid)
+    among ``tune.candidates`` by cross-validation on the training split only.
+    Ties break toward the smaller candidate."""
+    if cfg.tune_parameter not in ("r", "M"):
+        raise HarnessError(f"tunable parameters are 'r' and 'M', got {cfg.tune_parameter!r}")
+    candidates = sorted(set(map(int, cfg.tune_candidates)))
+    if not candidates:
         raise HarnessError(f"tuning needs candidate values >= 1, got {candidates}")
     if len(candidates) == 1:
         return candidates[0]
@@ -412,7 +405,7 @@ def tune_hyperparameter(
     train_ds = ds.take(~_test_rows(ds.n, cfg.test_fraction, seed))
     y_cv, z, y = fit_inputs(cfg, train_ds, seed, provider)
 
-    if parameter == "M":
+    if cfg.tune_parameter == "M":
         return choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,
                            kind=cfg.calibration_kind, k=cfg.k, seed=child_seed(seed, 3)).base_res
     return choose_pieces(y_cv, z, y, candidates, k=cfg.k, seed=child_seed(seed, 3))

@@ -55,9 +55,9 @@ def regularized_logloss_grad(weights, intercept, X, y, reg_lambda):
 def minimize_gd(value_and_grad, theta0, max_iter, tol):
     """Full-batch gradient descent with Armijo backtracking.
 
-    ``value_and_grad(theta)`` returns (objective, gradient), where the
-    gradient is either an array or a zero-argument callable that builds it.
-    A callable is called only for the start point and for accepted steps, so
+    ``value_and_grad(theta)`` returns (objective, build_grad), where
+    ``build_grad`` is a zero-argument callable that returns the gradient
+    array. It is called only for the start point and for accepted steps, so
     an objective can keep the intermediates of its value and skip the
     gradient's work for every Armijo candidate the line search rejects.
     Stops when the gradient infinity-norm drops to ``tol`` or after
@@ -67,8 +67,8 @@ def minimize_gd(value_and_grad, theta0, max_iter, tol):
     armijo_c = 1e-4
     shrink = 0.5
     theta = np.asarray(theta0, dtype=float).copy()
-    value, grad = value_and_grad(theta)
-    grad = grad() if callable(grad) else grad
+    value, build_grad = value_and_grad(theta)
+    grad = build_grad()
     step = 1.0
     iterations = 0
     for iterations in range(max_iter + 1):
@@ -80,9 +80,9 @@ def minimize_gd(value_and_grad, theta0, max_iter, tol):
         accepted = False
         for _ in range(60):
             candidate = theta - step * grad
-            cand_value, cand_grad = value_and_grad(candidate)
+            cand_value, build_grad = value_and_grad(candidate)
             if cand_value <= value - armijo_c * step * sq:
-                grad = cand_grad() if callable(cand_grad) else cand_grad
+                grad = build_grad()
                 theta, value = candidate, cand_value
                 accepted = True
                 break
@@ -198,7 +198,7 @@ def _training_inputs(ds: LabeledDataset, reg_lambda: float, role: str = "trainin
     if ds.n < 1:
         noun = "dataset" if role == "training" else f"{role} dataset"
         raise TrainingError(f"cannot train on an empty {noun}")
-    if reg_lambda < 0:
+    if not reg_lambda >= 0:
         raise TrainingError(f"reg_lambda must be >= 0, got {reg_lambda}")
     if not ds.has_labels:
         raise TrainingError(f"{role} dataset has instances with missing labels")

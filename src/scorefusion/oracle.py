@@ -555,10 +555,12 @@ class HttpOracle:
     far go to the cache, and then it is raised. At most
     ``max_concurrency`` pool tasks share the rows and the retry heap under
     one lock; scores come back in row order. ``session`` only needs a
-    ``post`` method; an injected one is shared by the tasks, so it must be
-    thread-safe. Otherwise each task opens its own ``_KeepAliveSession``
-    and closes it when it ends, and an ``OSError`` from that close is only a
-    warning. The thread pool and ``http.client`` load when a batch is scored.
+    ``post`` method, and ``session.post(...)`` returns an object with
+    ``status_code`` and ``text``; an injected one is shared by the tasks,
+    so it must be thread-safe. Otherwise each task opens its own
+    ``_KeepAliveSession`` and closes it when it ends, and an ``OSError``
+    from that close is only a warning. The thread pool and ``http.client``
+    load when a batch is scored.
     """
 
     def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None, session=None):
@@ -586,9 +588,8 @@ class HttpOracle:
             headers=headers,
             timeout=self.config.timeout,
         )
-        status = getattr(response, "status_code", 200)
-        if status != 200:
-            raise OracleError(f"endpoint returned HTTP {status}")
+        if response.status_code != 200:
+            raise OracleError(f"endpoint returned HTTP {response.status_code}")
         return parse_score(response.text)
 
     def score_uncached(self, ds: LabeledDataset):

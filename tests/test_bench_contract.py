@@ -100,7 +100,7 @@ def joins(monkeypatch):
         test_harness.TestRunTransferExperiment()._transfer_cfg(), dataset=_two_strata()),
                  id="run_transfer_experiment"),
     pytest.param(lambda: scorefusion.tune_hyperparameter(
-        _cfg(seeds=(0,)), parameter="r", candidates=[1, 2], dataset=_dataset(120)),
+        _cfg(seeds=(0,), tune_parameter="r", tune_candidates=(1, 2)), dataset=_dataset(120)),
                  id="tune_hyperparameter"),
 ])
 def test_every_oracle_join_goes_through_score_batch(run, joins):

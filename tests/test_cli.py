@@ -109,6 +109,20 @@ class TestErrorHandling:
         assert code == 2 and "repeated: 3" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("synth.weights = nan, -1, 0", "synth.weights must be comma-separated finite numbers"),
+        ("base.reg_lambda = nan", "base.reg_lambda must be a finite number, got 'nan'"),
+        ("synth.strata = A:nan:0|0", "synth.strata entry 'A:nan:0|0' has non-numeric fields"),
+        ("seeds = -1", "seeds must be >= 0, got [-1]"),
+        ("synth.seed = -3", "synthetic spec seed must be >= 0, got -3"),
+    ])
+    def test_a_non_finite_number_or_negative_seed_exits_2_before_running(self, tmp_path, capsys,
+                                                                        line, message):
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK + f"folds.k = 3\n{line}\n")
+        code, out, err = _run(capsys, "experiment", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, "bogus.key = 1\n")
         code, _, err = _run(capsys, "experiment", "--config", cfg)
@@ -275,6 +289,18 @@ class TestExperimentCommands:
         assert code == 0
         assert "ml@source: accuracy" in msg
         assert "transfer(100)@target: accuracy" in msg
+
+    def test_experiment_then_eval_of_the_model_it_writes_from_one_config(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert _run(capsys, "synth", "--config", _write_cfg(tmp_path, SYNTH_BLOCK, "synth.cfg"),
+                    "--out", str(data))[0] == 0
+        # eval.model names the file that experiment is about to write
+        cfg = _write_cfg(tmp_path, f"dataset.path = {data / 'synthetic.csv'}\nfolds.k = 3\n"
+                         f"eval.model = {out / 'seed_0' / 'base_model.json'}\n")
+        code, msg, err = _run(capsys, "experiment", "--config", cfg, "--out", str(out))
+        assert (code, err) == (0, "") and "ml: accuracy" in msg
+        code, msg, err = _run(capsys, "eval", "--config", cfg)
+        assert (code, err) == (0, "") and set(json.loads(msg)) == {"ml"}
 
     def test_tune_prints_and_writes_the_selection(self, tmp_path, capsys):
         out = tmp_path / "tuned"

@@ -11,7 +11,7 @@ from scorefusion import (
     load_config,
     parse_config_text,
 )
-from scorefusion.config import DEFAULT_LINES, config_from_mapping
+from scorefusion.config import DEFAULT_LINES, BaseSettings, config_from_mapping
 
 
 class TestParseConfigText:
@@ -181,6 +181,11 @@ class TestConfigFromMapping:
         ("calibration.base_res", "0", "calibration grid resolutions must be >= 1"),
         ("calibration.kind", "grid", "calibration.kind must be cell or additive, got 'grid'"),
         ("seeds", "1, x", "seeds must be comma-separated integers"),
+        ("seeds", "2, -1", "seeds must be >= 0, got [2, -1]"),
+        ("base.reg_lambda", "nan", "base.reg_lambda must be a finite number, got 'nan'"),
+        ("synth.weights", "nan, -1, 0", "synth.weights must be comma-separated finite numbers"),
+        ("synth.strata", "A:nan:0|0", "synth.strata entry 'A:nan:0|0' has non-numeric fields"),
+        ("transfer.target_density", "A:inf", "transfer.target_density entry 'A:inf' has a bad number"),
         ("synth.strata", "A:0.5", "synth.strata entry 'A:0.5' must be tag:weight:s0|s1|..."),
         ("synth.strata", "A:x:0|0", "synth.strata entry 'A:x:0|0' has non-numeric fields"),
         ("transfer.target_density", "A", "transfer.target_density entry 'A' must be tag:prob"),
@@ -199,6 +204,11 @@ class TestConfigFromMapping:
         # an empty config list keeps the default, so only a direct construction reaches this
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig(**{field: ()})
+
+    @pytest.mark.parametrize("name", ["reg_lambda", "tol"])
+    def test_a_nan_base_setting_is_rejected_on_construction(self, name):
+        with pytest.raises(ConfigError, match=f"^invalid base-model hyperparameters: .*{name}=nan"):
+            BaseSettings(**{name: float("nan")})
 
     def test_distinct_seeds_and_methods_load(self):
         cfg = config_from_mapping({"seeds": "3, 4", "methods": "transfer(500), transfer(50), ml"})
@@ -223,11 +233,6 @@ class TestConfigFromMapping:
             assert config_from_mapping({key: shown}) == defaults, line
             checked.append(key)
         assert "base.tol" in checked and "methods" in checked and "transfer.round_oracle" in checked
-
-    def test_missing_referenced_files_reported(self, tmp_path):
-        cfg = config_from_mapping({"dataset.path": str(tmp_path / "absent.csv")})
-        with pytest.raises(ConfigError, match="missing file"):
-            cfg.validate_paths()
 
 
 class TestLoadConfig:

@@ -631,6 +631,14 @@ class TestArgumentChecks:
                      "stratum mixture weights must be nonnegative", id="synth-negative-weight"),
         pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(1.0, 0.0), strata=(("a", (0.0, 1.0), 1.0),)),
                      "stratum 'a' mean shift must have length d=1", id="synth-shift-length"),
+        pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(np.nan, 0.0)),
+                     "true_weights must be finite, got [nan, 0.0]", id="synth-nan-weight"),
+        pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(1.0, 0.0), strata=(("a", (np.inf,), 1.0),)),
+                     "stratum mean shifts and mixture weights must be finite", id="synth-inf-shift"),
+        pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(1.0, 0.0), strata=(("a", (0.0,), np.nan),)),
+                     "stratum mean shifts and mixture weights must be finite", id="synth-nan-mixture"),
+        pytest.param(lambda: SyntheticSpec(d=1, n=5, true_weights=(1.0, 0.0), seed=-3),
+                     "synthetic spec seed must be >= 0, got -3", id="synth-negative-seed"),
         pytest.param(lambda: load_dataset("x.csv", format="tsv"),
                      "unknown dataset format 'tsv'; expected one of ('csv', 'jsonl')", id="unknown-format"),
         pytest.param(lambda: split(_toy(1), 0.5, seed=0), "cannot split a dataset with n=1", id="split-n"),

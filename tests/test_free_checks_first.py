@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from scorefusion import (
+    ConfigError,
     DatasetError,
     ExperimentConfig,
     HarnessError,
@@ -92,8 +93,8 @@ def _refusal(run, *args, **kwargs):
 class TestProtocols:
     @pytest.mark.parametrize("run", [run_experiment, tune_hyperparameter])
     def test_more_folds_than_training_rows(self, paid, run):
-        kwargs = {"parameter": "r", "candidates": (1, 2)} if run is tune_hyperparameter else {}
-        exc = _refusal(run, _cfg(k=35), dataset=_dataset(), **kwargs)
+        tune = {"tune_parameter": "r", "tune_candidates": (1, 2)} if run is tune_hyperparameter else {}
+        exc = _refusal(run, _cfg(k=35, **tune), dataset=_dataset())
         assert paid == []
         assert isinstance(exc, DatasetError) and str(exc) == "cannot make 35 folds from 32 instances"
 
@@ -129,9 +130,10 @@ class TestProtocols:
     def test_a_candidate_below_one_is_refused_before_the_provider(self, paid, parameter, monkeypatch):
         builds, build = [], harness.build_provider
         monkeypatch.setattr(harness, "build_provider", lambda settings: builds.append(1) or build(settings))
-        exc = _refusal(tune_hyperparameter, _cfg(), parameter=parameter, candidates=(0, 4), dataset=_dataset())
+        exc = _refusal(lambda: tune_hyperparameter(
+            replace(_cfg(), tune_parameter=parameter, tune_candidates=(0, 4)), dataset=_dataset()))
         assert paid == [] and builds == []
-        assert isinstance(exc, HarnessError) and str(exc) == "tuning needs candidate values >= 1, got [0, 4]"
+        assert isinstance(exc, ConfigError) and str(exc) == "tune.candidates must be >= 1, got [0, 4]"
 
 
 class TestOnePayerPerRun:

@@ -380,31 +380,32 @@ class TestMethodKindsCheckedFirst:
 
 class TestTuneHyperparameter:
     def test_single_candidate_short_circuits(self):
-        assert tune_hyperparameter(_cfg(), parameter="r", candidates=[6]) == 6
+        assert tune_hyperparameter(_cfg(tune_parameter="r", tune_candidates=(6,))) == 6
 
     def test_parameter_and_candidates_validated(self):
         with pytest.raises(HarnessError):
-            tune_hyperparameter(_cfg(), parameter="q", candidates=[1, 2])
+            tune_hyperparameter(_cfg(tune_parameter="q", tune_candidates=(1, 2)))
         with pytest.raises(HarnessError):
-            tune_hyperparameter(_cfg(), parameter="r", candidates=[])
+            tune_hyperparameter(_cfg(tune_parameter="r", tune_candidates=()))
 
     def test_r_selection_returns_a_candidate_deterministically(self):
-        cfg = _cfg(seeds=(0,))
+        cfg = _cfg(seeds=(0,), tune_parameter="r")
         ds = _dataset(200, seed=4)
-        a = tune_hyperparameter(cfg, parameter="r", candidates=[1, 2, 4], dataset=ds)
-        b = tune_hyperparameter(cfg, parameter="r", candidates=[4, 2, 1], dataset=ds)
+        a = tune_hyperparameter(replace(cfg, tune_candidates=(1, 2, 4)), dataset=ds)
+        b = tune_hyperparameter(replace(cfg, tune_candidates=(4, 2, 1)), dataset=ds)
         assert a == b and a in (1, 2, 4)
 
     def test_perfect_oracle_ties_break_to_the_smallest_r(self):
         # a perfect oracle drives every piece weight to 0 and every candidate
         # to zero loss, so the tie must resolve to the smallest r
-        cfg = _cfg(seeds=(0,), oracle=OracleSettings(kind="synthetic", accuracy=1.0))
-        got = tune_hyperparameter(cfg, parameter="r", candidates=[2, 5, 9], dataset=_dataset(150))
+        cfg = _cfg(seeds=(0,), oracle=OracleSettings(kind="synthetic", accuracy=1.0),
+                   tune_parameter="r", tune_candidates=(2, 5, 9))
+        got = tune_hyperparameter(cfg, dataset=_dataset(150))
         assert got == 2
 
     def test_m_selection_uses_grid_cross_validation(self):
-        cfg = _cfg(seeds=(0,))
-        got = tune_hyperparameter(cfg, parameter="M", candidates=[2, 5, 10], dataset=_dataset(200))
+        cfg = _cfg(seeds=(0,), tune_parameter="M", tune_candidates=(2, 5, 10))
+        got = tune_hyperparameter(cfg, dataset=_dataset(200))
         assert got in (2, 5, 10)
 
     def test_config_carries_the_tuning_block(self):
@@ -419,7 +420,8 @@ class TestTuneHyperparameter:
     ])
     def test_selection_on_the_fixed_file_is_pinned(self, parameter, kind, candidates, selected, tmp_path):
         cfg = _cfg(dataset_path=_fixed_copy(tmp_path, "fixed.csv"), calibration_kind=kind)
-        assert tune_hyperparameter(cfg, parameter=parameter, candidates=candidates) == selected
+        tuned = replace(cfg, tune_parameter=parameter, tune_candidates=candidates)
+        assert tune_hyperparameter(tuned) == selected
 
 
 def _fixed_copy(tmp_path, name):
