@@ -17,18 +17,11 @@ from .calibration import CalibrationError, GridSpec, fit_additive_calibrator, fi
 from .config import DEFAULT_LINES, ConfigError, ExperimentConfig, config_from_mapping, load_config
 from .data import DatasetError, _write_whole, save_dataset, synthesize
 from .ensemble import EnsembleError, WeightFunction, fit_adaptive_weights, fit_constant_weight, fuse
-from .harness import (
-    HarnessError,
-    build_provider,
-    fit_inputs,
-    fixed_dataset,
-    run_experiment,
-    run_transfer_experiment,
-    tune_hyperparameter,
-)
+from .harness import HarnessError, _folds_and_labels, _pay, build_provider, fit_inputs
+from .harness import fixed_dataset, run_experiment, run_transfer_experiment, tune_hyperparameter
 from .logistic import BaseModel, TrainingError, train
 from .metrics import MetricError, metric_dict
-from .oracle import OracleCache, OracleError, score_batch
+from .oracle import OracleCache, OracleError
 from .transfer import TransferError
 
 _ERRORS = (
@@ -71,9 +64,11 @@ def _load_input_dataset(cfg: ExperimentConfig):
 def _fit_inputs(cfg):
     """The output directory and the input dataset's ``fit_inputs``, scored by the configured
     oracle unless every row holds a score, for the fitting subcommands."""
-    out, ds = _require_out(cfg), _load_input_dataset(cfg)
+    ds = _load_input_dataset(cfg)
+    _folds_and_labels(cfg, ds, cfg.seeds[0])
     provider = None if ds.has_oracle_scores else build_provider(cfg.oracle)
-    return out, fit_inputs(cfg, ds, cfg.seeds[0], provider)
+    out = _require_out(cfg)
+    return out, fit_inputs(cfg, _pay(cfg, ds, provider), cfg.seeds[0])
 
 
 def _write_doc(cfg, name: str, text: str) -> None:
@@ -102,32 +97,31 @@ def _print_report(cfg, report) -> int:
 def cmd_synth(cfg, args) -> int:
     if cfg.synth is None:
         raise ConfigError("synth needs the synth.* config keys")
-    out = _require_out(cfg)
     ds = synthesize(cfg.synth)
-    path = out / "synthetic.csv"
+    path = _require_out(cfg) / "synthetic.csv"
     save_dataset(ds, path)
     print(f"wrote {ds.n} rows (d={ds.dim}) to {path}")
     return 0
 
 
 def cmd_score(cfg, args) -> int:
-    out, provider = _require_out(cfg), build_provider(cfg.oracle)
-    ds = _load_input_dataset(cfg)
-    z = score_batch(provider, ds, column=True)
+    ds, provider = _load_input_dataset(cfg), build_provider(cfg.oracle)
+    out = _require_out(cfg)
+    ds = _pay(cfg, ds, provider)
     data_path = out / "scored.csv"
-    save_dataset(ds.with_oracle_scores(z), data_path)
+    save_dataset(ds, data_path)
     cache_path = out / "scores.csv"
     cache_path.unlink(missing_ok=True)  # replaced, never appended to
-    OracleCache(cache_path).update(dict(zip(ds.ids(), z.tolist())))
+    OracleCache(cache_path).update(dict(zip(ds.ids(), ds.z.tolist())))
     print(f"scored {ds.n} instances; wrote {data_path} and {cache_path}")
     return 0
 
 
 def cmd_fit_base(cfg, args) -> int:
-    out = _require_out(cfg)
     ds = _load_input_dataset(cfg)
+    ds.labels()  # a missing label fails before --out is created
+    path = _require_out(cfg) / "base_model.json"
     model = train(ds, **asdict(cfg.base), seed=cfg.seeds[0])
-    path = out / "base_model.json"
     model.save(path)
     print(f"trained on {ds.n} rows ({model.train_meta.iterations} iterations, "
           f"objective {model.train_meta.objective:.6f}); wrote {path}")
@@ -180,15 +174,14 @@ def cmd_eval(cfg, args) -> int:
     model = BaseModel.load(cfg.eval_model)
     weights = None if cfg.eval_weights is None else WeightFunction.load(cfg.eval_weights)
     calibrator = None if cfg.eval_calibrator is None else load_calibrator(cfg.eval_calibrator)
-    if cfg.out_dir is not None:
-        _require_out(cfg)  # created before the first score is bought
     ds = _load_input_dataset(cfg)
     base_scores = model.score_dataset(ds)
     y = ds.labels()
+    fused = weights is not None or calibrator is not None
+    ds = _pay(cfg, ds, build_provider(cfg.oracle) if fused and not ds.has_oracle_scores else None)
     results = {"ml": metric_dict(base_scores, y, n=len(y))}
-    if weights is not None or calibrator is not None:
-        provider = None if ds.has_oracle_scores else build_provider(cfg.oracle)
-        z = ds.z if provider is None else score_batch(provider, ds, column=True)
+    if fused:
+        z = ds.z
         results["llm"] = metric_dict(z, y, n=len(y))
         if weights is not None:
             results["fused"] = metric_dict(fuse(weights, base_scores, z), y, n=len(y))
@@ -201,8 +194,6 @@ def cmd_eval(cfg, args) -> int:
 
 
 def cmd_tune(cfg, args) -> int:
-    if cfg.out_dir is not None:
-        _require_out(cfg)  # created before the first score is bought
     selected = tune_hyperparameter(cfg)
     print(f"{cfg.tune_parameter} = {selected}")
     doc = {"parameter": cfg.tune_parameter, "selected": selected}

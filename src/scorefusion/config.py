@@ -121,6 +121,8 @@ class OracleSettings:
             raise ConfigError("oracle.kind = cached requires oracle.cache")
         if self.kind == "http" and (not self.url or not self.model):
             raise ConfigError("oracle.kind = http requires oracle.url and oracle.model")
+        if self.kind == "http" and not self.cache_path:
+            raise ConfigError("oracle.kind = http requires oracle.cache to keep what it pays for")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from .data import LabeledDataset, _test_rows, _write_whole, load_dataset, make_f
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
 from .logistic import cv_predict, train
 from .metrics import metric_dict
-from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, SyntheticOracle, SyntheticOracleSpec, attach_scores
+from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, attach_scores
+from .oracle import SyntheticOracle, SyntheticOracleSpec
 from .transfer import StratumDensity, _drawn_rows, make_plan, train_augmented
 
 
@@ -153,17 +154,21 @@ def _folds_and_labels(cfg: ExperimentConfig, ds: LabeledDataset, seed: int):
     return make_folds(ds, cfg.k, seed=child_seed(seed, 1)), ds.labels()
 
 
-def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, provider, trainer=None):
-    """(out-of-fold base scores, oracle scores, labels) of ``ds``, which every fitter takes.
-
-    It deals the folds and reads the labels (``_folds_and_labels``) before ``provider`` (None
-    keeps the scores ``ds`` holds) scores ``ds``. Each fold model comes from ``trainer``, by
-    default ``_base_trainer(cfg, seed)``.
-    """
+def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
+    """(out-of-fold base scores, oracle scores, labels) of the scored ``ds``, which every fitter
+    takes. Each fold model comes from ``trainer``, by default ``_base_trainer(cfg, seed)``."""
     fold, y = _folds_and_labels(cfg, ds, seed)
-    if provider is not None:
-        ds = attach_scores(ds, provider)
     return cv_predict(ds, fold, trainer=trainer or _base_trainer(cfg, seed)), ds.oracle_scores(), y
+
+
+def _pay(cfg: ExperimentConfig, ds: LabeledDataset, provider, need=None) -> LabeledDataset:
+    """The ``need`` rows of ``ds`` (a bool mask, None for all) scored by ``provider`` (None keeps
+    the scores ``ds`` holds): the one place a command buys scores, once its free checks pass.
+    It creates ``out_dir``, when set, first."""
+    if cfg.out_dir is not None:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+    ds = ds if need is None or need.all() else ds.take(need)
+    return ds if provider is None else attach_scores(ds, provider)
 
 
 def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
@@ -193,7 +198,7 @@ def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, trainer,
     Both sides hold their oracle scores. Trains the base model (``base_model.json``) with
     ``trainer``; fits each of ``specs`` on the training side and applies it to the test side.
     """
-    train_inputs = fit_inputs(cfg, train_ds, seed, None, trainer=trainer)
+    train_inputs = fit_inputs(cfg, train_ds, seed, trainer=trainer)
     base = trainer(train_ds)
     test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
     artifacts: dict = {"base_model.json": base}
@@ -220,12 +225,12 @@ def _check_methods(cfg: ExperimentConfig, experiment: str) -> None:
 
 
 def _run_seeds(cfg: ExperimentConfig, dataset, provider, plan, meta: dict) -> MetricReport:
-    """The seed loop of both protocols and the only place they pay the oracle.
+    """The seed loop of both protocols.
 
-    Builds the provider unless one is given, resolves the fixed dataset once, creates ``out_dir``.
+    Builds the provider unless one is given and resolves the fixed dataset once.
     ``plan(rows, seed)``, given the rows without features, makes each check that needs no score
-    and returns (bool mask of the rows the seed needs, ``fit``). One ``attach_scores`` scores the
-    union of the masks. ``fit(take)``, where ``take(mask)`` is the scored rows a mask within its
+    and returns (bool mask of the rows the seed needs, ``fit``). One ``_pay`` scores the union
+    of the masks. ``fit(take)``, where ``take(mask)`` is the scored rows a mask within its
     seed's picks, gives ({method: metrics}, {file: artifact}). A per-seed synthetic draw (ids
     repeat across draws) is planned, paid and fitted alone. The shared keys join ``meta``.
     """
@@ -235,14 +240,12 @@ def _run_seeds(cfg: ExperimentConfig, dataset, provider, plan, meta: dict) -> Me
     if per_draw and len(cfg.seeds) > 1 and provider.cache is not None:
         raise HarnessError("oracle.cache cannot serve several seeds that each draw a dataset from "
                            "the synth.* keys: the draws reuse their row ids for other rows")
-    if cfg.out_dir is not None:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     per_seed = []
     for seeds in [(seed,) for seed in cfg.seeds] if per_draw else [cfg.seeds]:
         ds = _seed_draw(cfg, seeds[0]) if per_draw else ds
         fits = [plan(ds.without_features(), seed) for seed in seeds]
         need = np.logical_or.reduce([rows for rows, _ in fits])
-        ds = attach_scores(ds if need.all() else ds.take(need), provider)  # drops the unscored rows
+        ds = _pay(cfg, ds, provider, need)
         for seed, (_, fit) in zip(seeds, fits):
             methods, artifacts = fit(lambda rows: ds.take(rows[need]))
             _save_artifacts(cfg.out_dir, seed, artifacts)
@@ -387,14 +390,14 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
 
 
 def tune_hyperparameter(cfg: ExperimentConfig, dataset=None, provider=None) -> int:
-    """Select ``tune.parameter`` (r, the weight pieces, or M, the base grid)
-    among ``tune.candidates`` by cross-validation on the training split only.
-    Ties break toward the smaller candidate."""
+    """Select ``tune.parameter`` (r, the weight pieces, or M, the base grid) among
+    ``tune.candidates`` by cross-validation on the training split only, whose folds and labels
+    it checks before it pays. Ties break toward the smaller candidate."""
     if cfg.tune_parameter not in ("r", "M"):
         raise HarnessError(f"tunable parameters are 'r' and 'M', got {cfg.tune_parameter!r}")
     candidates = sorted(set(map(int, cfg.tune_candidates)))
     if not candidates:
-        raise HarnessError(f"tuning needs candidate values >= 1, got {candidates}")
+        raise HarnessError("tune needs at least one value in tune.candidates")
     if len(candidates) == 1:
         return candidates[0]
 
@@ -402,8 +405,9 @@ def tune_hyperparameter(cfg: ExperimentConfig, dataset=None, provider=None) -> i
     seed = cfg.seeds[0]
     ds = fixed_dataset(cfg, dataset)
     ds = _seed_draw(cfg, seed) if ds is None else ds
-    train_ds = ds.take(~_test_rows(ds.n, cfg.test_fraction, seed))
-    y_cv, z, y = fit_inputs(cfg, train_ds, seed, provider)
+    train = ~_test_rows(ds.n, cfg.test_fraction, seed)
+    _folds_and_labels(cfg, ds.without_features().take(train), seed)
+    y_cv, z, y = fit_inputs(cfg, _pay(cfg, ds, provider, train), seed)
 
     if cfg.tune_parameter == "M":
         return choose_grid(y_cv, z, y, candidates, oracle_res=cfg.calibration_oracle_res,

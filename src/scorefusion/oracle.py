@@ -560,7 +560,8 @@ class HttpOracle:
     so it must be thread-safe. Otherwise each task opens its own
     ``_KeepAliveSession`` and closes it when it ends, and an ``OSError``
     from that close is only a warning. The thread pool and ``http.client``
-    load when a batch is scored.
+    load when a batch is scored. With ``cache=None`` the scores paid for
+    are not kept: a batch that raises loses them, and a rerun pays again.
     """
 
     def __init__(self, config: HttpOracleConfig, cache: OracleCache | None = None, session=None):

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from scorefusion import BaseModel, OracleCache, WeightFunction, load_calibrator, load_dataset
+from scorefusion import BaseModel, HttpOracle, OracleCache, WeightFunction, load_calibrator, load_dataset
 from scorefusion.cli import main
 
 SYNTH_BLOCK = """
@@ -135,10 +135,22 @@ class TestErrorHandling:
 
     def test_score_with_an_unknown_prompt_placeholder_exits_2_before_any_post(self, tmp_path, capsys):
         cfg = _write_cfg(tmp_path, SYNTH_BLOCK + "oracle.kind = http\noracle.url = http://127.0.0.1:9/score\n"
-                         "oracle.model = judge-1\noracle.prompt_template = rate {item}\noracle.backoff = 0\n")
+                         "oracle.model = judge-1\noracle.prompt_template = rate {item}\noracle.backoff = 0\n"
+                         f"oracle.cache = {tmp_path / 'scores.csv'}\n")
         code, out, err = _run(capsys, "score", "--config", cfg, "--out", str(tmp_path / "o"))
         assert code == 2 and out == ""
         assert err == "error: prompt_template may use only {id} and {stratum}, not {item}\n"
+
+    def test_an_http_oracle_without_a_cache_exits_2_before_any_post(self, tmp_path, capsys, monkeypatch):
+        posts = []
+        monkeypatch.setattr(HttpOracle, "score_uncached",
+                            lambda self, ds: posts.append(ds.n) or ([0.5] * ds.n, []))
+        cfg = _write_cfg(tmp_path, SYNTH_BLOCK + "oracle.kind = http\noracle.url = http://127.0.0.1:9/score\n"
+                         "oracle.model = judge-1\n")
+        code, out, err = _run(capsys, "score", "--config", cfg, "--out", str(tmp_path / "o"))
+        assert (code, out) == (2, "")
+        assert err == "error: oracle.kind = http requires oracle.cache to keep what it pays for\n"
+        assert posts == [] and not (tmp_path / "o").exists()
 
     def test_synth_requires_the_synth_block(self, tmp_path, capsys):
         code, _, err = _run(capsys, "synth", "--out", str(tmp_path / "o"))

@@ -242,3 +242,20 @@ class TestCommandLine:
         code, out, err = _main(capsys, tmp_path, text, "eval")
         assert paid == []
         assert code == 2 and out == "" and err.startswith(f"error: {weights} is not a JSON artifact")
+
+    @pytest.mark.parametrize("command, text, named", [
+        *(pytest.param(command, SYNTH + "folds.k = 500\n", "cannot make 500 folds", id=f"{command}-k500")
+          for command in ("experiment", "fit-linear")),
+        *(pytest.param(command, "dataset.path = GONE\n", "gone.csv", id=f"{command}-missing-dataset")
+          for command in ("score", "fit-base", "fit-linear", "calibrate")),
+        pytest.param("tune", SYNTH + "tune.parameter = q\ntune.candidates = 1, 4\n", "'q'", id="tune-q"),
+        pytest.param("tune", SYNTH + "tune.candidates = 1, 4\n", "got None", id="tune-unset"),
+        pytest.param("tune", SYNTH + "tune.parameter = r\n", "tune.candidates", id="tune-no-candidates"),
+    ])
+    def test_a_failed_free_check_leaves_no_out_directory(self, paid, tmp_path, capsys, command, text, named):
+        text = text.replace("GONE", str(tmp_path / "gone.csv"))
+        code, out, err = _main(capsys, tmp_path, text, command, "--out", str(tmp_path / "o"))
+        assert paid == []
+        assert code == 2 and out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert named in err
+        assert not (tmp_path / "o").exists()

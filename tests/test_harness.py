@@ -114,15 +114,16 @@ class TestBuildProvider:
         with pytest.raises(OracleError, match="not in cache"):
             score_batch(provider, LabeledDataset.from_arrays(np.zeros((2, 1)), ids=["a", "b"]))
 
-    def test_http_kind_carries_the_config(self):
+    def test_http_kind_carries_the_config(self, tmp_path):
         settings = OracleSettings(
-            kind="http", url="http://127.0.0.1:9/v1", model="judge", retries=2
+            kind="http", url="http://127.0.0.1:9/v1", model="judge", retries=2,
+            cache_path=str(tmp_path / "c.csv"),
         )
         provider = build_provider(settings)
         assert isinstance(provider, HttpOracle)
         assert provider.config.url == "http://127.0.0.1:9/v1"
         assert provider.config.retries == 2
-        assert provider.cache is None
+        assert isinstance(provider.cache, OracleCache) and provider.cache.path == tmp_path / "c.csv"
 
 
 class TestMetricReport:

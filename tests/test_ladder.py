@@ -7,6 +7,9 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+# RSS above the imports per row of each command's warm run at 30,000 rows, about 5% above what
+# it read when set; lower a ceiling when a change lowers its reading
+CEILINGS = {"experiment": 810, "transfer": 770}
 
 
 def _load_tool():
@@ -28,6 +31,15 @@ def test_experiment_at_ten_thousand_rows_runs_cold_then_warm_in_under_ten_second
     data = tmp_path / "work" / "experiment" / "data.csv"
     assert len(data.read_text().splitlines()) == 1 + 10_000
     assert (data.parent / ".data.csv.sfcache.npz").is_file()
+
+
+def test_warm_memory_per_row_stays_under_each_commands_ceiling(tmp_path):
+    records = _load_tool().measure(30_000, tmp_path / "work")
+    warm = {r["command"]: r["bytes_per_row"] for r in records if r["phase"] == "warm"}
+    assert sorted(warm) == sorted(CEILINGS)
+    over = [f"warm {command} reads {warm[command]:.0f} B/row, over its ceiling of {ceiling}"
+            for command, ceiling in CEILINGS.items() if not warm[command] <= ceiling]
+    assert not over, "\n".join(over)
 
 
 def test_too_few_rows_are_refused(capsys):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 OLDEST = (3, 10)
-LONG_LINES = 47  # lower it when a change shortens one of them
+LONG_LINES = 46  # lower it when a change shortens one of them
 
 
 def test_oldest_version_is_the_declared_minimum():
