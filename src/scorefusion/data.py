@@ -465,6 +465,11 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     appending to the file invalidates the sidecar; a missing, stale,
     truncated or foreign sidecar (one from an older sidecar version too)
     costs a parse and a rewrite, so deleting it is always safe.
+
+    The commands that fit on out-of-fold base scores keep those scores
+    beside the file too, in ``.<name>.cv-<32 hex>.sfcache.npz`` memos keyed
+    by the rows, folds, settings and code they come from (see
+    ``harness.fit_inputs``); deleting them is safe as well.
     """
     fmt = _infer_format(path, format)
     path = Path(path)
@@ -532,17 +537,11 @@ def _read_sidecar(sidecar: Path, source: Path, key: str):
     """The dataset stored in ``sidecar`` under ``key``, after the column checks a parse of
     ``source`` applies; None when the sidecar is missing, holds another key or cannot be read.
     Columns that fail a check raise ``DatasetError`` naming both files."""
-    try:
-        # np.load leaves a file it opened unclosed when the archive is damaged
-        with open(sidecar, "rb") as fh, np.load(fh, allow_pickle=False) as stored:
-            if stored["key"].item() != key:
-                return None
-            ids, tags = _unpack(stored["ids"]), _unpack(stored["tags"])
-            keys, X, z, y, codes = (stored[c] for c in ("keys", "X", "z", "y", "codes"))
-    except Exception:
-        # np.load, zipfile and zlib reject a damaged or foreign archive with many
-        # exception types, and whatever is wrong with a sidecar costs only a reparse
+    columns = _stored(sidecar, key, lambda stored: [_unpack(stored[c]) for c in ("ids", "tags")]
+                      + [stored[c] for c in ("keys", "X", "z", "y", "codes")])
+    if columns is None:
         return None
+    ids, tags, keys, X, z, y, codes = columns
     n = len(ids)
     if not (n and X.ndim == 2 and X.shape[0] == n and X.flags.c_contiguous
             and keys.shape == (n, 4) and keys.dtype == np.uint32
@@ -569,9 +568,28 @@ def _write_sidecar(sidecar: Path, source: Path, key: str, stamp: tuple, ds: Labe
     ``_write_whole``. Skipped when ``source`` no longer has ``stamp`` or the write fails."""
     with suppress(OSError):
         if _stamp(os.stat(source)) == stamp:
-            with _write_whole(sidecar, "wb") as fh:
-                np.savez(fh, key=np.array(key), ids=_pack(ds._ids.tolist()), keys=ds._keys, X=ds.X,
-                         z=ds.z, y=ds.y, codes=ds._codes, tags=_pack(ds._tags))
+            _store(sidecar, key, ids=_pack(ds._ids.tolist()), keys=ds._keys, X=ds.X, z=ds.z, y=ds.y,
+                   codes=ds._codes, tags=_pack(ds._tags))
+
+
+def _stored(path: Path, key: str, read):
+    """``read(archive)`` of the ``np.savez`` archive at ``path`` when it holds ``key``; None when it
+    is missing, holds another key or cannot be read."""
+    try:
+        # np.load leaves a file it opened unclosed when the archive is damaged
+        with open(path, "rb") as fh, np.load(fh, allow_pickle=False) as archive:
+            return read(archive) if archive["key"].item() == key else None
+    except Exception:
+        # np.load, zipfile and zlib reject a damaged or foreign archive with many exception
+        # types, and whatever is wrong with a stored archive costs only the work it saves
+        return None
+
+
+def _store(path: Path, key: str, **arrays) -> None:
+    """Write ``arrays`` and ``key`` to ``path`` as an ``np.savez`` archive through ``_write_whole``;
+    a write that fails is skipped."""
+    with suppress(OSError), _write_whole(path, "wb") as fh:
+        np.savez(fh, key=np.array(key), **arrays)
 
 
 @contextmanager

@@ -17,18 +17,21 @@ timestamped or machine-specific is recorded.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from functools import cache
 from pathlib import Path
 
 import numpy as np
 
 from .calibration import GridSpec, choose_grid, fit_cell_calibrator
 from .config import ExperimentConfig, MethodSpec
-from .data import LabeledDataset, _test_rows, _write_whole, load_dataset, make_folds, synthesize
+from .data import DatasetError, LabeledDataset, _store, _stored, _test_rows, _write_whole
+from .data import load_dataset, make_folds, synthesize
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
-from .logistic import cv_predict, train
+from .logistic import _fold_masks, cv_predict, train
 from .metrics import metric_dict
 from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, attach_scores
 from .oracle import SyntheticOracle, SyntheticOracleSpec
@@ -156,9 +159,76 @@ def _folds_and_labels(cfg: ExperimentConfig, ds: LabeledDataset, seed: int):
 
 def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
     """(out-of-fold base scores, oracle scores, labels) of the scored ``ds``, which every fitter
-    takes. Each fold model comes from ``trainer``, by default ``_base_trainer(cfg, seed)``."""
+    takes. Each fold model comes from ``trainer``, by default ``_base_trainer(cfg, seed)``.
+
+    The default fold models of a run that reads ``dataset.path`` are trained once: their scores
+    are kept in a hidden memo beside that file, ``.<name>.cv-<32 hex>.sfcache.npz``, and read
+    back by every later command whose training side, folds, ``base.*`` settings and code are
+    the same (see ``_out_of_fold``). Another ``trainer`` or a run with no file trains each time.
+    """
     fold, y = _folds_and_labels(cfg, ds, seed)
-    return cv_predict(ds, fold, trainer=trainer or _base_trainer(cfg, seed)), ds.oracle_scores(), y
+    if trainer is None and cfg.dataset_path is not None:
+        y_cv = _out_of_fold(cfg, ds, fold, seed)
+    else:
+        y_cv = cv_predict(ds, fold, trainer=trainer or _base_trainer(cfg, seed))
+    return y_cv, ds.oracle_scores(), y
+
+
+_MEMO_VERSION = b"scorefusion out-of-fold memo 1"
+
+
+@cache
+def _code_fingerprint() -> bytes:
+    """sha256 of the numpy version and of the name and bytes of each of the package's ``.py``
+    files: the code that out-of-fold scores come from. Read on first use, not at import."""
+    digest = hashlib.sha256(np.__version__.encode())
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        source = path.read_bytes()
+        digest.update(b"\0%s\0%d\0%s" % (path.name.encode(), len(source), source))
+    return digest.digest()
+
+
+def _out_of_fold(cfg: ExperimentConfig, ds: LabeledDataset, fold, seed: int):
+    """``cv_predict`` of ``ds`` with the base trainer, read from or written to its memo beside
+    ``cfg.dataset_path``.
+
+    The memo's key is the sha256 of the memo version, ``_code_fingerprint``, the ``base.*``
+    settings and the dtype, shape and bytes of ``X``, ``y`` and ``fold`` (so of the seed and
+    ``k``); the memo is named by its first 32 hex digits and holds it whole. A memo holding the
+    key gives its scores and the warnings that training would; a missing, damaged or foreign one
+    costs a retrain and a rewrite, which is skipped when it fails. Deleting a memo is safe.
+    """
+    digest = hashlib.sha256(b"%s\0%s\0%r\0" % (_MEMO_VERSION, _code_fingerprint(),
+                                                   sorted(asdict(cfg.base).items())))
+    for column in (ds.X, ds.y, fold):
+        column = np.ascontiguousarray(column)
+        digest.update(b"%s%r\0" % (column.dtype.str.encode(), column.shape))
+        digest.update(memoryview(column))
+    key, source = digest.hexdigest(), Path(cfg.dataset_path)
+    memo = source.with_name(f".{source.name}.cv-{key[:32]}.sfcache.npz")
+    y_cv = _read_memo(memo, source, key, ds.n)
+    if y_cv is not None:
+        list(_fold_masks(ds, fold))  # the SingleClassFoldWarnings of the folds
+        return y_cv
+    y_cv = cv_predict(ds, fold, trainer=_base_trainer(cfg, seed))
+    _store(memo, key, scores=y_cv)
+    return y_cv
+
+
+def _read_memo(memo: Path, source: Path, key: str, n: int):
+    """The n out-of-fold scores stored in ``memo`` under ``key``; None when the memo is missing,
+    holds another key or cannot be read. A column that is not n float64 scores in [0, 1] raises
+    ``DatasetError`` naming the memo and its dataset file, as a dataset sidecar's columns do."""
+    scores = _stored(memo, key, lambda stored: stored["scores"])
+    if scores is None:
+        return None
+    if scores.shape != (n,) or scores.dtype != np.float64:
+        what = "a score column of the wrong length or type"
+    elif not ((scores >= 0) & (scores <= 1)).all():
+        what = "a score that is not a number in [0, 1]"
+    else:
+        return scores
+    raise DatasetError(f"{memo} holds {what}; delete it to retrain on {source}")
 
 
 def _pay(cfg: ExperimentConfig, ds: LabeledDataset, provider, need=None) -> LabeledDataset:
@@ -196,10 +266,11 @@ def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, trainer,
     """({method name: test scores}, {file name: artifact}) of one seed, the core of both protocols.
 
     Both sides hold their oracle scores. Trains the base model (``base_model.json``) with
-    ``trainer``; fits each of ``specs`` on the training side and applies it to the test side.
+    ``trainer``, None for ``_base_trainer`` (whose fold models ``fit_inputs`` may read back);
+    fits each of ``specs`` on the training side and applies it to the test side.
     """
     train_inputs = fit_inputs(cfg, train_ds, seed, trainer=trainer)
-    base = trainer(train_ds)
+    base = (trainer or _base_trainer(cfg, seed))(train_ds)
     test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
     artifacts: dict = {"base_model.json": base}
     scores = {spec.name: _fit_method_scores(spec, train_inputs, test_inputs, artifacts) for spec in specs}
@@ -284,8 +355,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
 
         def fit(take):
             train_ds, test_ds = take(~test), take(test)
-            y_test, trainer = test_ds.labels(), _base_trainer(cfg, seed)
-            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, trainer, cfg.methods)
+            y_test = test_ds.labels()
+            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, None, cfg.methods)
             n_test = float(len(y_test))
             return {k: metric_dict(s, y_test, n_test=n_test) for k, s in scores.items()}, artifacts
 
@@ -392,21 +463,22 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
 def tune_hyperparameter(cfg: ExperimentConfig, dataset=None, provider=None) -> int:
     """Select ``tune.parameter`` (r, the weight pieces, or M, the base grid) among
     ``tune.candidates`` by cross-validation on the training split only, whose folds and labels
-    it checks before it pays. Ties break toward the smaller candidate."""
+    it checks before it pays. A single candidate is returned once those checks pass, with no
+    score paid for. Ties break toward the smaller candidate."""
     if cfg.tune_parameter not in ("r", "M"):
         raise HarnessError(f"tunable parameters are 'r' and 'M', got {cfg.tune_parameter!r}")
     candidates = sorted(set(map(int, cfg.tune_candidates)))
     if not candidates:
         raise HarnessError("tune needs at least one value in tune.candidates")
-    if len(candidates) == 1:
-        return candidates[0]
 
-    provider = provider if provider is not None else build_provider(cfg.oracle)
     seed = cfg.seeds[0]
     ds = fixed_dataset(cfg, dataset)
     ds = _seed_draw(cfg, seed) if ds is None else ds
     train = ~_test_rows(ds.n, cfg.test_fraction, seed)
     _folds_and_labels(cfg, ds.without_features().take(train), seed)
+    if len(candidates) == 1:
+        return candidates[0]
+    provider = provider if provider is not None else build_provider(cfg.oracle)
     y_cv, z, y = fit_inputs(cfg, _pay(cfg, ds, provider, train), seed)
 
     if cfg.tune_parameter == "M":

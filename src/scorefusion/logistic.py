@@ -257,21 +257,25 @@ def cv_predict(ds: LabeledDataset, fold, trainer=None) -> np.ndarray:
     ``score_dataset``. The default is ``train`` with its default
     hyperparameters.
     """
+    trainer = train if trainer is None else trainer
+    scores = np.full(ds.n, np.nan)
+    for held_out in _fold_masks(ds, fold):
+        scores[held_out] = trainer(ds.take(~held_out)).score_dataset(ds.take(held_out))
+    return scores
+
+
+def _fold_masks(ds: LabeledDataset, fold):
+    """The held-out mask of each fold of ``ds`` that has rows, in fold order, after the checks
+    ``cv_predict`` makes: ``fold`` has one entry per row, and a fold whose training complement
+    holds a single class warns ``SingleClassFoldWarning`` to the caller of ``cv_predict``."""
     fold = np.asarray(fold)
     if fold.shape != (ds.n,):
         raise DatasetError(f"fold assignment has shape {fold.shape}, expected ({ds.n},)")
-    trainer = train if trainer is None else trainer
-    scores = np.full(ds.n, np.nan)
     for f in range(int(fold.max(initial=-1)) + 1):
         held_out = fold == f
         if not held_out.any():
             continue
-        train_part = ds.take(~held_out)
-        if _single_class(train_part.y):
-            warnings.warn(
-                f"fold {f + 1}: training complement contains a single class",
-                SingleClassFoldWarning,
-                stacklevel=2,
-            )
-        scores[held_out] = trainer(train_part).score_dataset(ds.take(held_out))
-    return scores
+        if _single_class(ds.y[~held_out]):
+            warnings.warn(f"fold {f + 1}: training complement contains a single class",
+                          SingleClassFoldWarning, stacklevel=3)
+        yield held_out

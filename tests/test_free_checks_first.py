@@ -251,6 +251,10 @@ class TestCommandLine:
         pytest.param("tune", SYNTH + "tune.parameter = q\ntune.candidates = 1, 4\n", "'q'", id="tune-q"),
         pytest.param("tune", SYNTH + "tune.candidates = 1, 4\n", "got None", id="tune-unset"),
         pytest.param("tune", SYNTH + "tune.parameter = r\n", "tune.candidates", id="tune-no-candidates"),
+        pytest.param("tune", "dataset.path = GONE\ntune.parameter = r\ntune.candidates = 4\n", "gone.csv",
+                     id="tune-one-candidate-missing-dataset"),
+        pytest.param("tune", SYNTH + "folds.k = 500\ntune.parameter = r\ntune.candidates = 4\n",
+                     "cannot make 500 folds", id="tune-one-candidate-k500"),
     ])
     def test_a_failed_free_check_leaves_no_out_directory(self, paid, tmp_path, capsys, command, text, named):
         text = text.replace("GONE", str(tmp_path / "gone.csv"))

@@ -380,8 +380,11 @@ class TestMethodKindsCheckedFirst:
 
 
 class TestTuneHyperparameter:
-    def test_single_candidate_short_circuits(self):
-        assert tune_hyperparameter(_cfg(tune_parameter="r", tune_candidates=(6,))) == 6
+    def test_single_candidate_short_circuits(self, monkeypatch):
+        # the training side's folds and labels are checked, then the one candidate is the answer
+        monkeypatch.setattr(harness, "build_provider", lambda settings: pytest.fail("built a provider"))
+        cfg = _cfg(tune_parameter="r", tune_candidates=(6,))
+        assert tune_hyperparameter(cfg, dataset=_dataset(200)) == 6
 
     def test_parameter_and_candidates_validated(self):
         with pytest.raises(HarnessError):
@@ -410,7 +413,8 @@ class TestTuneHyperparameter:
         assert got in (2, 5, 10)
 
     def test_config_carries_the_tuning_block(self):
-        cfg = _cfg(tune_parameter="r", tune_candidates=(3,))
+        cfg = _cfg(tune_parameter="r", tune_candidates=(3,),
+                   synth=SyntheticSpec(d=3, n=300, true_weights=(2.0, -1.0, 0.5, 0.0), seed=11))
         assert tune_hyperparameter(cfg) == 3
 
     # the selections that tuned.json records for the fixed dataset file

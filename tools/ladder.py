@@ -11,7 +11,10 @@ own writers (the file is read, never edited): ``EXPERIMENT_ROWS`` and
 n / ``TRANSFER_ROWS``, so the transfer protocol's pool holds its draws at
 1e4 rows too. Then ``experiment`` and ``transfer`` each run twice through
 ``scorefusion.cli.main``, every run in a fresh process with one BLAS thread:
-cold (no dataset sidecar or cache index on disk yet), then warm.
+cold (no dataset sidecar or cache index on disk yet), then warm. The warm run
+finds the dataset sidecars the cold run wrote, but not its out-of-fold memos
+(``.<name>.cv-*.sfcache.npz``), which are deleted first: it trains its fold
+models again, so its memory still covers them.
 
 Each run reports its wall time, its peak RSS (the child's own ``VmHWM`` from
 ``/proc/self/status``) and the RSS it added above what the imports left,
@@ -100,6 +103,9 @@ def measure(rows: int, work: Path, commands=tuple(COMMANDS)) -> list:
     records = []
     for command in commands:
         for phase in PHASES:
+            if phase == "warm":  # keep the dataset sidecars, so a warm run still trains its folds
+                for memo in (work / command).glob(".*.cv-*.sfcache.npz"):
+                    memo.unlink()
             record = json.loads(_child("run", work, command).stdout)
             if record["code"] != 0:
                 raise RuntimeError(f"{command} at {rows} rows ({phase}) exited with {record['code']}")

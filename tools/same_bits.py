@@ -15,8 +15,10 @@ and ``bench/`` first on the path, writes the workload's inputs with
 the workload up again and runs one more session over the same files (warm).
 After each session the child hashes every file under its work directory
 except the inputs as written (configs included), the manifest and the
-``.sfcache.npz`` dataset sidecars: reports, tuned values, per-seed artifacts,
-saved datasets and score caches. Both trees are read only: the children
+``.sfcache.npz`` files, the dataset sidecars and the out-of-fold memos
+(``.<name>.cv-<hex>.sfcache.npz``) beside them: reports, tuned values,
+per-seed artifacts, saved datasets and score caches. So the warm session
+reads both the sidecars and the memos that the cold one wrote. Both trees are read only: the children
 cache no bytecode, and every file they write goes to a temporary directory
 that is removed at the end.
 
@@ -50,7 +52,8 @@ class SameBitsError(RuntimeError):
 
 
 def _hashes(work: Path) -> dict:
-    """sha256 of every file under ``work`` but the manifest and dataset sidecars, by relative path."""
+    """sha256 of every file under ``work`` but the manifest, dataset sidecars and out-of-fold memos,
+    by relative path."""
     out = {}
     for path in sorted(work.rglob("*")):
         rel = path.relative_to(work).as_posix()
