@@ -467,8 +467,8 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     costs a parse and a rewrite, so deleting it is always safe.
 
     The commands that fit on out-of-fold base scores keep those scores
-    beside the file too, in ``.<name>.cv-<32 hex>.sfcache.npz`` memos keyed
-    by the rows, folds, settings and code they come from (see
+    beside the file too, in ``.<name>.cv-<8 hex>-<32 hex>.sfcache.npz`` memos
+    keyed by the loss, rows, folds, settings and code they come from (see
     ``harness.fit_inputs``); deleting them is safe as well.
     """
     fmt = _infer_format(path, format)

@@ -8,6 +8,9 @@ oracle scores, and every requested method is evaluated on the held-out side.
 exist only in the source strata, and each Transfer(m) method adds m
 oracle-labeled rows sampled from the target pool. Their shared seed loop checks
 every seed, scores each row they need once in one batch, then fits each seed.
+Both get their out-of-fold scores from ``fit_inputs``, which names the fold
+models' loss (log for fusion, squared for transfer) and, on a dataset file,
+trains them once and keeps their scores in a memo beside it.
 
 Reports are deterministic: identical config plus seeds (and a cached or
 synthetic oracle) produce byte-identical JSON and CSV, since nothing
@@ -20,6 +23,8 @@ import csv
 import hashlib
 import io
 import json
+import re
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
 from functools import cache
 from pathlib import Path
@@ -147,9 +152,13 @@ def _seed_draw(cfg: ExperimentConfig, seed: int) -> LabeledDataset:
     return synthesize(replace(cfg.synth, seed=child_seed(cfg.synth.seed, seed)))
 
 
-def _base_trainer(cfg: ExperimentConfig, seed: int):
-    """``train`` with the configured ``base.*`` settings and ``seed``."""
-    return lambda subset: train(subset, **asdict(cfg.base), seed=seed)
+def _base_trainer(cfg: ExperimentConfig, seed: int, loss: str):
+    """The fold and base trainer of ``loss``, ``"log"`` (``train``) or ``"squared"``
+    (``train_augmented`` with no augmented rows), with the ``base.*`` settings and ``seed``."""
+    base = asdict(cfg.base)
+    if loss == "log":
+        return lambda subset: train(subset, **base, seed=seed)
+    return lambda subset: train_augmented(subset, None, **base, seed=seed)
 
 
 def _folds_and_labels(cfg: ExperimentConfig, ds: LabeledDataset, seed: int):
@@ -157,20 +166,20 @@ def _folds_and_labels(cfg: ExperimentConfig, ds: LabeledDataset, seed: int):
     return make_folds(ds, cfg.k, seed=child_seed(seed, 1)), ds.labels()
 
 
-def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, trainer=None):
+def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, loss: str = "log"):
     """(out-of-fold base scores, oracle scores, labels) of the scored ``ds``, which every fitter
-    takes. Each fold model comes from ``trainer``, by default ``_base_trainer(cfg, seed)``.
+    takes. Each fold model is ``_base_trainer(cfg, seed, loss)``'s.
 
-    The default fold models of a run that reads ``dataset.path`` are trained once: their scores
-    are kept in a hidden memo beside that file, ``.<name>.cv-<32 hex>.sfcache.npz``, and read
-    back by every later command whose training side, folds, ``base.*`` settings and code are
-    the same (see ``_out_of_fold``). Another ``trainer`` or a run with no file trains each time.
+    The fold models of a run that reads ``dataset.path`` are trained once: their scores are kept
+    in a hidden memo beside that file, ``.<name>.cv-<8 hex>-<32 hex>.sfcache.npz``, and read back
+    by every later command whose loss, training side, folds, ``base.*`` settings and code are the
+    same (see ``_out_of_fold``). A run with no file trains each time.
     """
     fold, y = _folds_and_labels(cfg, ds, seed)
-    if trainer is None and cfg.dataset_path is not None:
-        y_cv = _out_of_fold(cfg, ds, fold, seed)
+    if cfg.dataset_path is None:
+        y_cv = cv_predict(ds, fold, trainer=_base_trainer(cfg, seed, loss))
     else:
-        y_cv = cv_predict(ds, fold, trainer=trainer or _base_trainer(cfg, seed))
+        y_cv = _out_of_fold(cfg, ds, fold, seed, loss)
     return y_cv, ds.oracle_scores(), y
 
 
@@ -188,30 +197,42 @@ def _code_fingerprint() -> bytes:
     return digest.digest()
 
 
-def _out_of_fold(cfg: ExperimentConfig, ds: LabeledDataset, fold, seed: int):
-    """``cv_predict`` of ``ds`` with the base trainer, read from or written to its memo beside
+def _out_of_fold(cfg: ExperimentConfig, ds: LabeledDataset, fold, seed: int, loss: str):
+    """``cv_predict`` of ``ds`` with the ``loss`` trainer, read from or written to its memo beside
     ``cfg.dataset_path``.
 
-    The memo's key is the sha256 of the memo version, ``_code_fingerprint``, the ``base.*``
-    settings and the dtype, shape and bytes of ``X``, ``y`` and ``fold`` (so of the seed and
-    ``k``); the memo is named by its first 32 hex digits and holds it whole. A memo holding the
-    key gives its scores and the warnings that training would; a missing, damaged or foreign one
-    costs a retrain and a rewrite, which is skipped when it fails. Deleting a memo is safe.
+    The memo's key is the sha256 of the memo version, ``_code_fingerprint``, ``loss``, the
+    ``base.*`` settings and the dtype, shape and bytes of ``X``, ``y`` and ``fold`` (so of the seed
+    and ``k``). So ``experiment`` (log loss) and ``transfer`` (squared loss) never read each
+    other's scores. ``transfer.slack_a`` and ``transfer.round_oracle`` are not in it: they act
+    only on augmented rows, which no fold model gets. The memo is named by the first 8 hex digits
+    of ``_code_fingerprint`` and the first 32 of the key, and holds the key whole. A memo holding
+    the key gives its scores and the warnings that training would; a missing, damaged or foreign
+    one costs a retrain and a rewrite, which is skipped when it fails. Each write unlinks the
+    file's memos that other code wrote. Deleting a memo is safe.
     """
-    digest = hashlib.sha256(b"%s\0%s\0%r\0" % (_MEMO_VERSION, _code_fingerprint(),
-                                                   sorted(asdict(cfg.base).items())))
+    fingerprint = _code_fingerprint()
+    digest = hashlib.sha256(b"%s\0%s\0%s\0%r\0" % (_MEMO_VERSION, fingerprint, loss.encode(),
+                                                       sorted(asdict(cfg.base).items())))
     for column in (ds.X, ds.y, fold):
         column = np.ascontiguousarray(column)
         digest.update(b"%s%r\0" % (column.dtype.str.encode(), column.shape))
         digest.update(memoryview(column))
     key, source = digest.hexdigest(), Path(cfg.dataset_path)
-    memo = source.with_name(f".{source.name}.cv-{key[:32]}.sfcache.npz")
+    stem = f".{source.name}.cv-"
+    ours = f"{stem}{fingerprint.hex()[:8]}-"
+    memo = source.with_name(f"{ours}{key[:32]}.sfcache.npz")
     y_cv = _read_memo(memo, source, key, ds.n)
     if y_cv is not None:
         list(_fold_masks(ds, fold))  # the SingleClassFoldWarnings of the folds
         return y_cv
-    y_cv = cv_predict(ds, fold, trainer=_base_trainer(cfg, seed))
+    y_cv = cv_predict(ds, fold, trainer=_base_trainer(cfg, seed, loss))
     _store(memo, key, scores=y_cv)
+    memos = re.compile(re.escape(stem) + r"([0-9a-f]{8}-)?[0-9a-f]{32}\.sfcache\.npz")
+    with suppress(OSError):  # unlink this file's memos that other code wrote
+        for other in source.parent.iterdir():
+            if memos.fullmatch(other.name) and not other.name.startswith(ours):
+                other.unlink()
     return y_cv
 
 
@@ -262,15 +283,15 @@ def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
     return fuse(wf, base_test, z_test)
 
 
-def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, trainer, specs):
+def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, loss: str, specs):
     """({method name: test scores}, {file name: artifact}) of one seed, the core of both protocols.
 
-    Both sides hold their oracle scores. Trains the base model (``base_model.json``) with
-    ``trainer``, None for ``_base_trainer`` (whose fold models ``fit_inputs`` may read back);
-    fits each of ``specs`` on the training side and applies it to the test side.
+    Both sides hold their oracle scores. Trains the base model (``base_model.json``) with the
+    ``loss`` trainer, whose fold models give ``fit_inputs`` its out-of-fold scores; fits each of
+    ``specs`` on the training side and applies it to the test side.
     """
-    train_inputs = fit_inputs(cfg, train_ds, seed, trainer=trainer)
-    base = (trainer or _base_trainer(cfg, seed))(train_ds)
+    train_inputs = fit_inputs(cfg, train_ds, seed, loss)
+    base = _base_trainer(cfg, seed, loss)(train_ds)
     test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
     artifacts: dict = {"base_model.json": base}
     scores = {spec.name: _fit_method_scores(spec, train_inputs, test_inputs, artifacts) for spec in specs}
@@ -356,7 +377,7 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
         def fit(take):
             train_ds, test_ds = take(~test), take(test)
             y_test = test_ds.labels()
-            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, None, cfg.methods)
+            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, "log", cfg.methods)
             n_test = float(len(y_test))
             return {k: metric_dict(s, y_test, n_test=n_test) for k, s in scores.items()}, artifacts
 
@@ -428,20 +449,18 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
                 draws[m] = plan_m, drawn
         _folds_and_labels(cfg, labeled_rows, seed)
 
-        def l2_trainer(ds, augmented=None):
-            return train_augmented(ds, augmented, slack_a=tr.slack_a, **asdict(cfg.base),
-                                   seed=seed, round_oracle_scores=tr.round_oracle)
-
         def fit(take):
             train_ds, test_ds = take(labeled), take(test)
             y_test = test_ds.labels()
-            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, l2_trainer, baselines)
+            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, "squared", baselines)
             for m in m_values:
                 if m == 0:
                     model_m = artifacts["base_model.json"]
                 else:
                     plan_m, drawn = draws[m]
-                    model_m = l2_trainer(train_ds, take(drawn).without_labels())
+                    model_m = train_augmented(train_ds, take(drawn).without_labels(),
+                                              slack_a=tr.slack_a, **asdict(cfg.base), seed=seed,
+                                              round_oracle_scores=tr.round_oracle)
                     artifacts[f"transfer_plan_{m}.json"] = plan_m
                     artifacts[f"transfer_model_{m}.json"] = model_m
                 scores[f"transfer({m})"] = model_m.score_dataset(test_ds)

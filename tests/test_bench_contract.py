@@ -163,6 +163,33 @@ def test_cli_calls_the_experiment_runners_as_rebound(command, attr, monkeypatch,
     assert [cfg.seeds for cfg in calls] == [(7,)]
 
 
+@pytest.mark.parametrize("run, attr, trained", [
+    pytest.param(lambda: scorefusion.run_experiment(_cfg(seeds=(0,)), dataset=_dataset(120)),
+                 "train", 3 + 1, id="run_experiment"),
+    pytest.param(lambda: scorefusion.run_transfer_experiment(
+        test_harness.TestRunTransferExperiment()._transfer_cfg(), dataset=_two_strata()),
+                 "train_augmented", 3 + 1 + 1, id="run_transfer_experiment"),
+])
+def test_every_model_is_trained_through_the_rebound_trainer(run, attr, trained, monkeypatch):
+    # logistic.train_calls and transfer.train_calls count the calls to the trainers as the
+    # tracer rebinds them: the k fold models, the base model and each transfer(m > 0) model
+    calls = []
+    original = getattr(harness, attr)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    namespaces = [scorefusion] + [importlib.import_module(f"scorefusion.{m}")
+                                  for m in _tracing_table("MODULES")]
+    for ns in namespaces:
+        for key, value in list(vars(ns).items()):
+            if value is original:
+                monkeypatch.setattr(ns, key, counted)
+    run()
+    assert len(calls) == trained
+
+
 class _Judge:
     """Thread-safe fake endpoint: row ``i<k>`` scores k/100, and ``poison`` answers no score."""
 

@@ -1,6 +1,7 @@
 """The out-of-fold memo beside a dataset file: every command that reads the file with the same
-training side, folds, ``base.*`` settings and code trains its fold models once, a hit gives the
-bits a retrain gives, and anything wrong with a memo costs only a retrain."""
+loss, training side, folds, ``base.*`` settings and code trains its fold models once, a hit gives
+the bits a retrain gives, anything wrong with a memo costs only a retrain, and the memos that
+other code wrote are pruned."""
 
 import builtins
 import fnmatch
@@ -10,7 +11,7 @@ import shutil
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from scorefusion import (
     run_transfer_experiment,
     save_dataset,
     sigmoid,
+    train_augmented,
 )
 from scorefusion.cli import main
 from scorefusion.config import BaseSettings
@@ -79,10 +81,22 @@ def trained(monkeypatch):
     return calls
 
 
-def _fresh(cfg, ds, seed=0):
-    """The out-of-fold scores of ``ds`` from a retrain, as the parent's ``fit_inputs`` gave them."""
+def _fresh(cfg, ds, seed=0, loss="log"):
+    """The out-of-fold scores of ``ds`` from a retrain of the ``loss`` fold models."""
     fold, _ = harness._folds_and_labels(cfg, ds, seed)
-    return cv_predict(ds, fold, trainer=harness._base_trainer(cfg, seed))
+    return cv_predict(ds, fold, trainer=harness._base_trainer(cfg, seed, loss))
+
+
+def _tag():
+    """The code's tag in each memo name."""
+    return harness._code_fingerprint().hex()[:8]
+
+
+def _fixed_jsonl(tmp_path):
+    path = tmp_path / "data" / "fixed.jsonl"
+    path.parent.mkdir()
+    shutil.copy(ROOT / "tests" / "data" / "fixed.jsonl", path)
+    return path
 
 
 class TestHits:
@@ -104,7 +118,7 @@ class TestHits:
         (memo,) = _memos(path)
         with np.load(memo, allow_pickle=False) as stored:
             key, scores = stored["key"].item(), stored["scores"]
-        assert len(key) == 64 and memo.name == f".d.csv.cv-{key[:32]}.sfcache.npz"
+        assert len(key) == 64 and memo.name == f".d.csv.cv-{_tag()}-{key[:32]}.sfcache.npz"
         assert scores.tobytes() == y_cv.tobytes()
 
     def test_experiment_tune_and_the_fitting_commands_each_train_once_per_training_side(
@@ -168,8 +182,14 @@ class TestKey:
             if change == "code":
                 patch.setattr(harness, "_code_fingerprint", lambda: b"another build")
             got, again = (harness.fit_inputs(*changed)[0] for _ in range(2))
-        assert len(trained) == 2 and len(_memos(path)) == 2
         assert got.tobytes() == again.tobytes() == _fresh(*changed).tobytes()
+        if change == "code":
+            # the new memo's write prunes the old one, and going back to this code prunes it in turn
+            assert len(trained) == 2 and len(_memos(path)) == 1
+            assert harness.fit_inputs(cfg, ds, 0)[0].tobytes() == before.tobytes()
+            assert len(trained) == 3 and _memos(path)[0].name.startswith(f".d.csv.cv-{_tag()}-")
+            return
+        assert len(trained) == 2 and len(_memos(path)) == 2
         # the first memo still serves its own inputs
         assert harness.fit_inputs(cfg, ds, 0)[0].tobytes() == before.tobytes()
         assert len(trained) == 2
@@ -286,16 +306,72 @@ class TestWarnings:
         assert warm == cold
 
 
+class TestLoss:
+    def test_each_loss_has_its_own_memo_and_its_own_bits(self, tmp_path, trained):
+        path = _file(tmp_path)
+        cfg, ds = _cfg(path), load_dataset(path)
+        losses = ("log", "squared")
+        cold = {loss: harness.fit_inputs(cfg, ds, 0, loss=loss)[0] for loss in losses}
+        assert len(trained) == 2 and len(_memos(path)) == 2
+        warm = {loss: harness.fit_inputs(cfg, load_dataset(path), 0, loss=loss)[0] for loss in losses}
+        assert len(trained) == 2
+        for loss in losses:
+            want = _fresh(cfg, ds, loss=loss)
+            assert cold[loss].tobytes() == warm[loss].tobytes() == want.tobytes()
+        assert cold["log"].tobytes() != cold["squared"].tobytes()
+
+    @pytest.mark.parametrize("settings", [dict(slack_a=0.35), dict(round_oracle=True)], ids=str)
+    def test_the_transfer_settings_reuse_the_squared_loss_memo(self, tmp_path, trained, settings):
+        # no fold model gets augmented rows, the only rows these settings act on
+        path = _file(tmp_path)
+        cfg, ds = _cfg(path), load_dataset(path)
+        harness.fit_inputs(cfg, ds, 0, loss="squared")
+        changed = replace(cfg, transfer=TransferSettings(**settings))
+        got = harness.fit_inputs(changed, load_dataset(path), 0, loss="squared")[0]
+        assert len(trained) == 1 and len(_memos(path)) == 1
+        fold, _ = harness._folds_and_labels(cfg, ds, 0)
+        tr = changed.transfer
+        want = cv_predict(ds, fold, trainer=lambda subset: train_augmented(
+            subset, None, slack_a=tr.slack_a, **asdict(cfg.base), seed=0,
+            round_oracle_scores=tr.round_oracle))
+        assert got.tobytes() == want.tobytes()
+
+
 class TestScope:
-    def test_transfer_never_writes_a_memo(self, tmp_path, trained):
-        path = tmp_path / "data" / "fixed.jsonl"
-        path.parent.mkdir()
-        shutil.copy(ROOT / "tests" / "data" / "fixed.jsonl", path)
+    def test_transfer_trains_each_seeds_fold_models_once(self, tmp_path, trained):
+        path = _fixed_jsonl(tmp_path)
         cfg = _cfg(path, methods=(MethodSpec("transfer", (0,)), MethodSpec("transfer", (60,))),
-                   test_fraction=0.3, transfer=TransferSettings(source_strata=("A",), target_strata=("B",)))
-        for _ in range(2):
-            run_transfer_experiment(cfg)
-        assert len(trained) == 2 and _memos(path) == []
+                   seeds=(0, 1), test_fraction=0.3,
+                   transfer=TransferSettings(source_strata=("A",), target_strata=("B",)))
+
+        def reports():
+            report = run_transfer_experiment(cfg)
+            return report.to_json(), report.to_csv()
+
+        cold = reports()
+        assert len(trained) == 2 and len(_memos(path)) == 2
+        warm = reports()
+        assert len(trained) == 2
+        for memo in _memos(path):
+            memo.unlink()
+        assert reports() == warm == cold
+        assert len(trained) == 4 and len(_memos(path)) == 2
+
+    def test_transfer_through_the_cli_trains_cold_and_reads_the_memo_warm(self, tmp_path, trained):
+        path = _fixed_jsonl(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"dataset.path = {path}\nfolds.k = 3\nseeds = 0, 1\noracle.seed = 5\n"
+                          "dataset.test_fraction = 0.3\nmethods = transfer(0), transfer(60)\n"
+                          "transfer.source_strata = A\ntransfer.target_strata = B\n")
+
+        def run(out):
+            assert main(["transfer", "--config", str(config), "--out", str(out)]) == 0
+            return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        cold = run(tmp_path / "cold")
+        assert len(trained) == 2 and len(_memos(path)) == 2
+        assert run(tmp_path / "warm") == cold
+        assert len(trained) == 2
 
     def test_a_given_dataset_and_a_dataset_file_bind_the_rows_given(self, tmp_path, trained):
         # the memo sits beside dataset.path, but its key is the rows the folds are dealt from
@@ -306,6 +382,54 @@ class TestScope:
         assert run_experiment(cfg, dataset=other).to_json() == run_experiment(
             replace(cfg, dataset_path=None), dataset=other).to_json()
         assert len(trained) == 3 and len(_memos(path)) == 2
+
+
+class TestPruning:
+    def test_a_write_unlinks_the_memos_of_other_code_and_keeps_live_settings(self, tmp_path, monkeypatch):
+        path = _file(tmp_path)
+        cfg, ds = _cfg(path), load_dataset(path)
+        untagged = path.with_name(".d.csv.cv-" + "0" * 32 + ".sfcache.npz")
+        foreign = path.with_name(".d.csv.cv-ffffffff-" + "0" * 32 + ".sfcache.npz")
+        # another file's memos, the memo of a file whose name extends this one's, a temporary file
+        kept = [path.with_name(".e.csv.cv-ffffffff-" + "0" * 32 + ".sfcache.npz"),
+                path.with_name(".d.csv.cv-x.cv-ffffffff-" + "0" * 32 + ".sfcache.npz"),
+                path.with_name(foreign.name + ".1a2b.tmp")]
+        for blob in (untagged, *kept):
+            blob.write_bytes(b"")
+        live = [(cfg, 0, "log"), (cfg, 1, "log"), (cfg, 0, "squared"), (replace(cfg, k=4), 0, "log"),
+                (replace(cfg, base=replace(cfg.base, tol=1e-4)), 0, "log")]
+        for conf, seed, loss in live:
+            harness.fit_inputs(conf, ds, seed, loss=loss)
+        memos = sorted(set(_memos(path)) - set(kept))
+        assert len(memos) == len(live) and all(m.name.startswith(f".d.csv.cv-{_tag()}-") for m in memos)
+        assert not untagged.exists()
+        # a hit writes nothing, so it prunes nothing
+        foreign.write_bytes(b"")
+        harness.fit_inputs(cfg, ds, 0)
+        assert sorted(set(_memos(path)) - set(kept)) == sorted([*memos, foreign])
+        # the first write under other code unlinks every memo of this file but its own
+        monkeypatch.setattr(harness, "_code_fingerprint", lambda: b"another build")
+        harness.fit_inputs(cfg, ds, 0)
+        (memo,) = set(_memos(path)) - set(kept)
+        assert memo.name.startswith(f".d.csv.cv-{b'another build'.hex()[:8]}-")
+        assert all(blob.exists() for blob in kept)
+
+    def test_a_memo_that_cannot_be_unlinked_is_left(self, tmp_path, monkeypatch):
+        path = _file(tmp_path)
+        cfg = _cfg(path)
+        untagged = path.with_name(".d.csv.cv-" + "0" * 32 + ".sfcache.npz")
+        untagged.write_bytes(b"")
+        real_unlink = Path.unlink
+
+        def refuse(self, missing_ok=False):
+            if self == untagged:
+                raise PermissionError(13, "Permission denied", str(self))
+            return real_unlink(self, missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", refuse)
+        want = _fresh(cfg, load_dataset(path))
+        assert harness.fit_inputs(cfg, load_dataset(path), 0)[0].tobytes() == want.tobytes()
+        assert untagged.exists() and len(_memos(path)) == 2
 
 
 class TestNaming:

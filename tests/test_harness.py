@@ -492,23 +492,28 @@ def _assert_report_close(got, want, path=()):
 
 class TestResultsUnchanged:
     # tests/data/report_*.json were written by the code that stored datasets
-    # as tuples of Instance objects, before the columnar dataset core
+    # as tuples of Instance objects, before the columnar dataset core; the
+    # second run reads the out-of-fold memos the first wrote beside the copy
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
     def test_report_matches_the_reference(self, name, tmp_path):
         run, cfg = _fixed_file_runs(tmp_path)[name]
         want = json.loads((DATA / f"report_{name}.json").read_text(encoding="utf-8"))
-        _assert_report_close(json.loads(run(cfg).to_json()), want)
+        for _ in range(2):
+            _assert_report_close(json.loads(run(cfg).to_json()), want)
+        assert list((tmp_path / "data").glob(".*.cv-*.sfcache.npz"))
 
     # tests/data/artifacts_*.json were written by the code that still wrote
     # out each protocol's seed loop and each trainer's checks on its own
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
     def test_per_seed_artifacts_match_the_reference(self, name, tmp_path):
         run, cfg = _fixed_file_runs(tmp_path)[name]
-        run(replace(cfg, out_dir=str(tmp_path)))
-        got = {path.relative_to(tmp_path).as_posix(): json.loads(path.read_text(encoding="utf-8"))
-               for path in tmp_path.glob("seed_*/*")}
         want = json.loads((DATA / f"artifacts_{name}.json").read_text(encoding="utf-8"))
-        _assert_report_close(got, want)
+        for out in (tmp_path / "cold", tmp_path / "warm"):
+            run(replace(cfg, out_dir=str(out)))
+            got = {path.relative_to(out).as_posix(): json.loads(path.read_text(encoding="utf-8"))
+                   for path in out.glob("seed_*/*")}
+            _assert_report_close(got, want)
+        assert list((tmp_path / "data").glob(".*.cv-*.sfcache.npz"))
 
     @pytest.mark.parametrize("name", ["experiment", "transfer"])
     def test_every_reference_and_written_artifact_loads(self, name, tmp_path):

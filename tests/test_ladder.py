@@ -35,6 +35,10 @@ def test_experiment_at_ten_thousand_rows_runs_cold_then_warm_in_under_ten_second
 
 def test_warm_memory_per_row_stays_under_each_commands_ceiling(tmp_path):
     records = _load_tool().measure(30_000, tmp_path / "work")
+    # the memos the warm run found deleted exist again: it trained its fold models, and so each
+    # warm reading covers fold training
+    for command in ("experiment", "transfer"):
+        assert list((tmp_path / "work" / command).glob(".*.cv-*.sfcache.npz")), command
     warm = {r["command"]: r["bytes_per_row"] for r in records if r["phase"] == "warm"}
     assert sorted(warm) == sorted(CEILINGS)
     over = [f"warm {command} reads {warm[command]:.0f} B/row, over its ceiling of {ceiling}"
