@@ -10,16 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .calibration import CalibrationError, GridSpec, fit_additive_calibrator, fit_cell_calibrator, load_calibrator
 from .config import DEFAULT_LINES, ConfigError, ExperimentConfig, config_from_mapping, load_config
 from .data import DatasetError, _write_whole, save_dataset, synthesize
 from .ensemble import EnsembleError, WeightFunction, fit_adaptive_weights, fit_constant_weight, fuse
-from .harness import HarnessError, _folds_and_labels, _pay, build_provider, fit_inputs
+from .harness import HarnessError, _Side, _folds_and_labels, _pay, build_provider, fit_inputs
 from .harness import fixed_dataset, run_experiment, run_transfer_experiment, tune_hyperparameter
-from .logistic import BaseModel, TrainingError, train
+from .logistic import BaseModel, TrainingError
 from .metrics import MetricError, metric_dict
 from .oracle import OracleCache, OracleError
 from .transfer import TransferError
@@ -121,7 +121,7 @@ def cmd_fit_base(cfg, args) -> int:
     ds = _load_input_dataset(cfg)
     ds.labels()  # a missing label fails before --out is created
     path = _require_out(cfg) / "base_model.json"
-    model = train(ds, **asdict(cfg.base), seed=cfg.seeds[0])
+    model = _Side(cfg, ds, cfg.seeds[0], "log").base_model()
     model.save(path)
     print(f"trained on {ds.n} rows ({model.train_meta.iterations} iterations, "
           f"objective {model.train_meta.objective:.6f}); wrote {path}")

@@ -466,10 +466,11 @@ def load_dataset(path, format: str | None = None) -> LabeledDataset:
     truncated or foreign sidecar (one from an older sidecar version too)
     costs a parse and a rewrite, so deleting it is always safe.
 
-    The commands that fit on out-of-fold base scores keep those scores
-    beside the file too, in ``.<name>.cv-<8 hex>-<32 hex>.sfcache.npz`` memos
-    keyed by the loss, rows, folds, settings and code they come from (see
-    ``harness.fit_inputs``); deleting them is safe as well.
+    The commands that train models on the file's rows keep each model's
+    result beside the file too: out-of-fold scores, base models and
+    transfer(m) models, in ``.<name>.<kind>-<8 hex>-<32 hex>.sfcache.npz``
+    memos keyed by the loss, rows, settings and code they come from (see
+    ``harness._Side``); deleting them is safe as well.
     """
     fmt = _infer_format(path, format)
     path = Path(path)

@@ -8,9 +8,11 @@ oracle scores, and every requested method is evaluated on the held-out side.
 exist only in the source strata, and each Transfer(m) method adds m
 oracle-labeled rows sampled from the target pool. Their shared seed loop checks
 every seed, scores each row they need once in one batch, then fits each seed.
-Both get their out-of-fold scores from ``fit_inputs``, which names the fold
-models' loss (log for fusion, squared for transfer) and, on a dataset file,
-trains them once and keeps their scores in a memo beside it.
+Each seed trains its models on one training side (``_Side``) with one loss,
+log for fusion and squared for transfer: the fold models whose out-of-fold
+scores ``fit_inputs`` gives, the base model and each transfer(m > 0) model.
+On a dataset file each of them is trained once: its result is kept in a
+content-keyed memo beside the file and read back by every later command.
 
 Reports are deterministic: identical config plus seeds (and a cached or
 synthetic oracle) produce byte-identical JSON and CSV, since nothing
@@ -26,7 +28,7 @@ import json
 import re
 from contextlib import suppress
 from dataclasses import asdict, dataclass, fields, replace
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +38,7 @@ from .config import ExperimentConfig, MethodSpec
 from .data import DatasetError, LabeledDataset, _store, _stored, _test_rows, _write_whole
 from .data import load_dataset, make_folds, synthesize
 from .ensemble import WeightFunction, choose_pieces, fit_adaptive_weights, fit_constant_weight, fuse
-from .logistic import _fold_masks, cv_predict, train
+from .logistic import BaseModel, _fold_masks, cv_predict, train
 from .metrics import metric_dict
 from .oracle import CachedOracle, HttpOracle, HttpOracleConfig, OracleCache, attach_scores
 from .oracle import SyntheticOracle, SyntheticOracleSpec
@@ -168,28 +170,18 @@ def _folds_and_labels(cfg: ExperimentConfig, ds: LabeledDataset, seed: int):
 
 def fit_inputs(cfg: ExperimentConfig, ds: LabeledDataset, seed: int, loss: str = "log"):
     """(out-of-fold base scores, oracle scores, labels) of the scored ``ds``, which every fitter
-    takes. Each fold model is ``_base_trainer(cfg, seed, loss)``'s.
-
-    The fold models of a run that reads ``dataset.path`` are trained once: their scores are kept
-    in a hidden memo beside that file, ``.<name>.cv-<8 hex>-<32 hex>.sfcache.npz``, and read back
-    by every later command whose loss, training side, folds, ``base.*`` settings and code are the
-    same (see ``_out_of_fold``). A run with no file trains each time.
-    """
-    fold, y = _folds_and_labels(cfg, ds, seed)
-    if cfg.dataset_path is None:
-        y_cv = cv_predict(ds, fold, trainer=_base_trainer(cfg, seed, loss))
-    else:
-        y_cv = _out_of_fold(cfg, ds, fold, seed, loss)
-    return y_cv, ds.oracle_scores(), y
+    takes. Each fold model is ``_base_trainer(cfg, seed, loss)``'s; on a dataset file their
+    scores are trained once and kept in a memo beside it (see ``_Side``)."""
+    return _Side(cfg, ds, seed, loss).fit_inputs()
 
 
-_MEMO_VERSION = b"scorefusion out-of-fold memo 1"
+_MEMO_VERSION = b"scorefusion model memo 2"
 
 
 @cache
 def _code_fingerprint() -> bytes:
     """sha256 of the numpy version and of the name and bytes of each of the package's ``.py``
-    files: the code that out-of-fold scores come from. Read on first use, not at import."""
+    files: the code that every memo's result comes from. Read on first use, not at import."""
     digest = hashlib.sha256(np.__version__.encode())
     for path in sorted(Path(__file__).parent.glob("*.py")):
         source = path.read_bytes()
@@ -197,58 +189,134 @@ def _code_fingerprint() -> bytes:
     return digest.digest()
 
 
-def _out_of_fold(cfg: ExperimentConfig, ds: LabeledDataset, fold, seed: int, loss: str):
-    """``cv_predict`` of ``ds`` with the ``loss`` trainer, read from or written to its memo beside
-    ``cfg.dataset_path``.
+def _hash(digest, *parts) -> None:
+    """Add the dtype, shape and bytes of each of ``parts`` (arrays, floats, bools, bytes) to
+    ``digest``."""
+    for part in parts:
+        part = np.ascontiguousarray(part)
+        digest.update(b"%s%r\0" % (part.dtype.str.encode(), part.shape))
+        digest.update(memoryview(part))
 
-    The memo's key is the sha256 of the memo version, ``_code_fingerprint``, ``loss``, the
-    ``base.*`` settings and the dtype, shape and bytes of ``X``, ``y`` and ``fold`` (so of the seed
-    and ``k``). So ``experiment`` (log loss) and ``transfer`` (squared loss) never read each
-    other's scores. ``transfer.slack_a`` and ``transfer.round_oracle`` are not in it: they act
-    only on augmented rows, which no fold model gets. The memo is named by the first 8 hex digits
-    of ``_code_fingerprint`` and the first 32 of the key, and holds the key whole. A memo holding
-    the key gives its scores and the warnings that training would; a missing, damaged or foreign
-    one costs a retrain and a rewrite, which is skipped when it fails. Each write unlinks the
-    file's memos that other code wrote. Deleting a memo is safe.
+
+class _Side:
+    """One training side: the rows ``ds`` that ``seed`` trains every model on with ``loss``
+    (``"log"`` or ``"squared"``, see ``_base_trainer``) and the ``base.*`` settings.
+
+    When the run reads ``dataset.path``, each model of the side is trained once: its result is
+    kept in a hidden memo beside that file, ``.<name>.<kind>-<8 hex>-<32 hex>.sfcache.npz``, and
+    read back by every later command whose key is the same. The kinds are ``cv`` (the fold
+    models' out-of-fold scores), ``base`` (the base model) and ``transfer`` (a transfer(m > 0)
+    model). Every key of the side derives from one sha256 of the memo version,
+    ``_code_fingerprint``, ``loss``, the ``base.*`` settings and the dtype, shape and bytes of
+    ``X`` and ``y``, taken once; each kind adds what its result also depends on (see its
+    method). A run with no file trains each time.
+
+    A hit gives the bits a retrain gives. The checks a trainer makes hold for every memo: one is
+    only written after training passed them on the same keyed inputs and code. The warnings
+    ``cv_predict`` gives are given again.
     """
-    fingerprint = _code_fingerprint()
-    digest = hashlib.sha256(b"%s\0%s\0%s\0%r\0" % (_MEMO_VERSION, fingerprint, loss.encode(),
-                                                       sorted(asdict(cfg.base).items())))
-    for column in (ds.X, ds.y, fold):
-        column = np.ascontiguousarray(column)
-        digest.update(b"%s%r\0" % (column.dtype.str.encode(), column.shape))
-        digest.update(memoryview(column))
-    key, source = digest.hexdigest(), Path(cfg.dataset_path)
-    stem = f".{source.name}.cv-"
-    ours = f"{stem}{fingerprint.hex()[:8]}-"
-    memo = source.with_name(f"{ours}{key[:32]}.sfcache.npz")
-    y_cv = _read_memo(memo, source, key, ds.n)
-    if y_cv is not None:
-        list(_fold_masks(ds, fold))  # the SingleClassFoldWarnings of the folds
-        return y_cv
-    y_cv = cv_predict(ds, fold, trainer=_base_trainer(cfg, seed, loss))
-    _store(memo, key, scores=y_cv)
-    memos = re.compile(re.escape(stem) + r"([0-9a-f]{8}-)?[0-9a-f]{32}\.sfcache\.npz")
-    with suppress(OSError):  # unlink this file's memos that other code wrote
-        for other in source.parent.iterdir():
-            if memos.fullmatch(other.name) and not other.name.startswith(ours):
-                other.unlink()
-    return y_cv
+
+    def __init__(self, cfg: ExperimentConfig, ds: LabeledDataset, seed: int, loss: str):
+        self.cfg, self.ds, self.seed, self.loss = cfg, ds, seed, loss
+
+    @cached_property
+    def _digest(self):
+        base = sorted(asdict(self.cfg.base).items())
+        digest = hashlib.sha256(b"%s\0%s\0%s\0%r\0" % (
+            _MEMO_VERSION, _code_fingerprint(), self.loss.encode(), base))
+        _hash(digest, self.ds.X, self.ds.y)
+        return digest
+
+    def fit_inputs(self):
+        """``fit_inputs`` of the side; the ``cv`` key adds the fold column (so the seed and ``k``).
+        ``transfer.slack_a`` and ``transfer.round_oracle`` act only on augmented rows, which no
+        fold model gets, so they are not in it."""
+        ds, train = self.ds, _base_trainer(self.cfg, self.seed, self.loss)
+        fold, y = _folds_and_labels(self.cfg, ds, self.seed)
+        y_cv = self._memo("cv", [fold], lambda: cv_predict(ds, fold, trainer=train),
+                          hit=lambda: list(_fold_masks(ds, fold)))  # the SingleClassFoldWarnings
+        return y_cv, ds.oracle_scores(), y
+
+    def base_model(self):
+        """The base model of the side; the ``base`` key adds the seed, which its
+        ``train_meta`` holds."""
+        train = _base_trainer(self.cfg, self.seed, self.loss)
+        return self._memo("base", [b"%d" % self.seed], lambda: train(self.ds))
+
+    def transfer_model(self, drawn: LabeledDataset, m: int):
+        """The transfer(m) model of the side, trained with the oracle-scored ``drawn`` rows; the
+        ``transfer`` key adds the seed, the bytes of ``drawn``'s X and z (so scores from another
+        oracle never replay a model), ``transfer.slack_a``, ``transfer.round_oracle`` and m."""
+        tr, base = self.cfg.transfer, asdict(self.cfg.base)
+        parts = [b"%d" % self.seed, drawn.X, drawn.z, tr.slack_a, tr.round_oracle, b"%d" % m]
+        return self._memo("transfer", parts, lambda: train_augmented(
+            self.ds, drawn, slack_a=tr.slack_a, **base, seed=self.seed,
+            round_oracle_scores=tr.round_oracle))
+
+    def _memo(self, kind: str, parts, make, hit=None):
+        """``make()``, read from or written to the ``kind`` memo keyed by ``parts``, with ``hit()``
+        called on a hit.
+
+        The memo is named by the first 8 hex digits of ``_code_fingerprint`` and the first 32 of
+        the key, and holds the key whole. A missing, damaged or foreign memo costs a retrain and a
+        rewrite, which is skipped when it fails. Each write unlinks the file's memos, of any kind,
+        that other code wrote. Deleting a memo is safe.
+        """
+        if self.cfg.dataset_path is None:
+            return make()
+        digest = self._digest.copy()
+        _hash(digest, kind.encode(), *parts)
+        key, source = digest.hexdigest(), Path(self.cfg.dataset_path)
+        tag = _code_fingerprint().hex()[:8]
+        memo = source.with_name(f".{source.name}.{kind}-{tag}-{key[:32]}.sfcache.npz")
+        result = _read_memo(memo, source, key, kind, self.ds)
+        if result is not None:
+            if hit is not None:
+                hit()
+            return result
+        result = make()
+        stored = {"scores": result} if kind == "cv" else {"model": np.array(result.to_json())}
+        _store(memo, key, **stored)
+        memos = re.compile(re.escape(f".{source.name}.") +
+                           r"(?:cv|base|transfer)-(?:([0-9a-f]{8})-)?[0-9a-f]{32}\.sfcache\.npz")
+        with suppress(OSError):  # unlink this file's memos that other code wrote
+            for other in source.parent.iterdir():
+                found = memos.fullmatch(other.name)
+                if found and found[1] != tag:
+                    other.unlink()
+        return result
 
 
-def _read_memo(memo: Path, source: Path, key: str, n: int):
-    """The n out-of-fold scores stored in ``memo`` under ``key``; None when the memo is missing,
-    holds another key or cannot be read. A column that is not n float64 scores in [0, 1] raises
+def _read_memo(memo: Path, source: Path, key: str, kind: str, ds: LabeledDataset):
+    """The out-of-fold scores (``kind`` ``cv``) or model stored in ``memo`` under ``key``, for the
+    training side ``ds``; None when the memo is missing, holds another key or cannot be read.
+    Scores that are not n float64 numbers in [0, 1], or a model whose dimension is not ``ds``'s,
+    with a parameter that is not finite or a feature scale that is not positive, raise
     ``DatasetError`` naming the memo and its dataset file, as a dataset sidecar's columns do."""
-    scores = _stored(memo, key, lambda stored: stored["scores"])
-    if scores is None:
+    def read(stored):
+        if kind == "cv":
+            return stored["scores"]
+        return BaseModel.from_doc(json.loads(stored["model"].item()))
+
+    got = _stored(memo, key, read)
+    if got is None:
         return None
-    if scores.shape != (n,) or scores.dtype != np.float64:
-        what = "a score column of the wrong length or type"
-    elif not ((scores >= 0) & (scores <= 1)).all():
-        what = "a score that is not a number in [0, 1]"
+    if kind == "cv":
+        if got.shape != (ds.n,) or got.dtype != np.float64:
+            what = "a score column of the wrong length or type"
+        elif not ((got >= 0) & (got <= 1)).all():
+            what = "a score that is not a number in [0, 1]"
+        else:
+            return got
+    elif got.dim != ds.dim:
+        what = f"a model of dimension {got.dim}, not {ds.dim}"
+    elif not all(np.isfinite(v).all() for v in (got.weights, got.intercept, got.feature_mean,
+                                                got.feature_scale)):
+        what = "a model parameter that is not a finite number"
+    elif not (got.feature_scale > 0).all():
+        what = "a feature scale that is not positive"
     else:
-        return scores
+        return got
     raise DatasetError(f"{memo} holds {what}; delete it to retrain on {source}")
 
 
@@ -283,15 +351,15 @@ def _fit_method_scores(spec: MethodSpec, fit_inputs, test_inputs, artifacts):
     return fuse(wf, base_test, z_test)
 
 
-def _fit_and_score(cfg: ExperimentConfig, train_ds, test_ds, seed: int, loss: str, specs):
+def _fit_and_score(side: _Side, test_ds, specs):
     """({method name: test scores}, {file name: artifact}) of one seed, the core of both protocols.
 
-    Both sides hold their oracle scores. Trains the base model (``base_model.json``) with the
-    ``loss`` trainer, whose fold models give ``fit_inputs`` its out-of-fold scores; fits each of
-    ``specs`` on the training side and applies it to the test side.
+    Both sides hold their oracle scores. Trains the training ``side``'s base model
+    (``base_model.json``), whose fold models give ``fit_inputs`` its out-of-fold scores; fits each
+    of ``specs`` on the training side and applies it to the test side.
     """
-    train_inputs = fit_inputs(cfg, train_ds, seed, loss)
-    base = _base_trainer(cfg, seed, loss)(train_ds)
+    train_inputs = side.fit_inputs()
+    base = side.base_model()
     test_inputs = (base.score_dataset(test_ds), test_ds.oracle_scores())
     artifacts: dict = {"base_model.json": base}
     scores = {spec.name: _fit_method_scores(spec, train_inputs, test_inputs, artifacts) for spec in specs}
@@ -377,7 +445,8 @@ def run_experiment(cfg: ExperimentConfig, dataset=None, provider=None) -> Metric
         def fit(take):
             train_ds, test_ds = take(~test), take(test)
             y_test = test_ds.labels()
-            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, "log", cfg.methods)
+            side = _Side(cfg, train_ds, seed, "log")
+            scores, artifacts = _fit_and_score(side, test_ds, cfg.methods)
             n_test = float(len(y_test))
             return {k: metric_dict(s, y_test, n_test=n_test) for k, s in scores.items()}, artifacts
 
@@ -450,17 +519,15 @@ def run_transfer_experiment(cfg: ExperimentConfig, dataset=None, provider=None) 
         _folds_and_labels(cfg, labeled_rows, seed)
 
         def fit(take):
-            train_ds, test_ds = take(labeled), take(test)
+            side, test_ds = _Side(cfg, take(labeled), seed, "squared"), take(test)
             y_test = test_ds.labels()
-            scores, artifacts = _fit_and_score(cfg, train_ds, test_ds, seed, "squared", baselines)
+            scores, artifacts = _fit_and_score(side, test_ds, baselines)
             for m in m_values:
                 if m == 0:
                     model_m = artifacts["base_model.json"]
                 else:
                     plan_m, drawn = draws[m]
-                    model_m = train_augmented(train_ds, take(drawn).without_labels(),
-                                              slack_a=tr.slack_a, **asdict(cfg.base), seed=seed,
-                                              round_oracle_scores=tr.round_oracle)
+                    model_m = side.transfer_model(take(drawn).without_labels(), m)
                     artifacts[f"transfer_plan_{m}.json"] = plan_m
                     artifacts[f"transfer_model_{m}.json"] = model_m
                 scores[f"transfer({m})"] = model_m.score_dataset(test_ds)

@@ -1,11 +1,13 @@
-"""The out-of-fold memo beside a dataset file: every command that reads the file with the same
-loss, training side, folds, ``base.*`` settings and code trains its fold models once, a hit gives
-the bits a retrain gives, anything wrong with a memo costs only a retrain, and the memos that
+"""The memos beside a dataset file: every command that reads the file trains each model once, as
+long as the inputs, settings and code that model sees are the same. That covers the fold models'
+out-of-fold scores, the base model and each transfer(m) model. A hit gives the bits a retrain
+gives, anything wrong with a memo costs only a retrain or names the memo, and the memos that
 other code wrote are pruned."""
 
 import builtins
 import fnmatch
 import importlib.util
+import json
 import os
 import shutil
 import subprocess
@@ -33,6 +35,7 @@ from scorefusion import (
     run_transfer_experiment,
     save_dataset,
     sigmoid,
+    train,
     train_augmented,
 )
 from scorefusion.cli import main
@@ -64,8 +67,28 @@ def _file(tmp_path, ds=None):
     return path
 
 
-def _memos(path):
-    return sorted(path.parent.glob(f".{path.name}.cv-*.sfcache.npz"))
+def _memos(path, kind="cv"):
+    return sorted(path.parent.glob(f".{path.name}.{kind}-*.sfcache.npz"))
+
+
+@pytest.fixture
+def models(monkeypatch):
+    """The kind of each model the harness trains, in call order: "log" (``train``), "squared"
+    (``train_augmented`` without augmented rows) or "transfer" (with them)."""
+    calls = []
+    real_train, real_augmented = harness.train, harness.train_augmented
+
+    def train(ds, *args, **kwargs):
+        calls.append("log")
+        return real_train(ds, *args, **kwargs)
+
+    def train_augmented(ds, augmented=None, *args, **kwargs):
+        calls.append("squared" if augmented is None else "transfer")
+        return real_augmented(ds, augmented, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "train", train)
+    monkeypatch.setattr(harness, "train_augmented", train_augmented)
+    return calls
 
 
 @pytest.fixture
@@ -448,3 +471,213 @@ class TestNaming:
         same_bits = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(same_bits)
         assert sorted(same_bits._hashes(tmp_path)) == ["data/d.csv"]
+
+
+def _write_config(tmp_path, path, **keys):
+    config = tmp_path / "run.cfg"
+    lines = {"dataset.path": path, "folds.k": 3, "seeds": "0, 1", "oracle.seed": 5, **keys}
+    config.write_text("".join(f"{key} = {value}\n" for key, value in lines.items()))
+    return config
+
+
+def _run(command, config, out):
+    """The bytes of every file that ``command`` writes under ``out``, by relative path."""
+    assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def _every_memo(path):
+    return sorted(path.parent.glob(f".{path.name}.*-*.sfcache.npz"))
+
+
+class TestEveryModel:
+    @pytest.mark.parametrize("command, keys, cold", [
+        pytest.param("experiment", {"methods": "ml, linear"}, ["log"] * 8, id="experiment"),
+        pytest.param("transfer", {"methods": "transfer(0), transfer(60)", "dataset.test_fraction": 0.3,
+                                  "transfer.source_strata": "A", "transfer.target_strata": "B"},
+                     (["squared"] * 4 + ["transfer"]) * 2, id="transfer"),
+    ])
+    def test_a_warm_run_trains_no_model_and_writes_the_same_bytes(
+            self, tmp_path, models, capsys, command, keys, cold):
+        path = _fixed_jsonl(tmp_path)
+        config = _write_config(tmp_path, path, **keys)
+        first = _run(command, config, tmp_path / "cold")
+        assert models == cold
+        kinds = ["base", "cv"] + (["transfer"] if command == "transfer" else [])
+        assert sorted({memo.name.split(".")[3].split("-")[0] for memo in _every_memo(path)}) == kinds
+        assert all(fnmatch.fnmatchcase(memo.name, ".*.sfcache.npz") for memo in _every_memo(path))
+        assert _run(command, config, tmp_path / "warm") == first
+        assert len(models) == len(cold)
+        for memo in _every_memo(path):
+            memo.unlink()
+        assert _run(command, config, tmp_path / "retrained") == first
+        assert models == cold * 2
+        capsys.readouterr()
+
+    def test_fit_base_trains_once_and_writes_the_same_model(self, tmp_path, models, capsys):
+        path = _file(tmp_path)
+        config = _write_config(tmp_path, path, seeds=3)
+        first = _run("fit-base", config, tmp_path / "cold")
+        assert models == ["log"] and len(_memos(path, "base")) == 1
+        assert _run("fit-base", config, tmp_path / "warm") == first == _run("fit-base", config, tmp_path / "again")
+        assert models == ["log"]
+        want = train(load_dataset(path), **asdict(BaseSettings()), seed=3)
+        assert first == {"base_model.json": (want.to_json() + "\n").encode()}
+        # fit-linear shares the side's digest, not its memo
+        _run("fit-linear", config, tmp_path / "linear")
+        assert models == ["log"] * 4 and len(_memos(path, "base")) == 1
+        capsys.readouterr()
+
+
+def _drawn(n=20):
+    """Oracle-scored rows without labels, as a transfer(m) model gets them."""
+    rng = np.random.default_rng(9)
+    return LabeledDataset.from_arrays(rng.standard_normal((n, 3)), z=rng.uniform(size=n), prefix="a")
+
+
+def _z_moved(drawn):
+    z = drawn.z.copy()
+    z[3] = 1.0 - z[3]
+    return LabeledDataset.from_arrays(drawn.feature_matrix(), z=z, ids=drawn.ids())
+
+
+def _x_moved(drawn):
+    X = drawn.feature_matrix().copy()
+    X[3, 1] = np.nextafter(X[3, 1], np.inf)
+    return LabeledDataset.from_arrays(X, z=drawn.z, ids=drawn.ids())
+
+
+def _transfer_settings(cfg, **settings):
+    return replace(cfg, transfer=replace(cfg.transfer, **settings))
+
+
+# each change to what a transfer(m) model sees, as (config, drawn rows, seed, m) from the unchanged ones
+_TRANSFER_CHANGES = {
+    "z": lambda cfg, drawn: (cfg, _z_moved(drawn), 0, 20),
+    "feature": lambda cfg, drawn: (cfg, _x_moved(drawn), 0, 20),
+    "slack_a": lambda cfg, drawn: (_transfer_settings(cfg, slack_a=0.35), drawn, 0, 20),
+    "round_oracle": lambda cfg, drawn: (_transfer_settings(cfg, round_oracle=True), drawn, 0, 20),
+    "m": lambda cfg, drawn: (cfg, drawn, 0, 21),
+    "seed": lambda cfg, drawn: (cfg, drawn, 1, 20),
+    "reg_lambda": lambda cfg, drawn: (replace(cfg, base=replace(cfg.base, reg_lambda=2e-3)), drawn, 0, 20),
+}
+
+
+def _transfer_model(cfg, ds, drawn, seed, m):
+    return harness._Side(cfg, ds, seed, "squared").transfer_model(drawn, m)
+
+
+class TestTransferKey:
+    @pytest.mark.parametrize("change", list(_TRANSFER_CHANGES))
+    def test_a_change_retrains_the_transfer_model_and_keeps_the_other_memos(
+            self, tmp_path, models, change):
+        path = _file(tmp_path)
+        cfg, ds, drawn = _cfg(path), load_dataset(path), _drawn()
+        side = harness._Side(cfg, ds, 0, "squared")
+        side.fit_inputs()
+        side.base_model()
+        before = side.transfer_model(drawn, 20)
+        assert models == ["squared"] * 4 + ["transfer"]
+        changed = _TRANSFER_CHANGES[change](cfg, drawn)
+        got = _transfer_model(changed[0], ds, *changed[1:])
+        assert models[5:] == ["transfer"] and len(_memos(path, "transfer")) == 2
+        c_cfg, c_drawn, c_seed, _ = changed
+        want = train_augmented(ds, c_drawn, slack_a=c_cfg.transfer.slack_a, **asdict(c_cfg.base),
+                               seed=c_seed, round_oracle_scores=c_cfg.transfer.round_oracle)
+        assert got.to_json() == want.to_json()
+        # every memo of the unchanged inputs still serves them
+        side = harness._Side(cfg, load_dataset(path), 0, "squared")
+        assert side.transfer_model(drawn, 20).to_json() == before.to_json()
+        side.fit_inputs()
+        side.base_model()
+        assert len(models) == 6 and len(_every_memo(path)) == 4
+
+    def test_a_hit_gives_the_model_a_retrain_gives(self, tmp_path, models):
+        path = _file(tmp_path)
+        cfg, ds, drawn = _cfg(path), load_dataset(path), _drawn()
+        cold, warm = (_transfer_model(cfg, load_dataset(path), drawn, 0, 20) for _ in range(2))
+        assert models == ["transfer"]
+        want = train_augmented(ds, drawn, slack_a=cfg.transfer.slack_a, **asdict(cfg.base), seed=0)
+        for got in (cold, warm):
+            assert got.to_json() == want.to_json()
+            assert got.score_dataset(ds).tobytes() == want.score_dataset(ds).tobytes()
+
+
+def _model_memo(tmp_path, kind):
+    """(config, dataset file, the ``kind`` memo, its key, a thunk that reads or trains the model)."""
+    path = _file(tmp_path)
+    cfg, drawn = _cfg(path), _drawn()
+
+    def model():
+        side = harness._Side(cfg, load_dataset(path), 0, "squared")
+        return side.base_model() if kind == "base" else side.transfer_model(drawn, 20)
+
+    good = model()
+    (memo,) = _memos(path, kind)
+    with np.load(memo) as stored:
+        key = stored["key"].item()
+    return good, memo, key, model
+
+
+def _doc(good, **fields):
+    return np.array(json.dumps({**json.loads(good.to_json()), **fields}))
+
+
+class TestBaseKey:
+    def test_the_base_model_key_binds_the_seed_and_the_loss(self, tmp_path, models):
+        path = _file(tmp_path)
+        cfg, ds = _cfg(path), load_dataset(path)
+        sides = [(0, "log"), (1, "log"), (2**70, "log"), (0, "squared")]
+        cold = [harness._Side(cfg, ds, seed, loss).base_model() for seed, loss in sides]
+        warm = [harness._Side(cfg, ds, seed, loss).base_model() for seed, loss in sides]
+        assert models == ["log", "log", "log", "squared"] and len(_memos(path, "base")) == 4
+        assert [model.train_meta.seed for model in warm] == [0, 1, 2**70, 0]
+        assert [model.to_json() for model in warm] == [model.to_json() for model in cold]
+
+
+class TestModelDamage:
+    @pytest.mark.parametrize("kind", ["base", "transfer"])
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "foreign-key", "no-model",
+                                        "not-json", "inconsistent"])
+    def test_a_broken_model_memo_is_retrained_and_rewritten(self, tmp_path, models, kind, damage):
+        good, memo, key, model = _model_memo(tmp_path, kind)
+        blob = memo.read_bytes()
+        if damage == "truncated":
+            memo.write_bytes(blob[: len(blob) // 2])
+        elif damage == "garbage":
+            memo.write_bytes(b"PK\x03\x04 not a zip archive at all")
+        elif damage == "empty":
+            memo.write_bytes(b"")
+        elif damage == "foreign-key":
+            np.savez(memo, key=np.array("0" * 64), model=np.array(good.to_json()))
+        elif damage == "no-model":
+            np.savez(memo, key=np.array(key))
+        elif damage == "not-json":
+            np.savez(memo, key=np.array(key), model=np.array("{"))
+        else:
+            np.savez(memo, key=np.array(key), model=_doc(good, dim=good.dim + 1))
+        for _ in range(2):
+            assert model().to_json() == good.to_json()
+        assert len(models) == 2 and len(_memos(memo.parent / "d.csv", kind)) == 1
+
+    @pytest.mark.parametrize("kind", ["base", "transfer"])
+    @pytest.mark.parametrize("fields, what", [
+        pytest.param(lambda doc: {"weights": [np.nan] + doc["weights"][1:]},
+                     "a model parameter that is not a finite number", id="nan-weight"),
+        pytest.param(lambda doc: {"intercept": np.inf}, "a model parameter that is not a finite number",
+                     id="inf-intercept"),
+        pytest.param(lambda doc: {"feature_scale": [0.0] + doc["feature_scale"][1:]},
+                     "a feature scale that is not positive", id="zero-scale"),
+        pytest.param(lambda doc: {"feature_scale": [-1.0] + doc["feature_scale"][1:]},
+                     "a feature scale that is not positive", id="negative-scale"),
+        pytest.param(lambda doc: {key: doc[key][:2] for key in ("weights", "feature_mean", "feature_scale")}
+                     | {"dim": 2}, "a model of dimension 2, not 3", id="dimension"),
+    ])
+    def test_a_bad_model_under_the_right_key_raises(self, tmp_path, kind, fields, what):
+        good, memo, key, model = _model_memo(tmp_path, kind)
+        np.savez(memo, key=np.array(key), model=_doc(good, **fields(json.loads(good.to_json()))))
+        with pytest.raises(DatasetError) as err:
+            model()
+        assert str(err.value) == f"{memo} holds {what}; delete it to retrain on {memo.parent / 'd.csv'}"
+        memo.unlink()
+        assert model().to_json() == good.to_json()

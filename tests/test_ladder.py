@@ -33,12 +33,27 @@ def test_experiment_at_ten_thousand_rows_runs_cold_then_warm_in_under_ten_second
     assert (data.parent / ".data.csv.sfcache.npz").is_file()
 
 
-def test_warm_memory_per_row_stays_under_each_commands_ceiling(tmp_path):
-    records = _load_tool().measure(30_000, tmp_path / "work")
-    # the memos the warm run found deleted exist again: it trained its fold models, and so each
-    # warm reading covers fold training
-    for command in ("experiment", "transfer"):
-        assert list((tmp_path / "work" / command).glob(".*.cv-*.sfcache.npz")), command
+def test_warm_memory_per_row_stays_under_each_commands_ceiling(tmp_path, monkeypatch):
+    ladder = _load_tool()
+    work, found, real_child = tmp_path / "work", [], ladder._child
+
+    def memos(command):
+        return sorted(kind for kind in ladder.MEMO_KINDS
+                      for _ in (work / command).glob(f".*.{kind}-*.sfcache.npz"))
+
+    def child(what, *argv):
+        if what == "run":
+            found.append(memos(argv[1]))
+        return real_child(what, *argv)
+
+    monkeypatch.setattr(ladder, "_child", child)
+    records = ladder.measure(30_000, work)
+    # no run, cold or warm, found a memo, and every kind exists again after the warm run: it
+    # trained its fold, base and (for transfer) transfer(m) models, so each warm reading covers
+    # their training
+    assert found == [[]] * 4
+    assert {command: sorted(set(memos(command))) for command in CEILINGS} == {
+        "experiment": ["base", "cv"], "transfer": ["base", "cv", "transfer"]}
     warm = {r["command"]: r["bytes_per_row"] for r in records if r["phase"] == "warm"}
     assert sorted(warm) == sorted(CEILINGS)
     over = [f"warm {command} reads {warm[command]:.0f} B/row, over its ceiling of {ceiling}"

@@ -12,9 +12,10 @@ n / ``TRANSFER_ROWS``, so the transfer protocol's pool holds its draws at
 1e4 rows too. Then ``experiment`` and ``transfer`` each run twice through
 ``scorefusion.cli.main``, every run in a fresh process with one BLAS thread:
 cold (no dataset sidecar or cache index on disk yet), then warm. The warm run
-finds the dataset sidecars the cold run wrote, but not its out-of-fold memos
-(``.<name>.cv-*.sfcache.npz``), which are deleted first: it trains its fold
-models again, so its memory still covers them.
+finds the dataset sidecars the cold run wrote, but not its model memos
+(``.<name>.<kind>-*.sfcache.npz`` for each of ``MEMO_KINDS``), which are
+deleted first: it trains its fold, base and transfer(m) models again, so its
+memory still covers them.
 
 Each run reports its wall time, its peak RSS (the child's own ``VmHWM`` from
 ``/proc/self/status``) and the RSS it added above what the imports left,
@@ -40,6 +41,8 @@ SEED = 7
 # each command of the CLI, and the benchmark workload whose inputs it runs on
 COMMANDS = {"experiment": "experiment-csv", "transfer": "transfer-jsonl-cached"}
 PHASES = ("cold", "warm")
+# the kinds of memo that the package writes beside a dataset file, one per kind of model result
+MEMO_KINDS = ("cv", "base", "transfer")
 CHILD_TIMEOUT_S = 1800
 
 
@@ -103,9 +106,10 @@ def measure(rows: int, work: Path, commands=tuple(COMMANDS)) -> list:
     records = []
     for command in commands:
         for phase in PHASES:
-            if phase == "warm":  # keep the dataset sidecars, so a warm run still trains its folds
-                for memo in (work / command).glob(".*.cv-*.sfcache.npz"):
-                    memo.unlink()
+            if phase == "warm":  # keep the dataset sidecars, so a warm run still trains every model
+                for kind in MEMO_KINDS:
+                    for memo in (work / command).glob(f".*.{kind}-*.sfcache.npz"):
+                        memo.unlink()
             record = json.loads(_child("run", work, command).stdout)
             if record["code"] != 0:
                 raise RuntimeError(f"{command} at {rows} rows ({phase}) exited with {record['code']}")

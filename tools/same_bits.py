@@ -15,8 +15,9 @@ and ``bench/`` first on the path, writes the workload's inputs with
 the workload up again and runs one more session over the same files (warm).
 After each session the child hashes every file under its work directory
 except the inputs as written (configs included), the manifest and the
-``.sfcache.npz`` files, the dataset sidecars and the out-of-fold memos
-(``.<name>.cv-<hex>.sfcache.npz``) beside them: reports, tuned values,
+``.sfcache.npz`` files, the dataset sidecars and the model memos
+(``.<name>.<kind>-<hex>-<hex>.sfcache.npz``: out-of-fold scores, base and
+transfer(m) models) beside them: reports, tuned values,
 per-seed artifacts, saved datasets and score caches. So the warm session
 reads both the sidecars and the memos that the cold one wrote. Both trees are read only: the children
 cache no bytecode, and every file they write goes to a temporary directory
@@ -52,8 +53,8 @@ class SameBitsError(RuntimeError):
 
 
 def _hashes(work: Path) -> dict:
-    """sha256 of every file under ``work`` but the manifest, dataset sidecars and out-of-fold memos,
-    by relative path."""
+    """sha256 of every file under ``work`` but the manifest, dataset sidecars and model memos, by
+    relative path."""
     out = {}
     for path in sorted(work.rglob("*")):
         rel = path.relative_to(work).as_posix()
